@@ -6,7 +6,8 @@ Each operation that has to be differentiated records a :class:`TapeEntry`
 holding its inputs and a backward closure; :func:`backward` collects the
 entries reachable from a scalar loss into a :class:`GradTape` and replays
 them exactly once in reverse topological order, accumulating gradients into
-the leaves.
+the leaves.  Inside :func:`no_grad` nothing is recorded, so inference
+builds no tape.
 
 The engine is deliberately plain: no broadcasting beyond row-vector bias
 addition, no views, no dtype zoo.  :func:`grad_check` provides the
@@ -18,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,10 +100,29 @@ class Tensor:
         return transpose(self)
 
 
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Record no tape entries inside the block, for inference.
+
+    Results built inside carry no entry and do not require gradients, so
+    nothing can be backpropagated through them.  The previous setting comes
+    back on exit, so blocks nest.  The setting is process-wide.
+    """
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _result(data: np.ndarray, name: str, inputs: tuple[Tensor, ...], backward: BackwardFn) -> Tensor:
     """Wrap an op result, recording a tape entry only when a gradient can flow."""
     out = Tensor(data)
-    if any(t.requires_grad for t in inputs):
+    if _recording and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out.entry = TapeEntry(next(_OP_IDS), name, inputs, backward)
     return out
@@ -446,6 +467,13 @@ def segment_pool(weights: Tensor, values: Tensor, offsets) -> Tensor:
                 np.einsum("kn,nkd->nd", w, per_row))
 
     return _result(pooled.reshape(-1, d), "segment_pool", (weights, values), back)
+
+
+def segment_mean(values: Tensor, offsets) -> Tensor:
+    """(B, d) column means of each segment: ``segment_pool`` with 1/N_b weights."""
+    _, ids = _segment_layout(offsets, values.shape[0], "segment_mean")
+    weights = 1.0 / np.diff(np.asarray(offsets))[ids]
+    return segment_pool(Tensor(weights[None, :]), values, offsets)
 
 
 def segment_broadcast(allocation: Tensor, states: Tensor, offsets) -> Tensor:

@@ -8,6 +8,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+from .autodiff import no_grad
 from .ewald import EwaldError, ewald_sum_matrix, load_system, write_interaction_heatmap
 from .graphs import (DatasetError, GraphError, batch_graphs, generate_lri_task,
                      load_dataset, save_dataset)
@@ -96,7 +97,8 @@ def _cmd_export_alloc(args) -> int:
     if not 0 <= args.graph < len(graphs):
         raise ConfigError(f"graph index {args.graph} outside 0..{len(graphs) - 1}")
     batch = batch_graphs([graphs[args.graph]])
-    output = model.forward(batch, collect_traces=True)
+    with no_grad():
+        output = model.forward(batch, collect_traces=True)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, layer_traces in enumerate(output.traces):

@@ -3,10 +3,10 @@
 A model is a stack of message-passing layers, each optionally followed by a
 neural-atom block or a virtual-node round, finished by a task head.  Graphs
 in a batch share parameters but never exchange information: message passing
-runs on the merged block-diagonal graph, while the neural-atom block and the
-mean readout run once per batch on the graphs' row segments, so an atom or
-a graph vector only ever sees its own graph's nodes.  The virtual-node
-round still loops over per-graph row slices.
+runs on the merged block-diagonal graph, while the neural-atom block, the
+virtual-node round and the mean readout run once per batch on the graphs'
+row segments, so an atom, a virtual node or a graph vector only ever sees
+its own graph's nodes.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .autodiff import (Tensor, add, concat_cols, concat_rows, gather_rows,
-                       matmul, parameter, relu, rows, segment_pool)
+from .autodiff import (Tensor, add, concat_cols, gather_rows, matmul, parameter, relu,
+                       segment_mean)
 from .gnn import GcnLayerParams, GinLayerParams, gcn_forward, gin_forward
 from .graphs import GraphBatch
 from .neural_atom import NeuralAtomLayerParams, NeuralAtomTrace, enhance_segments
-from .schedules import compute_k_schedule
+from .schedules import STRATEGIES, compute_k_schedule
 from .virtual_node import VirtualNodeParams, multi_virtual_node_layer
 
 BACKBONES = ("gcn", "gin")
@@ -60,16 +60,20 @@ class TrainConfig:
             raise ConfigError(f"augment must be one of {AUGMENTS}, got {self.augment!r}")
         if self.task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
+        if self.k_strategy not in STRATEGIES:
+            raise ConfigError(
+                f"k_strategy must be one of {STRATEGIES}, got {self.k_strategy!r}")
+        # bool is a subclass of int, so True would pass as 1
         for name in ("layers", "hidden", "heads", "virtual_nodes", "epochs", "batch"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, int) and self.seed >= 0):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not (self.lr > 0.0 and np.isfinite(self.lr)):
             raise ConfigError(f"lr must be positive, got {self.lr!r}")
-        if not (0.0 < self.proportion and np.isfinite(self.proportion)):
-            raise ConfigError(f"proportion must be positive, got {self.proportion!r}")
+        if not 0.0 < self.proportion <= 1.0:
+            raise ConfigError(f"proportion must lie in (0, 1], got {self.proportion!r}")
 
     @classmethod
     def from_dict(cls, record: dict) -> "TrainConfig":
@@ -212,12 +216,10 @@ class GraphPropertyModel:
                 f"dataset has {batch.graphs[0].feature_dim}")
         merged = batch.merged_graph()
         h = Tensor(merged.node_features)
-        num_graphs = len(batch)
         traces: list[list[NeuralAtomTrace]] = [] if collect_traces else None
         vstates = None
         if self.cfg.augment == "virtual-node":
-            shape = (self.cfg.virtual_nodes, self.cfg.hidden)
-            vstates = [Tensor(np.zeros(shape)) for _ in range(num_graphs)]
+            vstates = Tensor(np.zeros((len(batch) * self.cfg.virtual_nodes, self.cfg.hidden)))
 
         for i in range(self.cfg.layers):
             h = self._message_pass(h, merged, i)
@@ -227,13 +229,8 @@ class GraphPropertyModel:
                 if collect_traces:
                     traces.append(layer_traces)
             elif self.cfg.augment == "virtual-node":
-                slices = []
-                for g in range(num_graphs):
-                    part = rows(h, batch.offsets[g], batch.offsets[g + 1])
-                    out, vstates[g] = multi_virtual_node_layer(
-                        part, vstates[g], self.vn_layers[i])
-                    slices.append(out)
-                h = concat_rows(slices)
+                h, vstates = multi_virtual_node_layer(h, vstates, self.vn_layers[i],
+                                                      batch.offsets)
 
         if self.cfg.task == "pair-contact":
             u_idx, v_idx, _ = _pair_indices(batch)
@@ -244,8 +241,6 @@ class GraphPropertyModel:
             scores = add(matmul(hidden, self.head["w2"]), self.head["b2"])
             return ModelOutput(node_states=h, pair_scores=scores, traces=traces)
 
-        counts = np.diff(batch.offsets)
-        node_weights = Tensor(1.0 / np.repeat(counts, counts)[None, :])
-        pooled = segment_pool(node_weights, h, batch.offsets)  # per-graph node mean
+        pooled = segment_mean(h, batch.offsets)
         logits = add(matmul(pooled, self.head["weight"]), self.head["bias"])
         return ModelOutput(node_states=h, graph_outputs=logits, traces=traces)

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, backward, bce_with_logits, mse_loss, softmax_cross_entropy
-from .graphs import DatasetError, MolecularGraph, batch_graphs, load_dataset
+from .autodiff import Tensor, backward, bce_with_logits, mse_loss, no_grad, softmax_cross_entropy
+from .graphs import DatasetError, GraphBatch, MolecularGraph, batch_graphs, load_dataset
 from .model import ConfigError, GraphPropertyModel, ModelOutput, TrainConfig, _pair_indices
 
 METRICS_HEADER = ["epoch", "split", "metric", "value"]
@@ -84,10 +84,10 @@ def dataset_dimensions(graphs: list[MolecularGraph], task: str
     return feature_dim, labels[0].shape[0], avg_nodes
 
 
-def _batch_loss(model: GraphPropertyModel, graphs: list[MolecularGraph]
+def _batch_loss(model: GraphPropertyModel, batch: GraphBatch
                 ) -> tuple[Tensor, dict, ModelOutput]:
     """Loss tensor, count-style statistics, and the forward output."""
-    batch = batch_graphs(graphs)
+    graphs = batch.graphs
     output = model.forward(batch)
     task = model.cfg.task
     if task == "graph-classification":
@@ -136,7 +136,7 @@ def train(cfg: TrainConfig) -> tuple[GraphPropertyModel, Path]:
         totals = {"loss": 0.0, "count": 0, "correct": 0, "abs_err": 0.0}
         for start in range(0, len(order), cfg.batch):
             chunk = [graphs[i] for i in order[start:start + cfg.batch]]
-            loss, stats, _ = _batch_loss(model, chunk)
+            loss, stats, _ = _batch_loss(model, batch_graphs(chunk))
             value = loss.item()
             if not math.isfinite(value):
                 raise TrainingError(
@@ -168,7 +168,10 @@ def _write_metrics(rows: list[list], path: Path) -> None:
 
 def evaluate(model: GraphPropertyModel, graphs: list[MolecularGraph],
              batch_size: int = 64) -> dict[str, float]:
-    """Task metric(s) of a model on a dataset, without touching parameters."""
+    """Task metric(s) of a model on a dataset, without touching parameters.
+
+    Runs under ``no_grad``: no tape is recorded, as nothing is backpropagated.
+    """
     feature_dim, out_dim, _ = dataset_dimensions(graphs, model.cfg.task)
     if feature_dim != model.feature_dim:
         raise ConfigError(
@@ -180,16 +183,16 @@ def evaluate(model: GraphPropertyModel, graphs: list[MolecularGraph],
     totals = {"loss": 0.0, "count": 0, "correct": 0, "abs_err": 0.0}
     reciprocal_ranks: list[float] = []
     for start in range(0, len(graphs), batch_size):
-        chunk = graphs[start:start + batch_size]
-        loss, stats, output = _batch_loss(model, chunk)
+        batch = batch_graphs(graphs[start:start + batch_size])
+        with no_grad():
+            loss, stats, output = _batch_loss(model, batch)
         totals["loss"] += loss.item() * stats["count"]
         totals["count"] += stats["count"]
         totals["correct"] += stats.get("correct", 0)
         totals["abs_err"] += stats.get("abs_err", 0.0)
         if task == "pair-contact":
             scores = output.pair_scores.data[:, 0]
-            reciprocal_ranks.extend(
-                _contact_reciprocal_ranks(batch_graphs(chunk), scores))
+            reciprocal_ranks.extend(_contact_reciprocal_ranks(batch, scores))
     metrics = dict(_epoch_metrics(task, totals))
     if task == "pair-contact":
         if not reciprocal_ranks:

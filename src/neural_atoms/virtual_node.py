@@ -1,10 +1,16 @@
-"""Virtual-node layer: a global state that pools and re-broadcasts each layer.
+"""Virtual-node layer: global states that pool and re-broadcast each layer.
 
-The comparison baseline for the neural-atom block.  A single extra node
-receives the mean of all node states, updates through a small MLP, and is
-added back to every node identically.  Because the broadcast is the same
-for every node it cannot express node-specific long-range routing, which
-is the behaviour the neural-atom tests contrast against.
+The comparison baseline for the neural-atom block.  Each graph gets V extra
+nodes that receive the mean of the graph's node states, update through a
+small shared MLP, and are added back to every node identically.  Because the
+broadcast is the same for every node it cannot express node-specific
+long-range routing, which is the behaviour the neural-atom tests contrast
+against.
+
+The round runs on a whole batch at once in the segment layout of
+:mod:`neural_atoms.autodiff`: the node rows of B graphs are consecutive
+segments delimited by ``offsets``, and graph b's V states are rows
+b*V:(b+1)*V of a (B * V, d) stack.  A state only ever sees its own graph.
 """
 
 from __future__ import annotations
@@ -17,14 +23,12 @@ from .autodiff import (
     ShapeError,
     Tensor,
     add,
-    concat_rows,
+    gather_rows,
     matmul,
-    mean_rows,
-    neg,
     parameter,
     relu,
-    rows,
-    scale,
+    segment_broadcast,
+    segment_mean,
 )
 
 
@@ -55,44 +59,38 @@ def _update_mlp(state: Tensor, params: VirtualNodeParams) -> Tensor:
     return add(matmul(hidden, params.w2), params.b2)
 
 
-def virtual_node_layer(h: Tensor, vstate: Tensor,
-                       params: VirtualNodeParams) -> tuple[Tensor, Tensor]:
-    """One round: pool nodes into the state, update it, broadcast it back.
+def multi_virtual_node_layer(h: Tensor, vstates: Tensor, params: VirtualNodeParams,
+                             offsets: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """One round of V fully connected virtual nodes per graph, sharing one update MLP.
 
-    Returns the enhanced node states and the updated virtual-node state.
+    Each state sees its graph's node mean plus the mean of its graph's other
+    states, and every updated state is added onto each node of its graph.
+    ``h`` is (N, d) and ``vstates`` (B * V, d); without ``offsets`` all of
+    ``h`` is one graph.  Returns the enhanced node states and the updated
+    (B * V, d) states.
     """
-    if vstate.shape[0] != 1 or vstate.shape[1] != h.shape[1]:
-        raise ShapeError(
-            f"virtual-node state must be (1, {h.shape[1]}), got {vstate.shape}")
-    new_state = _update_mlp(add(vstate, mean_rows(h)), params)
-    return add(h, new_state), new_state
-
-
-def multi_virtual_node_layer(h: Tensor, vstates: Tensor,
-                             params: VirtualNodeParams) -> tuple[Tensor, Tensor]:
-    """Several fully connected virtual nodes sharing one update MLP.
-
-    Each state sees the node pool plus the mean of the other states, and
-    every updated state is broadcast back onto the nodes.  With one state
-    this reduces exactly to ``virtual_node_layer``.
-    """
-    count = vstates.shape[0]
-    if count < 1:
-        raise ShapeError("need at least one virtual-node state")
-    if vstates.shape[1] != h.shape[1]:
-        raise ShapeError(
-            f"virtual-node states must have width {h.shape[1]}, got {vstates.shape}")
-    pooled = mean_rows(h)
-    state_sum = scale(mean_rows(vstates), float(count))
-    new_states = []
-    for i in range(count):
-        own = rows(vstates, i, i + 1)
-        incoming = add(own, pooled)
-        if count > 1:
-            others = scale(add(state_sum, neg(own)), 1.0 / (count - 1))
-            incoming = add(incoming, others)
-        new_states.append(_update_mlp(incoming, params))
-    out = h
-    for state in new_states:
-        out = add(out, state)
-    return out, concat_rows(new_states)
+    offsets = np.array([0, h.shape[0]]) if offsets is None else np.asarray(offsets)
+    width = h.shape[1]
+    if vstates.data.ndim != 2 or vstates.shape[1] != width:
+        raise ShapeError(f"virtual-node states must have width {width}, got {vstates.shape}")
+    if params.w1.shape[0] != width or params.w2.shape[1] != width:
+        raise ShapeError(f"virtual-node MLP maps {params.w1.shape[0]} to "
+                         f"{params.w2.shape[1]} features, nodes have {width}")
+    num_graphs = offsets.size - 1
+    if num_graphs < 1 or vstates.shape[0] < num_graphs or vstates.shape[0] % num_graphs:
+        raise ShapeError(f"need the same number (at least one) of virtual-node states "
+                         f"for each of {num_graphs} graphs, got {vstates.shape[0]}")
+    count = vstates.shape[0] // num_graphs
+    pooled = segment_mean(h, offsets)                        # (B, d)
+    incoming = vstates
+    if count > 1:
+        # own state plus the mean of the graph's other states, and the
+        # graph's node mean once per state
+        eye = np.eye(count)
+        mix = np.tile(eye + (1.0 - eye) / (count - 1), (num_graphs, 1))
+        incoming = segment_broadcast(Tensor(mix), vstates,
+                                     np.arange(0, vstates.shape[0] + 1, count))
+        pooled = gather_rows(pooled, np.repeat(np.arange(num_graphs), count))
+    new_states = _update_mlp(add(incoming, pooled), params)
+    ones = Tensor(np.ones((h.shape[0], count)))
+    return add(h, segment_broadcast(ones, new_states, offsets)), new_states

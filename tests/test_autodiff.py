@@ -32,11 +32,13 @@ from neural_atoms.autodiff import (
     mean_rows,
     mse_loss,
     mul,
+    no_grad,
     relu,
     rows,
     scale,
     segment_attention,
     segment_broadcast,
+    segment_mean,
     segment_pool,
     softmax_cross_entropy,
     softmax_rows,
@@ -226,6 +228,31 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, 4.0 * x.data, atol=1e-14)
 
 
+class TestNoGrad:
+    def test_nothing_is_recorded_inside(self):
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        with no_grad():
+            loss = sum_all(relu(matmul(w, w)))
+        assert loss.entry is None and not loss.requires_grad
+        assert loss.item() == 8.0
+        backward(loss, params=[w])
+        np.testing.assert_array_equal(w.grad, np.zeros((2, 2)))
+
+    def test_recording_resumes_after_nesting_and_errors(self):
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        with no_grad():
+            with no_grad():
+                pass
+            assert sum_all(w).entry is None
+        with pytest.raises(ShapeError):
+            with no_grad():
+                matmul(w, Tensor(np.ones((3, 1))))
+        loss = sum_all(mul(w, w))
+        assert loss.entry is not None
+        backward(loss)
+        np.testing.assert_array_equal(w.grad, 2.0 * w.data)
+
+
 class TestGradCheck:
     """Central differences against analytic gradients, per op and composite."""
 
@@ -413,6 +440,16 @@ class TestSegmentOps:
         probe = Tensor(rng.normal(size=(12, 5)))
         f = lambda: sum_all(mul(block_attention(q, k, v, block, 0.5), probe))
         assert grad_check(f, [q, k, v]) < 1e-7
+
+    @pytest.mark.parametrize("offsets", SEGMENT_LAYOUTS)
+    def test_segment_mean_is_per_segment_mean(self, offsets):
+        rng = np.random.default_rng(47)
+        v = rng.normal(size=(offsets[-1], 3))
+        got = segment_mean(Tensor(v), offsets).data
+        want = [v[lo:hi].mean(axis=0) for lo, hi in zip(offsets[:-1], offsets[1:])]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        with pytest.raises(ShapeError, match="offsets"):
+            segment_mean(Tensor(v), [0, offsets[-1] + 1])
 
     def test_bad_layouts_are_rejected(self):
         x = Tensor(np.ones((4, 2)))

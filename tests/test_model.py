@@ -5,11 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from neural_atoms.autodiff import GradTape, Tensor, sum_all
+from neural_atoms.autodiff import (GradTape, Tensor, add, backward, concat_rows, matmul,
+                                   mean_rows, mul, rows, sum_all)
 from neural_atoms.gnn import gcn_forward
 from neural_atoms.graphs import MolecularGraph, batch_graphs, generate_lri_task
 from neural_atoms.model import ConfigError, GraphPropertyModel, TrainConfig
 from neural_atoms.neural_atom import neural_atom_block
+from test_virtual_node import looped_batch_round
 
 
 def make_config(**overrides):
@@ -45,6 +47,20 @@ class TestTrainConfig:
             make_config(proportion=-0.1)
         with pytest.raises(ConfigError, match="seed"):
             make_config(seed=-1)
+
+    def test_rejects_bools_for_integer_fields(self):
+        for name in ("layers", "hidden", "heads", "virtual_nodes", "epochs", "batch", "seed"):
+            with pytest.raises(ConfigError, match=name):
+                make_config(**{name: True})
+
+    def test_rejects_bad_atom_schedule_settings(self):
+        # caught when the config is built, whatever the augment
+        with pytest.raises(ConfigError, match="k_strategy"):
+            make_config(k_strategy="bogus")
+        for bad in (0.0, 3.0, 1.0 + 1e-9, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="proportion"):
+                make_config(proportion=bad)
+        assert make_config(proportion=1.0).proportion == 1.0
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -188,9 +204,9 @@ def test_virtual_node_count_changes_forward_not_interface():
                               out_triple.graph_outputs.data)
 
 
-@pytest.mark.parametrize("augment", ["none", "neural-atoms"])
+@pytest.mark.parametrize("augment", ["none", "neural-atoms", "virtual-node"])
 def test_forward_tape_length_does_not_grow_with_batch_size(augment):
-    """The atom block and the readout run once per batch, not once per graph."""
+    """The atom block, the virtual node and the readout run once per batch."""
     graphs = generate_lri_task(64, 8, 3, seed=4)
     model = GraphPropertyModel(make_config(augment=augment, layers=3),
                                graphs[0].feature_dim, 2, 8.0)
@@ -200,3 +216,52 @@ def test_forward_tape_length_does_not_grow_with_batch_size(augment):
         return len(GradTape.trace(sum_all(out)).entries)
 
     assert tape_length(graphs) == tape_length(graphs[:1])
+
+
+def ragged_graphs(feature_dim):
+    """Chains, a 1-node graph and an edgeless graph in one batch."""
+    rng = np.random.default_rng(7)
+    graphs = [chain_graph(n, feature_dim, seed=20 + n) for n in (5, 3)]
+    graphs.insert(1, MolecularGraph(num_nodes=1, edges=[],
+                                    node_features=rng.normal(size=(1, feature_dim)),
+                                    graph_label=0))
+    graphs.append(MolecularGraph(num_nodes=4, edges=[],
+                                 node_features=rng.normal(size=(4, feature_dim)),
+                                 graph_label=1))
+    return graphs
+
+
+def looped_virtual_node_forward(model, batch):
+    """Oracle: the model's forward with the graph-by-graph virtual-node loop."""
+    merged = batch.merged_graph()
+    h = Tensor(merged.node_features)
+    vstates = Tensor(np.zeros((len(batch) * model.cfg.virtual_nodes, model.cfg.hidden)))
+    for i in range(model.cfg.layers):
+        h = model._message_pass(h, merged, i)
+        h, vstates = looped_batch_round(h, vstates, model.vn_layers[i], batch.offsets)
+    pooled = concat_rows([mean_rows(rows(h, lo, hi))
+                          for lo, hi in zip(batch.offsets[:-1], batch.offsets[1:])])
+    return add(matmul(pooled, model.head["weight"]), model.head["bias"])
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_virtual_node_forward_matches_graph_by_graph_loop(count):
+    graphs = ragged_graphs(4)
+    model = GraphPropertyModel(make_config(augment="virtual-node", virtual_nodes=count,
+                                           layers=3), 4, 2, 3.0)
+    batch = batch_graphs(graphs)
+    params = model.tensors()
+    weights = Tensor(np.random.default_rng(count).normal(size=(len(graphs), 2)))
+
+    def run(forward):
+        logits = forward(batch)
+        backward(sum_all(mul(logits, weights)), params)
+        return logits.data, [p.grad.copy() for p in params]
+
+    logits, grads = run(lambda b: model.forward(b).graph_outputs)
+    ref_logits, ref_grads = run(lambda b: looped_virtual_node_forward(model, b))
+    assert np.abs(logits - ref_logits).max() < 1e-10
+    names = [name for name, _ in model.parameters()]
+    for name, got, ref in zip(names, grads, ref_grads):
+        assert np.abs(got - ref).max() < 1e-10, name
+    assert np.abs(grads[names.index("layer0.vnode.w1")]).max() > 0

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from neural_atoms.autodiff import Tensor
+from neural_atoms import training
+from neural_atoms.autodiff import Tensor, bce_with_logits, softmax_cross_entropy
 from neural_atoms.graphs import (DatasetError, MolecularGraph, batch_graphs,
                                  generate_lri_task, save_dataset)
 from neural_atoms.model import ConfigError, GraphPropertyModel, TrainConfig
@@ -229,6 +230,58 @@ class TestEvaluate:
         metrics = evaluate(model, graphs)
         assert set(metrics) == {"loss", "mrr"}
         assert 0.0 < metrics["mrr"] <= 1.0
+
+
+    def test_metrics_equal_a_recorded_forward(self, tmp_path, monkeypatch):
+        cfg = lri_config(tmp_path, augment="virtual-node", virtual_nodes=2)
+        model, _ = train(cfg)
+        graphs = generate_lri_task(20, 6, 3, seed=9)
+        losses = []
+
+        def spy(logits, labels):
+            losses.append(softmax_cross_entropy(logits, labels))
+            return losses[-1]
+
+        monkeypatch.setattr(training, "softmax_cross_entropy", spy)
+        metrics = evaluate(model, graphs, batch_size=8)
+        assert len(losses) == 3 and all(loss.entry is None for loss in losses)
+
+        # the same batches forwarded with the tape on, scored by hand
+        total, correct = 0.0, 0
+        for start in range(0, 20, 8):
+            chunk = graphs[start:start + 8]
+            logits = model.forward(batch_graphs(chunk)).graph_outputs
+            labels = np.array([g.graph_label for g in chunk])
+            loss = softmax_cross_entropy(logits, labels)
+            assert loss.entry is not None
+            total += loss.item() * len(chunk)
+            correct += int((logits.data.argmax(axis=1) == labels).sum())
+        assert metrics == {"loss": total / 20, "accuracy": correct / 20}
+
+    def test_pair_contact_builds_each_batch_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        graphs = [pair_graph(rng) for _ in range(10)]
+        cfg = TrainConfig(dataset="unused", out="unused", task="pair-contact",
+                          layers=1, hidden=8, heads=2)
+        model = GraphPropertyModel(cfg, feature_dim=3, out_dim=1, avg_nodes=6.0)
+        built, losses = [], []
+
+        def counting_batch(chunk):
+            built.append(len(chunk))
+            return batch_graphs(chunk)
+
+        def spy(logits, targets):
+            losses.append(bce_with_logits(logits, targets))
+            return losses[-1]
+
+        monkeypatch.setattr(training, "batch_graphs", counting_batch)
+        monkeypatch.setattr(training, "bce_with_logits", spy)
+        metrics = evaluate(model, graphs, batch_size=4)
+        assert built == [4, 4, 2]
+        assert all(loss.entry is None for loss in losses)
+        ranks = _contact_reciprocal_ranks(
+            batch_graphs(graphs), model.forward(batch_graphs(graphs)).pair_scores.data[:, 0])
+        assert abs(metrics["mrr"] - np.mean(ranks)) < 1e-12
 
 
 class TestMeanReciprocalRank:

@@ -3,12 +3,54 @@
 import numpy as np
 import pytest
 
-from neural_atoms.autodiff import ShapeError, Tensor, grad_check, sum_all
-from neural_atoms.virtual_node import (
-    VirtualNodeParams,
-    multi_virtual_node_layer,
-    virtual_node_layer,
-)
+from neural_atoms.autodiff import (ShapeError, Tensor, add, backward, concat_rows, grad_check,
+                                   matmul, mean_rows, mul, neg, relu, rows, scale, sum_all)
+from neural_atoms.virtual_node import VirtualNodeParams, multi_virtual_node_layer
+
+
+def update_mlp(state, params):
+    hidden = relu(add(matmul(state, params.w1), params.b1))
+    return add(matmul(hidden, params.w2), params.b2)
+
+
+def virtual_node_layer(h, vstate, params):
+    """Single-state oracle: pool the nodes into the state, update it, add it back."""
+    if vstate.shape[0] != 1 or vstate.shape[1] != h.shape[1]:
+        raise ShapeError(
+            f"virtual-node state must be (1, {h.shape[1]}), got {vstate.shape}")
+    new_state = update_mlp(add(vstate, mean_rows(h)), params)
+    return add(h, new_state), new_state
+
+
+def looped_virtual_node_layer(h, vstates, params):
+    """Oracle for one graph: the state-by-state loop the batched round replaced."""
+    count = vstates.shape[0]
+    pooled = mean_rows(h)
+    state_sum = scale(mean_rows(vstates), float(count))
+    new_states = []
+    for i in range(count):
+        own = rows(vstates, i, i + 1)
+        incoming = add(own, pooled)
+        if count > 1:
+            others = scale(add(state_sum, neg(own)), 1.0 / (count - 1))
+            incoming = add(incoming, others)
+        new_states.append(update_mlp(incoming, params))
+    out = h
+    for state in new_states:
+        out = add(out, state)
+    return out, concat_rows(new_states)
+
+
+def looped_batch_round(h, vstates, params, offsets):
+    """Oracle for a batch: the graph-by-graph loop the batched round replaced."""
+    count = vstates.shape[0] // (len(offsets) - 1)
+    outs, states = [], []
+    for g, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+        out, new = looped_virtual_node_layer(
+            rows(h, lo, hi), rows(vstates, g * count, (g + 1) * count), params)
+        outs.append(out)
+        states.append(new)
+    return concat_rows(outs), concat_rows(states)
 
 
 def make_params(rng, dim):
@@ -112,8 +154,14 @@ def test_shape_errors():
         virtual_node_layer(h, Tensor(np.zeros((1, 3))), params)
     with pytest.raises(ShapeError):
         virtual_node_layer(h, Tensor(np.zeros((2, 4))), params)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="width 4"):
         multi_virtual_node_layer(h, Tensor(np.zeros((2, 3))), params)
+    with pytest.raises(ShapeError, match="MLP"):
+        multi_virtual_node_layer(h, Tensor(np.zeros((1, 4))), make_params(rng, 3))
+    with pytest.raises(ShapeError, match="each of 2 graphs"):
+        multi_virtual_node_layer(h, Tensor(np.zeros((3, 4))), params, [0, 2, 5])
+    with pytest.raises(ShapeError, match="each of 2 graphs"):
+        multi_virtual_node_layer(h, Tensor(np.zeros((0, 4))), params, [0, 2, 5])
 
 
 def test_gradients_flow_to_update_mlp():
@@ -128,3 +176,75 @@ def test_gradients_flow_to_update_mlp():
 
     worst = grad_check(loss, params.tensors() + [h])
     assert worst < 1e-6, f"worst relative gradient error {worst}"
+
+
+def weighted_loss(out, states, weights):
+    """Scalar that weighs every node entry differently, plus the states."""
+    return add(sum_all(mul(out, Tensor(weights))), sum_all(states))
+
+
+def ragged_offsets():
+    """Five graphs of 4, 1, 6, 1 and 3 nodes: two of them single nodes."""
+    return np.array([0, 4, 5, 11, 12, 15])
+
+
+@pytest.mark.parametrize("count", [1, 3])
+class TestBatchedRound:
+    """The batched round against the graph-by-graph loop it replaced."""
+
+    def test_outputs_match_looped_round(self, count):
+        rng = np.random.default_rng(20 + count)
+        offsets = ragged_offsets()
+        params = make_params(rng, 4)
+        h = Tensor(rng.normal(size=(offsets[-1], 4)))
+        vstates = Tensor(rng.normal(size=(5 * count, 4)))
+        out, states = multi_virtual_node_layer(h, vstates, params, offsets)
+        ref_out, ref_states = looped_batch_round(h, vstates, params, offsets)
+        assert out.shape == ref_out.shape and states.shape == (5 * count, 4)
+        assert np.abs(out.data - ref_out.data).max() < 1e-10
+        assert np.abs(states.data - ref_states.data).max() < 1e-10
+
+    def test_gradients_match_looped_round(self, count):
+        rng = np.random.default_rng(30 + count)
+        offsets = ragged_offsets()
+        params = make_params(rng, 4)
+        h = Tensor(rng.normal(size=(offsets[-1], 4)), requires_grad=True)
+        vstates = Tensor(rng.normal(size=(5 * count, 4)), requires_grad=True)
+        weights = rng.normal(size=(offsets[-1], 4))
+        leaves = params.tensors() + [h, vstates]
+
+        def grads(layer):
+            backward(weighted_loss(*layer(h, vstates, params, offsets), weights), leaves)
+            return [t.grad.copy() for t in leaves]
+
+        for got, ref in zip(grads(multi_virtual_node_layer), grads(looped_batch_round)):
+            assert np.abs(got - ref).max() < 1e-10
+
+    def test_grad_check_over_segments(self, count):
+        rng = np.random.default_rng(40 + count)
+        offsets = np.array([0, 3, 4, 6])
+        params = make_params(rng, 3)
+        h = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        vstates = Tensor(rng.normal(size=(3 * count, 3)), requires_grad=True)
+        weights = rng.normal(size=(6, 3))
+
+        def loss():
+            return weighted_loss(*multi_virtual_node_layer(h, vstates, params, offsets),
+                                 weights)
+
+        worst = grad_check(loss, params.tensors() + [h, vstates])
+        assert worst < 1e-6, f"worst relative gradient error {worst}"
+
+    def test_graphs_do_not_see_each_other(self, count):
+        rng = np.random.default_rng(50 + count)
+        offsets = ragged_offsets()
+        params = make_params(rng, 4)
+        h_data = rng.normal(size=(offsets[-1], 4))
+        vstates = Tensor(rng.normal(size=(5 * count, 4)))
+        out, states = multi_virtual_node_layer(Tensor(h_data), vstates, params, offsets)
+        h_data[offsets[2]:offsets[3]] += 10.0          # change graph 2 only
+        out_p, states_p = multi_virtual_node_layer(Tensor(h_data), vstates, params, offsets)
+        changed = np.abs(out_p.data - out.data).max(axis=1) > 0
+        assert changed.tolist() == [offsets[2] <= n < offsets[3] for n in range(offsets[-1])]
+        assert np.array_equal(np.delete(states_p.data, np.s_[2 * count:3 * count], axis=0),
+                              np.delete(states.data, np.s_[2 * count:3 * count], axis=0))
