@@ -311,28 +311,63 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     return _result(np.concatenate([p.data for p in parts], axis=1), "concat_cols", tuple(parts), back)
 
 
-def indexed_weighted_sum(x: Tensor, out_index: np.ndarray, in_index: np.ndarray,
-                         weights: np.ndarray, num_out_rows: int) -> Tensor:
-    """out[out_index[k]] += weights[k] * x[in_index[k]] for every k.
+class SlotMatrix:
+    """A sparse symmetric (n, n) matrix, stored so that a product needs no scatter-add.
 
-    This is the sparse linear aggregation used by the message-passing layers;
-    the adjacency structure lives in the constant index/weight arrays, so the
-    backward pass is the same aggregation run through the transposed indices.
+    The matrix is ``diag(diagonal)`` plus, for every undirected edge (u, v)
+    with weight w, w at both (u, v) and (v, u); repeated edges add up.  The
+    off-diagonal entries are grouped by row and a row's k-th entry goes to
+    slot k.  No row repeats within a slot, so the product is the diagonal
+    term plus ``out[rows] += w * x[cols]`` once per slot, exact without
+    ``np.add.at``; there are as many slots as the largest row has edges.
+    Build it once per graph and reuse it for every product.
     """
-    oi = np.asarray(out_index, dtype=np.intp)
-    ii = np.asarray(in_index, dtype=np.intp)
-    w = np.asarray(weights, dtype=np.float64)
-    if not (oi.shape == ii.shape == w.shape) or oi.ndim != 1:
-        raise ShapeError("indexed_weighted_sum: index and weight arrays must be equal-length 1-D")
-    out = np.zeros((num_out_rows, x.shape[1]))
-    np.add.at(out, oi, w[:, None] * x.data[ii])
 
-    def back(g: np.ndarray) -> tuple:
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, ii, w[:, None] * g[oi])
-        return (gx,)
+    def __init__(self, diagonal: np.ndarray, edges: np.ndarray, edge_weights: np.ndarray):
+        diag = np.asarray(diagonal, dtype=np.float64)
+        pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+        w = np.asarray(edge_weights, dtype=np.float64)
+        if diag.ndim != 1 or w.shape != (pairs.shape[0],):
+            raise ShapeError(f"SlotMatrix: diagonal {diag.shape}, edges {pairs.shape} "
+                             f"and edge weights {w.shape} do not fit together")
+        n = diag.shape[0]
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+            raise ShapeError(f"SlotMatrix: edge index out of range for {n} rows")
+        rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+        cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+        w = np.concatenate([w, w])
+        by_row = np.argsort(rows, kind="stable")
+        rows, cols, w = rows[by_row], cols[by_row], w[by_row]
+        counts = np.bincount(rows, minlength=n)
+        rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        by_slot = np.argsort(rank, kind="stable")
+        rows, cols, w = rows[by_slot], cols[by_slot], w[by_slot, None]
+        sizes = np.bincount(rank)
+        ends = np.cumsum(sizes)
+        self.num_rows = n
+        self.diagonal = diag[:, None]
+        # a slot that covers every row updates ``out`` in place, not through an index
+        self.slots = [(rows[a:b] if b - a < n else slice(None), cols[a:b], w[a:b])
+                      for a, b in zip(ends - sizes, ends)]
 
-    return _result(out, "indexed_weighted_sum", (x,), back)
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The product ``M @ x`` for an (n, d) array ``x``."""
+        out = self.diagonal * x
+        for rows, cols, w in self.slots:
+            term = x[cols]
+            term *= w
+            out[rows] += term
+        return out
+
+
+def slot_matmul(matrix: SlotMatrix, x: Tensor) -> Tensor:
+    """``matrix @ x`` for a constant symmetric ``matrix``.
+
+    The matrix equals its transpose, so the backward applies it again.
+    """
+    if x.data.ndim != 2 or x.shape[0] != matrix.num_rows:
+        raise ShapeError(f"slot_matmul: {matrix.num_rows}-row matrix vs x {x.shape}")
+    return _result(matrix.apply(x.data), "slot_matmul", (x,), lambda g: (matrix.apply(g),))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Message-passing layers: degree-normalised convolution and isomorphism-style sum.
 
 Both layers aggregate over the closed neighbourhood (neighbours plus the node
-itself, via an implicit self-loop) using :func:`indexed_weighted_sum`, so the
-sparse adjacency never materialises as a dense matrix and the backward pass
-is the transposed aggregation.
+itself, via an implicit self-loop) with :func:`slot_matmul`.  The graph
+builds its closed-neighbourhood matrix once, as a :class:`SlotMatrix`, and
+every layer and backward pass reuses it; the adjacency never materialises
+as a dense matrix, and since it is symmetric the backward pass is the same
+aggregation.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, indexed_weighted_sum, matmul, parameter, relu
+from .autodiff import Tensor, add, matmul, parameter, relu, slot_matmul
 from .graphs import MolecularGraph
 
 
@@ -52,19 +54,6 @@ class GinLayerParams:
         )
 
 
-def _closed_neighborhood(graph: MolecularGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Directed (dst, src) index arrays for N(v) plus the self-loop."""
-    n = graph.num_nodes
-    dst = np.empty(2 * len(graph.edges) + n, dtype=np.intp)
-    src = np.empty_like(dst)
-    for k, (u, v) in enumerate(graph.edges):
-        dst[2 * k], src[2 * k] = v, u
-        dst[2 * k + 1], src[2 * k + 1] = u, v
-    dst[2 * len(graph.edges):] = np.arange(n)
-    src[2 * len(graph.edges):] = np.arange(n)
-    return dst, src
-
-
 def gcn_forward(h: Tensor, graph: MolecularGraph, params: GcnLayerParams) -> Tensor:
     """ReLU of the symmetrically degree-normalised neighbourhood sum times W.
 
@@ -74,10 +63,7 @@ def gcn_forward(h: Tensor, graph: MolecularGraph, params: GcnLayerParams) -> Ten
     """
     if h.shape[0] != graph.num_nodes:
         raise ValueError(f"feature rows {h.shape[0]} != graph nodes {graph.num_nodes}")
-    dst, src = _closed_neighborhood(graph)
-    inv_sqrt = 1.0 / np.sqrt(graph.degrees() + 1.0)
-    weights = inv_sqrt[dst] * inv_sqrt[src]
-    agg = indexed_weighted_sum(h, dst, src, weights, num_out_rows=graph.num_nodes)
+    agg = slot_matmul(graph.closed_neighborhood(normalised=True), h)
     return relu(matmul(agg, params.weight))
 
 
@@ -85,8 +71,6 @@ def gin_forward(h: Tensor, graph: MolecularGraph, params: GinLayerParams) -> Ten
     """Unweighted neighbourhood-plus-self sum pushed through a two-layer MLP."""
     if h.shape[0] != graph.num_nodes:
         raise ValueError(f"feature rows {h.shape[0]} != graph nodes {graph.num_nodes}")
-    dst, src = _closed_neighborhood(graph)
-    weights = np.ones(dst.shape[0])
-    agg = indexed_weighted_sum(h, dst, src, weights, num_out_rows=graph.num_nodes)
+    agg = slot_matmul(graph.closed_neighborhood(normalised=False), h)
     hidden = relu(add(matmul(agg, params.w1), params.b1))
     return add(matmul(hidden, params.w2), params.b2)

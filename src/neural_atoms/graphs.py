@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import SlotMatrix
+
 
 class GraphError(ValueError):
     """A graph violates its structural invariants."""
@@ -33,7 +35,9 @@ class MolecularGraph:
     """An undirected graph with dense node features and an optional label.
 
     Edges are stored once per undirected pair and never as self-loops;
-    layers that need self-connections add them on the fly.
+    layers that need self-connections add them on the fly.  The edges must
+    not change once the graph is built: their array form and the
+    neighbourhood matrices built from it are cached.
     """
 
     num_nodes: int
@@ -41,6 +45,8 @@ class MolecularGraph:
     node_features: np.ndarray
     graph_label: int | np.ndarray | None = None
     pair_labels: list[tuple[int, int, int]] | None = None
+    _edge_index: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _neighborhoods: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_nodes < 1:
@@ -77,17 +83,53 @@ class MolecularGraph:
                 raise GraphError("graph_label must be an int or a finite 1-D float array")
             self.graph_label = arr
 
+    @classmethod
+    def _from_checked(cls, num_nodes: int, edge_index: np.ndarray,
+                      node_features: np.ndarray) -> "MolecularGraph":
+        """An unlabeled graph from parts that already passed ``__post_init__``."""
+        graph = cls.__new__(cls)
+        graph.num_nodes = num_nodes
+        graph.edges = list(zip(*edge_index.T.tolist()))
+        graph.node_features = node_features
+        graph.graph_label = graph.pair_labels = None
+        graph._edge_index = edge_index
+        graph._neighborhoods = None
+        return graph
+
     @property
     def feature_dim(self) -> int:
         return self.node_features.shape[1]
 
+    @property
+    def edge_index(self) -> np.ndarray:
+        """The edges as an (E, 2) intp array, built on first use."""
+        if self._edge_index is None:
+            edges = np.array(self.edges, dtype=np.intp)
+            # only an empty list needs the reshape; a view would keep two
+            # array objects alive per graph of a dataset
+            self._edge_index = edges if edges.size else edges.reshape(0, 2)
+        return self._edge_index
+
     def degrees(self) -> np.ndarray:
         """Number of incident edges per node (self-loops are never stored)."""
-        deg = np.zeros(self.num_nodes, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.bincount(self.edge_index.ravel(), minlength=self.num_nodes)
+
+    def closed_neighborhood(self, normalised: bool) -> SlotMatrix:
+        """A + I, or D^-1/2 (A + I) D^-1/2 when ``normalised``; built once.
+
+        D counts the self-loop, so every degree is at least 1.
+        """
+        if self._neighborhoods is None:
+            self._neighborhoods = {}
+        if normalised not in self._neighborhoods:
+            u, v = self.edge_index.T
+            if normalised:
+                inv_sqrt = 1.0 / np.sqrt(self.degrees() + 1.0)
+                diag, weights = inv_sqrt * inv_sqrt, inv_sqrt[u] * inv_sqrt[v]
+            else:
+                diag, weights = np.ones(self.num_nodes), np.ones(u.size)
+            self._neighborhoods[normalised] = SlotMatrix(diag, self.edge_index, weights)
+        return self._neighborhoods[normalised]
 
 
 @dataclass
@@ -102,6 +144,8 @@ class GraphBatch:
     offsets: np.ndarray
     node_features: np.ndarray
     _merged: MolecularGraph | None = field(default=None, repr=False, compare=False)
+    _pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.graphs)
@@ -111,14 +155,29 @@ class GraphBatch:
         return int(self.offsets[-1])
 
     def merged_graph(self) -> MolecularGraph:
-        """The disjoint union as a single unlabeled graph (cached)."""
+        """The disjoint union as a single unlabeled graph (cached).
+
+        Its edges are the graphs' edge arrays shifted by their offsets; they
+        are not validated again, as every graph was when it was built.
+        """
         if self._merged is None:
-            edges: list[tuple[int, int]] = []
-            for g, off in zip(self.graphs, self.offsets[:-1]):
-                off = int(off)
-                edges.extend((u + off, v + off) for u, v in g.edges)
-            self._merged = MolecularGraph(self.total_nodes, edges, self.node_features)
+            parts = [g.edge_index for g in self.graphs]
+            shift = np.repeat(self.offsets[:-1], [len(p) for p in parts])
+            edge_index = (np.concatenate(parts) + shift[:, None]).astype(np.intp, copy=False)
+            self._merged = MolecularGraph._from_checked(self.total_nodes, edge_index,
+                                                        self.node_features)
         return self._merged
+
+    def pair_indices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Merged-row (u, v) and float flag arrays of every labelled pair (cached)."""
+        if self._pairs is None:
+            parts = [np.array(g.pair_labels or [], dtype=np.int64).reshape(-1, 3)
+                     for g in self.graphs]
+            triples = np.concatenate(parts)
+            shift = np.repeat(self.offsets[:-1], [len(p) for p in parts])
+            self._pairs = (triples[:, 0] + shift, triples[:, 1] + shift,
+                           triples[:, 2].astype(np.float64))
+        return self._pairs
 
 
 def batch_graphs(graphs: list[MolecularGraph]) -> GraphBatch:

@@ -107,19 +107,6 @@ class ModelOutput:
     traces: list[list[NeuralAtomTrace]] | None = field(default=None)
 
 
-def _pair_indices(batch: GraphBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Global (u, v, flag) arrays for every labelled pair in the batch."""
-    us, vs, flags = [], [], []
-    for g, graph in enumerate(batch.graphs):
-        base = batch.offsets[g]
-        for u, v, hit in graph.pair_labels or []:
-            us.append(base + u)
-            vs.append(base + v)
-            flags.append(hit)
-    return (np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64),
-            np.asarray(flags, dtype=np.float64))
-
-
 class GraphPropertyModel:
     """Config-driven stack of layers plus a task head.
 
@@ -233,7 +220,7 @@ class GraphPropertyModel:
                                                       batch.offsets)
 
         if self.cfg.task == "pair-contact":
-            u_idx, v_idx, _ = _pair_indices(batch)
+            u_idx, v_idx, _ = batch.pair_indices()
             if u_idx.size == 0:
                 raise ConfigError("pair-contact task needs graphs with pair labels")
             feats = concat_cols([gather_rows(h, u_idx), gather_rows(h, v_idx)])

@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from .autodiff import Tensor, backward, bce_with_logits, mse_loss, no_grad, softmax_cross_entropy
 from .graphs import DatasetError, GraphBatch, MolecularGraph, batch_graphs, load_dataset
-from .model import ConfigError, GraphPropertyModel, ModelOutput, TrainConfig, _pair_indices
+from .model import ConfigError, GraphPropertyModel, ModelOutput, TrainConfig
 
 METRICS_HEADER = ["epoch", "split", "metric", "value"]
 
@@ -100,7 +102,7 @@ def _batch_loss(model: GraphPropertyModel, batch: GraphBatch
         loss = mse_loss(output.graph_outputs, targets)
         abs_err = float(np.abs(output.graph_outputs.data - targets).sum())
         return loss, {"count": targets.size, "abs_err": abs_err}, output
-    _, _, flags = _pair_indices(batch)
+    _, _, flags = batch.pair_indices()
     loss = bce_with_logits(output.pair_scores, flags[:, None])
     return loss, {"count": flags.size}, output
 
@@ -143,6 +145,11 @@ def train(cfg: TrainConfig) -> tuple[GraphPropertyModel, Path]:
                     f"non-finite loss {value} at epoch {epoch}, "
                     f"batch starting at {start}")
             backward(loss, params)
+            grad_norm = math.sqrt(sum(float(np.vdot(p.grad, p.grad)) for p in params))
+            if not math.isfinite(grad_norm):
+                raise TrainingError(
+                    f"non-finite gradient norm {grad_norm} at epoch {epoch}, "
+                    f"batch starting at {start}")
             optimizer.step()
             totals["loss"] += value * stats["count"]
             totals["count"] += stats["count"]
@@ -158,8 +165,26 @@ def train(cfg: TrainConfig) -> tuple[GraphPropertyModel, Path]:
     return model, checkpoint_path
 
 
+@contextmanager
+def _replacing(path: Path, newline: str | None = None):
+    """A text file to write that takes the place of ``path`` only once complete.
+
+    The text goes to a temporary file in the same directory, which
+    ``os.replace`` moves over ``path`` when the block finishes.  If the block
+    raises, ``path`` keeps its previous content and the temporary is removed.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_metrics(rows: list[list], path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRICS_HEADER)
         for epoch, split, metric, value in rows:
@@ -241,6 +266,9 @@ def save_checkpoint(model: GraphPropertyModel, epoch: int, history: list[list],
     names = [name for name, _ in named]
     if len(set(names)) != len(names):
         raise TrainingError("parameter names collide; checkpoint would be ambiguous")
+    for name, t in named:
+        if not np.isfinite(t.data).all():
+            raise TrainingError(f"parameter {name!r} holds non-finite values")
     record = {
         "config": model.cfg.to_dict(),
         "feature_dim": model.feature_dim,
@@ -251,9 +279,7 @@ def save_checkpoint(model: GraphPropertyModel, epoch: int, history: list[list],
         "params": {name: {"shape": list(t.shape), "data": t.data.ravel().tolist()}
                    for name, t in named},
     }
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
+    with _replacing(Path(path)) as fh:
         json.dump(record, fh)
 
 
@@ -276,6 +302,8 @@ def load_checkpoint(path) -> tuple[GraphPropertyModel, dict]:
         if arr.shape != tensor.shape:
             raise TrainingError(
                 f"parameter {name!r} has shape {arr.shape}, expected {tensor.shape}")
+        if not np.isfinite(arr).all():
+            raise TrainingError(f"parameter {name!r} holds non-finite values")
         tensor.data[...] = arr
     extra = set(stored) - {name for name, _ in model.parameters()}
     if extra:

@@ -13,10 +13,14 @@ import numpy as np
 import pytest
 
 from neural_atoms import autodiff as ad
+from neural_atoms.gnn import GcnLayerParams, GinLayerParams, gcn_forward, gin_forward
+from neural_atoms.graphs import MolecularGraph, batch_graphs
+from test_gnn import dense_gcn_oracle, dense_gin_sum_oracle, random_graph
 from neural_atoms.autodiff import (
     ContractError,
     GradTape,
     ShapeError,
+    SlotMatrix,
     Tensor,
     add,
     backward,
@@ -26,7 +30,6 @@ from neural_atoms.autodiff import (
     concat_rows,
     gather_rows,
     grad_check,
-    indexed_weighted_sum,
     layer_norm,
     matmul,
     mean_rows,
@@ -40,11 +43,33 @@ from neural_atoms.autodiff import (
     segment_broadcast,
     segment_mean,
     segment_pool,
+    slot_matmul,
     softmax_cross_entropy,
     softmax_rows,
     sum_all,
     transpose,
 )
+
+
+def indexed_weighted_sum(x, out_index, in_index, weights, num_out_rows):
+    """out[out_index[k]] += weights[k] * x[in_index[k]] for every k, as a tape op.
+
+    The scatter-add aggregation the message-passing layers used before
+    ``slot_matmul``; it is the oracle the slot product is checked against.
+    Its backward is the same aggregation through the transposed indices.
+    """
+    oi = np.asarray(out_index, dtype=np.intp)
+    ii = np.asarray(in_index, dtype=np.intp)
+    w = np.asarray(weights, dtype=np.float64)
+    out = np.zeros((num_out_rows, x.shape[1]))
+    np.add.at(out, oi, w[:, None] * x.data[ii])
+
+    def back(g):
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, ii, w[:, None] * g[oi])
+        return (gx,)
+
+    return ad._result(out, "indexed_weighted_sum", (x,), back)
 
 
 def matmul_oracle(a, b):
@@ -460,3 +485,136 @@ class TestSegmentOps:
             segment_broadcast(x, Tensor(np.ones((3, 2))), [0, 2, 4])
         with pytest.raises(ShapeError, match="blocks"):
             block_attention(x, x, x, 3, 1.0)
+
+
+def scatter_add_entries(n, edges, edge_weights, diagonal):
+    """(out, in, weight) entries of a SlotMatrix as directed messages, for the oracle."""
+    out_idx, in_idx, w = list(range(n)), list(range(n)), list(diagonal)
+    for (u, v), weight in zip(edges, edge_weights):
+        out_idx += [v, u]
+        in_idx += [u, v]
+        w += [weight, weight]
+    return np.array(out_idx), np.array(in_idx), np.array(w)
+
+
+def scatter_add_layer(h, graph, params):
+    """A GCN or GIN layer on the scatter-add aggregation the layers used before."""
+    deg = np.zeros(graph.num_nodes)
+    for u, v in graph.edges:
+        deg[u] += 1
+        deg[v] += 1
+    inv_sqrt = 1.0 / np.sqrt(deg + 1.0)
+    gcn = isinstance(params, GcnLayerParams)
+    weights = ([inv_sqrt[u] * inv_sqrt[v] for u, v in graph.edges] if gcn
+               else [1.0] * len(graph.edges))
+    diagonal = inv_sqrt * inv_sqrt if gcn else np.ones(graph.num_nodes)
+    dst, src, w = scatter_add_entries(graph.num_nodes, graph.edges, weights, diagonal)
+    agg = indexed_weighted_sum(h, dst, src, w, num_out_rows=graph.num_nodes)
+    if gcn:
+        return relu(matmul(agg, params.weight))
+    hidden = relu(add(matmul(agg, params.w1), params.b1))
+    return add(matmul(hidden, params.w2), params.b2)
+
+
+def ragged_graphs(seed, dim=4):
+    """A 1-node graph, an edgeless graph, a star whose hub has degree 9, random graphs."""
+    rng = np.random.default_rng(seed)
+    graphs = [MolecularGraph(1, [], rng.normal(size=(1, dim)), graph_label=0),
+              MolecularGraph(3, [], rng.normal(size=(3, dim)), graph_label=0),
+              MolecularGraph(10, [(0, i) for i in range(1, 10)] + [(3, 4)],
+                             rng.normal(size=(10, dim)), graph_label=0)]
+    graphs += [random_graph(rng, int(rng.integers(2, 12)), dim) for _ in range(5)]
+    return graphs
+
+
+def layer_params(backbone, rng, dim=4):
+    if backbone == "gcn":
+        return GcnLayerParams.init(dim, 5, rng, std=0.5)
+    return GinLayerParams.init(dim, 6, 5, rng, std=0.5)
+
+
+def layer_forward(backbone, h, graph, params):
+    return (gcn_forward if backbone == "gcn" else gin_forward)(h, graph, params)
+
+
+class TestSlotMatmul:
+    """The slot product against the scatter-add oracle and the dense layers."""
+
+    def random_matrix(self, rng, n=9):
+        # a hub of degree 8, an edge repeated in both orientations, one isolated row
+        edges = [(0, i) for i in range(1, 8)] + [(2, 8), (3, 4), (4, 3), (8, 0)]
+        weights = rng.normal(size=len(edges))
+        diagonal = rng.normal(size=n)
+        return SlotMatrix(diagonal, np.array(edges), weights), (edges, weights, diagonal)
+
+    def test_matches_scatter_add_oracle_both_ways(self):
+        rng = np.random.default_rng(60)
+        matrix, (edges, weights, diagonal) = self.random_matrix(rng)
+        dst, src, w = scatter_add_entries(9, edges, weights, diagonal)
+        x = Tensor(rng.normal(size=(9, 3)), requires_grad=True)
+        probe = Tensor(rng.normal(size=(9, 3)))
+        got = slot_matmul(matrix, x)
+        want = indexed_weighted_sum(x, dst, src, w, num_out_rows=9)
+        np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-10)
+        backward(sum_all(mul(got, probe)), [x])
+        got_grad = x.grad
+        backward(sum_all(mul(want, probe)), [x])
+        np.testing.assert_allclose(got_grad, x.grad, rtol=0, atol=1e-10)
+        assert len(matrix.slots) == 8
+
+    def test_grad_check(self):
+        rng = np.random.default_rng(61)
+        matrix, _ = self.random_matrix(rng)
+        x = Tensor(rng.normal(size=(9, 3)), requires_grad=True)
+        assert grad_check(lambda: sum_all(mul(slot_matmul(matrix, x),
+                                                 slot_matmul(matrix, x))), [x]) < 1e-8
+
+    def test_edgeless_matrix_is_diagonal_and_bad_input_is_rejected(self):
+        matrix = SlotMatrix(np.array([2.0, 3.0]), np.zeros((0, 2)), np.zeros(0))
+        assert matrix.slots == []
+        got = slot_matmul(matrix, Tensor(np.ones((2, 1)))).data
+        np.testing.assert_array_equal(got, [[2.0], [3.0]])
+        with pytest.raises(ShapeError, match="slot_matmul"):
+            slot_matmul(matrix, Tensor(np.ones((3, 1))))
+        with pytest.raises(ShapeError, match="out of range"):
+            SlotMatrix(np.ones(2), np.array([[0, 2]]), np.ones(1))
+        with pytest.raises(ShapeError, match="fit together"):
+            SlotMatrix(np.ones(2), np.array([[0, 1]]), np.ones(2))
+
+    @pytest.mark.parametrize("backbone", ["gcn", "gin"])
+    def test_layers_match_scatter_add_path_and_dense_oracles(self, backbone):
+        rng = np.random.default_rng(62)
+        merged = batch_graphs(ragged_graphs(63)).merged_graph()
+        params = layer_params(backbone, rng)
+        leaves = [getattr(params, name) for name in vars(params)]
+        probe = rng.normal(size=(merged.num_nodes, 5))
+        results = []
+        for layer in (layer_forward, lambda _, h, g, p: scatter_add_layer(h, g, p)):
+            x = Tensor(merged.node_features, requires_grad=True)
+            out = layer(backbone, x, merged, params)
+            backward(sum_all(mul(out, Tensor(probe))), [x] + leaves)
+            results.append([out.data, x.grad] + [t.grad for t in leaves])
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        feats = merged.node_features
+        if backbone == "gcn":
+            want = dense_gcn_oracle(merged, feats, params.weight.data)
+            np.testing.assert_allclose(results[0][0], want, rtol=0, atol=1e-10)
+        else:
+            agg = slot_matmul(merged.closed_neighborhood(normalised=False), Tensor(feats))
+            np.testing.assert_allclose(agg.data, dense_gin_sum_oracle(merged, feats),
+                                       rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("backbone", ["gcn", "gin"])
+    def test_batched_rows_equal_each_graph_alone_and_repeat_bytewise(self, backbone):
+        graphs = ragged_graphs(64)
+        params = layer_params(backbone, np.random.default_rng(65))
+        batch = batch_graphs(graphs)
+        merged = batch.merged_graph()
+        h = Tensor(merged.node_features)
+        first = layer_forward(backbone, h, merged, params).data
+        again = layer_forward(backbone, h, batch_graphs(graphs).merged_graph(), params).data
+        assert first.tobytes() == again.tobytes()
+        for g, lo, hi in zip(graphs, batch.offsets[:-1], batch.offsets[1:]):
+            alone = layer_forward(backbone, Tensor(g.node_features), g, params).data
+            np.testing.assert_allclose(first[lo:hi], alone, rtol=0, atol=1e-10)

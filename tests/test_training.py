@@ -139,6 +139,27 @@ class TestTrainLoop:
                 train(cfg)
 
 
+    def test_non_finite_gradient_aborts_before_the_step(self, tmp_path, monkeypatch):
+        cfg = lri_config(tmp_path, epochs=2)
+        real_backward = training.backward
+        seen = {"calls": 0}
+
+        def poisoning_backward(loss, params):
+            real_backward(loss, params)
+            seen["calls"] += 1
+            if seen["calls"] == 6:          # 4 batches an epoch: epoch 1, batch 2
+                assert np.isfinite(loss.item())
+                params[0].grad[0, 0] = np.nan
+                seen["params"], seen["before"] = params, [p.data.copy() for p in params]
+
+        monkeypatch.setattr(training, "backward", poisoning_backward)
+        with pytest.raises(TrainingError,
+                           match=r"gradient norm nan at epoch 1, batch starting at 8"):
+            train(cfg)
+        assert all(np.array_equal(b, p.data) for b, p in zip(seen["before"], seen["params"]))
+        assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
 class TestCheckpoint:
     def test_round_trip_restores_exact_parameters_and_metrics(self, tmp_path):
         cfg = lri_config(tmp_path, augment="neural-atoms")
@@ -191,6 +212,46 @@ class TestCheckpoint:
         loaded, _ = load_checkpoint(path)
         assert np.array_equal(dict(loaded.parameters())["head.weight"].data,
                               target.data)
+
+
+    def test_non_finite_parameters_are_rejected_on_save_and_load(self, tmp_path):
+        cfg = lri_config(tmp_path)
+        model, path = train(cfg)
+        saved = path.read_bytes()
+        model.head["bias"].data[0] = np.inf
+        with pytest.raises(TrainingError, match="head.bias"):
+            save_checkpoint(model, 2, [], path)
+        assert path.read_bytes() == saved
+
+        record = json.loads(saved)
+        record["params"]["head.bias"]["data"][0] = float("nan")
+        bad_path = tmp_path / "nan.json"
+        bad_path.write_text(json.dumps(record))
+        with pytest.raises(TrainingError, match="head.bias"):
+            load_checkpoint(bad_path)
+
+    def test_failed_write_leaves_previous_file_intact(self, tmp_path, monkeypatch):
+        cfg = lri_config(tmp_path)
+        model, path = train(cfg)
+        run_dir = path.parent
+        metrics_path = run_dir / "metrics.csv"
+        files = sorted(p.name for p in run_dir.iterdir())
+        saved_checkpoint, saved_metrics = path.read_bytes(), metrics_path.read_bytes()
+
+        def half_dump(record, fh):
+            fh.write(json.dumps(record)[:100])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(training.json, "dump", half_dump)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(model, 3, [], path)
+        # the second row's value cannot be converted, after the first is written
+        with pytest.raises(ValueError):
+            training._write_metrics([[0, "train", "loss", 0.5],
+                                     [0, "train", "accuracy", "oops"]], metrics_path)
+        assert path.read_bytes() == saved_checkpoint
+        assert metrics_path.read_bytes() == saved_metrics
+        assert sorted(p.name for p in run_dir.iterdir()) == files
 
 
 class TestEvaluate:
