@@ -389,27 +389,10 @@ def mean_rows(a: Tensor) -> Tensor:
                    lambda g: (np.repeat(g / n, n, axis=0),))
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax with the max subtracted before exponentiation."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"softmax_rows needs a rank-2 tensor, got {a.shape}")
-    # the shift may underflow to -inf for pathologically spread rows;
-    # exp then gives the correct limit 0, so the overflow flag is noise
-    with np.errstate(over="ignore"):
-        shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
-
-    def back(g: np.ndarray) -> tuple:
-        return (y * (g - (g * y).sum(axis=1, keepdims=True)),)
-
-    return _result(y, "softmax_rows", (a,), back)
-
-
 def attention_scores(queries: Tensor, keys: Tensor, inv_scale: float) -> Tensor:
     """Row softmax of ``inv_scale * queries @ keys.T`` as a single tape op.
 
-    Equivalent to softmax_rows(scale(matmul(queries, transpose(keys)), c))
+    Equivalent to the row softmax of scale(matmul(queries, transpose(keys)), c)
     but fused into one tape entry instead of four.  This is plain dense
     attention; the neural-atom block attends through the segment ops below.
     """
@@ -419,7 +402,8 @@ def attention_scores(queries: Tensor, keys: Tensor, inv_scale: float) -> Tensor:
             f"attention_scores: queries {queries.shape} vs keys {keys.shape}")
     c = float(inv_scale)
     logits = c * (queries.data @ keys.data.T)
-    # same -inf-shift tolerance as softmax_rows
+    # the shift may overflow to -inf for pathologically spread rows; exp
+    # then gives the correct limit 0, so the overflow flag is noise
     with np.errstate(over="ignore"):
         shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -440,17 +424,47 @@ def attention_scores(queries: Tensor, keys: Tensor, inv_scale: float) -> Tensor:
 # increasing row indices from 0 to the total, so segment b owns rows
 # offsets[b]:offsets[b + 1].  Per-segment results with K rows each are
 # stacked the same way, as (B * K, d) with segment b at rows b*K:(b+1)*K.
-# Every op below does the per-graph arithmetic for all segments at once.
+# Every op below pads the rows into a (B, max_n, ·) view and does the
+# per-graph arithmetic for all segments as one batched matmul.
 
 
-def _segment_layout(offsets, n: int, op: str) -> tuple[np.ndarray, np.ndarray]:
-    """(first row of each segment, segment id of each row) for ``n`` rows."""
+def _segment_layout(offsets, n: int, op: str) -> tuple[int, int, np.ndarray | None]:
+    """(segment count B, longest segment max_n, padded slot of each row) for ``n`` rows.
+
+    The padded buffer holds B * max_n rows, viewed as (B, max_n, ·): row i
+    of segment b sits at buffer row b * max_n + i, and the rest is padding.
+    ``slot`` maps each of the ``n`` rows to its buffer row.  It is None when
+    every segment has max_n rows, since the buffer is then the rows
+    themselves, reshaped.
+    """
     off = np.asarray(offsets, dtype=np.intp)
     if off.ndim != 1 or off.size < 2 or off[0] != 0 or off[-1] != n \
             or (np.diff(off) < 1).any():
         raise ShapeError(f"{op}: offsets must rise strictly from 0 to {n}, got {off.tolist()}")
     counts = np.diff(off)
-    return off[:-1], np.repeat(np.arange(counts.size), counts)
+    segments, width = counts.size, int(counts.max())
+    if counts.min() == width:
+        return segments, width, None
+    return segments, width, np.arange(n) + np.repeat(np.arange(segments) * width - off[:-1], counts)
+
+
+def _padded(x: np.ndarray, layout: tuple, fill: float = 0.0) -> np.ndarray:
+    """(n, c) rows in the (B, max_n, c) padded view of ``layout``, padding ``fill``."""
+    segments, width, slot = layout
+    if slot is None:
+        return x.reshape(segments, width, x.shape[1])
+    # keep the memory order, so a transposed (K, N) matrix stays K-major and
+    # the reductions over max_n run along contiguous memory
+    buf = np.full((segments * width, x.shape[1]), fill,
+                  order="F" if x.flags.f_contiguous else "C")
+    buf[slot] = x
+    return buf.reshape(segments, width, x.shape[1])
+
+
+def _unpadded(padded: np.ndarray, layout: tuple) -> np.ndarray:
+    """The (n, c) rows of a (B, max_n, c) padded array, inverse of :func:`_padded`."""
+    flat = padded.reshape(-1, padded.shape[2])
+    return flat if layout[2] is None else flat[layout[2]]
 
 
 def segment_attention(queries: Tensor, keys: Tensor, offsets, inv_scale: float) -> Tensor:
@@ -465,21 +479,23 @@ def segment_attention(queries: Tensor, keys: Tensor, offsets, inv_scale: float) 
             or queries.shape[1] != keys.shape[1]:
         raise ShapeError(
             f"segment_attention: queries {queries.shape} vs keys {keys.shape}")
-    starts, ids = _segment_layout(offsets, keys.shape[0], "segment_attention")
+    layout = _segment_layout(offsets, keys.shape[0], "segment_attention")
     c = float(inv_scale)
-    logits = c * (queries.data @ keys.data.T)
-    # same -inf-shift tolerance as softmax_rows
+    # (B, max_n, K) logits with the padding at -inf, so it gets weight 0
+    logits = _padded((c * (queries.data @ keys.data.T)).T, layout, fill=-np.inf)
+    # the shift may overflow to -inf for pathologically spread rows; exp
+    # then gives the correct limit 0, so the overflow flag is noise
     with np.errstate(over="ignore"):
-        shifted = logits - np.maximum.reduceat(logits, starts, axis=1)[:, ids]
+        shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    y = e / np.add.reduceat(e, starts, axis=1)[:, ids]
+    y = e / e.sum(axis=1, keepdims=True)
 
     def back(g: np.ndarray) -> tuple:
-        gy = g * y
-        d_logits = gy - y * np.add.reduceat(gy, starts, axis=1)[:, ids]
-        return c * (d_logits @ keys.data), c * (d_logits.T @ queries.data)
+        gy = _padded(g.T, layout) * y
+        d_logits = _unpadded(gy - y * gy.sum(axis=1, keepdims=True), layout)   # (N, K)
+        return c * (d_logits.T @ keys.data), c * (d_logits @ queries.data)
 
-    return _result(y, "segment_attention", (queries, keys), back)
+    return _result(_unpadded(y, layout).T, "segment_attention", (queries, keys), back)
 
 
 def segment_pool(weights: Tensor, values: Tensor, offsets) -> Tensor:
@@ -491,24 +507,24 @@ def segment_pool(weights: Tensor, values: Tensor, offsets) -> Tensor:
     if weights.data.ndim != 2 or values.data.ndim != 2 \
             or weights.shape[1] != values.shape[0]:
         raise ShapeError(f"segment_pool: weights {weights.shape} vs values {values.shape}")
-    starts, ids = _segment_layout(offsets, values.shape[0], "segment_pool")
-    k, d = weights.shape[0], values.shape[1]
-    w, v = weights.data, values.data
-    pooled = np.add.reduceat(w.T[:, :, None] * v[:, None, :], starts, axis=0)
+    layout = _segment_layout(offsets, values.shape[0], "segment_pool")
+    w = _padded(weights.data.T, layout)                     # (B, max_n, K)
+    v = _padded(values.data, layout)                        # (B, max_n, d)
+    pooled = w.transpose(0, 2, 1) @ v                       # (B, K, d)
 
     def back(g: np.ndarray) -> tuple:
-        per_row = g.reshape(-1, k, d)[ids]                  # (N, K, d)
-        return (np.einsum("nkd,nd->kn", per_row, v),
-                np.einsum("kn,nkd->nd", w, per_row))
+        g3 = g.reshape(pooled.shape)
+        return (_unpadded(v @ g3.transpose(0, 2, 1), layout).T,
+                _unpadded(w @ g3, layout))
 
-    return _result(pooled.reshape(-1, d), "segment_pool", (weights, values), back)
+    return _result(pooled.reshape(-1, values.shape[1]), "segment_pool", (weights, values), back)
 
 
 def segment_mean(values: Tensor, offsets) -> Tensor:
     """(B, d) column means of each segment: ``segment_pool`` with 1/N_b weights."""
-    _, ids = _segment_layout(offsets, values.shape[0], "segment_mean")
-    weights = 1.0 / np.diff(np.asarray(offsets))[ids]
-    return segment_pool(Tensor(weights[None, :]), values, offsets)
+    _segment_layout(offsets, values.shape[0], "segment_mean")
+    counts = np.diff(np.asarray(offsets))
+    return segment_pool(Tensor(np.repeat(1.0 / counts, counts)[None, :]), values, offsets)
 
 
 def segment_broadcast(allocation: Tensor, states: Tensor, offsets) -> Tensor:
@@ -520,20 +536,20 @@ def segment_broadcast(allocation: Tensor, states: Tensor, offsets) -> Tensor:
     if allocation.data.ndim != 2 or states.data.ndim != 2:
         raise ShapeError(
             f"segment_broadcast: allocation {allocation.shape} vs states {states.shape}")
-    starts, ids = _segment_layout(offsets, allocation.shape[0], "segment_broadcast")
-    k, d = allocation.shape[1], states.shape[1]
-    if states.shape[0] != starts.size * k:
-        raise ShapeError(f"segment_broadcast: {starts.size} segments of {k} states "
-                         f"need {starts.size * k} rows, got {states.shape}")
-    a = allocation.data
-    per_row = states.data.reshape(-1, k, d)[ids]            # (N, K, d)
-    out = np.einsum("nk,nkd->nd", a, per_row)
+    layout = _segment_layout(offsets, allocation.shape[0], "segment_broadcast")
+    segments, k, d = layout[0], allocation.shape[1], states.shape[1]
+    if states.shape[0] != segments * k:
+        raise ShapeError(f"segment_broadcast: {segments} segments of {k} states "
+                         f"need {segments * k} rows, got {states.shape}")
+    a = _padded(allocation.data, layout)                    # (B, max_n, K)
+    s = states.data.reshape(segments, k, d)
 
     def back(g: np.ndarray) -> tuple:
-        d_states = np.add.reduceat(a[:, :, None] * g[:, None, :], starts, axis=0)
-        return np.einsum("nd,nkd->nk", g, per_row), d_states.reshape(-1, d)
+        g3 = _padded(g, layout)                             # (B, max_n, d)
+        return (_unpadded(g3 @ s.transpose(0, 2, 1), layout),
+                (a.transpose(0, 2, 1) @ g3).reshape(-1, d))
 
-    return _result(out, "segment_broadcast", (allocation, states), back)
+    return _result(_unpadded(a @ s, layout), "segment_broadcast", (allocation, states), back)
 
 
 def block_attention(queries: Tensor, keys: Tensor, values: Tensor, block: int,
@@ -556,7 +572,8 @@ def block_attention(queries: Tensor, keys: Tensor, values: Tensor, block: int,
     k = keys.data.reshape(q.shape)
     v = values.data.reshape(-1, block, values.shape[1])
     logits = c * (q @ k.transpose(0, 2, 1))
-    # same -inf-shift tolerance as softmax_rows
+    # the shift may overflow to -inf for pathologically spread rows; exp
+    # then gives the correct limit 0, so the overflow flag is noise
     with np.errstate(over="ignore"):
         shifted = logits - logits.max(axis=2, keepdims=True)
     e = np.exp(shifted)

@@ -279,8 +279,10 @@ def save_checkpoint(model: GraphPropertyModel, epoch: int, history: list[list],
         "params": {name: {"shape": list(t.shape), "data": t.data.ravel().tolist()}
                    for name, t in named},
     }
+    # json.dumps runs the C encoder; json.dump to a file streams through
+    # the pure-Python one
     with _replacing(Path(path)) as fh:
-        json.dump(record, fh)
+        fh.write(json.dumps(record))
 
 
 def load_checkpoint(path) -> tuple[GraphPropertyModel, dict]:

@@ -45,7 +45,6 @@ from neural_atoms.autodiff import (
     segment_pool,
     slot_matmul,
     softmax_cross_entropy,
-    softmax_rows,
     sum_all,
     transpose,
 )
@@ -70,6 +69,28 @@ def indexed_weighted_sum(x, out_index, in_index, weights, num_out_rows):
         return (gx,)
 
     return ad._result(out, "indexed_weighted_sum", (x,), back)
+
+
+def softmax_rows(a):
+    """Row-wise softmax with the max subtracted before exponentiation, as a tape op.
+
+    The unfused softmax that ``attention_scores`` replaces; it is the oracle
+    the fused op is checked against, and a differentiable op for the
+    composite gradient checks.
+    """
+    if a.data.ndim != 2:
+        raise ShapeError(f"softmax_rows needs a rank-2 tensor, got {a.shape}")
+    # the shift may overflow to -inf for pathologically spread rows; exp
+    # then gives the correct limit 0, so the overflow flag is noise
+    with np.errstate(over="ignore"):
+        shifted = a.data - a.data.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=1, keepdims=True)
+
+    def back(g):
+        return (y * (g - (g * y).sum(axis=1, keepdims=True)),)
+
+    return ad._result(y, "softmax_rows", (a,), back)
 
 
 def matmul_oracle(a, b):
@@ -381,8 +402,11 @@ class TestLossValues:
         assert abs(loss - 2.5) < 1e-15
 
 
-# Ragged row layouts: 1-row segments and segments shorter than K = 3.
-SEGMENT_LAYOUTS = [np.array([0, 5]), np.array([0, 1, 4, 5, 7]), np.array([0, 2, 3, 8])]
+# Row layouts: one segment; ragged, with 1-row segments and segments
+# shorter than K = 3; equal lengths, where the ops' padded view is a
+# reshape; skewed, one long segment between two 1-row ones.
+SEGMENT_LAYOUTS = [np.array([0, 5]), np.array([0, 1, 4, 5, 7]), np.array([0, 2, 3, 8]),
+                   np.array([0, 3, 6, 9]), np.array([0, 1, 13, 14])]
 
 
 def softmax_block_oracle(logits):
@@ -403,6 +427,22 @@ class TestSegmentOps:
             want = softmax_block_oracle(0.7 * q @ k[lo:hi].T)
             np.testing.assert_allclose(got[:, lo:hi], want, rtol=0, atol=1e-14)
             np.testing.assert_allclose(got[:, lo:hi].sum(axis=1), 1.0, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("offsets", SEGMENT_LAYOUTS[1:])
+    def test_segment_attention_survives_a_segment_of_huge_logits(self, offsets):
+        rng = np.random.default_rng(48)
+        q = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        keys = rng.normal(size=(offsets[-1], 4))
+        short = int(np.argmin(np.diff(offsets)))
+        keys[offsets[short]:offsets[short + 1]] *= 1e3
+        k = Tensor(keys, requires_grad=True)
+        got = segment_attention(q, k, offsets, 0.7)
+        assert np.isfinite(got.data).all()
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            np.testing.assert_allclose(got.data[:, lo:hi].sum(axis=1), 1.0, rtol=0, atol=1e-14)
+        probe = Tensor(rng.normal(size=got.shape))
+        backward(sum_all(mul(got, probe)), [q, k])
+        assert not np.isnan(q.grad).any() and not np.isnan(k.grad).any()
 
     @pytest.mark.parametrize("offsets", SEGMENT_LAYOUTS)
     def test_segment_pool_and_broadcast_are_per_segment_products(self, offsets):

@@ -274,6 +274,39 @@ class TestBatchedBlock:
         for got, want in zip(batched, summed):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
+    def test_equal_size_batch_matches_graph_by_graph(self):
+        # all segments of one length: the ops' padded view is a plain reshape
+        rng = np.random.default_rng(33)
+        dim = 6
+        batch = batch_graphs([path_graph(rng, 20, dim) for _ in range(8)])
+        params = NeuralAtomLayerParams.init(4, dim, 2, rng)
+        gcn = GcnLayerParams.init(dim, dim, rng, std=0.4)
+        probe = rng.normal(size=(batch.total_nodes, dim))
+        leaves = params.tensors() + [gcn.weight]
+
+        h = gcn_forward(Tensor(batch.node_features), batch.merged_graph(), gcn)
+        enhanced, traces = enhance_segments(h, batch.offsets, params)
+        backward(sum_all(mul(enhanced, Tensor(probe))), params=leaves)
+        batched = [leaf.grad.copy() for leaf in leaves]
+
+        summed = [np.zeros_like(leaf.data) for leaf in leaves]
+        for g, (graph, trace) in enumerate(zip(batch.graphs, traces)):
+            lo, hi = batch.offsets[g], batch.offsets[g + 1]
+            h_g = gcn_forward(Tensor(graph.node_features), graph, gcn).data
+            want, atoms, exchanged, alloc = numpy_block_oracle(h_g, params)
+            np.testing.assert_allclose(enhanced.data[lo:hi], want, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(trace.atom_states, atoms, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(trace.exchanged_states, exchanged, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(trace.node_allocation, alloc, rtol=0, atol=1e-10)
+            out, _ = neural_atom_block(Tensor(graph.node_features), graph,
+                                       lambda t, gr: gcn_forward(t, gr, gcn), params)
+            np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-10)
+            backward(sum_all(mul(out, Tensor(probe[lo:hi]))), params=leaves)
+            for acc, leaf in zip(summed, leaves):
+                acc += leaf.grad
+        for got, want in zip(batched, summed):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
     def test_batch_block_grad_check(self):
         rng = np.random.default_rng(32)
         dim = 3

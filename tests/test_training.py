@@ -2,6 +2,7 @@
 
 import csv
 import json
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -238,13 +239,27 @@ class TestCheckpoint:
         files = sorted(p.name for p in run_dir.iterdir())
         saved_checkpoint, saved_metrics = path.read_bytes(), metrics_path.read_bytes()
 
-        def half_dump(record, fh):
-            fh.write(json.dumps(record)[:100])
-            raise OSError("disk full")
+        replacing = training._replacing
 
-        monkeypatch.setattr(training.json, "dump", half_dump)
-        with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(model, 3, [], path)
+        class HalfWriter:
+            """Passes on the first 100 characters of a write, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                self.fh.write(text[:100])
+                raise OSError("disk full")
+
+        @contextmanager
+        def half_replacing(target, newline=None):
+            with replacing(target, newline) as fh:
+                yield HalfWriter(fh)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "_replacing", half_replacing)
+            with pytest.raises(OSError, match="disk full"):
+                save_checkpoint(model, 3, [], path)
         # the second row's value cannot be converted, after the first is written
         with pytest.raises(ValueError):
             training._write_metrics([[0, "train", "loss", 0.5],
