@@ -6,8 +6,9 @@ code reuses those row-stochastic matrices as soft assignment maps, and the
 gradient must keep flowing through them.
 
 What one head does with its projected queries, keys and values is a
-pluggable ``attend`` function: dense attention by default, or the segment
-and block attentions the neural-atom block runs over a whole batch.
+pluggable ``attend`` function: dense attention by default, or the block
+attention the neural-atom exchange runs over a whole batch.  The neural-atom
+projection reassociates its products instead and does not come through here.
 """
 
 from __future__ import annotations

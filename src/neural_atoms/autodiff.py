@@ -498,26 +498,33 @@ def segment_attention(queries: Tensor, keys: Tensor, offsets, inv_scale: float) 
     return _result(_unpadded(y, layout).T, "segment_attention", (queries, keys), back)
 
 
-def segment_pool(weights: Tensor, values: Tensor, offsets) -> Tensor:
+def segment_pool(weights: Tensor, values: Tensor, offsets, heads: int = 1) -> Tensor:
     """Each segment's values pooled by its own column block of ``weights``.
 
     ``weights`` is (K, N) and ``values`` (N, d); segment b yields the K rows
     weights[:, seg b] @ values[seg b], stacked into a (B * K, d) result.
+    With ``heads`` = H, ``weights`` is H row blocks of (K, N) over shared
+    values; head m fills columns m*d:(m+1)*d of a (B * K, H * d) result.
     """
     if weights.data.ndim != 2 or values.data.ndim != 2 \
             or weights.shape[1] != values.shape[0]:
         raise ShapeError(f"segment_pool: weights {weights.shape} vs values {values.shape}")
+    if heads < 1 or weights.shape[0] % heads:
+        raise ShapeError(f"segment_pool: {weights.shape[0]} rows do not split into {heads} heads")
     layout = _segment_layout(offsets, values.shape[0], "segment_pool")
-    w = _padded(weights.data.T, layout)                     # (B, max_n, K)
+    k, d = weights.shape[0] // heads, values.shape[1]
+    w = _padded(weights.data.T, layout)                     # (B, max_n, H * K)
     v = _padded(values.data, layout)                        # (B, max_n, d)
-    pooled = w.transpose(0, 2, 1) @ v                       # (B, K, d)
+    pooled = w.transpose(0, 2, 1) @ v                       # (B, H * K, d)
 
     def back(g: np.ndarray) -> tuple:
-        g3 = g.reshape(pooled.shape)
+        g3 = g.reshape(-1, k, heads, d).swapaxes(1, 2).reshape(pooled.shape)
         return (_unpadded(v @ g3.transpose(0, 2, 1), layout).T,
                 _unpadded(w @ g3, layout))
 
-    return _result(pooled.reshape(-1, values.shape[1]), "segment_pool", (weights, values), back)
+    # (B, H, K, d) -> (B, K, H, d), a view for one head
+    return _result(pooled.reshape(-1, heads, k, d).swapaxes(1, 2).reshape(-1, heads * d),
+                   "segment_pool", (weights, values), back)
 
 
 def segment_mean(values: Tensor, offsets) -> Tensor:

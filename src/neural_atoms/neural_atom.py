@@ -18,7 +18,8 @@ The block runs on a whole batch at once in the segment layout of
 consecutive segments delimited by ``offsets``, and graph b's K atom states
 are rows b*K:(b+1)*K of a (B * K, d) stack.  Atoms only ever see the nodes
 of their own graph.  The per-graph entry points are the same code run on a
-single segment.
+single segment.  The projection's weights multiply the K queries and the
+B * K pooled rows, never the N node rows, so only the segment ops grow with N.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import AttentionOutput, MultiHeadParams, multi_head_attention
-from .autodiff import (Tensor, add, block_attention, gather_rows, layer_norm, parameter,
-                       scale, segment_attention, segment_broadcast, segment_pool, transpose)
+from .attention import MultiHeadParams, multi_head_attention
+from .autodiff import (Tensor, add, block_attention, concat_rows, gather_rows, layer_norm,
+                       matmul, parameter, rows, scale, segment_attention, segment_broadcast,
+                       segment_pool, transpose)
 from .graphs import MolecularGraph
 
 LAYER_NORM_EPS = 1e-5
@@ -112,19 +114,28 @@ def project_to_neural_atoms(h_nodes: Tensor, params: NeuralAtomLayerParams,
     row-stochastic within every graph's column block.  The atoms see the
     nodes only through attention, so the result is invariant under any
     relabeling of the nodes.
+
+    No weight multiplies the N node rows.  Head m's logits
+    (q W_q,m)(h W_k,m)^T are (q W_q,m W_k,m^T) h^T, and its output
+    (A_m h W_v,m) W_o,m, with W_o,m its rows of W_o, is (A_m h)(W_v,m W_o,m):
+    the K effective queries of all heads attend to the raw nodes in one
+    call, one pooling serves all heads, and the B * K pooled rows meet the
+    stacked W_v,m W_o,m.  Products are associative, so this is exact up to
+    rounding.
     """
     offsets = _offsets_or_whole(h_nodes, offsets)
-
-    def attend(q: Tensor, k: Tensor, v: Tensor, inv_scale: float):
-        weights = segment_attention(q, k, offsets, inv_scale)
-        return segment_pool(weights, v, offsets), weights
-
-    attended: AttentionOutput = multi_head_attention(
-        params.queries, h_nodes, h_nodes, params.project_attention, attend)
-    queries = gather_rows(params.queries, np.tile(np.arange(params.num_atoms), len(offsets) - 1))
-    atoms = layer_norm(add(queries, attended.output),
+    attn, k, d = params.project_attention, params.num_atoms, params.queries.shape[1]
+    # (H * K, d) effective queries; (B * K, H * d) pooled nodes; (H * d, d) mix
+    queries = concat_rows([matmul(matmul(params.queries, wq), transpose(wk))
+                           for wq, wk in zip(attn.query_weights, attn.key_weights)])
+    weights = segment_attention(queries, h_nodes, offsets, d ** -0.5)
+    pooled = segment_pool(weights, h_nodes, offsets, heads=attn.heads)
+    mix = concat_rows([matmul(wv, rows(attn.output_weight, m * d, (m + 1) * d))
+                       for m, wv in enumerate(attn.value_weights)])
+    stacked = gather_rows(params.queries, np.tile(np.arange(k), len(offsets) - 1))
+    atoms = layer_norm(add(stacked, matmul(pooled, mix)),
                        params.project_norm.gain, params.project_norm.bias, LAYER_NORM_EPS)
-    return atoms, attended.per_head_weights
+    return atoms, [rows(weights, m * k, (m + 1) * k) for m in range(attn.heads)]
 
 
 def exchange_neural_atoms(h_atoms: Tensor, params: NeuralAtomLayerParams) -> Tensor:

@@ -285,6 +285,25 @@ def save_checkpoint(model: GraphPropertyModel, epoch: int, history: list[list],
         fh.write(json.dumps(record))
 
 
+def _stored_array(name: str, entry) -> np.ndarray:
+    """One parameter entry of a checkpoint as an f64 array of its stored shape."""
+    if not isinstance(entry, dict):
+        raise TrainingError(f"parameter {name!r} must be an object with 'data' and 'shape'")
+    for key in ("data", "shape"):
+        if key not in entry:
+            raise TrainingError(f"parameter {name!r} is missing {key!r}")
+    try:
+        data = np.array(entry["data"])
+        if data.dtype.kind not in "iuf":
+            raise TypeError("data is not numeric")
+        if not isinstance(entry["shape"], list):
+            raise TypeError("shape is not a list")
+        return data.astype(np.float64).reshape(entry["shape"])
+    except (TypeError, ValueError) as exc:
+        raise TrainingError(f"parameter {name!r} does not hold numbers that fill "
+                            f"shape {entry['shape']!r}: {exc}") from None
+
+
 def load_checkpoint(path) -> tuple[GraphPropertyModel, dict]:
     """Rebuild a model from a checkpoint; returns it with the raw record."""
     with open(path, encoding="utf-8") as fh:
@@ -292,15 +311,24 @@ def load_checkpoint(path) -> tuple[GraphPropertyModel, dict]:
     for key in ("config", "feature_dim", "out_dim", "avg_nodes", "params"):
         if key not in record:
             raise TrainingError(f"checkpoint is missing {key!r}")
+    for key in ("feature_dim", "out_dim"):
+        value = record[key]
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise TrainingError(f"checkpoint {key!r} must be a positive integer, got {value!r}")
+    avg_nodes = record["avg_nodes"]
+    if not isinstance(avg_nodes, (int, float)) or isinstance(avg_nodes, bool) \
+            or not math.isfinite(avg_nodes) or avg_nodes <= 0:
+        raise TrainingError(f"checkpoint 'avg_nodes' must be a finite positive number, "
+                            f"got {avg_nodes!r}")
+    if not isinstance(record["params"], dict):
+        raise TrainingError("checkpoint 'params' must be an object")
     cfg = TrainConfig.from_dict(record["config"])
-    model = GraphPropertyModel(cfg, record["feature_dim"], record["out_dim"],
-                               record["avg_nodes"])
+    model = GraphPropertyModel(cfg, record["feature_dim"], record["out_dim"], avg_nodes)
     stored = record["params"]
     for name, tensor in model.parameters():
         if name not in stored:
             raise TrainingError(f"checkpoint is missing parameter {name!r}")
-        entry = stored[name]
-        arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        arr = _stored_array(name, stored[name])
         if arr.shape != tensor.shape:
             raise TrainingError(
                 f"parameter {name!r} has shape {arr.shape}, expected {tensor.shape}")

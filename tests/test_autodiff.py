@@ -486,6 +486,37 @@ class TestSegmentOps:
         f = lambda: sum_all(mul(segment_pool(w, v, offsets), probe))
         assert grad_check(f, [w, v]) < 1e-7
 
+    @pytest.mark.parametrize("heads", [1, 3])
+    @pytest.mark.parametrize("offsets", SEGMENT_LAYOUTS)
+    def test_segment_pool_heads_are_per_head_per_segment_products(self, offsets, heads):
+        rng = np.random.default_rng(49)
+        n, k, d = offsets[-1], 2, 3
+        w, v = rng.normal(size=(heads * k, n)), rng.normal(size=(n, d))
+        got = segment_pool(Tensor(w), Tensor(v), offsets, heads=heads).data
+        assert got.shape == ((len(offsets) - 1) * k, heads * d)
+        for b, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+            for m in range(heads):
+                want = w[m * k:(m + 1) * k, lo:hi] @ v[lo:hi]
+                np.testing.assert_allclose(got[b * k:(b + 1) * k, m * d:(m + 1) * d], want,
+                                           rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("heads", [1, 3])
+    @pytest.mark.parametrize("offsets", SEGMENT_LAYOUTS)
+    def test_segment_pool_heads_grad_check(self, offsets, heads):
+        rng = np.random.default_rng(50)
+        n, k = offsets[-1], 2
+        w = Tensor(rng.normal(size=(heads * k, n)), requires_grad=True)
+        v = Tensor(rng.normal(size=(n, 3)), requires_grad=True)
+        probe = Tensor(rng.normal(size=((len(offsets) - 1) * k, heads * 3)))
+        f = lambda: sum_all(mul(segment_pool(w, v, offsets, heads=heads), probe))
+        assert grad_check(f, [w, v]) < 1e-7
+
+    def test_segment_pool_heads_must_split_the_weight_rows(self):
+        v = Tensor(np.ones((4, 2)))
+        for rows_, heads in ((5, 2), (4, 0)):
+            with pytest.raises(ShapeError, match="heads"):
+                segment_pool(Tensor(np.ones((rows_, 4))), v, [0, 2, 4], heads=heads)
+
     @pytest.mark.parametrize("offsets", SEGMENT_LAYOUTS)
     def test_segment_broadcast_grad_check(self, offsets):
         rng = np.random.default_rng(45)

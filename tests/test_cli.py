@@ -95,6 +95,20 @@ class TestEvaluate:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda record: next(iter(record["params"].values())).pop("shape"),
+        lambda record: record.update(feature_dim="5"),
+    ], ids=["entry without shape", "string feature_dim"])
+    def test_malformed_checkpoint_is_exit_one(self, tiny_dataset, trained_na_checkpoint,
+                                              tmp_path, capsys, corrupt):
+        record = json.loads(trained_na_checkpoint.read_text())
+        corrupt(record)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(record))
+        code = run_cli("evaluate", "--checkpoint", str(bad), "--dataset", str(tiny_dataset))
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
 class TestEwald:
     def test_writes_heatmap(self, tmp_path):
         system = {"Z": [1, -1], "positions": [[0.1, 0.1, 0.1], [0.6, 0.6, 0.6]],

@@ -3,6 +3,9 @@
 ``numpy_block_oracle`` re-derives the whole block (attention, norms,
 allocation transport) with raw numpy so the library's graph of tape ops is
 checked against an independent straight-line computation.
+``per_head_block`` is the block with the projection run head by head on
+projected node rows, the order the reassociated projection avoids; it is
+built from tape ops, so gradients are compared as well.
 """
 
 import math
@@ -11,7 +14,9 @@ import numpy as np
 import pytest
 
 from neural_atoms.attention import MultiHeadParams
-from neural_atoms.autodiff import Tensor, backward, grad_check, mul, sum_all
+from neural_atoms.autodiff import (GradTape, Tensor, add, backward, concat_cols, gather_rows,
+                                   grad_check, layer_norm, matmul, mul, segment_attention,
+                                   segment_pool, sum_all)
 from neural_atoms.gnn import GcnLayerParams, gcn_forward
 from neural_atoms.graphs import MolecularGraph, batch_graphs, permute_graph
 from neural_atoms.neural_atom import (
@@ -325,3 +330,113 @@ class TestBatchedBlock:
             return sum_all(mul(enhanced, probe))
 
         assert grad_check(f, params.tensors() + [gcn.weight, x], eps=1e-5) < 1e-5
+
+
+def per_head_projection(h_nodes, params, offsets):
+    """The projection with every head multiplying the N node rows by its own
+    key and value weights before it attends and pools."""
+    attn = params.project_attention
+    inv_scale = 1.0 / math.sqrt(attn.query_weights[0].shape[0])
+    outputs, weights = [], []
+    for wq, wk, wv in zip(attn.query_weights, attn.key_weights, attn.value_weights):
+        w = segment_attention(matmul(params.queries, wq), matmul(h_nodes, wk), offsets, inv_scale)
+        outputs.append(segment_pool(w, matmul(h_nodes, wv), offsets))
+        weights.append(w)
+    queries = gather_rows(params.queries, np.tile(np.arange(params.num_atoms), len(offsets) - 1))
+    atoms = layer_norm(add(queries, matmul(concat_cols(outputs), attn.output_weight)),
+                       params.project_norm.gain, params.project_norm.bias, LAYER_NORM_EPS)
+    return atoms, weights
+
+
+def per_head_block(h_nodes, params, offsets):
+    atoms, weights = per_head_projection(h_nodes, params, offsets)
+    exchanged = exchange_neural_atoms(atoms, params)
+    return backproject_and_enhance(h_nodes, exchanged, weights, offsets), atoms, exchanged, weights
+
+
+def oracle_batch(layout, rng, dim):
+    """(batch, K): ragged with a 1-node and an edgeless graph, eight 20-node
+    paths, or three graphs with fewer nodes in total than K atoms."""
+    if layout == "ragged":
+        return ragged_batch(rng, dim), 4
+    if layout == "paths":
+        return batch_graphs([path_graph(rng, 20, dim) for _ in range(8)]), 4
+    graphs = [MolecularGraph(n, [], rng.normal(size=(n, dim)), graph_label=0) for n in (2, 1, 3)]
+    return batch_graphs(graphs), 8
+
+
+class TestReassociatedProjection:
+    """The block against ``per_head_block``: same outputs, traces and gradients."""
+
+    @pytest.mark.parametrize("layout", ["ragged", "paths", "k_exceeds_n"])
+    @pytest.mark.parametrize("heads", [1, 2, 3])
+    def test_matches_per_head_projection(self, heads, layout):
+        rng = np.random.default_rng(60 + heads)
+        dim = 6
+        batch, k = oracle_batch(layout, rng, dim)
+        offsets = batch.offsets
+        params = NeuralAtomLayerParams.init(k, dim, heads, rng)
+        h = Tensor(rng.normal(size=(batch.total_nodes, dim)), requires_grad=True)
+        probe = Tensor(rng.normal(size=h.shape))
+        leaves = params.tensors() + [h]
+
+        _, head_weights = project_to_neural_atoms(h, params, offsets)
+        assert len(head_weights) == heads
+        assert all(w.shape == (k, batch.total_nodes) and w.requires_grad for w in head_weights)
+
+        enhanced, traces = enhance_segments(h, offsets, params)
+        backward(sum_all(mul(enhanced, probe)), params=leaves)
+        got = [leaf.grad.copy() for leaf in leaves]
+        want, atoms, exchanged, weights = per_head_block(h, params, offsets)
+        backward(sum_all(mul(want, probe)), params=leaves)
+
+        np.testing.assert_allclose(enhanced.data, want.data, rtol=0, atol=1e-10)
+        for b, trace in enumerate(traces):
+            lo, hi = offsets[b], offsets[b + 1]
+            np.testing.assert_allclose(trace.atom_states, atoms.data[b * k:(b + 1) * k],
+                                       rtol=0, atol=1e-10)
+            np.testing.assert_allclose(trace.exchanged_states, exchanged.data[b * k:(b + 1) * k],
+                                       rtol=0, atol=1e-10)
+            heads_b = [w.data[:, lo:hi] for w in weights]
+            for got_w, want_w in zip(trace.allocation_per_head, heads_b, strict=True):
+                np.testing.assert_allclose(got_w, want_w, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(trace.node_allocation, (sum(heads_b) / heads).T,
+                                       rtol=0, atol=1e-10)
+        for grad, leaf in zip(got, leaves):
+            np.testing.assert_allclose(grad, leaf.grad, rtol=0, atol=1e-10)
+
+    def test_block_grad_check_at_three_heads(self):
+        rng = np.random.default_rng(64)
+        dim = 3
+        batch = batch_graphs([MolecularGraph(1, [], rng.normal(size=(1, dim))),
+                              MolecularGraph(3, [], rng.normal(size=(3, dim))),
+                              path_graph(rng, 4, dim)])
+        params = NeuralAtomLayerParams.init(4, dim, 3, rng)
+        h = Tensor(rng.normal(size=(batch.total_nodes, dim)), requires_grad=True)
+        probe = Tensor(rng.normal(size=h.shape))
+
+        def f():
+            enhanced, _ = enhance_segments(h, batch.offsets, params, want_trace=False)
+            return sum_all(mul(enhanced, probe))
+
+        assert grad_check(f, params.tensors() + [h], eps=1e-5) < 1e-5
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_no_matmul_multiplies_the_node_rows(self, heads):
+        # N = 160 differs from d, K, B * K and H * d, so only node rows have N rows
+        rng = np.random.default_rng(65)
+        dim = 6
+        batch = batch_graphs([path_graph(rng, 20, dim) for _ in range(8)])
+        params = NeuralAtomLayerParams.init(4, dim, heads, rng)
+        h = Tensor(rng.normal(size=(batch.total_nodes, dim)), requires_grad=True)
+
+        def node_row_matmuls(out):
+            entries = GradTape.trace(sum_all(out)).entries
+            matmuls = [e for e in entries if e.name == "matmul"]
+            assert matmuls
+            return [e for e in matmuls if any(t.shape[0] == batch.total_nodes for t in e.inputs)]
+
+        enhanced, _ = enhance_segments(h, batch.offsets, params, want_trace=False)
+        assert node_row_matmuls(enhanced) == []
+        # the head-by-head order multiplies them twice per head
+        assert len(node_row_matmuls(per_head_block(h, params, batch.offsets)[0])) == 2 * heads

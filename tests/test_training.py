@@ -269,6 +269,44 @@ class TestCheckpoint:
         assert sorted(p.name for p in run_dir.iterdir()) == files
 
 
+@pytest.fixture(scope="module")
+def saved_record(tmp_path_factory):
+    """The JSON record of one short training run's checkpoint."""
+    _, path = train(lri_config(tmp_path_factory.mktemp("saved")))
+    return json.loads(path.read_text())
+
+
+# (what is malformed, edit of a saved record, words the error must hold)
+MALFORMED_CHECKPOINTS = [
+    ("entry not an object", lambda r: r["params"].update({"head.weight": [0.0, 1.0]}),
+     "head.weight.*object"),
+    ("entry without data", lambda r: r["params"]["head.weight"].pop("data"),
+     "head.weight.*'data'"),
+    ("entry without shape", lambda r: r["params"]["head.weight"].pop("shape"),
+     "head.weight.*'shape'"),
+    ("string data", lambda r: r["params"]["head.weight"].update(
+        data=[repr(x) for x in r["params"]["head.weight"]["data"]]), "head.weight.*not numeric"),
+    ("data short of the shape", lambda r: r["params"]["head.weight"]["data"].pop(),
+     "head.weight.*fill"),
+    ("string feature_dim", lambda r: r.update(feature_dim="5"), "feature_dim.*positive integer"),
+    ("zero out_dim", lambda r: r.update(out_dim=0), "out_dim.*positive integer"),
+    ("infinite avg_nodes", lambda r: r.update(avg_nodes=float("inf")), "avg_nodes.*finite"),
+    ("negative avg_nodes", lambda r: r.update(avg_nodes=-6.0), "avg_nodes.*positive"),
+]
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("case, edit, message", MALFORMED_CHECKPOINTS,
+                             ids=[case[0] for case in MALFORMED_CHECKPOINTS])
+    def test_is_a_named_error(self, tmp_path, saved_record, case, edit, message):
+        record = json.loads(json.dumps(saved_record))
+        edit(record)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(TrainingError, match=message):
+            load_checkpoint(path)
+
+
 class TestEvaluate:
     def test_feature_mismatch_is_an_error(self, tmp_path):
         cfg = lri_config(tmp_path)
