@@ -1,32 +1,21 @@
-"""Multi-head scaled dot-product attention.
+"""Multi-head scaled dot-product self-attention within blocks of rows.
 
-Unlike a generic transformer layer, this implementation hands back the
-per-head attention weight matrices alongside the mixed output: downstream
-code reuses those row-stochastic matrices as soft assignment maps, and the
-gradient must keep flowing through them.
-
-What one head does with its projected queries, keys and values is a
-pluggable ``attend`` function: dense attention by default, or the block
-attention the neural-atom exchange runs over a whole batch.  The neural-atom
-projection reassociates its products instead and does not come through here.
+The neural-atom exchange stacks the K atom states of B graphs as B blocks of
+K rows, and every atom attends to the atoms of its own block only.  All
+heads run at once: one matmul projects the rows onto the queries, keys and
+values of every head, one ``block_attention`` attends within every block
+and head, and one matmul mixes the heads.  The neural-atom projection
+reassociates its products instead and does not come through here.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    ShapeError,
-    Tensor,
-    attention_scores,
-    concat_cols,
-    matmul,
-    parameter,
-)
+from .autodiff import ShapeError, Tensor, block_attention, concat_cols, matmul, parameter
 
 
 @dataclass
@@ -68,59 +57,19 @@ class MultiHeadParams:
         return [*self.query_weights, *self.key_weights, *self.value_weights, self.output_weight]
 
 
-@dataclass
-class AttentionOutput:
-    """Mixed output and one weight matrix per head.
+def multi_head_attention(x: Tensor, params: MultiHeadParams, block: int) -> Tensor:
+    """Scaled dot-product self-attention within each block of ``block`` rows.
 
-    A head's weights are None when its ``attend`` function does not
-    materialise them.
+    Head m computes softmax(X W_q,m (X W_k,m)^T / sqrt(key_dim)) X W_v,m
+    over the rows of one block; the heads are concatenated and mixed by the
+    output weight.  One matmul by the concatenated W_q, W_k and W_v of all
+    heads projects every row once, and one ``block_attention`` runs every
+    head of every block.
     """
-
-    output: Tensor
-    per_head_weights: list[Tensor | None]
-
-
-# (projected queries, keys, values, 1/sqrt(key_dim)) -> (head output, weights)
-Attend = Callable[[Tensor, Tensor, Tensor, float], tuple[Tensor, Tensor | None]]
-
-
-def dense_attend(q: Tensor, k: Tensor, v: Tensor, inv_scale: float
-                 ) -> tuple[Tensor, Tensor]:
-    """Every query row attends over every key row."""
-    weights = attention_scores(q, k, inv_scale)
-    return matmul(weights, v), weights
-
-
-def multi_head_attention(query: Tensor, keys: Tensor, values: Tensor,
-                         params: MultiHeadParams,
-                         attend: Attend = dense_attend) -> AttentionOutput:
-    """Scaled dot-product attention, one weight matrix per head.
-
-    Head m computes softmax(Q W_q (K W_k)^T / sqrt(key_dim)) and applies it
-    to V W_v; the heads are concatenated and mixed by the output weight.
-    Keys and values must agree on their row count (one row per attended
-    item), queries may have any row count.  ``attend`` decides which
-    queries see which keys; each head's projections are computed once for
-    all rows before it is called.
-    """
-    if keys.shape[0] != values.shape[0]:
-        raise ShapeError(
-            f"keys and values disagree on row count: {keys.shape} vs {values.shape}")
     key_dim = params.query_weights[0].shape[0]
-    if query.shape[1] != key_dim or keys.shape[1] != key_dim:
-        raise ShapeError(
-            f"query/key width must be {key_dim}, got {query.shape} and {keys.shape}")
-    inv_sqrt_dim = 1.0 / math.sqrt(key_dim)
-
-    head_outputs = []
-    head_weights = []
-    for wq, wk, wv in zip(params.query_weights, params.key_weights, params.value_weights):
-        q = matmul(query, wq)
-        k = matmul(keys, wk)
-        v = matmul(values, wv)
-        out, weights = attend(q, k, v, inv_sqrt_dim)
-        head_weights.append(weights)
-        head_outputs.append(out)
-
-    mixed = matmul(concat_cols(head_outputs), params.output_weight)
-    return AttentionOutput(output=mixed, per_head_weights=head_weights)
+    if x.data.ndim != 2 or x.shape[1] != key_dim:
+        raise ShapeError(f"attention input must be (n, {key_dim}), got {x.shape}")
+    qkv = matmul(x, concat_cols([*params.query_weights, *params.key_weights,
+                                 *params.value_weights]))
+    mixed = block_attention(qkv, block, params.heads, 1.0 / math.sqrt(key_dim))
+    return matmul(mixed, params.output_weight)

@@ -380,42 +380,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _result(np.asarray(a.data.sum()), "sum_all", (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
-def mean_rows(a: Tensor) -> Tensor:
-    """Column means of an (n, d) matrix, shape (1, d)."""
-    if a.data.ndim != 2 or a.shape[0] == 0:
-        raise ShapeError(f"mean_rows needs a non-empty rank-2 tensor, got {a.shape}")
-    n = a.shape[0]
-    return _result(a.data.mean(axis=0, keepdims=True), "mean_rows", (a,),
-                   lambda g: (np.repeat(g / n, n, axis=0),))
-
-
-def attention_scores(queries: Tensor, keys: Tensor, inv_scale: float) -> Tensor:
-    """Row softmax of ``inv_scale * queries @ keys.T`` as a single tape op.
-
-    Equivalent to the row softmax of scale(matmul(queries, transpose(keys)), c)
-    but fused into one tape entry instead of four.  This is plain dense
-    attention; the neural-atom block attends through the segment ops below.
-    """
-    if queries.data.ndim != 2 or keys.data.ndim != 2 \
-            or queries.shape[1] != keys.shape[1]:
-        raise ShapeError(
-            f"attention_scores: queries {queries.shape} vs keys {keys.shape}")
-    c = float(inv_scale)
-    logits = c * (queries.data @ keys.data.T)
-    # the shift may overflow to -inf for pathologically spread rows; exp
-    # then gives the correct limit 0, so the overflow flag is noise
-    with np.errstate(over="ignore"):
-        shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
-
-    def back(g: np.ndarray) -> tuple:
-        d_logits = y * (g - (g * y).sum(axis=1, keepdims=True))
-        return c * (d_logits @ keys.data), c * (d_logits.T @ queries.data)
-
-    return _result(y, "attention_scores", (queries, keys), back)
-
-
 # ---------------------------------------------------------------------------
 # Segment ops: a batch of graphs as consecutive row segments
 # ---------------------------------------------------------------------------
@@ -534,68 +498,72 @@ def segment_mean(values: Tensor, offsets) -> Tensor:
     return segment_pool(Tensor(np.repeat(1.0 / counts, counts)[None, :]), values, offsets)
 
 
-def segment_broadcast(allocation: Tensor, states: Tensor, offsets) -> Tensor:
-    """Each row mixes the K states of its own segment.
+def segment_broadcast(weights: Tensor, states: Tensor, offsets) -> Tensor:
+    """Each row mixes the K states of its own segment: the adjoint of ``segment_pool``.
 
-    ``allocation`` is (N, K) and ``states`` (B * K, d); row n of the (N, d)
-    result is allocation[n] @ states[b*K:(b+1)*K] for n's segment b.
+    ``weights`` is (K, N), as ``segment_pool`` takes it, and ``states``
+    (B * K, d); row n of the (N, d) result is weights[:, n] @ states[b*K:(b+1)*K]
+    for n's segment b.
     """
-    if allocation.data.ndim != 2 or states.data.ndim != 2:
-        raise ShapeError(
-            f"segment_broadcast: allocation {allocation.shape} vs states {states.shape}")
-    layout = _segment_layout(offsets, allocation.shape[0], "segment_broadcast")
-    segments, k, d = layout[0], allocation.shape[1], states.shape[1]
+    if weights.data.ndim != 2 or states.data.ndim != 2:
+        raise ShapeError(f"segment_broadcast: weights {weights.shape} vs states {states.shape}")
+    layout = _segment_layout(offsets, weights.shape[1], "segment_broadcast")
+    segments, k, d = layout[0], weights.shape[0], states.shape[1]
     if states.shape[0] != segments * k:
         raise ShapeError(f"segment_broadcast: {segments} segments of {k} states "
                          f"need {segments * k} rows, got {states.shape}")
-    a = _padded(allocation.data, layout)                    # (B, max_n, K)
+    w = _padded(weights.data.T, layout)                     # (B, max_n, K)
     s = states.data.reshape(segments, k, d)
 
     def back(g: np.ndarray) -> tuple:
         g3 = _padded(g, layout)                             # (B, max_n, d)
-        return (_unpadded(g3 @ s.transpose(0, 2, 1), layout),
-                (a.transpose(0, 2, 1) @ g3).reshape(-1, d))
+        return (_unpadded(g3 @ s.transpose(0, 2, 1), layout).T,
+                (w.transpose(0, 2, 1) @ g3).reshape(-1, d))
 
-    return _result(_unpadded(a @ s, layout), "segment_broadcast", (allocation, states), back)
+    return _result(_unpadded(w @ s, layout), "segment_broadcast", (weights, states), back)
 
 
-def block_attention(queries: Tensor, keys: Tensor, values: Tensor, block: int,
-                    inv_scale: float) -> Tensor:
-    """Dense attention within each consecutive block of ``block`` rows.
+def block_attention(qkv: Tensor, block: int, heads: int, inv_scale: float) -> Tensor:
+    """Self-attention of every head within each consecutive block of ``block`` rows.
 
-    The (B * block)-row inputs split into B independent blocks; block b
-    returns softmax(inv_scale * q_b @ k_b.T) @ v_b, with no weight between
-    different blocks.
+    ``qkv`` packs, for each of its (B * block) rows, the queries of heads 0
+    to H-1, then their keys, then their values, d columns each.  Head m of
+    block b returns softmax(inv_scale * q_bm @ k_bm.T) @ v_bm, with no weight
+    between different blocks; the (B * block, H * d) result holds head m in
+    columns m*d:(m+1)*d.
     """
-    if queries.data.ndim != 2 or queries.shape != keys.shape or values.data.ndim != 2 \
-            or values.shape[0] != queries.shape[0]:
-        raise ShapeError(f"block_attention: queries {queries.shape}, keys {keys.shape}, "
-                         f"values {values.shape}")
-    if block < 1 or queries.shape[0] % block:
-        raise ShapeError(f"block_attention: {queries.shape[0]} rows do not split "
-                         f"into blocks of {block}")
-    c = float(inv_scale)
-    q = queries.data.reshape(-1, block, queries.shape[1])
-    k = keys.data.reshape(q.shape)
-    v = values.data.reshape(-1, block, values.shape[1])
-    logits = c * (q @ k.transpose(0, 2, 1))
+    if qkv.data.ndim != 2 or heads < 1 or qkv.shape[1] % (3 * heads):
+        raise ShapeError(f"block_attention: {qkv.shape} does not split into "
+                         f"3 * {heads} column blocks")
+    n, width = qkv.shape
+    if block < 1 or n % block:
+        raise ShapeError(f"block_attention: {n} rows do not split into blocks of {block}")
+    c, d = float(inv_scale), width // (3 * heads)
+    # strided (B, H, block, d) views of the packed columns; results are
+    # written straight into their packed layout, so no large temporary is made
+    q, k, v = qkv.data.reshape(-1, block, 3, heads, d).transpose(2, 0, 3, 1, 4)
+    logits = c * (q @ k.swapaxes(2, 3))
     # the shift may overflow to -inf for pathologically spread rows; exp
     # then gives the correct limit 0, so the overflow flag is noise
     with np.errstate(over="ignore"):
-        shifted = logits - logits.max(axis=2, keepdims=True)
+        shifted = logits - logits.max(axis=3, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=2, keepdims=True)
+    y = e / e.sum(axis=3, keepdims=True)
+    out = np.empty((n // block, block, heads, d))
+    np.matmul(y, v, out=out.transpose(0, 2, 1, 3))
 
     def back(g: np.ndarray) -> tuple:
-        g3 = g.reshape(v.shape)
-        dy = g3 @ v.transpose(0, 2, 1)
-        d_logits = y * (dy - (dy * y).sum(axis=2, keepdims=True))
-        return (c * (d_logits @ k).reshape(queries.shape),
-                c * (d_logits.transpose(0, 2, 1) @ q).reshape(keys.shape),
-                (y.transpose(0, 2, 1) @ g3).reshape(values.shape))
+        g4 = g.reshape(-1, block, heads, d).transpose(0, 2, 1, 3)
+        dy = g4 @ v.swapaxes(2, 3)
+        d_logits = c * y * (dy - (dy * y).sum(axis=3, keepdims=True))
+        grad = np.empty(qkv.shape)
+        dq, dk, dv = grad.reshape(-1, block, 3, heads, d).transpose(2, 0, 3, 1, 4)
+        np.matmul(d_logits, k, out=dq)
+        np.matmul(d_logits.swapaxes(2, 3), q, out=dk)
+        np.matmul(y.swapaxes(2, 3), g4, out=dv)
+        return (grad,)
 
-    return _result((y @ v).reshape(values.shape), "block_attention",
-                   (queries, keys, values), back)
+    return _result(out.reshape(n, heads * d), "block_attention", (qkv,), back)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -11,7 +11,6 @@ its own graph's nodes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -70,7 +69,12 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         if isinstance(self.seed, bool) or not (isinstance(self.seed, int) and self.seed >= 0):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not (self.lr > 0.0 and np.isfinite(self.lr)):
+        for name in ("lr", "proportion"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not np.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        if not self.lr > 0.0:
             raise ConfigError(f"lr must be positive, got {self.lr!r}")
         if not 0.0 < self.proportion <= 1.0:
             raise ConfigError(f"proportion must lie in (0, 1], got {self.proportion!r}")
@@ -84,14 +88,6 @@ class TrainConfig:
         if "dataset" not in record or "out" not in record:
             raise ConfigError("config needs both 'dataset' and 'out'")
         return cls(**record)
-
-    @classmethod
-    def from_file(cls, path) -> "TrainConfig":
-        with open(path, encoding="utf-8") as fh:
-            record = json.load(fh)
-        if not isinstance(record, dict):
-            raise ConfigError("config file must hold a JSON object")
-        return cls.from_dict(record)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

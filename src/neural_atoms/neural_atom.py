@@ -6,8 +6,9 @@ routes them through a small set of learnable "neural atoms":
 1. cross-attention from the atom queries onto the nodes groups every node
    softly into atoms (an information bottleneck of K slots),
 2. self-attention among the atoms exchanges information globally in one hop,
-3. the head-averaged allocation matrix, transposed, carries the exchanged
-   atom states back onto the nodes, which are enhanced additively.
+3. the head-averaged (K, N) allocation matrix carries the exchanged atom
+   states back onto the nodes, as the adjoint of the pooling in step 1, and
+   the nodes are enhanced additively.
 
 Because step 3 reuses the attention weights from step 1, any two nodes can
 trade information through a shared atom regardless of their graph distance,
@@ -32,9 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from .attention import MultiHeadParams, multi_head_attention
-from .autodiff import (Tensor, add, block_attention, concat_rows, gather_rows, layer_norm,
-                       matmul, parameter, rows, scale, segment_attention, segment_broadcast,
-                       segment_pool, transpose)
+from .autodiff import (Tensor, add, concat_rows, gather_rows, layer_norm, matmul, parameter,
+                       rows, scale, segment_attention, segment_broadcast, segment_pool,
+                       transpose)
 from .graphs import MolecularGraph
 
 LAYER_NORM_EPS = 1e-5
@@ -141,22 +142,17 @@ def project_to_neural_atoms(h_nodes: Tensor, params: NeuralAtomLayerParams,
 def exchange_neural_atoms(h_atoms: Tensor, params: NeuralAtomLayerParams) -> Tensor:
     """Self-attention among the atoms: every atom reads every other atom of
     its own graph in one hop."""
-    num_atoms = params.num_atoms
-
-    def attend(q: Tensor, k: Tensor, v: Tensor, inv_scale: float):
-        return block_attention(q, k, v, num_atoms, inv_scale), None
-
-    attended = multi_head_attention(h_atoms, h_atoms, h_atoms, params.exchange_attention, attend)
-    return layer_norm(add(h_atoms, attended.output),
+    attended = multi_head_attention(h_atoms, params.exchange_attention, params.num_atoms)
+    return layer_norm(add(h_atoms, attended),
                       params.exchange_norm.gain, params.exchange_norm.bias, LAYER_NORM_EPS)
 
 
 def aggregate_allocations(per_head_weights: list[Tensor]) -> Tensor:
-    """Head-mean of the K x N allocation maps, transposed to N x K."""
+    """Head-mean of the K x N allocation maps."""
     total = per_head_weights[0]
     for w in per_head_weights[1:]:
         total = add(total, w)
-    return transpose(scale(total, 1.0 / len(per_head_weights)))
+    return scale(total, 1.0 / len(per_head_weights))
 
 
 def backproject_and_enhance(h_nodes: Tensor, exchanged: Tensor,

@@ -87,10 +87,10 @@ def multi_virtual_node_layer(h: Tensor, vstates: Tensor, params: VirtualNodePara
         # own state plus the mean of the graph's other states, and the
         # graph's node mean once per state
         eye = np.eye(count)
-        mix = np.tile(eye + (1.0 - eye) / (count - 1), (num_graphs, 1))
+        mix = np.tile(eye + (1.0 - eye) / (count - 1), num_graphs)   # (V, B * V)
         incoming = segment_broadcast(Tensor(mix), vstates,
                                      np.arange(0, vstates.shape[0] + 1, count))
         pooled = gather_rows(pooled, np.repeat(np.arange(num_graphs), count))
     new_states = _update_mlp(add(incoming, pooled), params)
-    ones = Tensor(np.ones((h.shape[0], count)))
+    ones = Tensor(np.ones((count, h.shape[0])))
     return add(h, segment_broadcast(ones, new_states, offsets)), new_states

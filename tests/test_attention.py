@@ -1,9 +1,9 @@
-"""Multi-head attention tests.
+"""Multi-head self-attention tests.
 
-The single-head oracle recomputes attention with plain numpy calls,
-including the 1/sqrt(d) logit scaling, so any drift in the library
-implementation shows up as a value difference rather than a property
-violation.
+The oracle recomputes every head of every block with plain numpy calls,
+including the 1/sqrt(d) logit scaling and one projection per head, so any
+drift in the packed library implementation shows up as a value difference
+rather than a property violation.
 """
 
 import math
@@ -11,20 +11,28 @@ import math
 import numpy as np
 import pytest
 
-from neural_atoms.attention import AttentionOutput, MultiHeadParams, multi_head_attention
+from neural_atoms.attention import MultiHeadParams, multi_head_attention
 from neural_atoms.autodiff import ShapeError, Tensor, grad_check, mul, sum_all
 
 
-def single_head_oracle(q, k, v, wq, wk, wv, wo):
-    qp, kp, vp = q @ wq, k @ wk, v @ wv
-    logits = qp @ kp.T / math.sqrt(q.shape[1])
-    logits -= logits.max(axis=1, keepdims=True)
-    weights = np.exp(logits)
-    weights /= weights.sum(axis=1, keepdims=True)
-    return (weights @ vp) @ wo, weights
+def per_head_oracle(x, params, block):
+    """Dense attention head by head, block by block, then concat and W_o."""
+    out = np.empty((x.shape[0], params.output_weight.shape[1]))
+    for lo in range(0, x.shape[0], block):
+        rows = x[lo:lo + block]
+        heads = []
+        for wq, wk, wv in zip(params.query_weights, params.key_weights, params.value_weights):
+            logits = (rows @ wq.data) @ (rows @ wk.data).T / math.sqrt(x.shape[1])
+            logits -= logits.max(axis=1, keepdims=True)
+            weights = np.exp(logits)
+            weights /= weights.sum(axis=1, keepdims=True)
+            heads.append(weights @ (rows @ wv.data))
+        out[lo:lo + block] = np.concatenate(heads, axis=1) @ params.output_weight.data
+    return out
 
 
-def make_params(rng, heads, dim, std=0.3):
+def make_params(rng, heads, dim, out_dim=None, std=0.5):
+    out_dim = dim if out_dim is None else out_dim
     return MultiHeadParams(
         query_weights=[Tensor(rng.normal(size=(dim, dim)) * std, requires_grad=True)
                        for _ in range(heads)],
@@ -32,86 +40,45 @@ def make_params(rng, heads, dim, std=0.3):
                      for _ in range(heads)],
         value_weights=[Tensor(rng.normal(size=(dim, dim)) * std, requires_grad=True)
                        for _ in range(heads)],
-        output_weight=Tensor(rng.normal(size=(heads * dim, dim)) * std, requires_grad=True),
+        output_weight=Tensor(rng.normal(size=(heads * dim, out_dim)) * std, requires_grad=True),
     )
 
 
 class TestForward:
-    def test_single_head_matches_oracle(self):
-        rng = np.random.default_rng(0)
-        q, k, v = rng.normal(size=(3, 4)), rng.normal(size=(7, 4)), rng.normal(size=(7, 4))
-        params = make_params(rng, heads=1, dim=4)
-        got = multi_head_attention(Tensor(q), Tensor(k), Tensor(v), params)
-        want_out, want_w = single_head_oracle(
-            q, k, v, params.query_weights[0].data, params.key_weights[0].data,
-            params.value_weights[0].data, params.output_weight.data)
-        np.testing.assert_allclose(got.output.data, want_out, atol=1e-12)
-        np.testing.assert_allclose(got.per_head_weights[0].data, want_w, atol=1e-12)
+    @pytest.mark.parametrize("heads", [1, 2, 3])
+    @pytest.mark.parametrize("block", [1, 4, 12])
+    def test_matches_per_head_dense_attention(self, block, heads):
+        rng = np.random.default_rng(heads)
+        x = rng.normal(size=(12, 5))
+        params = make_params(rng, heads, 5, out_dim=3)
+        got = multi_head_attention(Tensor(x), params, block).data
+        np.testing.assert_allclose(got, per_head_oracle(x, params, block), rtol=0, atol=1e-12)
 
-    def test_multi_head_is_concat_of_heads(self):
-        rng = np.random.default_rng(5)
-        q, kv = rng.normal(size=(2, 3)), rng.normal(size=(5, 3))
-        params = make_params(rng, heads=3, dim=3)
-        got = multi_head_attention(Tensor(q), Tensor(kv), Tensor(kv), params)
-        pieces = []
-        for m in range(3):
-            out_m, w_m = single_head_oracle(
-                q, kv, kv, params.query_weights[m].data, params.key_weights[m].data,
-                params.value_weights[m].data, np.eye(3))
-            np.testing.assert_allclose(got.per_head_weights[m].data, w_m, atol=1e-12)
-            pieces.append(out_m)
-        want = np.concatenate(pieces, axis=1) @ params.output_weight.data
-        np.testing.assert_allclose(got.output.data, want, atol=1e-12)
-
-    def test_weight_rows_are_stochastic(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            n, k_rows = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-            params = make_params(rng, heads=2, dim=5, std=1.0)
-            out = multi_head_attention(Tensor(rng.normal(size=(n, 5)) * 4),
-                                       Tensor(rng.normal(size=(k_rows, 5)) * 4),
-                                       Tensor(rng.normal(size=(k_rows, 5)) * 4), params)
-            assert isinstance(out, AttentionOutput)
-            for w in out.per_head_weights:
-                assert w.shape == (n, k_rows)
-                np.testing.assert_allclose(w.data.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-                assert (w.data >= 0.0).all()
-
-    def test_key_permutation_leaves_output_invariant(self):
-        """Shuffling key/value rows together cannot change the mixture."""
+    def test_permuting_rows_within_a_block_permutes_the_output(self):
         rng = np.random.default_rng(9)
-        q, kv = rng.normal(size=(4, 6)), rng.normal(size=(8, 6))
-        params = make_params(rng, heads=2, dim=6)
-        base = multi_head_attention(Tensor(q), Tensor(kv), Tensor(kv), params).output.data
-        perm = rng.permutation(8)
-        shuffled = multi_head_attention(Tensor(q), Tensor(kv[perm]), Tensor(kv[perm]),
-                                        params).output.data
-        np.testing.assert_allclose(shuffled, base, atol=1e-12)
+        x = rng.normal(size=(12, 6))
+        params = make_params(rng, 2, 6)
+        base = multi_head_attention(Tensor(x), params, 4).data
+        perm = np.concatenate([lo + rng.permutation(4) for lo in range(0, 12, 4)])
+        shuffled = multi_head_attention(Tensor(x[perm]), params, 4).data
+        np.testing.assert_allclose(shuffled, base[perm], rtol=0, atol=1e-12)
 
-    def test_shape_errors(self):
-        rng = np.random.default_rng(2)
-        params = make_params(rng, heads=1, dim=4)
-        with pytest.raises(ShapeError):
-            multi_head_attention(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))),
-                                 Tensor(np.zeros((4, 4))), params)
-        with pytest.raises(ShapeError):
-            multi_head_attention(Tensor(np.zeros((2, 5))), Tensor(np.zeros((3, 4))),
-                                 Tensor(np.zeros((3, 4))), params)
+    def test_width_must_match_the_weights(self):
+        params = make_params(np.random.default_rng(2), 1, 4)
+        for shape in ((6, 5), (6, 3), (6,)):
+            with pytest.raises(ShapeError, match="attention input"):
+                multi_head_attention(Tensor(np.zeros(shape)), params, 3)
 
 
 class TestGradients:
-    def test_full_attention_grad_check(self):
+    @pytest.mark.parametrize("heads", [1, 3])
+    def test_grad_check(self, heads):
         rng = np.random.default_rng(3)
-        q = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        kv = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
-        params = make_params(rng, heads=2, dim=4)
-        probe = Tensor(rng.normal(size=(3, 6)))
+        x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        params = make_params(rng, heads, 4)
+        probe = Tensor(rng.normal(size=(6, 4)))
 
         def f():
-            out = multi_head_attention(q, kv, kv, params)
-            total = sum_all(mul(out.output, out.output))
-            # fold a head-weight readout in so the exposed matrices carry gradient too
-            return sum_all(mul(out.per_head_weights[0], probe)) + total
+            return sum_all(mul(multi_head_attention(x, params, 3), probe))
 
-        leaves = [q, kv, *params.tensors()]
-        assert grad_check(f, leaves, eps=1e-5) < 1e-6
+        assert grad_check(f, [x, *params.tensors()], eps=1e-5) < 1e-6

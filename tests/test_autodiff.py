@@ -16,6 +16,7 @@ from neural_atoms import autodiff as ad
 from neural_atoms.gnn import GcnLayerParams, GinLayerParams, gcn_forward, gin_forward
 from neural_atoms.graphs import MolecularGraph, batch_graphs
 from test_gnn import dense_gcn_oracle, dense_gin_sum_oracle, random_graph
+from test_virtual_node import mean_rows
 from neural_atoms.autodiff import (
     ContractError,
     GradTape,
@@ -32,7 +33,6 @@ from neural_atoms.autodiff import (
     grad_check,
     layer_norm,
     matmul,
-    mean_rows,
     mse_loss,
     mul,
     no_grad,
@@ -74,9 +74,8 @@ def indexed_weighted_sum(x, out_index, in_index, weights, num_out_rows):
 def softmax_rows(a):
     """Row-wise softmax with the max subtracted before exponentiation, as a tape op.
 
-    The unfused softmax that ``attention_scores`` replaces; it is the oracle
-    the fused op is checked against, and a differentiable op for the
-    composite gradient checks.
+    A differentiable op for the composite gradient checks, written apart
+    from the softmaxes fused into the attention ops.
     """
     if a.data.ndim != 2:
         raise ShapeError(f"softmax_rows needs a rank-2 tensor, got {a.shape}")
@@ -165,25 +164,6 @@ class TestForwardValues:
         y = softmax_rows(x).data
         assert np.isfinite(y).all()
         np.testing.assert_allclose(y.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_fused_attention_scores_match_unfused_ops(self):
-        rng = np.random.default_rng(17)
-        q = rng.normal(size=(4, 6))
-        k = rng.normal(size=(9, 6))
-        fused = ad.attention_scores(Tensor(q), Tensor(k), 0.37)
-        unfused = softmax_rows(scale(matmul(Tensor(q), transpose(Tensor(k))), 0.37))
-        np.testing.assert_array_equal(fused.data, unfused.data)
-
-    def test_fused_attention_scores_gradient(self):
-        rng = np.random.default_rng(18)
-        q = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        k = Tensor(rng.normal(size=(7, 5)), requires_grad=True)
-        probe = Tensor(rng.normal(size=(3, 7)))
-
-        def f():
-            return sum_all(mul(ad.attention_scores(q, k, 0.61), probe))
-
-        assert grad_check(f, [q, k]) < 1e-7
 
     def test_layer_norm_matches_oracle(self):
         rng = np.random.default_rng(5)
@@ -449,23 +429,31 @@ class TestSegmentOps:
         rng = np.random.default_rng(41)
         n, k = offsets[-1], 3
         w, v = rng.normal(size=(k, n)), rng.normal(size=(n, 2))
-        alloc, states = rng.normal(size=(n, k)), rng.normal(size=((len(offsets) - 1) * k, 2))
+        alloc, states = rng.normal(size=(k, n)), rng.normal(size=((len(offsets) - 1) * k, 2))
         pooled = segment_pool(Tensor(w), Tensor(v), offsets).data
         spread = segment_broadcast(Tensor(alloc), Tensor(states), offsets).data
         for b, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
             block = slice(b * k, (b + 1) * k)
             np.testing.assert_allclose(pooled[block], w[:, lo:hi] @ v[lo:hi], atol=1e-14)
-            np.testing.assert_allclose(spread[lo:hi], alloc[lo:hi] @ states[block], atol=1e-14)
+            np.testing.assert_allclose(spread[lo:hi], alloc[:, lo:hi].T @ states[block],
+                                       atol=1e-14)
 
-    def test_block_attention_is_per_block_attention(self):
+    @pytest.mark.parametrize("heads", [1, 2, 3])
+    @pytest.mark.parametrize("block", [1, 3, 12])
+    def test_block_attention_is_per_head_per_block_attention(self, block, heads):
         rng = np.random.default_rng(42)
-        q, k, v = (rng.normal(size=(12, 4)), rng.normal(size=(12, 4)),
-                   rng.normal(size=(12, 5)))
-        got = block_attention(Tensor(q), Tensor(k), Tensor(v), 3, 0.5).data
-        for lo in range(0, 12, 3):
-            rows_ = slice(lo, lo + 3)
-            want = softmax_block_oracle(0.5 * q[rows_] @ k[rows_].T) @ v[rows_]
-            np.testing.assert_allclose(got[rows_], want, atol=1e-14)
+        d = 4
+        qkv = rng.normal(size=(12, 3 * heads * d))
+        got = block_attention(Tensor(qkv), block, heads, 0.5).data
+        assert got.shape == (12, heads * d)
+        for lo in range(0, 12, block):
+            rows_ = slice(lo, lo + block)
+            for m in range(heads):
+                q, k, v = (qkv[rows_, (j * heads + m) * d:(j * heads + m + 1) * d]
+                           for j in range(3))
+                want = softmax_block_oracle(0.5 * q @ k.T) @ v
+                np.testing.assert_allclose(got[rows_, m * d:(m + 1) * d], want,
+                                           rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("offsets", SEGMENT_LAYOUTS)
     def test_segment_attention_grad_check(self, offsets):
@@ -521,21 +509,25 @@ class TestSegmentOps:
     def test_segment_broadcast_grad_check(self, offsets):
         rng = np.random.default_rng(45)
         n, k = offsets[-1], 3
-        alloc = Tensor(rng.normal(size=(n, k)), requires_grad=True)
+        alloc = Tensor(rng.normal(size=(k, n)), requires_grad=True)
         states = Tensor(rng.normal(size=((len(offsets) - 1) * k, 2)), requires_grad=True)
         probe = Tensor(rng.normal(size=(n, 2)))
         f = lambda: sum_all(mul(segment_broadcast(alloc, states, offsets), probe))
         assert grad_check(f, [alloc, states]) < 1e-7
 
+    @pytest.mark.parametrize("heads", [1, 2, 3])
     @pytest.mark.parametrize("block", [1, 3, 12])
-    def test_block_attention_grad_check(self, block):
+    def test_block_attention_grad_check(self, block, heads):
         rng = np.random.default_rng(46)
-        q = Tensor(rng.normal(size=(12, 4)), requires_grad=True)
-        k = Tensor(rng.normal(size=(12, 4)), requires_grad=True)
-        v = Tensor(rng.normal(size=(12, 5)), requires_grad=True)
-        probe = Tensor(rng.normal(size=(12, 5)))
-        f = lambda: sum_all(mul(block_attention(q, k, v, block, 0.5), probe))
-        assert grad_check(f, [q, k, v]) < 1e-7
+        qkv = Tensor(rng.normal(size=(12, 3 * heads * 2)), requires_grad=True)
+        probe = Tensor(rng.normal(size=(12, heads * 2)))
+        f = lambda: sum_all(mul(block_attention(qkv, block, heads, 0.5), probe))
+        assert grad_check(f, [qkv]) < 1e-7
+
+    def test_block_attention_rejects_widths_that_do_not_split_into_heads(self):
+        for width, heads in ((10, 1), (12, 5), (12, 0)):
+            with pytest.raises(ShapeError, match="column blocks"):
+                block_attention(Tensor(np.ones((6, width))), 3, heads, 1.0)
 
     @pytest.mark.parametrize("offsets", SEGMENT_LAYOUTS)
     def test_segment_mean_is_per_segment_mean(self, offsets):
@@ -553,9 +545,9 @@ class TestSegmentOps:
             with pytest.raises(ShapeError, match="offsets"):
                 segment_attention(Tensor(np.ones((2, 2))), x, offsets, 1.0)
         with pytest.raises(ShapeError, match="segments"):
-            segment_broadcast(x, Tensor(np.ones((3, 2))), [0, 2, 4])
+            segment_broadcast(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 2))), [0, 2, 4])
         with pytest.raises(ShapeError, match="blocks"):
-            block_attention(x, x, x, 3, 1.0)
+            block_attention(Tensor(np.ones((4, 3))), 3, 1, 1.0)
 
 
 def scatter_add_entries(n, edges, edge_weights, diagonal):

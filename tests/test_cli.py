@@ -67,6 +67,18 @@ class TestTrain:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, bad", [("lr", True), ("lr", "0.1"), ("proportion", None)])
+    def test_non_number_float_field_in_config_is_a_clean_failure(
+            self, tmp_path, tiny_dataset, capsys, field, bad):
+        config = {"dataset": str(tiny_dataset), "out": str(tmp_path / "run"), field: bad}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        code = run_cli("train", "--config", str(config_path), "--epochs", "1")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and field in err
+        assert not (tmp_path / "run").exists()
+
     def test_bad_enum_exits_with_usage(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("train", "--backbone", "transformer")

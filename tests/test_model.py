@@ -5,13 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from neural_atoms.autodiff import (GradTape, Tensor, add, backward, concat_rows, matmul,
-                                   mean_rows, mul, rows, sum_all)
+from neural_atoms.autodiff import (GradTape, Tensor, add, backward, concat_rows, matmul, mul,
+                                   rows, sum_all)
 from neural_atoms.gnn import gcn_forward
 from neural_atoms.graphs import MolecularGraph, batch_graphs, generate_lri_task
 from neural_atoms.model import ConfigError, GraphPropertyModel, TrainConfig
 from neural_atoms.neural_atom import neural_atom_block
-from test_virtual_node import looped_batch_round
+from test_virtual_node import looped_batch_round, mean_rows
 
 
 def make_config(**overrides):
@@ -72,7 +72,14 @@ class TestTrainConfig:
         cfg = make_config(augment="neural-atoms", proportion=0.25)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
-        assert TrainConfig.from_file(path) == cfg
+        assert TrainConfig.from_dict(json.loads(path.read_text(encoding="utf-8"))) == cfg
+
+    @pytest.mark.parametrize("name", ["lr", "proportion"])
+    @pytest.mark.parametrize("bad", [True, False, "0.1", None, [0.1],
+                                     float("nan"), float("inf"), -float("inf")])
+    def test_from_dict_rejects_non_numbers_for_float_fields(self, name, bad):
+        with pytest.raises(ConfigError, match=name):
+            TrainConfig.from_dict({"dataset": "a", "out": "b", name: bad})
 
 
 class TestModelConstruction:

@@ -3,9 +3,11 @@
 ``numpy_block_oracle`` re-derives the whole block (attention, norms,
 allocation transport) with raw numpy so the library's graph of tape ops is
 checked against an independent straight-line computation.
-``per_head_block`` is the block with the projection run head by head on
-projected node rows, the order the reassociated projection avoids; it is
-built from tape ops, so gradients are compared as well.
+``per_head_block`` is the block run head by head and graph by graph: the
+projection on projected node rows, the order the reassociated projection
+avoids; the exchange as one dense attention per head and graph; the
+backprojection through the transposed allocation.  It is built from tape
+ops, so gradients are compared as well.
 """
 
 import math
@@ -14,22 +16,23 @@ import numpy as np
 import pytest
 
 from neural_atoms.attention import MultiHeadParams
-from neural_atoms.autodiff import (GradTape, Tensor, add, backward, concat_cols, gather_rows,
-                                   grad_check, layer_norm, matmul, mul, segment_attention,
-                                   segment_pool, sum_all)
+from neural_atoms.autodiff import (GradTape, Tensor, add, backward, concat_cols, concat_rows,
+                                   gather_rows, grad_check, layer_norm, matmul, mul, rows,
+                                   scale, segment_attention, segment_pool, softmax_cross_entropy,
+                                   sum_all, transpose)
 from neural_atoms.gnn import GcnLayerParams, gcn_forward
-from neural_atoms.graphs import MolecularGraph, batch_graphs, permute_graph
+from neural_atoms.graphs import MolecularGraph, batch_graphs, generate_lri_task, permute_graph
+from neural_atoms.model import GraphPropertyModel, TrainConfig
 from neural_atoms.neural_atom import (
     LAYER_NORM_EPS,
     NeuralAtomLayerParams,
     NeuralAtomTrace,
-    backproject_and_enhance,
     enhance_segments,
-    exchange_neural_atoms,
     neural_atom_block,
     project_to_neural_atoms,
     write_allocation_csv,
 )
+from test_autodiff import softmax_rows
 
 
 def path_graph(rng, n, dim):
@@ -348,10 +351,41 @@ def per_head_projection(h_nodes, params, offsets):
     return atoms, weights
 
 
+def per_head_exchange(atoms, params):
+    """Each head projects the atom rows by its own W_q, W_k and W_v, then
+    every graph's K atoms attend densely among themselves."""
+    attn, k = params.exchange_attention, params.num_atoms
+    inv_scale = 1.0 / math.sqrt(attn.query_weights[0].shape[0])
+    outputs = []
+    for wq, wk, wv in zip(attn.query_weights, attn.key_weights, attn.value_weights):
+        q, key, v = matmul(atoms, wq), matmul(atoms, wk), matmul(atoms, wv)
+        blocks = []
+        for lo in range(0, atoms.shape[0], k):
+            logits = matmul(rows(q, lo, lo + k), transpose(rows(key, lo, lo + k)))
+            blocks.append(matmul(softmax_rows(scale(logits, inv_scale)), rows(v, lo, lo + k)))
+        outputs.append(concat_rows(blocks))
+    mixed = matmul(concat_cols(outputs), attn.output_weight)
+    return layer_norm(add(atoms, mixed),
+                      params.exchange_norm.gain, params.exchange_norm.bias, LAYER_NORM_EPS)
+
+
+def per_graph_backprojection(h_nodes, exchanged, weights, offsets):
+    """The head-mean allocation transposed to (N, K), one product per graph."""
+    total = weights[0]
+    for w in weights[1:]:
+        total = add(total, w)
+    allocation = transpose(scale(total, 1.0 / len(weights)))
+    k = weights[0].shape[0]
+    spread = [matmul(rows(allocation, lo, hi), rows(exchanged, b * k, (b + 1) * k))
+              for b, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:]))]
+    return add(h_nodes, concat_rows(spread))
+
+
 def per_head_block(h_nodes, params, offsets):
     atoms, weights = per_head_projection(h_nodes, params, offsets)
-    exchanged = exchange_neural_atoms(atoms, params)
-    return backproject_and_enhance(h_nodes, exchanged, weights, offsets), atoms, exchanged, weights
+    exchanged = per_head_exchange(atoms, params)
+    enhanced = per_graph_backprojection(h_nodes, exchanged, weights, offsets)
+    return enhanced, atoms, exchanged, weights
 
 
 def oracle_batch(layout, rng, dim):
@@ -440,3 +474,15 @@ class TestReassociatedProjection:
         assert node_row_matmuls(enhanced) == []
         # the head-by-head order multiplies them twice per head
         assert len(node_row_matmuls(per_head_block(h, params, batch.offsets)[0])) == 2 * heads
+
+    @pytest.mark.parametrize("heads, most", [(1, 81), (2, 102), (4, 144)])
+    def test_tape_entries_per_lri_batch(self, heads, most):
+        """The whole training tape of one 64-graph batch of 20-node paths."""
+        graphs = generate_lri_task(64, 20, 4, seed=1)
+        cfg = TrainConfig(dataset="unused", out="unused", augment="neural-atoms",
+                          layers=3, hidden=32, heads=heads)
+        model = GraphPropertyModel(cfg, graphs[0].feature_dim, 2, 20.0)
+        assert model.k_counts == [4, 4, 4]
+        logits = model.forward(batch_graphs(graphs)).graph_outputs
+        loss = softmax_cross_entropy(logits, np.array([g.graph_label for g in graphs]))
+        assert len(GradTape.trace(loss).entries) <= most

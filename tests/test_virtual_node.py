@@ -3,9 +3,20 @@
 import numpy as np
 import pytest
 
-from neural_atoms.autodiff import (ShapeError, Tensor, add, backward, concat_rows, grad_check,
-                                   matmul, mean_rows, mul, neg, relu, rows, scale, sum_all)
+from neural_atoms.autodiff import (ShapeError, Tensor, _result, add, backward, concat_rows,
+                                   grad_check, matmul, mul, neg, relu, rows, scale, sum_all)
 from neural_atoms.virtual_node import VirtualNodeParams, multi_virtual_node_layer
+
+
+def mean_rows(a):
+    """Column means of an (n, d) matrix as a (1, d) tape op.
+
+    The one-graph pooling the oracles below are written with; the library
+    pools every graph of a batch at once with ``segment_mean``.
+    """
+    n = a.shape[0]
+    return _result(a.data.mean(axis=0, keepdims=True), "mean_rows", (a,),
+                   lambda g: (np.repeat(g / n, n, axis=0),))
 
 
 def update_mlp(state, params):
