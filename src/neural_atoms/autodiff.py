@@ -245,6 +245,39 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data @ b.data, "matmul", (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
+def affine(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) -> Tensor:
+    """``x @ w``, plus the (d,) row ``b`` when given, through a ReLU when ``relu``.
+
+    One tape entry for what :func:`matmul`, the row branch of :func:`add`
+    and :func:`relu` record as up to three, with the same values and
+    gradients.  The bias and the ReLU are applied in place, so the op makes
+    one result array where the three ops make one each, and the tape keeps
+    only that one alive.  ``g @ w.T`` is skipped when ``x`` needs no
+    gradient.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ShapeError(f"affine needs rank-2 operands, got {x.shape} and {w.shape}")
+    if x.shape[1] != w.shape[0]:
+        raise ShapeError(f"affine: inner dimensions differ, {x.shape} vs {w.shape}")
+    if b is not None and b.shape != (w.shape[1],):
+        raise ShapeError(f"affine: bias must have shape ({w.shape[1]},), got {b.shape}")
+    out = x.data @ w.data
+    if b is not None:
+        out += b.data
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    needs_dx = x.requires_grad
+
+    def back(g: np.ndarray) -> tuple:
+        if relu:
+            # out > 0 exactly where the input to the ReLU was, so no mask is kept
+            g = g * (out > 0.0)
+        grads = (g @ w.data.T if needs_dx else None, x.data.T @ g)
+        return grads if b is None else grads + (g.sum(axis=0),)
+
+    return _result(out, "affine", (x, w) if b is None else (x, w, b), back)
+
+
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose needs a rank-2 tensor, got {a.shape}")

@@ -5,7 +5,8 @@ itself, via an implicit self-loop) with :func:`slot_matmul`.  The graph
 builds its closed-neighbourhood matrix once, as a :class:`SlotMatrix`, and
 every layer and backward pass reuses it; the adjacency never materialises
 as a dense matrix, and since it is symmetric the backward pass is the same
-aggregation.
+aggregation.  Each weight product, with its bias and ReLU, is one
+:func:`affine` tape op, which adds the bias and applies the ReLU in place.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, matmul, parameter, relu, slot_matmul
+from .autodiff import Tensor, affine, parameter, slot_matmul
 from .graphs import MolecularGraph
 
 
@@ -64,7 +65,7 @@ def gcn_forward(h: Tensor, graph: MolecularGraph, params: GcnLayerParams) -> Ten
     if h.shape[0] != graph.num_nodes:
         raise ValueError(f"feature rows {h.shape[0]} != graph nodes {graph.num_nodes}")
     agg = slot_matmul(graph.closed_neighborhood(normalised=True), h)
-    return relu(matmul(agg, params.weight))
+    return affine(agg, params.weight, relu=True)
 
 
 def gin_forward(h: Tensor, graph: MolecularGraph, params: GinLayerParams) -> Tensor:
@@ -72,5 +73,5 @@ def gin_forward(h: Tensor, graph: MolecularGraph, params: GinLayerParams) -> Ten
     if h.shape[0] != graph.num_nodes:
         raise ValueError(f"feature rows {h.shape[0]} != graph nodes {graph.num_nodes}")
     agg = slot_matmul(graph.closed_neighborhood(normalised=False), h)
-    hidden = relu(add(matmul(agg, params.w1), params.b1))
-    return add(matmul(hidden, params.w2), params.b2)
+    hidden = affine(agg, params.w1, params.b1, relu=True)
+    return affine(hidden, params.w2, params.b2)

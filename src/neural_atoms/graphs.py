@@ -4,7 +4,9 @@ A dataset is a UTF-8 text file with one JSON object per line.  Every line
 carries ``num_nodes``, ``edges`` (undirected ``[u, v]`` pairs), ``node_feats``
 (one feature row per node), and exactly one of ``graph_label`` (an int class
 or a float vector) or ``pair_labels`` (``[u, v, 0|1]`` triples).  Unknown
-keys are rejected so that silently ignored typos cannot corrupt experiments.
+keys are rejected so that silently ignored typos cannot corrupt experiments,
+and values are not coerced: a bool, a string or a fraction where an integer
+belongs, or a bool or a string among the features, is an error.
 """
 
 from __future__ import annotations
@@ -30,6 +32,15 @@ class DatasetError(ValueError):
 _LINE_KEYS = {"num_nodes", "edges", "node_feats", "graph_label", "pair_labels"}
 
 
+def _as_index(value, what: str) -> int:
+    """``value`` as an int; a bool, a string or a non-integral number is an error."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise GraphError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass
 class MolecularGraph:
     """An undirected graph with dense node features and an optional label.
@@ -49,6 +60,7 @@ class MolecularGraph:
     _neighborhoods: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.num_nodes = _as_index(self.num_nodes, "num_nodes")
         if self.num_nodes < 1:
             raise GraphError(f"graph needs at least one node, got {self.num_nodes}")
         feats = np.asarray(self.node_features, dtype=np.float64)
@@ -60,7 +72,9 @@ class MolecularGraph:
         self.node_features = feats
         checked = []
         for u, v in self.edges:
-            u, v = int(u), int(v)
+            # an edge read from JSON holds plain ints; only others need the full check
+            if type(u) is not int or type(v) is not int:
+                u, v = _as_index(u, "edge endpoint"), _as_index(v, "edge endpoint")
             if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
                 raise GraphError(f"edge ({u}, {v}) out of range for {self.num_nodes} nodes")
             if u == v:
@@ -70,7 +84,8 @@ class MolecularGraph:
         if self.pair_labels is not None:
             pairs = []
             for u, v, hit in self.pair_labels:
-                u, v, hit = int(u), int(v), int(hit)
+                u, v, hit = (_as_index(u, "pair label node"), _as_index(v, "pair label node"),
+                             _as_index(hit, "pair label flag"))
                 if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
                     raise GraphError(f"pair label ({u}, {v}) out of range")
                 if hit not in (0, 1):
@@ -215,7 +230,8 @@ def permute_graph(graph: MolecularGraph, perm) -> MolecularGraph:
 # ---------------------------------------------------------------------------
 
 
-def _graph_from_record(record: dict) -> MolecularGraph:
+def _graph_from_record(record: dict, plain: bool) -> MolecularGraph:
+    """The graph of one decoded line; ``plain`` vouches it holds no string or bool value."""
     unknown = set(record) - _LINE_KEYS
     if unknown:
         raise DatasetError(f"unknown keys {sorted(unknown)}")
@@ -233,8 +249,12 @@ def _graph_from_record(record: dict) -> MolecularGraph:
     if pairs is not None:
         pairs = [tuple(t) for t in pairs]
     edges = [tuple(e) for e in record["edges"]]
-    return MolecularGraph(int(record["num_nodes"]), edges,
-                          np.asarray(record["node_feats"], dtype=np.float64),
+    feats = record["node_feats"]
+    if not plain:
+        for value in np.asarray(feats, dtype=object).ravel():
+            if isinstance(value, (bool, str)):
+                raise DatasetError(f"node_feats must hold numbers, got {value!r}")
+    return MolecularGraph(record["num_nodes"], edges, np.asarray(feats, dtype=np.float64),
                           label, pairs)
 
 
@@ -251,8 +271,13 @@ def load_dataset(path) -> list[MolecularGraph]:
                 raise DatasetError(f"line {lineno}: invalid JSON ({err.msg})") from err
             if not isinstance(record, dict):
                 raise DatasetError(f"line {lineno}: expected a JSON object")
+            # a line with no string value quotes only its keys, and one with
+            # no bool spells neither true nor false; reading that off the text
+            # costs far less than a scan of every feature
+            plain = ("true" not in line and "false" not in line
+                     and line.count('"') == 2 * len(record))
             try:
-                graphs.append(_graph_from_record(record))
+                graphs.append(_graph_from_record(record, plain))
             except (DatasetError, GraphError, TypeError, ValueError) as err:
                 raise DatasetError(f"line {lineno}: {err}") from err
     if not graphs:

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .autodiff import (Tensor, add, concat_cols, gather_rows, matmul, parameter, relu,
-                       segment_mean)
+from .autodiff import Tensor, affine, concat_cols, gather_rows, parameter, segment_mean
 from .gnn import GcnLayerParams, GinLayerParams, gcn_forward, gin_forward
 from .graphs import GraphBatch
 from .neural_atom import NeuralAtomLayerParams, NeuralAtomTrace, enhance_segments
@@ -220,10 +219,10 @@ class GraphPropertyModel:
             if u_idx.size == 0:
                 raise ConfigError("pair-contact task needs graphs with pair labels")
             feats = concat_cols([gather_rows(h, u_idx), gather_rows(h, v_idx)])
-            hidden = relu(add(matmul(feats, self.head["w1"]), self.head["b1"]))
-            scores = add(matmul(hidden, self.head["w2"]), self.head["b2"])
+            hidden = affine(feats, self.head["w1"], self.head["b1"], relu=True)
+            scores = affine(hidden, self.head["w2"], self.head["b2"])
             return ModelOutput(node_states=h, pair_scores=scores, traces=traces)
 
         pooled = segment_mean(h, batch.offsets)
-        logits = add(matmul(pooled, self.head["weight"]), self.head["bias"])
+        logits = affine(pooled, self.head["weight"], self.head["bias"])
         return ModelOutput(node_states=h, graph_outputs=logits, traces=traces)

@@ -226,24 +226,23 @@ def evaluate(model: GraphPropertyModel, graphs: list[MolecularGraph],
     return metrics
 
 
-def _contact_reciprocal_ranks(batch, scores: np.ndarray) -> list[float]:
-    """1/rank of each positive pair against its own graph's negatives.
+def _contact_reciprocal_ranks(batch: GraphBatch, scores: np.ndarray) -> list[float]:
+    """1/rank of each positive pair against its own graph's negatives, in pair order.
 
     A positive's rank is 1 plus the number of negatives scoring strictly
-    higher, so ties resolve in the positive's favour.
+    higher, so ties resolve in the positive's favour.  Graph b's negative
+    scores fill row b of a (B, most negatives) array padded with -inf, and
+    every positive of the batch is compared with its graph's row at once.
     """
-    out: list[float] = []
-    cursor = 0
-    for graph in batch.graphs:
-        pairs = graph.pair_labels or []
-        graph_scores = scores[cursor:cursor + len(pairs)]
-        cursor += len(pairs)
-        flags = np.array([hit for _, _, hit in pairs])
-        negatives = graph_scores[flags == 0]
-        for value in graph_scores[flags == 1]:
-            rank = 1 + int((negatives > value).sum())
-            out.append(1.0 / rank)
-    return out
+    _, _, flags = batch.pair_indices()
+    graph_of = np.repeat(np.arange(len(batch)), [len(g.pair_labels or ()) for g in batch.graphs])
+    pos, neg = flags == 1.0, flags == 0.0
+    neg_counts = np.bincount(graph_of[neg], minlength=len(batch))
+    column = np.arange(neg_counts.sum()) - np.repeat(np.cumsum(neg_counts) - neg_counts, neg_counts)
+    negatives = np.full((len(batch), neg_counts.max()), -np.inf)
+    negatives[graph_of[neg], column] = scores[neg]
+    beaten = (negatives[graph_of[pos]] > scores[pos, None]).sum(axis=1)
+    return (1.0 / (1.0 + beaten)).tolist()
 
 
 def mean_reciprocal_rank(ranks: list[int]) -> float:

@@ -11,6 +11,7 @@ The round runs on a whole batch at once in the segment layout of
 :mod:`neural_atoms.autodiff`: the node rows of B graphs are consecutive
 segments delimited by ``offsets``, and graph b's V states are rows
 b*V:(b+1)*V of a (B * V, d) stack.  A state only ever sees its own graph.
+The update MLP is two :func:`affine` tape ops, the first with its ReLU fused.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from .autodiff import (
     ShapeError,
     Tensor,
     add,
+    affine,
     gather_rows,
-    matmul,
     parameter,
-    relu,
     segment_broadcast,
     segment_mean,
 )
@@ -55,8 +55,8 @@ class VirtualNodeParams:
 
 
 def _update_mlp(state: Tensor, params: VirtualNodeParams) -> Tensor:
-    hidden = relu(add(matmul(state, params.w1), params.b1))
-    return add(matmul(hidden, params.w2), params.b2)
+    hidden = affine(state, params.w1, params.b1, relu=True)
+    return affine(hidden, params.w2, params.b2)
 
 
 def multi_virtual_node_layer(h: Tensor, vstates: Tensor, params: VirtualNodeParams,

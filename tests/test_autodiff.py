@@ -24,6 +24,7 @@ from neural_atoms.autodiff import (
     SlotMatrix,
     Tensor,
     add,
+    affine,
     backward,
     bce_with_logits,
     block_attention,
@@ -681,3 +682,80 @@ class TestSlotMatmul:
         for g, lo, hi in zip(graphs, batch.offsets[:-1], batch.offsets[1:]):
             alone = layer_forward(backbone, Tensor(g.node_features), g, params).data
             np.testing.assert_allclose(first[lo:hi], alone, rtol=0, atol=1e-10)
+
+
+def composed_affine(x, w, b=None, relu=False):
+    """Oracle for ``affine``: the matmul, row-add and relu tape ops it fuses."""
+    out = matmul(x, w)
+    if b is not None:
+        out = add(out, b)
+    return ad.relu(out) if relu else out
+
+
+class TestAffine:
+    """The fused x·W + b and ReLU against central differences and the composed ops."""
+
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("with_relu", [False, True])
+    @pytest.mark.parametrize("x_needs_grad", [False, True])
+    def test_grad_check(self, with_bias, with_relu, x_needs_grad):
+        rng = np.random.default_rng(70)
+        x = Tensor(rng.normal(size=(6, 4)), requires_grad=x_needs_grad)
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True) if with_bias else None
+        probe = Tensor(rng.normal(size=(6, 3)))
+        leaves = [t for t in (x, w, b) if t is not None and t.requires_grad]
+
+        def f():
+            return sum_all(mul(affine(x, w, b, relu=with_relu), probe))
+
+        assert grad_check(f, leaves, eps=1e-6) < 1e-8
+        out = affine(x, w, b, relu=with_relu)
+        assert (out.data > 0).any() and (not with_relu or (out.data == 0).any())
+        grads = out.entry.backward(probe.data)
+        assert len(grads) == (3 if with_bias else 2)
+        assert (grads[0] is None) == (not x_needs_grad)
+
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("with_relu", [False, True])
+    def test_matches_composed_ops_on_a_ragged_batch(self, with_bias, with_relu):
+        rng = np.random.default_rng(71)
+        merged = batch_graphs(ragged_graphs(72)).merged_graph()
+        probe = Tensor(rng.normal(size=(merged.num_nodes, 5)))
+        w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        b = Tensor(rng.normal(size=5), requires_grad=True) if with_bias else None
+        leaves = [t for t in (w, b) if t is not None]
+        results = []
+        for op in (lambda x: affine(x, w, b, relu=with_relu),
+                   lambda x: composed_affine(x, w, b, relu=with_relu)):
+            h = Tensor(merged.node_features, requires_grad=True)
+            agg = slot_matmul(merged.closed_neighborhood(normalised=False), h)
+            out = op(agg)
+            backward(sum_all(mul(out, probe)), [h] + leaves)
+            results.append([out.data, h.grad] + [t.grad for t in leaves])
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+    def test_records_one_entry_and_nothing_under_no_grad(self):
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        b = Tensor(np.zeros(2), requires_grad=True)
+        out = affine(Tensor(np.ones((3, 2))), w, b, relu=True)
+        assert [e.name for e in GradTape.trace(sum_all(out)).entries] == ["affine", "sum_all"]
+        with no_grad():
+            assert affine(Tensor(np.ones((3, 2))), w, b, relu=True).entry is None
+
+    def test_relu_subgradient_at_zero_is_zero(self):
+        x = Tensor([[1.0], [0.0], [-1.0]], requires_grad=True)
+        w = Tensor([[1.0]], requires_grad=True)
+        backward(sum_all(affine(x, w, relu=True)))
+        np.testing.assert_array_equal(x.grad, [[1.0], [0.0], [0.0]])
+
+    def test_bad_shapes_are_rejected(self):
+        x, w = Tensor(np.ones((3, 2))), Tensor(np.ones((2, 4)))
+        with pytest.raises(ShapeError, match="inner"):
+            affine(x, Tensor(np.ones((3, 4))))
+        with pytest.raises(ShapeError, match="rank-2"):
+            affine(Tensor(np.ones(2)), w)
+        for bias in (np.ones(3), np.ones((1, 4))):
+            with pytest.raises(ShapeError, match="bias"):
+                affine(x, w, Tensor(bias))

@@ -155,6 +155,49 @@ class TestDatasetIO:
         with pytest.raises(DatasetError, match="line 1"):
             load_dataset(path)
 
+    PAIR_RECORD = {"num_nodes": 3, "edges": [[0, 1], [1, 2]],
+                   "node_feats": [[0.5], [1], [2.0]], "pair_labels": [[0, 2, 1], [0, 1, 0]]}
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("num_nodes", 3.9, "num_nodes"),
+        ("num_nodes", "3", "num_nodes"),
+        ("num_nodes", True, "num_nodes"),
+        ("edges", [[0, 1.7], [1, 2]], "edge endpoint"),
+        ("edges", [[True, 2]], "edge endpoint"),
+        ("edges", [[0, "1"]], "edge endpoint"),
+        ("pair_labels", [[0, 2.5, 1]], "pair label node"),
+        ("pair_labels", [["0", 2, 1]], "pair label node"),
+        ("pair_labels", [[0, 2, True]], "pair label flag"),
+        ("node_feats", [["0.5"], [1], [2.0]], "node_feats"),
+        ("node_feats", [[0.5], [True], [2.0]], "node_feats"),
+    ], ids=["num-nodes-fraction", "num-nodes-string", "num-nodes-bool",
+            "edge-fraction", "edge-bool", "edge-string", "pair-fraction", "pair-string",
+            "pair-flag-bool", "feature-string", "feature-bool"])
+    def test_values_that_would_be_coerced_are_rejected_with_line(self, tmp_path, key, value,
+                                                                 message):
+        path = tmp_path / "bad.jsonl"
+        bad = dict(self.PAIR_RECORD, **{key: value})
+        path.write_text(json.dumps(self.PAIR_RECORD) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(DatasetError, match=f"line 2: {message}"):
+            load_dataset(path)
+
+    def test_integral_numbers_load_as_ints(self, tmp_path):
+        path = tmp_path / "ok.jsonl"
+        record = dict(self.PAIR_RECORD, num_nodes=3.0, edges=[[0.0, 1], [1, 2]])
+        path.write_text(json.dumps(record) + "\n")
+        graph = load_dataset(path)[0]
+        assert graph.num_nodes == 3 and type(graph.num_nodes) is int
+        assert graph.edges == [(0, 1), (1, 2)] and type(graph.edges[0][0]) is int
+        assert graph.pair_labels == [(0, 2, 1), (0, 1, 0)]
+        np.testing.assert_array_equal(graph.node_features, [[0.5], [1.0], [2.0]])
+
+    def test_numpy_integers_are_valid_indices(self):
+        graph = MolecularGraph(np.int64(3), [(np.int64(0), np.int32(1))], np.zeros((3, 1)),
+                               pair_labels=[(np.int64(0), 2, np.int64(1))])
+        assert graph.edges == [(0, 1)] and graph.pair_labels == [(0, 2, 1)]
+        with pytest.raises(GraphError, match="edge endpoint"):
+            MolecularGraph(3, [(np.float64(0.5), 1)], np.zeros((3, 1)))
+
 
 class TestLriTask:
     def test_deterministic_in_seed(self, tmp_path):

@@ -7,10 +7,15 @@ import pytest
 
 from neural_atoms.autodiff import (GradTape, Tensor, add, backward, concat_rows, matmul, mul,
                                    rows, sum_all)
+from neural_atoms import gnn as gnn_module
+from neural_atoms import model as model_module
+from neural_atoms import virtual_node as virtual_node_module
 from neural_atoms.gnn import gcn_forward
 from neural_atoms.graphs import MolecularGraph, batch_graphs, generate_lri_task
 from neural_atoms.model import ConfigError, GraphPropertyModel, TrainConfig
 from neural_atoms.neural_atom import neural_atom_block
+from neural_atoms.training import _batch_loss, dataset_dimensions
+from test_autodiff import composed_affine
 from test_virtual_node import looped_batch_round, mean_rows
 
 
@@ -211,15 +216,29 @@ def test_virtual_node_count_changes_forward_not_interface():
                               out_triple.graph_outputs.data)
 
 
-@pytest.mark.parametrize("augment", ["none", "neural-atoms", "virtual-node"])
-def test_forward_tape_length_does_not_grow_with_batch_size(augment):
-    """The atom block, the virtual node and the readout run once per batch."""
+def with_pairs(graphs):
+    """The graphs with three labelled pairs each in place of their graph label."""
+    return [MolecularGraph(g.num_nodes, g.edges, g.node_features,
+                           pair_labels=[(0, g.num_nodes - 1, 1), (0, 1, 0), (1, g.num_nodes - 1, 0)])
+            for g in graphs]
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(augment="none"), dict(augment="neural-atoms"), dict(augment="virtual-node"),
+    dict(backbone="gin", task="pair-contact"),
+], ids=["none", "neural-atoms", "virtual-node", "pair-contact"])
+def test_forward_tape_length_does_not_grow_with_batch_size(overrides):
+    """The atom block, the virtual node, the readout and the pair head run once per batch."""
     graphs = generate_lri_task(64, 8, 3, seed=4)
-    model = GraphPropertyModel(make_config(augment=augment, layers=3),
-                               graphs[0].feature_dim, 2, 8.0)
+    pairs = overrides.get("task") == "pair-contact"
+    if pairs:
+        graphs = with_pairs(graphs)
+    model = GraphPropertyModel(make_config(layers=3, **overrides),
+                               graphs[0].feature_dim, 1 if pairs else 2, 8.0)
 
     def tape_length(chunk):
-        out = model.forward(batch_graphs(chunk)).graph_outputs
+        out = model.forward(batch_graphs(chunk))
+        out = out.pair_scores if pairs else out.graph_outputs
         return len(GradTape.trace(sum_all(out)).entries)
 
     assert tape_length(graphs) == tape_length(graphs[:1])
@@ -272,3 +291,61 @@ def test_virtual_node_forward_matches_graph_by_graph_loop(count):
     for name, got, ref in zip(names, grads, ref_grads):
         assert np.abs(got - ref).max() < 1e-10, name
     assert np.abs(grads[names.index("layer0.vnode.w1")]).max() > 0
+
+
+# The benchmark's workloads: model settings and the most tape entries per batch
+WORKLOAD_MODELS = {
+    "contact-gin": (dict(backbone="gin", task="pair-contact"), 14),
+    "lri-vnode": (dict(augment="virtual-node"), 26),
+    "lri-atoms": (dict(augment="neural-atoms"), 98),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_MODELS))
+def test_training_tape_per_workload_batch_has_no_unfused_bias_or_relu(workload):
+    """One ``affine`` entry per weight product, with its bias and ReLU inside."""
+    overrides, most = WORKLOAD_MODELS[workload]
+    graphs = generate_lri_task(64, 20, 4, seed=1)
+    if overrides.get("task") == "pair-contact":
+        graphs = with_pairs(graphs)
+    cfg = TrainConfig(dataset="unused", out="unused", layers=3, hidden=32, heads=2, **overrides)
+    model = GraphPropertyModel(cfg, *dataset_dimensions(graphs, cfg.task))
+    loss, _, _ = _batch_loss(model, batch_graphs(graphs))
+    names = [e.name for e in GradTape.trace(loss).entries]
+    assert len(names) <= most
+    assert "affine" in names and not {"add_row", "relu"} & set(names)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(), dict(backbone="gin"), dict(augment="virtual-node", virtual_nodes=2),
+    dict(augment="neural-atoms"), dict(backbone="gin", task="pair-contact"),
+], ids=["gcn", "gin", "virtual-node", "neural-atoms", "pair-contact"])
+def test_fused_affine_matches_composed_ops_on_the_whole_model(overrides, monkeypatch):
+    """Loss and every gradient as with matmul, add and relu recorded apart."""
+    task = overrides.get("task", "graph-classification")
+    graphs = ragged_graphs(4)
+    if task == "pair-contact":
+        graphs = with_pairs([g for g in graphs if g.num_nodes > 1])
+    model = GraphPropertyModel(make_config(layers=3, **overrides),
+                               *dataset_dimensions(graphs, task))
+    rng = np.random.default_rng(8)
+    for t in model.tensors():
+        # non-zero biases, and a ReLU that cuts some rows but not all
+        t.data += rng.normal(0.0, 0.3, size=t.shape)
+    batch = batch_graphs(graphs)
+
+    def run():
+        loss, _, _ = _batch_loss(model, batch)
+        backward(loss, model.tensors())
+        ops = {e.name for e in GradTape.trace(loss).entries}
+        return [loss.data] + [t.grad.copy() for t in model.tensors()], ops
+
+    fused, fused_ops = run()
+    for module in (gnn_module, model_module, virtual_node_module):
+        monkeypatch.setattr(module, "affine", composed_affine)
+    composed, composed_ops = run()
+    assert "relu" in composed_ops and "affine" in fused_ops and "affine" not in composed_ops
+    names = ["loss"] + [name for name, _ in model.parameters()]
+    for name, got, want in zip(names, fused, composed):
+        assert np.abs(got - want).max() < 1e-10, name
+    assert all(np.abs(g).max() > 0 for g in fused[1:3])

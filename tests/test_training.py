@@ -25,6 +25,21 @@ from neural_atoms.training import (
 )
 
 
+def looped_reciprocal_ranks(batch, scores):
+    """Oracle: graph by graph and positive by positive, 1/(1 + negatives scoring higher)."""
+    out = []
+    cursor = 0
+    for graph in batch.graphs:
+        pairs = graph.pair_labels or []
+        graph_scores = scores[cursor:cursor + len(pairs)]
+        cursor += len(pairs)
+        flags = np.array([hit for _, _, hit in pairs])
+        negatives = graph_scores[flags == 0]
+        for value in graph_scores[flags == 1]:
+            out.append(1.0 / (1 + int((negatives > value).sum())))
+    return out
+
+
 def lri_config(tmp_path, name="run", **overrides):
     data = tmp_path / "train.jsonl"
     if not data.exists():
@@ -421,3 +436,36 @@ class TestMeanReciprocalRank:
         # positive scores 2.0; negatives 3.0, 2.0, 1.0 -> one strictly better
         ranks = _contact_reciprocal_ranks(batch, np.array([2.0, 3.0, 2.0, 1.0]))
         assert ranks == [0.5]
+
+    @staticmethod
+    def labelled_graph(n, pairs):
+        return MolecularGraph(num_nodes=n, edges=[(i, i + 1) for i in range(n - 1)],
+                              node_features=np.ones((n, 1)), pair_labels=pairs)
+
+    def test_batch_ranks_match_the_graph_by_graph_loop(self):
+        rng = np.random.default_rng(3)
+        graphs = [self.labelled_graph(6, [(0, 5, 1), (1, 4, 0), (0, 2, 1), (2, 5, 0), (1, 3, 0)]),
+                  self.labelled_graph(4, [(0, 1, 0), (1, 2, 0)]),          # no positives
+                  self.labelled_graph(5, [(0, 4, 1), (1, 3, 1)]),          # no negatives
+                  self.labelled_graph(3, []),
+                  self.labelled_graph(7, [(0, 6, 1), (2, 4, 0), (1, 5, 0), (3, 6, 1),
+                                          (0, 3, 0), (2, 6, 0), (1, 4, 0), (0, 5, 0)])]
+        batch = batch_graphs(graphs)
+        for scores in (rng.normal(size=17), rng.integers(-2, 3, size=17).astype(float)):
+            got = _contact_reciprocal_ranks(batch, scores)
+            assert got == looped_reciprocal_ranks(batch, scores)
+        # the graph without negatives ranks both its positives first
+        assert got[2:4] == [1.0, 1.0]
+
+    def test_ties_count_for_the_positive_and_graphs_do_not_mix(self):
+        graphs = [self.labelled_graph(4, [(0, 3, 1), (0, 1, 0), (1, 2, 0)]),
+                  self.labelled_graph(4, [(0, 3, 1), (0, 2, 0)])]
+        batch = batch_graphs(graphs)
+        # graph 0: both negatives tie the positive; graph 1's negative at 9.0
+        # beats only its own positive, not graph 0's
+        ranks = _contact_reciprocal_ranks(batch, np.array([1.0, 1.0, 1.0, 5.0, 9.0]))
+        assert ranks == [1.0, 0.5]
+
+    def test_no_positives_give_no_ranks(self):
+        batch = batch_graphs([self.labelled_graph(3, [(0, 2, 0), (0, 1, 0)])])
+        assert _contact_reciprocal_ranks(batch, np.array([0.3, -0.1])) == []
