@@ -344,6 +344,20 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     return _result(np.concatenate([p.data for p in parts], axis=1), "concat_cols", tuple(parts), back)
 
 
+def _checked_entries(diagonal, edges, edge_weights, op: str) -> tuple:
+    """(diagonal, (E, 2) edges, edge weights) as arrays that fit an (n, n) matrix."""
+    diag = np.asarray(diagonal, dtype=np.float64)
+    pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    w = np.asarray(edge_weights, dtype=np.float64)
+    if diag.ndim != 1 or w.shape != (pairs.shape[0],):
+        raise ShapeError(f"{op}: diagonal {diag.shape}, edges {pairs.shape} "
+                         f"and edge weights {w.shape} do not fit together")
+    n = diag.shape[0]
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+        raise ShapeError(f"{op}: edge index out of range for {n} rows")
+    return diag, pairs, w
+
+
 class SlotMatrix:
     """A sparse symmetric (n, n) matrix, stored so that a product needs no scatter-add.
 
@@ -353,19 +367,14 @@ class SlotMatrix:
     slot k.  No row repeats within a slot, so the product is the diagonal
     term plus ``out[rows] += w * x[cols]`` once per slot, exact without
     ``np.add.at``; there are as many slots as the largest row has edges.
-    Build it once per graph and reuse it for every product.
+    Build it once per graph and reuse it for every product.  Every slot
+    costs a gather and a scatter, so :func:`symmetric_matrix` keeps this
+    form for graphs whose dense blocks would be large and mostly empty.
     """
 
     def __init__(self, diagonal: np.ndarray, edges: np.ndarray, edge_weights: np.ndarray):
-        diag = np.asarray(diagonal, dtype=np.float64)
-        pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-        w = np.asarray(edge_weights, dtype=np.float64)
-        if diag.ndim != 1 or w.shape != (pairs.shape[0],):
-            raise ShapeError(f"SlotMatrix: diagonal {diag.shape}, edges {pairs.shape} "
-                             f"and edge weights {w.shape} do not fit together")
+        diag, pairs, w = _checked_entries(diagonal, edges, edge_weights, "SlotMatrix")
         n = diag.shape[0]
-        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
-            raise ShapeError(f"SlotMatrix: edge index out of range for {n} rows")
         rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
         cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
         w = np.concatenate([w, w])
@@ -393,8 +402,62 @@ class SlotMatrix:
         return out
 
 
-def slot_matmul(matrix: SlotMatrix, x: Tensor) -> Tensor:
-    """``matrix @ x`` for a constant symmetric ``matrix``.
+class BlockMatrix:
+    """The matrix of :class:`SlotMatrix`, block-diagonal over row segments and stored dense.
+
+    ``offsets`` splits the rows into segments as for the segment ops below,
+    and every edge must join two rows of one segment.  Segment b's block is
+    kept as an (m, m) matrix, zero-padded to the longest segment's m rows,
+    so the product is one batched matmul of the (B, m, m) blocks with the
+    padded (B, m, d) view of ``x``.
+    """
+
+    def __init__(self, diagonal: np.ndarray, edges: np.ndarray, edge_weights: np.ndarray,
+                 offsets):
+        diag, pairs, w = _checked_entries(diagonal, edges, edge_weights, "BlockMatrix")
+        n = diag.shape[0]
+        self.layout = segments, width, slot = _segment_layout(offsets, n, "BlockMatrix")
+        segment = np.repeat(np.arange(segments), np.diff(np.asarray(offsets, dtype=np.intp)))
+        u, v = pairs.T
+        if (segment[u] != segment[v]).any():
+            raise ShapeError("BlockMatrix: an edge joins rows of two segments")
+        padded = np.arange(n) if slot is None else slot     # row in the (B * m) padded rows
+        local = padded - segment * width                    # row within its own block
+        # entry (r, c) of block b is flat entry (b * m + r) * m + c; bincount
+        # sums the weights of repeated edges as the slots do
+        flat = np.concatenate([padded * width + local,
+                               padded[u] * width + local[v], padded[v] * width + local[u]])
+        self.num_rows = n
+        self.blocks = np.bincount(flat, np.concatenate([diag, w, w]),
+                                  minlength=segments * width * width
+                                  ).reshape(segments, width, width)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The product ``M @ x`` for an (n, d) array ``x``."""
+        return _unpadded(self.blocks @ _padded(x, self.layout), self.layout)
+
+
+# The dense blocks win while they hold at most this many entries per stored
+# nonzero (n + 2E): one batched matmul against a gather and a scatter per
+# slot.  Set from the measured crossover of the two products.
+BLOCK_CROSSOVER = 32
+
+
+def symmetric_matrix(diagonal: np.ndarray, edges: np.ndarray, edge_weights: np.ndarray,
+                     offsets) -> BlockMatrix | SlotMatrix:
+    """The matrix of :class:`SlotMatrix` in the cheaper of its two forms.
+
+    Blocks when B * m**2 <= ``BLOCK_CROSSOVER`` * (n + 2E) for B segments
+    of at most m rows, n rows and E edges, else slots.
+    """
+    segments, width, _ = _segment_layout(offsets, len(diagonal), "symmetric_matrix")
+    if segments * width * width <= BLOCK_CROSSOVER * (len(diagonal) + 2 * len(edges)):
+        return BlockMatrix(diagonal, edges, edge_weights, offsets)
+    return SlotMatrix(diagonal, edges, edge_weights)
+
+
+def slot_matmul(matrix: BlockMatrix | SlotMatrix, x: Tensor) -> Tensor:
+    """``matrix @ x`` for a constant symmetric ``matrix`` in either form.
 
     The matrix equals its transpose, so the backward applies it again.
     """

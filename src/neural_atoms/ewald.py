@@ -24,10 +24,11 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import erfc
+
+from .files import replacing
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -94,8 +95,34 @@ class EwaldSystem:
         return self.cell_edge ** 3
 
 
+def _number(value, key: str, integral: bool = False):
+    """``value`` of system key ``key`` as a float, or an int when ``integral``.
+
+    A bool, a string or a list is an error, as is a non-integral number
+    where an integer belongs; an integral float such as 2.0 is an integer.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise EwaldError(f"system key {key!r} must hold numbers, got {value!r}")
+    if not integral:
+        return float(value)
+    if not float(value).is_integer():
+        raise EwaldError(f"system key {key!r} must hold integers, got {value!r}")
+    return int(value)
+
+
+def _number_list(value, key: str, integral: bool = False) -> list:
+    if not isinstance(value, list):
+        raise EwaldError(f"system key {key!r} must be a list, got {value!r}")
+    return [_number(v, key, integral) for v in value]
+
+
 def load_system(path) -> EwaldSystem:
-    """Read a system description from JSON; unknown keys are rejected."""
+    """Read a system description from JSON; unknown keys are rejected.
+
+    Values are not coerced: ``Z`` is a list of integers, ``positions`` a
+    list of [x, y, z] rows, ``cell_edge`` and ``a`` numbers and the two
+    cutoffs integers.
+    """
     with open(path, encoding="utf-8") as fh:
         record = json.load(fh)
     if not isinstance(record, dict):
@@ -106,13 +133,16 @@ def load_system(path) -> EwaldSystem:
     missing = _SYSTEM_KEYS - set(record)
     if missing:
         raise EwaldError(f"missing system keys {sorted(missing)}")
+    rows = record["positions"]
+    if not isinstance(rows, list) or any(not isinstance(r, list) or len(r) != 3 for r in rows):
+        raise EwaldError("system key 'positions' must be a list of [x, y, z] rows")
     return EwaldSystem(
-        atomic_numbers=np.asarray(record["Z"], dtype=np.int64),
-        positions=np.asarray(record["positions"], dtype=np.float64),
-        cell_edge=float(record["cell_edge"]),
-        splitting=float(record["a"]),
-        real_cutoff=int(record["real_cutoff"]),
-        recip_cutoff=int(record["recip_cutoff"]),
+        atomic_numbers=np.array(_number_list(record["Z"], "Z", integral=True), dtype=np.int64),
+        positions=np.array([_number_list(r, "positions") for r in rows]).reshape(-1, 3),
+        cell_edge=_number(record["cell_edge"], "cell_edge"),
+        splitting=_number(record["a"], "a"),
+        real_cutoff=_number(record["real_cutoff"], "real_cutoff", integral=True),
+        recip_cutoff=_number(record["recip_cutoff"], "recip_cutoff", integral=True),
     )
 
 
@@ -237,15 +267,16 @@ def direct_total_energy(system: EwaldSystem, shells: int) -> float:
 
 
 def write_interaction_heatmap(matrix: EwaldMatrix, threshold: float, path) -> None:
-    """CSV of |total| entries with values below ``threshold`` zeroed."""
+    """CSV of |total| entries with values below ``threshold`` zeroed.
+
+    The file takes the place of ``path`` only once every row is written.
+    """
     if threshold < 0.0:
         raise EwaldError("threshold must be non-negative")
     magnitudes = np.abs(matrix.total)
     magnitudes[magnitudes < threshold] = 0.0
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
     n = magnitudes.shape[0]
-    with open(out, "w", newline="", encoding="utf-8") as fh:
+    with replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["atom"] + [str(j) for j in range(n)])
         for i in range(n):

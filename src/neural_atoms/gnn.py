@@ -2,11 +2,14 @@
 
 Both layers aggregate over the closed neighbourhood (neighbours plus the node
 itself, via an implicit self-loop) with :func:`slot_matmul`.  The graph
-builds its closed-neighbourhood matrix once, as a :class:`SlotMatrix`, and
-every layer and backward pass reuses it; the adjacency never materialises
-as a dense matrix, and since it is symmetric the backward pass is the same
-aggregation.  Each weight product, with its bias and ReLU, is one
-:func:`affine` tape op, which adds the bias and applies the ReLU in place.
+builds its closed-neighbourhood matrix once and every layer and backward
+pass reuses it; since it is symmetric the backward pass is the same
+aggregation.  For a batch of small graphs, such as molecules of tens of
+atoms, the matrix is a :class:`BlockMatrix` of dense per-graph blocks and
+the aggregation is one batched matmul; for large sparse graphs it is a
+:class:`SlotMatrix`, and the whole adjacency never materialises densely.
+Each weight product, with its bias and ReLU, is one :func:`affine` tape op,
+which adds the bias and applies the ReLU in place.
 """
 
 from __future__ import annotations

@@ -12,13 +12,12 @@ belongs, or a bool or a string among the features, is an error.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .autodiff import SlotMatrix
+from .autodiff import BlockMatrix, SlotMatrix, symmetric_matrix
+from .files import replacing
 
 
 class GraphError(ValueError):
@@ -48,7 +47,8 @@ class MolecularGraph:
     Edges are stored once per undirected pair and never as self-loops;
     layers that need self-connections add them on the fly.  The edges must
     not change once the graph is built: their array form and the
-    neighbourhood matrices built from it are cached.
+    neighbourhood matrices built from it are cached.  A merged batch also
+    keeps its graphs' row offsets, as every edge stays within one graph.
     """
 
     num_nodes: int
@@ -58,6 +58,7 @@ class MolecularGraph:
     pair_labels: list[tuple[int, int, int]] | None = None
     _edge_index: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _neighborhoods: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _offsets: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.num_nodes = _as_index(self.num_nodes, "num_nodes")
@@ -100,8 +101,8 @@ class MolecularGraph:
 
     @classmethod
     def _from_checked(cls, num_nodes: int, edge_index: np.ndarray,
-                      node_features: np.ndarray) -> "MolecularGraph":
-        """An unlabeled graph from parts that already passed ``__post_init__``."""
+                      node_features: np.ndarray, offsets: np.ndarray) -> "MolecularGraph":
+        """An unlabeled graph of segments ``offsets`` from parts that passed ``__post_init__``."""
         graph = cls.__new__(cls)
         graph.num_nodes = num_nodes
         graph.edges = list(zip(*edge_index.T.tolist()))
@@ -109,6 +110,7 @@ class MolecularGraph:
         graph.graph_label = graph.pair_labels = None
         graph._edge_index = edge_index
         graph._neighborhoods = None
+        graph._offsets = offsets
         return graph
 
     @property
@@ -129,10 +131,14 @@ class MolecularGraph:
         """Number of incident edges per node (self-loops are never stored)."""
         return np.bincount(self.edge_index.ravel(), minlength=self.num_nodes)
 
-    def closed_neighborhood(self, normalised: bool) -> SlotMatrix:
+    def closed_neighborhood(self, normalised: bool) -> BlockMatrix | SlotMatrix:
         """A + I, or D^-1/2 (A + I) D^-1/2 when ``normalised``; built once.
 
-        D counts the self-loop, so every degree is at least 1.
+        D counts the self-loop, so every degree is at least 1.  The matrix is
+        block-diagonal over the graph's segments: the graphs of a merged
+        batch, or the one segment of a lone graph.  :func:`symmetric_matrix`
+        stores it as dense per-graph blocks when they are small, as for
+        molecules of tens of atoms, and as slots otherwise.
         """
         if self._neighborhoods is None:
             self._neighborhoods = {}
@@ -143,7 +149,9 @@ class MolecularGraph:
                 diag, weights = inv_sqrt * inv_sqrt, inv_sqrt[u] * inv_sqrt[v]
             else:
                 diag, weights = np.ones(self.num_nodes), np.ones(u.size)
-            self._neighborhoods[normalised] = SlotMatrix(diag, self.edge_index, weights)
+            offsets = [0, self.num_nodes] if self._offsets is None else self._offsets
+            self._neighborhoods[normalised] = symmetric_matrix(diag, self.edge_index, weights,
+                                                               offsets)
         return self._neighborhoods[normalised]
 
 
@@ -173,14 +181,15 @@ class GraphBatch:
         """The disjoint union as a single unlabeled graph (cached).
 
         Its edges are the graphs' edge arrays shifted by their offsets; they
-        are not validated again, as every graph was when it was built.
+        are not validated again, as every graph was when it was built.  It
+        keeps the offsets, so its neighbourhood matrices know the graphs.
         """
         if self._merged is None:
             parts = [g.edge_index for g in self.graphs]
             shift = np.repeat(self.offsets[:-1], [len(p) for p in parts])
             edge_index = (np.concatenate(parts) + shift[:, None]).astype(np.intp, copy=False)
             self._merged = MolecularGraph._from_checked(self.total_nodes, edge_index,
-                                                        self.node_features)
+                                                        self.node_features, self.offsets)
         return self._merged
 
     def pair_indices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -286,10 +295,11 @@ def load_dataset(path) -> list[MolecularGraph]:
 
 
 def save_dataset(graphs: list[MolecularGraph], path) -> None:
-    """Write graphs as JSON Lines; floats round-trip exactly through repr."""
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
+    """Write graphs as JSON Lines; floats round-trip exactly through repr.
+
+    The file takes the place of ``path`` only once every graph is written.
+    """
+    with replacing(path) as fh:
         for g in graphs:
             record: dict = {
                 "num_nodes": g.num_nodes,

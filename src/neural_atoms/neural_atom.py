@@ -28,7 +28,6 @@ from __future__ import annotations
 import csv
 from collections.abc import Callable
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .attention import MultiHeadParams, multi_head_attention
 from .autodiff import (Tensor, add, concat_rows, gather_rows, layer_norm, matmul, parameter,
                        rows, scale, segment_attention, segment_broadcast, segment_pool,
                        transpose)
+from .files import replacing
 from .graphs import MolecularGraph
 
 LAYER_NORM_EPS = 1e-5
@@ -216,11 +216,12 @@ def neural_atom_block(h_prev: Tensor, graph: MolecularGraph,
 
 
 def write_allocation_csv(node_allocation: np.ndarray, path) -> None:
-    """One row per node, one column per neural atom, float values as repr."""
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    """One row per node, one column per neural atom, float values as repr.
+
+    The file takes the place of ``path`` only once every row is written.
+    """
     n_atoms = node_allocation.shape[1]
-    with open(out, "w", newline="", encoding="utf-8") as fh:
+    with replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node"] + [f"atom_{j}" for j in range(n_atoms)])
         for i, row in enumerate(node_allocation):

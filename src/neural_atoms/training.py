@@ -11,14 +11,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tensor, backward, bce_with_logits, mse_loss, no_grad, softmax_cross_entropy
+from .files import replacing
 from .graphs import DatasetError, GraphBatch, MolecularGraph, batch_graphs, load_dataset
 from .model import ConfigError, GraphPropertyModel, ModelOutput, TrainConfig
 
@@ -165,26 +163,8 @@ def train(cfg: TrainConfig) -> tuple[GraphPropertyModel, Path]:
     return model, checkpoint_path
 
 
-@contextmanager
-def _replacing(path: Path, newline: str | None = None):
-    """A text file to write that takes the place of ``path`` only once complete.
-
-    The text goes to a temporary file in the same directory, which
-    ``os.replace`` moves over ``path`` when the block finishes.  If the block
-    raises, ``path`` keeps its previous content and the temporary is removed.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def _write_metrics(rows: list[list], path: Path) -> None:
-    with _replacing(path, newline="") as fh:
+    with replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRICS_HEADER)
         for epoch, split, metric, value in rows:
@@ -280,7 +260,7 @@ def save_checkpoint(model: GraphPropertyModel, epoch: int, history: list[list],
     }
     # json.dumps runs the C encoder; json.dump to a file streams through
     # the pure-Python one
-    with _replacing(Path(path)) as fh:
+    with replacing(path) as fh:
         fh.write(json.dumps(record))
 
 
@@ -307,9 +287,13 @@ def load_checkpoint(path) -> tuple[GraphPropertyModel, dict]:
     """Rebuild a model from a checkpoint; returns it with the raw record."""
     with open(path, encoding="utf-8") as fh:
         record = json.load(fh)
+    if not isinstance(record, dict):
+        raise TrainingError(f"checkpoint {path} must hold a JSON object, got {record!r:.40}")
     for key in ("config", "feature_dim", "out_dim", "avg_nodes", "params"):
         if key not in record:
             raise TrainingError(f"checkpoint is missing {key!r}")
+    if not isinstance(record["config"], dict):
+        raise TrainingError(f"checkpoint 'config' must be an object, got {record['config']!r:.40}")
     for key in ("feature_dim", "out_dim"):
         value = record[key]
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:

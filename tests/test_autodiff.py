@@ -14,10 +14,11 @@ import pytest
 
 from neural_atoms import autodiff as ad
 from neural_atoms.gnn import GcnLayerParams, GinLayerParams, gcn_forward, gin_forward
-from neural_atoms.graphs import MolecularGraph, batch_graphs
+from neural_atoms.graphs import MolecularGraph, batch_graphs, generate_lri_task
 from test_gnn import dense_gcn_oracle, dense_gin_sum_oracle, random_graph
 from test_virtual_node import mean_rows
 from neural_atoms.autodiff import (
+    BlockMatrix,
     ContractError,
     GradTape,
     ShapeError,
@@ -47,6 +48,7 @@ from neural_atoms.autodiff import (
     slot_matmul,
     softmax_cross_entropy,
     sum_all,
+    symmetric_matrix,
     transpose,
 )
 
@@ -682,6 +684,149 @@ class TestSlotMatmul:
         for g, lo, hi in zip(graphs, batch.offsets[:-1], batch.offsets[1:]):
             alone = layer_forward(backbone, Tensor(g.node_features), g, params).data
             np.testing.assert_allclose(first[lo:hi], alone, rtol=0, atol=1e-10)
+
+
+def with_repeated_edge(graphs, dim=4):
+    """``graphs`` plus a 4-node path whose first edge is stored twice, once reversed."""
+    rng = np.random.default_rng(66)
+    return graphs + [MolecularGraph(4, [(0, 1), (1, 2), (1, 0), (2, 3)],
+                                    rng.normal(size=(4, dim)), graph_label=0)]
+
+
+def contact_like_graph(rng, n, dim=4):
+    """A tree that mostly grows chains, plus n // 12 tries at closing a 5-7 atom ring."""
+    edges = [(int(rng.integers(i)) if rng.random() < 0.2 else i - 1, i) for i in range(1, n)]
+    for _ in range(n // 12):
+        u = int(rng.integers(n - 7))
+        edges.append((u, u + int(rng.integers(4, 7))))
+    return MolecularGraph(n, edges, rng.normal(size=(n, dim)), graph_label=0)
+
+
+@pytest.fixture
+def form(request, monkeypatch):
+    """Make ``symmetric_matrix`` pick the named form for every graph."""
+    monkeypatch.setattr(ad, "BLOCK_CROSSOVER", math.inf if request.param == "blocks" else 0)
+    return {"blocks": BlockMatrix, "slots": SlotMatrix}[request.param]
+
+
+class TestBlockMatrix:
+    """The dense-block form against the slot form and the scatter-add oracle."""
+
+    def random_entries(self, rng):
+        # segments of 1, 3 (edgeless), 6 and 4 rows; an edge repeated in both orientations
+        offsets = [0, 1, 4, 10, 14]
+        edges = [(4, 5), (4, 6), (4, 7), (4, 8), (8, 9), (5, 6), (6, 5), (10, 11), (11, 13)]
+        return rng.normal(size=14), edges, rng.normal(size=len(edges)), offsets
+
+    def test_matches_slot_form_and_scatter_add_oracle_both_ways(self):
+        rng = np.random.default_rng(80)
+        diagonal, edges, weights, offsets = self.random_entries(rng)
+        dst, src, w = scatter_add_entries(14, edges, weights, diagonal)
+        probe = Tensor(rng.normal(size=(14, 3)))
+        x0 = rng.normal(size=(14, 3))
+        results = []
+        for product in (lambda x: slot_matmul(BlockMatrix(diagonal, edges, weights, offsets), x),
+                        lambda x: slot_matmul(SlotMatrix(diagonal, edges, weights), x),
+                        lambda x: indexed_weighted_sum(x, dst, src, w, num_out_rows=14)):
+            x = Tensor(x0, requires_grad=True)
+            out = product(x)
+            backward(sum_all(mul(out, probe)), [x])
+            results.append((out.data, x.grad))
+        for other in results[1:]:
+            for got, want in zip(results[0], other):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+    def test_blocks_are_the_dense_segments(self):
+        rng = np.random.default_rng(81)
+        diagonal, edges, weights, offsets = self.random_entries(rng)
+        dense = np.diag(diagonal)
+        for (u, v), weight in zip(edges, weights):
+            dense[u, v] += weight
+            dense[v, u] += weight
+        blocks = BlockMatrix(diagonal, edges, weights, offsets).blocks
+        assert blocks.shape == (4, 6, 6)
+        for b, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+            np.testing.assert_array_equal(blocks[b, :hi - lo, :hi - lo], dense[lo:hi, lo:hi])
+            assert not blocks[b, hi - lo:].any() and not blocks[b, :, hi - lo:].any()
+
+    def test_grad_check(self):
+        rng = np.random.default_rng(82)
+        diagonal, edges, weights, offsets = self.random_entries(rng)
+        matrix = BlockMatrix(diagonal, edges, weights, offsets)
+        x = Tensor(rng.normal(size=(14, 3)), requires_grad=True)
+        assert grad_check(lambda: sum_all(mul(slot_matmul(matrix, x),
+                                                 slot_matmul(matrix, x))), [x]) < 1e-8
+
+    def test_bad_input_is_rejected(self):
+        with pytest.raises(ShapeError, match="out of range"):
+            BlockMatrix(np.ones(2), np.array([[0, 2]]), np.ones(1), [0, 2])
+        with pytest.raises(ShapeError, match="fit together"):
+            BlockMatrix(np.ones(2), np.array([[0, 1]]), np.ones(2), [0, 2])
+        with pytest.raises(ShapeError, match="two segments"):
+            BlockMatrix(np.ones(3), np.array([[0, 1], [1, 2]]), np.ones(2), [0, 2, 3])
+        for offsets in ([0, 2], [0, 3, 3, 3], [1, 3]):
+            with pytest.raises(ShapeError, match="offsets"):
+                BlockMatrix(np.ones(3), np.zeros((0, 2)), np.zeros(0), offsets)
+            with pytest.raises(ShapeError, match="offsets"):
+                symmetric_matrix(np.ones(3), np.zeros((0, 2)), np.zeros(0), offsets)
+        matrix = BlockMatrix(np.ones(3), np.zeros((0, 2)), np.zeros(0), [0, 1, 3])
+        with pytest.raises(ShapeError, match="slot_matmul"):
+            slot_matmul(matrix, Tensor(np.ones((2, 1))))
+
+    def test_rule_picks_blocks_for_small_paths_and_slots_for_contact_like_graphs(self):
+        paths = generate_lri_task(64, 20, 4, seed=0)
+        merged = batch_graphs(paths).merged_graph()
+        assert isinstance(merged.closed_neighborhood(normalised=True), BlockMatrix)
+        rng = np.random.default_rng(83)
+        contacts = [contact_like_graph(rng, int(n)) for n in rng.integers(40, 161, 64)]
+        merged = batch_graphs(contacts).merged_graph()
+        assert isinstance(merged.closed_neighborhood(normalised=False), SlotMatrix)
+        # a graph alone is one segment under the same rule as a batch of it
+        for graph in (paths[0], contacts[0]):
+            alone = type(graph.closed_neighborhood(normalised=True))
+            assert type(batch_graphs([graph]).merged_graph()
+                        .closed_neighborhood(normalised=True)) is alone
+        assert isinstance(paths[0].closed_neighborhood(normalised=False), BlockMatrix)
+        assert isinstance(contact_like_graph(rng, 160).closed_neighborhood(normalised=False),
+                          SlotMatrix)
+
+    @pytest.mark.parametrize("backbone", ["gcn", "gin"])
+    def test_layers_match_slot_form_and_scatter_add_path(self, backbone, monkeypatch):
+        rng = np.random.default_rng(84)
+        graphs = with_repeated_edge(ragged_graphs(85))
+        params = layer_params(backbone, rng)
+        leaves = [getattr(params, name) for name in vars(params)]
+        probe = rng.normal(size=(sum(g.num_nodes for g in graphs), 5))
+        results = []
+        for form, crossover in ((BlockMatrix, math.inf), (SlotMatrix, 0), (None, 0)):
+            monkeypatch.setattr(ad, "BLOCK_CROSSOVER", crossover)
+            merged = batch_graphs(graphs).merged_graph()
+            x = Tensor(merged.node_features, requires_grad=True)
+            if form is None:
+                out = scatter_add_layer(x, merged, params)
+            else:
+                assert isinstance(merged.closed_neighborhood(backbone == "gcn"), form)
+                out = layer_forward(backbone, x, merged, params)
+            backward(sum_all(mul(out, Tensor(probe))), [x] + leaves)
+            results.append([out.data, x.grad] + [t.grad for t in leaves])
+        for other in results[1:]:
+            for got, want in zip(results[0], other):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("form", ["blocks", "slots"], indirect=True)
+    @pytest.mark.parametrize("backbone", ["gcn", "gin"])
+    def test_two_builds_of_a_batch_give_the_same_bytes(self, backbone, form):
+        graphs = with_repeated_edge(ragged_graphs(88))
+        params = layer_params(backbone, np.random.default_rng(89))
+        outputs = []
+        for _ in range(2):
+            merged = batch_graphs(graphs).merged_graph()
+            assert isinstance(merged.closed_neighborhood(backbone == "gcn"), form)
+            x = Tensor(merged.node_features, requires_grad=True)
+            out = layer_forward(backbone, x, merged, params)
+            backward(sum_all(out), [x])
+            outputs.append(out.data.tobytes() + x.grad.tobytes())
+        assert outputs[0] == outputs[1]
 
 
 def composed_affine(x, w, b=None, relu=False):

@@ -121,6 +121,22 @@ class TestEvaluate:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["3", "null", '{"config": 3}'])
+    def test_checkpoint_not_holding_objects_is_exit_one(self, tiny_dataset,
+                                                        trained_na_checkpoint, tmp_path,
+                                                        capsys, text):
+        if text.startswith("{"):
+            record = json.loads(trained_na_checkpoint.read_text())
+            record.update(json.loads(text))
+            text = json.dumps(record)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code = run_cli("evaluate", "--checkpoint", str(bad), "--dataset", str(tiny_dataset))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must" in err and "object" in err
+
+
 class TestEwald:
     def test_writes_heatmap(self, tmp_path):
         system = {"Z": [1, -1], "positions": [[0.1, 0.1, 0.1], [0.6, 0.6, 0.6]],
@@ -146,6 +162,17 @@ class TestEwald:
                        str(tmp_path / "m.csv"))
         assert code == 1
         assert "nonzero" in capsys.readouterr().err
+
+    def test_list_cell_edge_is_exit_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"Z": [1, -1], "positions": [[0.1, 0.1, 0.1], [0.6, 0.6, 0.6]],
+                                   "cell_edge": [1.0], "a": 0.4,
+                                   "real_cutoff": 2, "recip_cutoff": 2}))
+        code = run_cli("ewald", "--system", str(bad), "--out", str(tmp_path / "m.csv"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'cell_edge'" in err
+        assert not (tmp_path / "m.csv").exists()
 
 
 class TestExportAlloc:

@@ -274,6 +274,51 @@ def test_system_json_round_trip(tmp_path):
         load_system(path)
 
 
+# (key, a value that must not be coerced, words the error must hold)
+UNCOERCED_VALUES = [
+    ("Z", [1.5, -1.2], "'Z' must hold integers"),
+    ("Z", [True, -1], "'Z' must hold numbers"),
+    ("Z", 1, "'Z' must be a list"),
+    ("real_cutoff", 2.7, "'real_cutoff' must hold integers"),
+    ("recip_cutoff", True, "'recip_cutoff' must hold numbers"),
+    ("recip_cutoff", "4", "'recip_cutoff' must hold numbers"),
+    ("cell_edge", [1.0], "'cell_edge' must hold numbers"),
+    ("a", "0.4", "'a' must hold numbers"),
+    ("positions", [[0.1, 0.1, "0.1"], [0.6, 0.6, 0.6]], "'positions' must hold numbers"),
+    ("positions", [[0.1, 0.1, False], [0.6, 0.6, 0.6]], "'positions' must hold numbers"),
+    ("positions", [[0.1, 0.1], [0.6, 0.6, 0.6]], "'positions' must be a list of"),
+    ("positions", [0.1, 0.1, 0.1], "'positions' must be a list of"),
+]
+
+
+def system_record(**changes):
+    record = {"Z": [1, -1], "positions": [[0.1, 0.1, 0.1], [0.6, 0.6, 0.6]],
+              "cell_edge": 1.0, "a": 0.4, "real_cutoff": 4, "recip_cutoff": 4}
+    record.update(changes)
+    return record
+
+
+@pytest.mark.parametrize("key, value, message", UNCOERCED_VALUES,
+                         ids=[f"{key}={value!r}" for key, value, _ in UNCOERCED_VALUES])
+def test_load_system_does_not_coerce_values(tmp_path, key, value, message):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system_record(**{key: value})), encoding="utf-8")
+    with pytest.raises(EwaldError, match=message):
+        load_system(path)
+
+
+def test_load_system_accepts_integral_floats(tmp_path):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system_record(Z=[1.0, -1.0], real_cutoff=4.0, recip_cutoff=4,
+                                             positions=[[0, 0, 0], [1, 1, 1]], cell_edge=2)),
+                    encoding="utf-8")
+    system = load_system(path)
+    assert system.atomic_numbers.dtype == np.int64
+    assert system.atomic_numbers.tolist() == [1, -1]
+    assert (system.real_cutoff, system.recip_cutoff) == (4, 4)
+    assert type(system.real_cutoff) is int and system.cell_edge == 2.0
+
+
 def test_heatmap_thresholds_small_magnitudes(tmp_path):
     matrix = ewald_sum_matrix(balanced_dipole_free_system(9, splitting=0.4))
     cutoff = float(np.median(np.abs(matrix.total)))

@@ -254,7 +254,7 @@ class TestCheckpoint:
         files = sorted(p.name for p in run_dir.iterdir())
         saved_checkpoint, saved_metrics = path.read_bytes(), metrics_path.read_bytes()
 
-        replacing = training._replacing
+        replacing = training.replacing
 
         class HalfWriter:
             """Passes on the first 100 characters of a write, then fails."""
@@ -272,7 +272,7 @@ class TestCheckpoint:
                 yield HalfWriter(fh)
 
         with monkeypatch.context() as patch:
-            patch.setattr(training, "_replacing", half_replacing)
+            patch.setattr(training, "replacing", half_replacing)
             with pytest.raises(OSError, match="disk full"):
                 save_checkpoint(model, 3, [], path)
         # the second row's value cannot be converted, after the first is written
@@ -307,6 +307,8 @@ MALFORMED_CHECKPOINTS = [
     ("zero out_dim", lambda r: r.update(out_dim=0), "out_dim.*positive integer"),
     ("infinite avg_nodes", lambda r: r.update(avg_nodes=float("inf")), "avg_nodes.*finite"),
     ("negative avg_nodes", lambda r: r.update(avg_nodes=-6.0), "avg_nodes.*positive"),
+    ("config not an object", lambda r: r.update(config=3), "'config' must be an object"),
+    ("null config", lambda r: r.update(config=None), "'config' must be an object"),
 ]
 
 
@@ -319,6 +321,13 @@ class TestMalformedCheckpoint:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(record))
         with pytest.raises(TrainingError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("text", ["3", "null", "[1, 2]", '"checkpoint"'])
+    def test_file_not_holding_an_object_is_a_named_error(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(TrainingError, match="bad.json must hold a JSON object"):
             load_checkpoint(path)
 
 
