@@ -79,25 +79,8 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Small amount of operator sugar so layer code reads like the math.
     def __add__(self, other: "Tensor") -> "Tensor":
         return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return add(self, neg(other))
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
 
 
 _recording = True
@@ -172,36 +155,19 @@ def backward(loss: Tensor, params: Sequence[Tensor] | None = None) -> None:
         return  # constant loss: nothing depends on anything
 
     tape = GradTape.trace(loss)
-    # Pending gradients: keyed by producing op id for non-leaves, by object id
-    # for leaves.  Each entry of the tape is visited exactly once below.
+    # Pending gradients of non-leaves, keyed by producing op id; leaves
+    # accumulate straight into ``grad``.  Each tape entry is visited once.
     pending: dict[int, np.ndarray] = {loss.entry.op_id: np.ones_like(loss.data)}
-    leaf_grads: dict[int, np.ndarray] = {}
-    leaves: dict[int, Tensor] = {}
-
-    def accumulate(t: Tensor, g: np.ndarray) -> None:
-        if t.entry is not None:
-            key = t.entry.op_id
-            if key in pending:
-                pending[key] = pending[key] + g
-            else:
-                pending[key] = g
-        elif t.requires_grad:
-            key = id(t)
-            if key in leaf_grads:
-                leaf_grads[key] = leaf_grads[key] + g
-            else:
-                leaf_grads[key] = g
-                leaves[key] = t
-
     for entry in reversed(tape.entries):
         g_out = pending.pop(entry.op_id)
         for t, g in zip(entry.inputs, entry.backward(g_out)):
-            if g is not None:
-                accumulate(t, g)
-
-    for key, t in leaves.items():
-        g = leaf_grads[key]
-        t.grad = g if t.grad is None else t.grad + g
+            if g is None:
+                continue
+            if t.entry is not None:
+                key = t.entry.op_id
+                pending[key] = pending[key] + g if key in pending else g
+            elif t.requires_grad:
+                t.grad = g if t.grad is None else t.grad + g
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +493,16 @@ def _unpadded(padded: np.ndarray, layout: tuple) -> np.ndarray:
     return flat if layout[2] is None else flat[layout[2]]
 
 
+def _softmax(logits: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax along ``axis``; a logit of -inf gets weight 0."""
+    # the shift may overflow to -inf for pathologically spread rows; exp
+    # then gives the correct limit 0, so the overflow flag is noise
+    with np.errstate(over="ignore"):
+        shifted = logits - logits.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def segment_attention(queries: Tensor, keys: Tensor, offsets, inv_scale: float) -> Tensor:
     """Shared queries attending over every segment of ``keys`` separately.
 
@@ -542,13 +518,7 @@ def segment_attention(queries: Tensor, keys: Tensor, offsets, inv_scale: float) 
     layout = _segment_layout(offsets, keys.shape[0], "segment_attention")
     c = float(inv_scale)
     # (B, max_n, K) logits with the padding at -inf, so it gets weight 0
-    logits = _padded((c * (queries.data @ keys.data.T)).T, layout, fill=-np.inf)
-    # the shift may overflow to -inf for pathologically spread rows; exp
-    # then gives the correct limit 0, so the overflow flag is noise
-    with np.errstate(over="ignore"):
-        shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = _softmax(_padded((c * (queries.data @ keys.data.T)).T, layout, fill=-np.inf), axis=1)
 
     def back(g: np.ndarray) -> tuple:
         gy = _padded(g.T, layout) * y
@@ -638,13 +608,7 @@ def block_attention(qkv: Tensor, block: int, heads: int, inv_scale: float) -> Te
     # strided (B, H, block, d) views of the packed columns; results are
     # written straight into their packed layout, so no large temporary is made
     q, k, v = qkv.data.reshape(-1, block, 3, heads, d).transpose(2, 0, 3, 1, 4)
-    logits = c * (q @ k.swapaxes(2, 3))
-    # the shift may overflow to -inf for pathologically spread rows; exp
-    # then gives the correct limit 0, so the overflow flag is noise
-    with np.errstate(over="ignore"):
-        shifted = logits - logits.max(axis=3, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=3, keepdims=True)
+    y = _softmax(c * (q @ k.swapaxes(2, 3)), axis=3)
     out = np.empty((n // block, block, heads, d))
     np.matmul(y, v, out=out.transpose(0, 2, 1, 3))
 

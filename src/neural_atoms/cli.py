@@ -9,37 +9,28 @@ from dataclasses import fields
 from pathlib import Path
 
 from .autodiff import no_grad
-from .ewald import EwaldError, ewald_sum_matrix, load_system, write_interaction_heatmap
-from .graphs import (DatasetError, GraphError, batch_graphs, generate_lri_task,
-                     load_dataset, save_dataset)
+from .ewald import ewald_sum_matrix, load_system, write_interaction_heatmap
+from .graphs import batch_graphs, generate_lri_task, load_dataset, save_dataset
 from .model import AUGMENTS, BACKBONES, TASKS, ConfigError, TrainConfig
 from .neural_atom import write_allocation_csv
-from .schedules import STRATEGIES, ScheduleError
+from .schedules import STRATEGIES
 from .training import TrainingError, evaluate, load_checkpoint, train
 
-_HANDLED_ERRORS = (ConfigError, DatasetError, GraphError, ScheduleError,
-                   EwaldError, TrainingError, OSError, json.JSONDecodeError,
-                   ValueError)
+# every error the package raises on bad input is a ValueError, except TrainingError
+_HANDLED_ERRORS = (TrainingError, OSError, ValueError)
+
+_FLAG_CHOICES = {"backbone": BACKBONES, "augment": AUGMENTS, "k_strategy": STRATEGIES,
+                 "task": TASKS}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     """One flag per TrainConfig field; None means "not given on the line"."""
     parser.add_argument("--config", help="JSON file with TrainConfig fields")
-    parser.add_argument("--dataset", help="training dataset (JSON lines)")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--backbone", choices=BACKBONES)
-    parser.add_argument("--augment", choices=AUGMENTS)
-    parser.add_argument("--layers", type=int)
-    parser.add_argument("--hidden", type=int)
-    parser.add_argument("--heads", type=int)
-    parser.add_argument("--k-strategy", dest="k_strategy", choices=STRATEGIES)
-    parser.add_argument("--proportion", type=float)
-    parser.add_argument("--virtual-nodes", dest="virtual_nodes", type=int)
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--lr", type=float)
-    parser.add_argument("--batch", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--task", choices=TASKS)
+    for f in fields(TrainConfig):
+        # f.type is the annotation's text, since model.py postpones annotations
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                            type={"int": int, "float": float}.get(f.type),
+                            choices=_FLAG_CHOICES.get(f.name))
 
 
 def _merge_config(args: argparse.Namespace) -> TrainConfig:

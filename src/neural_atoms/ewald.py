@@ -80,11 +80,15 @@ class EwaldSystem:
             raise EwaldError(f"splitting parameter must be positive, got {self.splitting}")
         if self.real_cutoff < 1 or self.recip_cutoff < 1:
             raise EwaldError("cutoffs must be at least 1 shell")
-        self.positions = pos - np.floor(pos / self.cell_edge) * self.cell_edge
-        for i in range(z.size):
-            for j in range(i + 1, z.size):
-                if np.array_equal(self.positions[i], self.positions[j]):
-                    raise EwaldError(f"atoms {i} and {j} coincide after wrapping")
+        wrapped = pos - np.floor(pos / self.cell_edge) * self.cell_edge
+        # rounding can leave a coordinate a hair outside [0, edge): that is the site at 0
+        self.positions = np.where((wrapped >= 0.0) & (wrapped < self.cell_edge), wrapped, 0.0)
+        # after a lexicographic sort, coincident atoms are neighbours
+        order = np.lexsort(self.positions.T)
+        same = np.flatnonzero((np.diff(self.positions[order], axis=0) == 0.0).all(axis=1))
+        if same.size:
+            i, j = sorted(order[same[0]:same[0] + 2].tolist())
+            raise EwaldError(f"atoms {i} and {j} coincide after wrapping")
 
     @property
     def num_atoms(self) -> int:
@@ -161,53 +165,45 @@ class EwaldMatrix:
     self_interaction: np.ndarray
 
 
-def _image_constants(system: EwaldSystem) -> tuple[float, float]:
-    """(kappa_real, kappa_recip): one atom's unit-charge lattice-image sums."""
-    a = system.splitting
-    edge = system.cell_edge
-    shells = _integer_shells(system.real_cutoff, drop_zero=True) * edge
-    dist = np.linalg.norm(shells, axis=1)
-    kappa_real = float((erfc(a * dist) / dist).sum())
+def _image_sums(system: EwaldSystem) -> tuple[np.ndarray, np.ndarray]:
+    """(real, recip): unit-charge image sums of every atom pair, as symmetric (n, n) arrays.
 
+    For the separation d = r_i - r_j, ``real`` sums erfc(a r) / r over
+    r = |d + L| for the lattice vectors L within the real cutoff, skipping a
+    term with r = 0, and ``recip`` sums (4 pi / V) exp(-G^2 / 4a^2) / G^2
+    cos(G . d) over the nonzero reciprocal vectors G within the reciprocal
+    cutoff.  The diagonal, where d = 0, holds each atom's sums over its own
+    periodic images.  Row i is summed for all j >= i at once, so memory
+    stays O(n L) for L lattice vectors.
+    """
+    n, a, edge = system.num_atoms, system.splitting, system.cell_edge
+    lattice = _integer_shells(system.real_cutoff, drop_zero=False) * edge
     g = _integer_shells(system.recip_cutoff, drop_zero=True) * (2.0 * math.pi / edge)
     g2 = (g * g).sum(axis=1)
-    kappa_recip = float(((4.0 * math.pi / system.volume)
-                         * np.exp(-g2 / (4.0 * a * a)) / g2).sum())
-    return kappa_real, kappa_recip
+    g_factor = (4.0 * math.pi / system.volume) * np.exp(-g2 / (4.0 * a * a)) / g2
+    real, recip = np.empty((n, n)), np.empty((n, n))
+    for i in range(n):
+        d = system.positions[i] - system.positions[i:]                  # (n - i, 3)
+        r = np.linalg.norm(d[:, None, :] + lattice, axis=2)             # (n - i, L)
+        real[i, i:] = real[i:, i] = np.divide(erfc(a * r), r, out=np.zeros_like(r),
+                                              where=r > 0.0).sum(axis=1)
+        recip[i, i:] = recip[i:, i] = np.cos(d @ g.T) @ g_factor
+    return real, recip
 
 
 def ewald_sum_matrix(system: EwaldSystem) -> EwaldMatrix:
     """Compute the interaction matrix with its short/long/self decomposition."""
-    n = system.num_atoms
     z = system.atomic_numbers.astype(np.float64)
     a = system.splitting
-    volume = system.volume
-
-    lattice = _integer_shells(system.real_cutoff, drop_zero=False) * system.cell_edge
-    recip = _integer_shells(system.recip_cutoff, drop_zero=True) * (2.0 * math.pi / system.cell_edge)
-    g2 = (recip * recip).sum(axis=1)
-    recip_factor = (4.0 * math.pi / volume) * np.exp(-g2 / (4.0 * a * a)) / g2
-    kappa_real, kappa_recip = _image_constants(system)
-
-    short = np.zeros((n, n))
-    long_ = np.zeros((n, n))
-    self_ = np.zeros((n, n))
-    for i in range(n):
-        self_[i, i] = 0.5 * abs(z[i]) ** 2.4
-        for j in range(i + 1, n):
-            d = system.positions[i] - system.positions[j]
-            r = np.linalg.norm(d + lattice, axis=1)
-            zz = z[i] * z[j]
-            short[i, j] = zz * float((erfc(a * r) / r).sum())
-            long_[i, j] = zz * float((recip_factor * np.cos(recip @ d)).sum())
-            z_sq = z[i] * z[i] + z[j] * z[j]
-            self_[i, j] = (-z_sq * a / SQRT_PI
-                           - (z[i] + z[j]) ** 2 * math.pi / (2.0 * a * a * volume)
-                           + 0.5 * z_sq * (kappa_real + kappa_recip))
-            short[j, i] = short[i, j]
-            long_[j, i] = long_[i, j]
-            self_[j, i] = self_[i, j]
-
+    real, recip = _image_sums(system)
+    zz = np.outer(z, z)
+    np.fill_diagonal(zz, 0.0)
+    short, long_ = zz * real, zz * recip
+    z_sq = (z * z)[:, None] + (z * z)[None, :]
+    self_ = (-z_sq * a / SQRT_PI
+             - (z[:, None] + z[None, :]) ** 2 * math.pi / (2.0 * a * a * system.volume)
+             + 0.5 * z_sq * (real[0, 0] + recip[0, 0]))      # an atom's own images
+    np.fill_diagonal(self_, 0.5 * np.abs(z) ** 2.4)
     return EwaldMatrix(total=short + long_ + self_, short_range=short,
                        long_range=long_, self_interaction=self_)
 
@@ -225,14 +221,14 @@ def lattice_energy(system: EwaldSystem) -> float:
     interaction with its own images, the Gaussian self correction, and the
     uniform-background correction for a net-charged cell.
     """
-    matrix = ewald_sum_matrix(system)
+    real, recip = _image_sums(system)
     z = system.atomic_numbers.astype(np.float64)
     a = system.splitting
-    kappa_real, kappa_recip = _image_constants(system)
-    cross = 0.5 * float((matrix.short_range + matrix.long_range).sum())
-    per_atom = float((z * z).sum()) * (0.5 * (kappa_real + kappa_recip) - a / SQRT_PI)
+    # the diagonal of the image sums counts each atom's own images once
+    pairs = 0.5 * float(z @ (real + recip) @ z)
+    per_atom = -a / SQRT_PI * float((z * z).sum())
     background = -math.pi / (2.0 * a * a * system.volume) * float(z.sum()) ** 2
-    return cross + per_atom + background
+    return pairs + per_atom + background
 
 
 def direct_sum_oracle(system: EwaldSystem, shells: int) -> np.ndarray:
@@ -271,7 +267,7 @@ def write_interaction_heatmap(matrix: EwaldMatrix, threshold: float, path) -> No
 
     The file takes the place of ``path`` only once every row is written.
     """
-    if threshold < 0.0:
+    if not threshold >= 0.0:
         raise EwaldError("threshold must be non-negative")
     magnitudes = np.abs(matrix.total)
     magnitudes[magnitudes < threshold] = 0.0

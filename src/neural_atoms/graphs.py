@@ -217,23 +217,6 @@ def batch_graphs(graphs: list[MolecularGraph]) -> GraphBatch:
     return GraphBatch(list(graphs), offsets, features)
 
 
-def permute_graph(graph: MolecularGraph, perm) -> MolecularGraph:
-    """Relabel nodes so old node ``i`` becomes new node ``perm[i]``."""
-    p = [int(i) for i in perm]
-    if sorted(p) != list(range(graph.num_nodes)):
-        raise GraphError(f"perm is not a bijection over {graph.num_nodes} nodes")
-    feats = np.empty_like(graph.node_features)
-    feats[p] = graph.node_features
-    edges = [(p[u], p[v]) for u, v in graph.edges]
-    pairs = None
-    if graph.pair_labels is not None:
-        pairs = [(p[u], p[v], hit) for u, v, hit in graph.pair_labels]
-    label = graph.graph_label
-    if isinstance(label, np.ndarray):
-        label = label.copy()
-    return MolecularGraph(graph.num_nodes, edges, feats, label, pairs)
-
-
 # ---------------------------------------------------------------------------
 # JSON Lines input/output
 # ---------------------------------------------------------------------------

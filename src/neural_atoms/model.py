@@ -52,6 +52,9 @@ class TrainConfig:
     task: str = "graph-classification"
 
     def __post_init__(self):
+        for name in ("dataset", "out"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a path string, got {getattr(self, name)!r}")
         if self.backbone not in BACKBONES:
             raise ConfigError(f"backbone must be one of {BACKBONES}, got {self.backbone!r}")
         if self.augment not in AUGMENTS:

@@ -18,15 +18,14 @@ The block runs on a whole batch at once in the segment layout of
 :mod:`neural_atoms.autodiff`: the node rows of B graphs are stacked as
 consecutive segments delimited by ``offsets``, and graph b's K atom states
 are rows b*K:(b+1)*K of a (B * K, d) stack.  Atoms only ever see the nodes
-of their own graph.  The per-graph entry points are the same code run on a
-single segment.  The projection's weights multiply the K queries and the
-B * K pooled rows, never the N node rows, so only the segment ops grow with N.
+of their own graph; a single graph is a batch of one segment.  The
+projection's weights multiply the K queries and the B * K pooled rows, never
+the N node rows, so only the segment ops grow with N.
 """
 
 from __future__ import annotations
 
 import csv
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,6 @@ from .autodiff import (Tensor, add, concat_rows, gather_rows, layer_norm, matmul
                        rows, scale, segment_attention, segment_broadcast, segment_pool,
                        transpose)
 from .files import replacing
-from .graphs import MolecularGraph
 
 LAYER_NORM_EPS = 1e-5
 QUERY_INIT_STD = 0.02
@@ -196,23 +194,6 @@ def enhance_segments(h_gnn: Tensor, offsets: np.ndarray, params: NeuralAtomLayer
             node_allocation=(sum(heads) / len(heads)).T.copy(),
         ))
     return enhanced, traces
-
-
-def enhance_nodes(h_gnn: Tensor, params: NeuralAtomLayerParams,
-                  want_trace: bool = True) -> tuple[Tensor, NeuralAtomTrace | None]:
-    """The three neural-atom steps on one graph's message-passed node states.
-
-    Pass ``want_trace=False`` to skip the detached copies.
-    """
-    enhanced, traces = enhance_segments(h_gnn, _offsets_or_whole(h_gnn, None), params, want_trace)
-    return enhanced, traces[0] if traces else None
-
-
-def neural_atom_block(h_prev: Tensor, graph: MolecularGraph,
-                      gnn_layer: Callable[[Tensor, MolecularGraph], Tensor],
-                      params: NeuralAtomLayerParams) -> tuple[Tensor, NeuralAtomTrace]:
-    """One full block: message passing, then the three neural-atom steps."""
-    return enhance_nodes(gnn_layer(h_prev, graph), params)
 
 
 def write_allocation_csv(node_allocation: np.ndarray, path) -> None:

@@ -30,9 +30,6 @@ class KSchedule:
     proportion: float
     counts: list[int]
 
-    def __iter__(self):
-        return iter(self.counts)
-
 
 def compute_k_schedule(strategy: str, proportion: float, avg_nodes: float,
                        n_layers: int) -> KSchedule:

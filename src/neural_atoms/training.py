@@ -30,29 +30,27 @@ class TrainingError(RuntimeError):
 class Adam:
     """Standard Adam with bias correction; state follows parameter order."""
 
-    def __init__(self, params: list[Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.first_moment = [np.zeros(p.shape) for p in params]
         self.second_moment = [np.zeros(p.shape) for p in params]
 
     def step(self) -> None:
         self.step_count += 1
-        correction1 = 1.0 - self.beta1 ** self.step_count
-        correction2 = 1.0 - self.beta2 ** self.step_count
+        correction1 = 1.0 - self.BETA1 ** self.step_count
+        correction2 = 1.0 - self.BETA2 ** self.step_count
         for p, m, v in zip(self.params, self.first_moment, self.second_moment):
             if p.grad is None:
                 raise TrainingError("parameter has no gradient; run backward first")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad * p.grad
-            update = (m / correction1) / (np.sqrt(v / correction2) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * p.grad
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * p.grad * p.grad
+            update = (m / correction1) / (np.sqrt(v / correction2) + self.EPS)
             p.data -= self.lr * update
 
 
@@ -150,9 +148,8 @@ def train(cfg: TrainConfig) -> tuple[GraphPropertyModel, Path]:
                     f"batch starting at {start}")
             optimizer.step()
             totals["loss"] += value * stats["count"]
-            totals["count"] += stats["count"]
-            totals["correct"] += stats.get("correct", 0)
-            totals["abs_err"] += stats.get("abs_err", 0.0)
+            for key in stats:
+                totals[key] += stats[key]
         for metric, value in _epoch_metrics(cfg.task, totals):
             history.append([epoch, "train", metric, value])
 
@@ -192,9 +189,8 @@ def evaluate(model: GraphPropertyModel, graphs: list[MolecularGraph],
         with no_grad():
             loss, stats, output = _batch_loss(model, batch)
         totals["loss"] += loss.item() * stats["count"]
-        totals["count"] += stats["count"]
-        totals["correct"] += stats.get("correct", 0)
-        totals["abs_err"] += stats.get("abs_err", 0.0)
+        for key in stats:
+            totals[key] += stats[key]
         if task == "pair-contact":
             scores = output.pair_scores.data[:, 0]
             reciprocal_ranks.extend(_contact_reciprocal_ranks(batch, scores))

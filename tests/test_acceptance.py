@@ -29,15 +29,15 @@ from neural_atoms.ewald import (
     lattice_energy,
 )
 from neural_atoms.gnn import GcnLayerParams, gcn_forward
-from neural_atoms.graphs import MolecularGraph, generate_lri_task, permute_graph, save_dataset
+from neural_atoms.graphs import MolecularGraph, generate_lri_task, save_dataset
 from neural_atoms.model import GraphPropertyModel, TrainConfig
 from neural_atoms.neural_atom import (
     NeuralAtomLayerParams,
-    neural_atom_block,
     project_to_neural_atoms,
 )
 from neural_atoms.schedules import compute_k_schedule
 from neural_atoms.training import evaluate, load_checkpoint, mean_reciprocal_rank, train
+from helpers import neural_atom_block, permute_graph
 
 
 def report(num, passed, detail):

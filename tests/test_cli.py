@@ -2,12 +2,15 @@
 
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from neural_atoms import cli
 from neural_atoms.cli import main
 from neural_atoms.graphs import load_dataset
+from neural_atoms.model import TrainConfig
 
 
 def run_cli(*argv):
@@ -221,3 +224,81 @@ def test_help_lists_subcommands(capsys):
     text = capsys.readouterr().out
     for name in ("train", "evaluate", "generate", "ewald", "export-alloc"):
         assert name in text
+
+
+# (field, value in the config file, flag text on the line, value the flag sets)
+TRAIN_FLAGS = [
+    ("dataset", "file.jsonl", "line.jsonl", "line.jsonl"),
+    ("out", "file_out", "line_out", "line_out"),
+    ("backbone", "gcn", "gin", "gin"),
+    ("augment", "virtual-node", "neural-atoms", "neural-atoms"),
+    ("layers", 4, "2", 2),
+    ("hidden", 16, "8", 8),
+    ("heads", 3, "1", 1),
+    ("k_strategy", "incremental", "decremental", "decremental"),
+    ("proportion", 0.5, "0.25", 0.25),
+    ("virtual_nodes", 2, "3", 3),
+    ("epochs", 5, "1", 1),
+    ("lr", 0.1, "0.005", 0.005),
+    ("batch", 16, "8", 8),
+    ("seed", 7, "11", 11),
+    ("task", "graph-regression", "pair-contact", "pair-contact"),
+]
+
+
+def test_train_flags_cover_every_config_field():
+    assert [case[0] for case in TRAIN_FLAGS] == [f.name for f in fields(TrainConfig)]
+
+
+@pytest.mark.parametrize("field, in_file, on_line, parsed", TRAIN_FLAGS,
+                         ids=[case[0] for case in TRAIN_FLAGS])
+def test_train_flag_sets_its_field_over_the_config(tmp_path, monkeypatch, field, in_file,
+                                                   on_line, parsed):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"dataset": "file.jsonl", "out": "file_out",
+                                       field: in_file}), encoding="utf-8")
+    seen = []
+    monkeypatch.setattr(cli, "train", lambda cfg: (seen.append(cfg), "checkpoint.json"))
+    assert run_cli("train", "--config", str(config_path)) == 0
+    assert run_cli("train", "--config", str(config_path),
+                   "--" + field.replace("_", "-"), on_line) == 0
+    from_file, from_line = seen
+    assert getattr(from_file, field) == in_file
+    value = getattr(from_line, field)
+    assert value == parsed and type(value) is type(parsed)
+    assert from_line.to_dict() == dict(from_file.to_dict(), **{field: parsed})
+
+
+@pytest.mark.parametrize("changes", [{"dataset": None}, {"dataset": ["d.jsonl"]},
+                                     {"out": 5}, {"dataset": 0}],
+                         ids=["null dataset", "list dataset", "number out", "zero dataset"])
+def test_non_string_path_in_config_is_exit_one(tmp_path, tiny_dataset, capsys, changes):
+    config = dict({"dataset": str(tiny_dataset), "out": str(tmp_path / "run"), "epochs": 1},
+                  **changes)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert run_cli("train", "--config", str(config_path)) == 1
+    field = next(iter(changes))
+    assert capsys.readouterr().err.startswith(f"error: {field} must be a path string")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3", "null"])
+def test_config_file_not_holding_an_object_is_exit_one(tmp_path, capsys, text):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(text, encoding="utf-8")
+    assert run_cli("train", "--config", str(config_path)) == 1
+    assert capsys.readouterr().err.startswith("error: config file must hold a JSON object")
+
+
+def test_nan_threshold_is_exit_one(tmp_path, capsys):
+    system = {"Z": [1, -1], "positions": [[0.1, 0.1, 0.1], [0.6, 0.6, 0.6]],
+              "cell_edge": 1.0, "a": 0.4, "real_cutoff": 2, "recip_cutoff": 2}
+    system_path = tmp_path / "system.json"
+    system_path.write_text(json.dumps(system), encoding="utf-8")
+    out = tmp_path / "matrix.csv"
+    code = run_cli("ewald", "--system", str(system_path), "--out", str(out),
+                   "--threshold", "nan")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: threshold must be non-negative")
+    assert not out.exists()

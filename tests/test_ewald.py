@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erfc
 
 from neural_atoms.ewald import (
     EwaldError,
@@ -332,3 +333,118 @@ def test_heatmap_thresholds_small_magnitudes(tmp_path):
     expected[expected < cutoff] = 0.0
     assert np.array_equal(values, expected)
     assert (values == 0.0).any() and (values > 0.0).any()
+
+
+def looped_ewald_oracle(system: EwaldSystem) -> tuple[dict, float]:
+    """The four matrices and the lattice energy, one atom pair at a time.
+
+    Builds its own lattice and reciprocal shells and sums every pair's
+    images in a Python double loop: the straight-line form of the Ewald
+    split that the vectorised routine in the package must reproduce.
+    """
+    def shells(cutoff: int, drop_zero: bool) -> np.ndarray:
+        ax = np.arange(-cutoff, cutoff + 1)
+        grid = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+        return (grid[(grid != 0).any(axis=1)] if drop_zero else grid).astype(np.float64)
+
+    n, a, edge, volume = system.num_atoms, system.splitting, system.cell_edge, system.volume
+    z = system.atomic_numbers.astype(np.float64)
+    lattice = shells(system.real_cutoff, drop_zero=False) * edge
+    images = shells(system.real_cutoff, drop_zero=True) * edge
+    recip = shells(system.recip_cutoff, drop_zero=True) * (2.0 * math.pi / edge)
+    g2 = (recip * recip).sum(axis=1)
+    recip_factor = (4.0 * math.pi / volume) * np.exp(-g2 / (4.0 * a * a)) / g2
+    dist = np.linalg.norm(images, axis=1)
+    kappa = float((erfc(a * dist) / dist).sum()) + float(recip_factor.sum())
+
+    short, long_, self_ = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+    for i in range(n):
+        self_[i, i] = 0.5 * abs(z[i]) ** 2.4
+        for j in range(i + 1, n):
+            d = system.positions[i] - system.positions[j]
+            r = np.linalg.norm(d + lattice, axis=1)
+            short[i, j] = short[j, i] = z[i] * z[j] * float((erfc(a * r) / r).sum())
+            long_[i, j] = long_[j, i] = z[i] * z[j] * float((recip_factor * np.cos(recip @ d)).sum())
+            z_sq = z[i] * z[i] + z[j] * z[j]
+            self_[i, j] = self_[j, i] = (-z_sq * a / math.sqrt(math.pi)
+                                         - (z[i] + z[j]) ** 2 * math.pi / (2.0 * a * a * volume)
+                                         + 0.5 * z_sq * kappa)
+    energy = (0.5 * float((short + long_).sum())
+              + float((z * z).sum()) * (0.5 * kappa - a / math.sqrt(math.pi))
+              - math.pi / (2.0 * a * a * volume) * float(z.sum()) ** 2)
+    matrices = {"total": short + long_ + self_, "short_range": short,
+                "long_range": long_, "self_interaction": self_}
+    return matrices, energy
+
+
+def random_mixed_system(seed: int) -> EwaldSystem:
+    """2-14 charges mixing real elements and signed surrogates, cutoffs 1-5."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 15))
+    charges = rng.choice([-3, -2, -1, 1, 2, 3, 6, 8, 11, 17], size=n)
+    edge = float(rng.uniform(0.5, 4.0))
+    return EwaldSystem(atomic_numbers=charges,
+                       positions=rng.uniform(-edge, 2.0 * edge, size=(n, 3)),
+                       cell_edge=edge, splitting=float(rng.uniform(0.5, 4.0)) / edge,
+                       real_cutoff=int(rng.integers(1, 6)), recip_cutoff=int(rng.integers(1, 6)))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_matrices_and_lattice_energy_match_looped_oracle(seed):
+    system = random_mixed_system(seed)
+    expected, energy = looped_ewald_oracle(system)
+    got = ewald_sum_matrix(system)
+    for name, want in expected.items():
+        scale = float(np.abs(want).max())
+        np.testing.assert_allclose(getattr(got, name), want, rtol=1e-12, atol=1e-12 * scale,
+                                   err_msg=name)
+    assert lattice_energy(system) == pytest.approx(energy, rel=1e-12, abs=1e-12)
+
+
+def test_coincident_atoms_are_named_in_any_order():
+    positions = np.array([[0.5, 0.125, 0.125], [0.25, 0.375, 0.5], [0.125, 0.25, 0.375],
+                          [1.25, 1.375, -0.5]])
+    with pytest.raises(EwaldError, match="atoms 1 and 3 coincide"):
+        EwaldSystem(atomic_numbers=np.array([1, -1, 1, -1]), positions=positions,
+                    cell_edge=1.0, splitting=0.4, real_cutoff=2, recip_cutoff=2)
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(atomic_numbers=np.array([], dtype=np.int64), positions=np.zeros((0, 3))), "non-empty"),
+    (dict(cell_edge=0.0), "cell_edge must be positive"),
+    (dict(cell_edge=-1.5), "cell_edge must be positive"),
+], ids=["empty Z", "zero cell_edge", "negative cell_edge"])
+def test_system_rejects_empty_z_and_non_positive_cell_edge(changes, message):
+    system = dict(atomic_numbers=np.array([1, -1]),
+                  positions=np.array([[0.1, 0.1, 0.1], [0.6, 0.6, 0.6]]),
+                  cell_edge=1.0, splitting=0.4, real_cutoff=2, recip_cutoff=2)
+    system.update(changes)
+    with pytest.raises(EwaldError, match=message):
+        EwaldSystem(**system)
+
+
+def test_system_file_must_hold_an_object(tmp_path):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps([system_record()]), encoding="utf-8")
+    with pytest.raises(EwaldError, match="JSON object"):
+        load_system(path)
+
+
+@pytest.mark.parametrize("threshold", [-0.1, float("nan")])
+def test_heatmap_rejects_negative_or_nan_threshold(tmp_path, threshold):
+    matrix = ewald_sum_matrix(balanced_dipole_free_system(9, splitting=0.4))
+    path = tmp_path / "heat.csv"
+    with pytest.raises(EwaldError, match="threshold must be non-negative"):
+        write_interaction_heatmap(matrix, threshold, path)
+    assert not path.exists()
+
+
+def test_coordinate_wrapped_onto_the_cell_edge_is_the_site_at_zero():
+    with pytest.raises(EwaldError, match="atoms 0 and 1 coincide"):
+        EwaldSystem(atomic_numbers=np.array([1, -1]),
+                    positions=np.array([[-1e-17, 0.5, 0.5], [0.0, 0.5, 0.5]]),
+                    cell_edge=1.0, splitting=2.0, real_cutoff=2, recip_cutoff=2)
+    system = EwaldSystem(atomic_numbers=np.array([1, -1]),
+                         positions=np.array([[-1e-17, 0.5, 0.5], [0.5, 0.5, 0.5]]),
+                         cell_edge=1.0, splitting=2.0, real_cutoff=2, recip_cutoff=2)
+    assert system.positions[0].tolist() == [0.0, 0.5, 0.5]

@@ -10,7 +10,8 @@ import pytest
 
 from neural_atoms.autodiff import Tensor, grad_check, mul, sum_all
 from neural_atoms.gnn import GcnLayerParams, GinLayerParams, gcn_forward, gin_forward
-from neural_atoms.graphs import MolecularGraph, permute_graph
+from neural_atoms.graphs import MolecularGraph
+from helpers import permute_graph
 
 
 def random_graph(rng, n, dim, edge_prob=0.4, label=0):
@@ -156,3 +157,11 @@ class TestGin:
 
         leaves = [x, params.w1, params.b1, params.w2, params.b2]
         assert grad_check(f, leaves, eps=1e-5) < 1e-6
+
+
+def test_gin_row_count_mismatch_is_rejected():
+    g = MolecularGraph(3, [(0, 1)], np.zeros((3, 2)), graph_label=0)
+    params = GinLayerParams(w1=Tensor(np.eye(2)), b1=Tensor(np.zeros(2)),
+                            w2=Tensor(np.eye(2)), b2=Tensor(np.zeros(2)))
+    with pytest.raises(ValueError, match="feature rows 2 != graph nodes 3"):
+        gin_forward(Tensor(np.zeros((2, 2))), g, params)

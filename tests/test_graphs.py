@@ -12,9 +12,9 @@ from neural_atoms.graphs import (
     batch_graphs,
     generate_lri_task,
     load_dataset,
-    permute_graph,
     save_dataset,
 )
+from helpers import permute_graph
 
 
 def make_graph(n=4, dim=3, seed=0, label=1):
@@ -239,3 +239,21 @@ class TestLriTask:
             generate_lri_task(10, 1, 3, seed=0)
         with pytest.raises(GraphError):
             generate_lri_task(10, 5, 1, seed=0)
+
+
+GOOD_LINE = {"num_nodes": 2, "edges": [[0, 1]], "node_feats": [[1.0], [2.0]], "graph_label": 0}
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", "3", '"graph"', "null"])
+def test_line_not_holding_an_object_is_rejected_with_line_number(tmp_path, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(GOOD_LINE) + "\n" + line + "\n")
+    with pytest.raises(DatasetError, match="line 2: expected a JSON object"):
+        load_dataset(path)
+
+
+def test_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "gaps.jsonl"
+    other = dict(GOOD_LINE, graph_label=1)
+    path.write_text("\n" + json.dumps(GOOD_LINE) + "\n\n   \n" + json.dumps(other) + "\n\n")
+    assert [g.graph_label for g in load_dataset(path)] == [0, 1]

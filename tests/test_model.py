@@ -1,6 +1,7 @@
 """Tests for configuration handling and model assembly."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from neural_atoms import virtual_node as virtual_node_module
 from neural_atoms.gnn import gcn_forward
 from neural_atoms.graphs import MolecularGraph, batch_graphs, generate_lri_task
 from neural_atoms.model import ConfigError, GraphPropertyModel, TrainConfig
-from neural_atoms.neural_atom import neural_atom_block
 from neural_atoms.training import _batch_loss, dataset_dimensions
+from helpers import neural_atom_block
 from test_autodiff import composed_affine
 from test_virtual_node import looped_batch_round, mean_rows
 
@@ -349,3 +350,11 @@ def test_fused_affine_matches_composed_ops_on_the_whole_model(overrides, monkeyp
     for name, got, want in zip(names, fused, composed):
         assert np.abs(got - want).max() < 1e-10, name
     assert all(np.abs(g).max() > 0 for g in fused[1:3])
+
+
+@pytest.mark.parametrize("name", ["dataset", "out"])
+@pytest.mark.parametrize("bad", [None, ["d.jsonl"], 5, 0, Path("d.jsonl")],
+                         ids=["null", "list", "five", "zero", "path"])
+def test_config_rejects_non_string_paths(name, bad):
+    with pytest.raises(ConfigError, match=f"{name} must be a path string"):
+        TrainConfig.from_dict({"dataset": "d.jsonl", "out": "run", name: bad})

@@ -21,17 +21,17 @@ from neural_atoms.autodiff import (GradTape, Tensor, add, backward, concat_cols,
                                    scale, segment_attention, segment_pool, softmax_cross_entropy,
                                    sum_all, transpose)
 from neural_atoms.gnn import GcnLayerParams, gcn_forward
-from neural_atoms.graphs import MolecularGraph, batch_graphs, generate_lri_task, permute_graph
+from neural_atoms.graphs import MolecularGraph, batch_graphs, generate_lri_task
 from neural_atoms.model import GraphPropertyModel, TrainConfig
 from neural_atoms.neural_atom import (
     LAYER_NORM_EPS,
     NeuralAtomLayerParams,
     NeuralAtomTrace,
     enhance_segments,
-    neural_atom_block,
     project_to_neural_atoms,
     write_allocation_csv,
 )
+from helpers import neural_atom_block, permute_graph
 from test_autodiff import softmax_rows
 
 

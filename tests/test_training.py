@@ -478,3 +478,47 @@ class TestMeanReciprocalRank:
     def test_no_positives_give_no_ranks(self):
         batch = batch_graphs([self.labelled_graph(3, [(0, 2, 0), (0, 1, 0)])])
         assert _contact_reciprocal_ranks(batch, np.array([0.3, -0.1])) == []
+
+
+def test_evaluate_needs_as_many_outputs_as_the_dataset_has_classes():
+    cfg = TrainConfig(dataset="unused", out="unused", layers=1, hidden=4, heads=2)
+    model = GraphPropertyModel(cfg, feature_dim=3, out_dim=2, avg_nodes=4.0)
+    rng = np.random.default_rng(6)
+    graphs = [MolecularGraph(num_nodes=4, edges=[(0, 1), (1, 2), (2, 3)],
+                             node_features=rng.normal(size=(4, 3)), graph_label=label)
+              for label in (0, 2, 1)]
+    with pytest.raises(ConfigError, match="dataset needs 3 outputs, model produces 2"):
+        evaluate(model, graphs)
+
+
+def test_evaluate_pair_contact_without_positives_is_an_error():
+    rng = np.random.default_rng(7)
+    graphs = [MolecularGraph(num_nodes=5, edges=[(i, i + 1) for i in range(4)],
+                             node_features=rng.normal(size=(5, 3)),
+                             pair_labels=[(0, 4, 0), (1, 3, 0)]) for _ in range(3)]
+    cfg = TrainConfig(dataset="unused", out="unused", task="pair-contact",
+                      layers=1, hidden=4, heads=2)
+    model = GraphPropertyModel(cfg, feature_dim=3, out_dim=1, avg_nodes=5.0)
+    with pytest.raises(DatasetError, match="no positive pairs to rank"):
+        evaluate(model, graphs)
+
+
+# (what is malformed, edit of a saved record, words the error must hold)
+MALFORMED_TOP_LEVEL = [
+    ("no avg_nodes", lambda r: r.pop("avg_nodes"), "checkpoint is missing 'avg_nodes'"),
+    ("no params", lambda r: r.pop("params"), "checkpoint is missing 'params'"),
+    ("params a list", lambda r: r.update(params=[1.0]), "'params' must be an object"),
+    ("null params", lambda r: r.update(params=None), "'params' must be an object"),
+]
+
+
+@pytest.mark.parametrize("case, edit, message", MALFORMED_TOP_LEVEL,
+                         ids=[case[0] for case in MALFORMED_TOP_LEVEL])
+def test_malformed_checkpoint_top_level_is_a_named_error(tmp_path, saved_record, case, edit,
+                                                         message):
+    record = json.loads(json.dumps(saved_record))
+    edit(record)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(record))
+    with pytest.raises(TrainingError, match=message):
+        load_checkpoint(path)
