@@ -10,14 +10,13 @@ the leaves.  Inside :func:`no_grad` nothing is recorded, so inference
 builds no tape.
 
 The engine is deliberately plain: no broadcasting beyond row-vector bias
-addition, no views, no dtype zoo.  :func:`grad_check` provides the
-independent central-difference oracle the test suite compares against.
+addition, no views, no dtype zoo.  The test suite checks every op's
+backward against central differences.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Callable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -186,17 +185,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
 
-def neg(a: Tensor) -> Tensor:
-    return _result(-a.data, "neg", (a,), lambda g: (-g,))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of same-shape tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-    return _result(a.data * b.data, "mul", (a, b), lambda g: (g * b.data, g * a.data))
-
-
 def scale(a: Tensor, factor: float) -> Tensor:
     """Multiply by a python float (the float is a constant, not a tensor)."""
     c = float(factor)
@@ -215,7 +203,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) ->
     """``x @ w``, plus the (d,) row ``b`` when given, through a ReLU when ``relu``.
 
     One tape entry for what :func:`matmul`, the row branch of :func:`add`
-    and :func:`relu` record as up to three, with the same values and
+    and a ReLU op would record as up to three, with the same values and
     gradients.  The bias and the ReLU are applied in place, so the op makes
     one result array where the three ops make one each, and the tape keeps
     only that one alive.  ``g @ w.T`` is skipped when ``x`` needs no
@@ -248,12 +236,6 @@ def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose needs a rank-2 tensor, got {a.shape}")
     return _result(np.ascontiguousarray(a.data.T), "transpose", (a,), lambda g: (g.T,))
-
-
-def relu(a: Tensor) -> Tensor:
-    """max(x, 0); the subgradient at exactly 0 is taken to be 0."""
-    mask = a.data > 0.0
-    return _result(np.where(mask, a.data, 0.0), "relu", (a,), lambda g: (g * mask,))
 
 
 def rows(a: Tensor, start: int, stop: int) -> Tensor:
@@ -430,16 +412,6 @@ def slot_matmul(matrix: BlockMatrix | SlotMatrix, x: Tensor) -> Tensor:
     if x.data.ndim != 2 or x.shape[0] != matrix.num_rows:
         raise ShapeError(f"slot_matmul: {matrix.num_rows}-row matrix vs x {x.shape}")
     return _result(matrix.apply(x.data), "slot_matmul", (x,), lambda g: (matrix.apply(g),))
-
-
-# ---------------------------------------------------------------------------
-# Reductions and normalisation
-# ---------------------------------------------------------------------------
-
-
-def sum_all(a: Tensor) -> Tensor:
-    """Sum of every element, as a 0-d scalar tensor."""
-    return _result(np.asarray(a.data.sum()), "sum_all", (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
 # ---------------------------------------------------------------------------
@@ -716,38 +688,8 @@ def mse_loss(pred: Tensor, targets: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference oracle
+# Parameters
 # ---------------------------------------------------------------------------
-
-
-def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], eps: float = 1e-5) -> float:
-    """Compare analytic gradients of ``f`` against central differences.
-
-    ``f`` rebuilds the scalar loss from scratch on every call (it closes over
-    ``params``).  Returns the worst relative error
-    ``|analytic - numeric| / max(1, |analytic|)`` over every parameter entry.
-    """
-    if not (1e-7 <= eps <= 1e-3):
-        raise ContractError(f"grad_check: eps {eps} outside [1e-7, 1e-3]")
-    loss = f()
-    backward(loss, params=params)
-    analytic = [p.grad.copy() for p in params]
-
-    worst = 0.0
-    for p, ref in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        ref_flat = ref.reshape(-1)
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + eps
-            f_plus = f().item()
-            flat[i] = saved - eps
-            f_minus = f().item()
-            flat[i] = saved
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            err = abs(ref_flat[i] - numeric) / max(1.0, abs(ref_flat[i]))
-            worst = max(worst, err)
-    return worst
 
 
 def parameter(rng: np.random.Generator, shape: tuple[int, ...], std: float = 0.02) -> Tensor:

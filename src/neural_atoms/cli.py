@@ -11,16 +11,12 @@ from pathlib import Path
 from .autodiff import no_grad
 from .ewald import ewald_sum_matrix, load_system, write_interaction_heatmap
 from .graphs import batch_graphs, generate_lri_task, load_dataset, save_dataset
-from .model import AUGMENTS, BACKBONES, TASKS, ConfigError, TrainConfig
+from .model import CHOICES, ConfigError, TrainConfig
 from .neural_atom import write_allocation_csv
-from .schedules import STRATEGIES
 from .training import TrainingError, evaluate, load_checkpoint, train
 
 # every error the package raises on bad input is a ValueError, except TrainingError
 _HANDLED_ERRORS = (TrainingError, OSError, ValueError)
-
-_FLAG_CHOICES = {"backbone": BACKBONES, "augment": AUGMENTS, "k_strategy": STRATEGIES,
-                 "task": TASKS}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -30,7 +26,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         # f.type is the annotation's text, since model.py postpones annotations
         parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
                             type={"int": int, "float": float}.get(f.type),
-                            choices=_FLAG_CHOICES.get(f.name))
+                            choices=CHOICES.get(f.name))
 
 
 def _merge_config(args: argparse.Namespace) -> TrainConfig:

@@ -29,6 +29,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .files import replacing
+from .validate import integer, number
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -74,10 +75,14 @@ class EwaldSystem:
         pos = np.asarray(self.positions, dtype=np.float64)
         if pos.shape != (z.size, 3) or not np.isfinite(pos).all():
             raise EwaldError(f"positions must be finite with shape ({z.size}, 3)")
-        if not (self.cell_edge > 0.0 and math.isfinite(self.cell_edge)):
+        self.cell_edge = number(self.cell_edge, "system key 'cell_edge'", EwaldError)
+        if not self.cell_edge > 0.0:
             raise EwaldError(f"cell_edge must be positive, got {self.cell_edge}")
-        if not (self.splitting > 0.0 and math.isfinite(self.splitting)):
+        self.splitting = number(self.splitting, "splitting parameter", EwaldError)
+        if not self.splitting > 0.0:
             raise EwaldError(f"splitting parameter must be positive, got {self.splitting}")
+        self.real_cutoff = integer(self.real_cutoff, "system key 'real_cutoff'", EwaldError)
+        self.recip_cutoff = integer(self.recip_cutoff, "system key 'recip_cutoff'", EwaldError)
         if self.real_cutoff < 1 or self.recip_cutoff < 1:
             raise EwaldError("cutoffs must be at least 1 shell")
         wrapped = pos - np.floor(pos / self.cell_edge) * self.cell_edge
@@ -99,27 +104,6 @@ class EwaldSystem:
         return self.cell_edge ** 3
 
 
-def _number(value, key: str, integral: bool = False):
-    """``value`` of system key ``key`` as a float, or an int when ``integral``.
-
-    A bool, a string or a list is an error, as is a non-integral number
-    where an integer belongs; an integral float such as 2.0 is an integer.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise EwaldError(f"system key {key!r} must hold numbers, got {value!r}")
-    if not integral:
-        return float(value)
-    if not float(value).is_integer():
-        raise EwaldError(f"system key {key!r} must hold integers, got {value!r}")
-    return int(value)
-
-
-def _number_list(value, key: str, integral: bool = False) -> list:
-    if not isinstance(value, list):
-        raise EwaldError(f"system key {key!r} must be a list, got {value!r}")
-    return [_number(v, key, integral) for v in value]
-
-
 def load_system(path) -> EwaldSystem:
     """Read a system description from JSON; unknown keys are rejected.
 
@@ -137,16 +121,20 @@ def load_system(path) -> EwaldSystem:
     missing = _SYSTEM_KEYS - set(record)
     if missing:
         raise EwaldError(f"missing system keys {sorted(missing)}")
-    rows = record["positions"]
+    z, rows = record["Z"], record["positions"]
+    if not isinstance(z, list):
+        raise EwaldError(f"system key 'Z' must be a list, got {z!r}")
     if not isinstance(rows, list) or any(not isinstance(r, list) or len(r) != 3 for r in rows):
         raise EwaldError("system key 'positions' must be a list of [x, y, z] rows")
+    # Z and a have other names in EwaldSystem, and an array would take "1" or true as 1.0
     return EwaldSystem(
-        atomic_numbers=np.array(_number_list(record["Z"], "Z", integral=True), dtype=np.int64),
-        positions=np.array([_number_list(r, "positions") for r in rows]).reshape(-1, 3),
-        cell_edge=_number(record["cell_edge"], "cell_edge"),
-        splitting=_number(record["a"], "a"),
-        real_cutoff=_number(record["real_cutoff"], "real_cutoff", integral=True),
-        recip_cutoff=_number(record["recip_cutoff"], "recip_cutoff", integral=True),
+        atomic_numbers=np.array([integer(v, "system key 'Z'", EwaldError) for v in z]),
+        positions=np.array([[number(v, "system key 'positions'", EwaldError) for v in r]
+                            for r in rows]).reshape(-1, 3),
+        cell_edge=record["cell_edge"],
+        splitting=number(record["a"], "system key 'a'", EwaldError),
+        real_cutoff=record["real_cutoff"],
+        recip_cutoff=record["recip_cutoff"],
     )
 
 
@@ -206,60 +194,6 @@ def ewald_sum_matrix(system: EwaldSystem) -> EwaldMatrix:
     np.fill_diagonal(self_, 0.5 * np.abs(z) ** 2.4)
     return EwaldMatrix(total=short + long_ + self_, short_range=short,
                        long_range=long_, self_interaction=self_)
-
-
-def interaction_energy(matrix: EwaldMatrix) -> float:
-    """Half the off-diagonal sum: the total pairwise interaction strength."""
-    off = matrix.total - np.diag(np.diag(matrix.total))
-    return 0.5 * float(off.sum())
-
-
-def lattice_energy(system: EwaldSystem) -> float:
-    """The physical electrostatic energy per cell of the full periodic system.
-
-    This is the textbook Ewald total: all cross pair terms plus each atom's
-    interaction with its own images, the Gaussian self correction, and the
-    uniform-background correction for a net-charged cell.
-    """
-    real, recip = _image_sums(system)
-    z = system.atomic_numbers.astype(np.float64)
-    a = system.splitting
-    # the diagonal of the image sums counts each atom's own images once
-    pairs = 0.5 * float(z @ (real + recip) @ z)
-    per_atom = -a / SQRT_PI * float((z * z).sum())
-    background = -math.pi / (2.0 * a * a * system.volume) * float(z.sum()) ** 2
-    return pairs + per_atom + background
-
-
-def direct_sum_oracle(system: EwaldSystem, shells: int) -> np.ndarray:
-    """Plain 1/r image sums with no range splitting, truncated at ``shells``.
-
-    Entry (i, j) sums Z_i Z_j / |r_i - r_j + L| over all lattice vectors L
-    with integer coordinates of max-norm at most ``shells``; the L = 0 term
-    is skipped on the diagonal.  Individual entries diverge as shells grow;
-    only charge-balanced totals converge, which is what the trend tests use.
-    """
-    if shells < 0:
-        raise EwaldError("shells must be non-negative")
-    n = system.num_atoms
-    z = system.atomic_numbers.astype(np.float64)
-    lattice = _integer_shells(shells, drop_zero=False) * system.cell_edge if shells > 0 \
-        else np.zeros((1, 3))
-    nonzero = (lattice != 0.0).any(axis=1)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            d = system.positions[i] - system.positions[j]
-            r = np.linalg.norm(d + lattice, axis=1)
-            if i == j:
-                r = r[nonzero]
-            out[i, j] = out[j, i] = z[i] * z[j] * float((1.0 / r).sum()) if r.size else 0.0
-    return out
-
-
-def direct_total_energy(system: EwaldSystem, shells: int) -> float:
-    """Half the full matrix sum of the direct oracle (self images counted once)."""
-    return 0.5 * float(direct_sum_oracle(system, shells).sum())
 
 
 def write_interaction_heatmap(matrix: EwaldMatrix, threshold: float, path) -> None:

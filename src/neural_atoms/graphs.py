@@ -18,6 +18,7 @@ import numpy as np
 
 from .autodiff import BlockMatrix, SlotMatrix, symmetric_matrix
 from .files import replacing
+from .validate import integer, number
 
 
 class GraphError(ValueError):
@@ -29,15 +30,6 @@ class DatasetError(ValueError):
 
 
 _LINE_KEYS = {"num_nodes", "edges", "node_feats", "graph_label", "pair_labels"}
-
-
-def _as_index(value, what: str) -> int:
-    """``value`` as an int; a bool, a string or a non-integral number is an error."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise GraphError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -61,9 +53,7 @@ class MolecularGraph:
     _offsets: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.num_nodes = _as_index(self.num_nodes, "num_nodes")
-        if self.num_nodes < 1:
-            raise GraphError(f"graph needs at least one node, got {self.num_nodes}")
+        self.num_nodes = integer(self.num_nodes, "num_nodes", GraphError, minimum=1)
         feats = np.asarray(self.node_features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[0] != self.num_nodes or feats.shape[1] < 1:
             raise GraphError(
@@ -75,7 +65,8 @@ class MolecularGraph:
         for u, v in self.edges:
             # an edge read from JSON holds plain ints; only others need the full check
             if type(u) is not int or type(v) is not int:
-                u, v = _as_index(u, "edge endpoint"), _as_index(v, "edge endpoint")
+                u, v = (integer(u, "edge endpoint", GraphError),
+                        integer(v, "edge endpoint", GraphError))
             if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
                 raise GraphError(f"edge ({u}, {v}) out of range for {self.num_nodes} nodes")
             if u == v:
@@ -85,19 +76,24 @@ class MolecularGraph:
         if self.pair_labels is not None:
             pairs = []
             for u, v, hit in self.pair_labels:
-                u, v, hit = (_as_index(u, "pair label node"), _as_index(v, "pair label node"),
-                             _as_index(hit, "pair label flag"))
+                # as for edges, plain ints need no further check
+                if type(u) is not int or type(v) is not int or type(hit) is not int:
+                    u, v, hit = (integer(u, "pair label node", GraphError),
+                                 integer(v, "pair label node", GraphError),
+                                 integer(hit, "pair label flag", GraphError))
                 if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
                     raise GraphError(f"pair label ({u}, {v}) out of range")
                 if hit not in (0, 1):
                     raise GraphError(f"pair label flag must be 0 or 1, got {hit}")
                 pairs.append((u, v, hit))
             self.pair_labels = pairs
-        if self.graph_label is not None and not isinstance(self.graph_label, (int, np.integer)):
-            arr = np.asarray(self.graph_label, dtype=np.float64)
-            if arr.ndim != 1 or not np.isfinite(arr).all():
+        if isinstance(self.graph_label, (int, np.integer)):  # a class, and True is refused
+            self.graph_label = integer(self.graph_label, "graph_label", GraphError)
+        elif self.graph_label is not None:
+            if np.ndim(self.graph_label) != 1:
                 raise GraphError("graph_label must be an int or a finite 1-D float array")
-            self.graph_label = arr
+            self.graph_label = np.array([number(v, "graph_label", GraphError)
+                                         for v in self.graph_label])
 
     @classmethod
     def _from_checked(cls, num_nodes: int, edge_index: np.ndarray,
@@ -234,9 +230,6 @@ def _graph_from_record(record: dict, plain: bool) -> MolecularGraph:
     has_pairs = "pair_labels" in record
     if has_graph == has_pairs:
         raise DatasetError("need exactly one of 'graph_label' or 'pair_labels'")
-    label = record.get("graph_label")
-    if label is not None and isinstance(label, (bool, str)):
-        raise DatasetError("graph_label must be an int or a list of floats")
     pairs = record.get("pair_labels")
     if pairs is not None:
         pairs = [tuple(t) for t in pairs]
@@ -247,7 +240,7 @@ def _graph_from_record(record: dict, plain: bool) -> MolecularGraph:
             if isinstance(value, (bool, str)):
                 raise DatasetError(f"node_feats must hold numbers, got {value!r}")
     return MolecularGraph(record["num_nodes"], edges, np.asarray(feats, dtype=np.float64),
-                          label, pairs)
+                          record.get("graph_label"), pairs)
 
 
 def load_dataset(path) -> list[MolecularGraph]:
@@ -314,8 +307,7 @@ def generate_lri_task(num_graphs: int, path_len: int, num_colors: int,
     ``num_graphs // 2`` graphs are positive, which keeps the class balance
     within 2% of one half for any size above 25.
     """
-    if num_graphs < 1:
-        raise GraphError("num_graphs must be positive")
+    num_graphs = integer(num_graphs, "num_graphs", GraphError, minimum=1)
     if path_len < 2:
         raise GraphError("path_len must be at least 2 so the endpoints differ")
     if num_colors < 2:

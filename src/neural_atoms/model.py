@@ -20,11 +20,13 @@ from .gnn import GcnLayerParams, GinLayerParams, gcn_forward, gin_forward
 from .graphs import GraphBatch
 from .neural_atom import NeuralAtomLayerParams, NeuralAtomTrace, enhance_segments
 from .schedules import STRATEGIES, compute_k_schedule
+from .validate import choice, integer, number
 from .virtual_node import VirtualNodeParams, multi_virtual_node_layer
 
 BACKBONES = ("gcn", "gin")
 AUGMENTS = ("none", "neural-atoms", "virtual-node")
 TASKS = ("graph-classification", "graph-regression", "pair-contact")
+CHOICES = {"backbone": BACKBONES, "augment": AUGMENTS, "task": TASKS, "k_strategy": STRATEGIES}
 
 
 class ConfigError(ValueError):
@@ -55,27 +57,13 @@ class TrainConfig:
         for name in ("dataset", "out"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigError(f"{name} must be a path string, got {getattr(self, name)!r}")
-        if self.backbone not in BACKBONES:
-            raise ConfigError(f"backbone must be one of {BACKBONES}, got {self.backbone!r}")
-        if self.augment not in AUGMENTS:
-            raise ConfigError(f"augment must be one of {AUGMENTS}, got {self.augment!r}")
-        if self.task not in TASKS:
-            raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
-        if self.k_strategy not in STRATEGIES:
-            raise ConfigError(
-                f"k_strategy must be one of {STRATEGIES}, got {self.k_strategy!r}")
-        # bool is a subclass of int, so True would pass as 1
+        for name, options in CHOICES.items():
+            choice(getattr(self, name), name, options, ConfigError)
         for name in ("layers", "hidden", "heads", "virtual_nodes", "epochs", "batch"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        if isinstance(self.seed, bool) or not (isinstance(self.seed, int) and self.seed >= 0):
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+            setattr(self, name, integer(getattr(self, name), name, ConfigError, minimum=1))
+        self.seed = integer(self.seed, "seed", ConfigError, minimum=0)
         for name in ("lr", "proportion"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not np.isfinite(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+            setattr(self, name, number(getattr(self, name), name, ConfigError))
         if not self.lr > 0.0:
             raise ConfigError(f"lr must be positive, got {self.lr!r}")
         if not 0.0 < self.proportion <= 1.0:
@@ -114,17 +102,15 @@ class GraphPropertyModel:
 
     def __init__(self, cfg: TrainConfig, feature_dim: int, out_dim: int,
                  avg_nodes: float):
-        if feature_dim < 1 or out_dim < 1:
-            raise ConfigError("feature_dim and out_dim must be positive")
         self.cfg = cfg
-        self.feature_dim = feature_dim
-        self.out_dim = out_dim
-        self.avg_nodes = float(avg_nodes)
+        self.feature_dim = integer(feature_dim, "feature_dim", ConfigError, minimum=1)
+        self.out_dim = integer(out_dim, "out_dim", ConfigError, minimum=1)
+        self.avg_nodes = number(avg_nodes, "avg_nodes", ConfigError)
         rng = np.random.default_rng([cfg.seed, 0])
 
         self.gnn_layers = []
         for i in range(cfg.layers):
-            dim_in = feature_dim if i == 0 else cfg.hidden
+            dim_in = self.feature_dim if i == 0 else cfg.hidden
             if cfg.backbone == "gcn":
                 self.gnn_layers.append(GcnLayerParams.init(dim_in, cfg.hidden, rng))
             else:
@@ -154,8 +140,8 @@ class GraphPropertyModel:
             }
         else:
             self.head = {
-                "weight": parameter(rng, (cfg.hidden, out_dim), cfg.hidden ** -0.5),
-                "bias": Tensor(np.zeros(out_dim), requires_grad=True),
+                "weight": parameter(rng, (cfg.hidden, self.out_dim), cfg.hidden ** -0.5),
+                "bias": Tensor(np.zeros(self.out_dim), requires_grad=True),
             }
 
     def parameters(self) -> list[tuple[str, Tensor]]:

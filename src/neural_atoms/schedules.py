@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .validate import choice, integer
+
 STRATEGIES = ("fixed", "decremental", "incremental")
 
 
@@ -34,14 +36,12 @@ class KSchedule:
 def compute_k_schedule(strategy: str, proportion: float, avg_nodes: float,
                        n_layers: int) -> KSchedule:
     """Atom counts for each of ``n_layers`` blocks; every count is >= 1."""
-    if strategy not in STRATEGIES:
-        raise ScheduleError(f"unknown strategy '{strategy}', expected one of {STRATEGIES}")
+    choice(strategy, "strategy", STRATEGIES, ScheduleError)
     if not (0.0 < proportion <= 1.0):
         raise ScheduleError(f"proportion must lie in (0, 1], got {proportion}")
     if avg_nodes < 1.0:
         raise ScheduleError(f"avg_nodes must be at least 1, got {avg_nodes}")
-    if n_layers < 1:
-        raise ScheduleError(f"n_layers must be positive, got {n_layers}")
+    n_layers = integer(n_layers, "n_layers", ScheduleError, minimum=1)
 
     anchor = max(1, math.floor(proportion * avg_nodes))
     if strategy == "fixed":

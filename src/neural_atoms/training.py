@@ -19,6 +19,7 @@ from .autodiff import Tensor, backward, bce_with_logits, mse_loss, no_grad, soft
 from .files import replacing
 from .graphs import DatasetError, GraphBatch, MolecularGraph, batch_graphs, load_dataset
 from .model import ConfigError, GraphPropertyModel, ModelOutput, TrainConfig
+from .validate import integer, number
 
 METRICS_HEADER = ["epoch", "split", "metric", "value"]
 
@@ -221,15 +222,6 @@ def _contact_reciprocal_ranks(batch: GraphBatch, scores: np.ndarray) -> list[flo
     return (1.0 / (1.0 + beaten)).tolist()
 
 
-def mean_reciprocal_rank(ranks: list[int]) -> float:
-    """Average of 1/rank; ranks count from 1."""
-    if not ranks:
-        raise ValueError("need at least one rank")
-    if any(r < 1 for r in ranks):
-        raise ValueError("ranks count from 1")
-    return float(np.mean([1.0 / r for r in ranks]))
-
-
 def save_checkpoint(model: GraphPropertyModel, epoch: int, history: list[list],
                     path) -> None:
     """JSON snapshot: config, dimensions, named parameter arrays, history.
@@ -290,19 +282,16 @@ def load_checkpoint(path) -> tuple[GraphPropertyModel, dict]:
             raise TrainingError(f"checkpoint is missing {key!r}")
     if not isinstance(record["config"], dict):
         raise TrainingError(f"checkpoint 'config' must be an object, got {record['config']!r:.40}")
-    for key in ("feature_dim", "out_dim"):
-        value = record[key]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise TrainingError(f"checkpoint {key!r} must be a positive integer, got {value!r}")
-    avg_nodes = record["avg_nodes"]
-    if not isinstance(avg_nodes, (int, float)) or isinstance(avg_nodes, bool) \
-            or not math.isfinite(avg_nodes) or avg_nodes <= 0:
-        raise TrainingError(f"checkpoint 'avg_nodes' must be a finite positive number, "
-                            f"got {avg_nodes!r}")
+    # the model checks these as well, but a file's defect is a TrainingError
+    feature_dim, out_dim = (integer(record[key], f"checkpoint {key!r}", TrainingError, minimum=1)
+                            for key in ("feature_dim", "out_dim"))
+    avg_nodes = number(record["avg_nodes"], "checkpoint 'avg_nodes'", TrainingError)
+    if not avg_nodes > 0:
+        raise TrainingError(f"checkpoint 'avg_nodes' must be positive, got {avg_nodes!r}")
     if not isinstance(record["params"], dict):
         raise TrainingError("checkpoint 'params' must be an object")
     cfg = TrainConfig.from_dict(record["config"])
-    model = GraphPropertyModel(cfg, record["feature_dim"], record["out_dim"], avg_nodes)
+    model = GraphPropertyModel(cfg, feature_dim, out_dim, avg_nodes)
     stored = record["params"]
     for name, tensor in model.parameters():
         if name not in stored:

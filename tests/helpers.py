@@ -1,12 +1,145 @@
 """Helpers shared by the test files: reference forms the package itself never calls."""
 
-from collections.abc import Callable
+import math
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from neural_atoms.autodiff import Tensor
+from neural_atoms.autodiff import ContractError, ShapeError, Tensor, _result, backward
+from neural_atoms.ewald import (SQRT_PI, EwaldError, EwaldMatrix, EwaldSystem, _image_sums,
+                                _integer_shells)
 from neural_atoms.graphs import GraphError, MolecularGraph
 from neural_atoms.neural_atom import NeuralAtomLayerParams, NeuralAtomTrace, enhance_segments
+
+
+# ---------------------------------------------------------------------------
+# Tape ops the package no longer records, and the finite-difference oracle
+# ---------------------------------------------------------------------------
+
+
+def neg(a: Tensor) -> Tensor:
+    return _result(-a.data, "neg", (a,), lambda g: (-g,))
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product of same-shape tensors."""
+    if a.shape != b.shape:
+        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
+    return _result(a.data * b.data, "mul", (a, b), lambda g: (g * b.data, g * a.data))
+
+
+def relu(a: Tensor) -> Tensor:
+    """max(x, 0); the subgradient at exactly 0 is taken to be 0."""
+    mask = a.data > 0.0
+    return _result(np.where(mask, a.data, 0.0), "relu", (a,), lambda g: (g * mask,))
+
+
+def sum_all(a: Tensor) -> Tensor:
+    """Sum of every element, as a 0-d scalar tensor."""
+    return _result(np.asarray(a.data.sum()), "sum_all", (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
+
+
+def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], eps: float = 1e-5) -> float:
+    """Compare analytic gradients of ``f`` against central differences.
+
+    ``f`` rebuilds the scalar loss from scratch on every call (it closes over
+    ``params``).  Returns the worst relative error
+    ``|analytic - numeric| / max(1, |analytic|)`` over every parameter entry.
+    """
+    if not (1e-7 <= eps <= 1e-3):
+        raise ContractError(f"grad_check: eps {eps} outside [1e-7, 1e-3]")
+    loss = f()
+    backward(loss, params=params)
+    analytic = [p.grad.copy() for p in params]
+
+    worst = 0.0
+    for p, ref in zip(params, analytic):
+        flat = p.data.reshape(-1)
+        ref_flat = ref.reshape(-1)
+        for i in range(flat.size):
+            saved = flat[i]
+            flat[i] = saved + eps
+            f_plus = f().item()
+            flat[i] = saved - eps
+            f_minus = f().item()
+            flat[i] = saved
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            err = abs(ref_flat[i] - numeric) / max(1.0, abs(ref_flat[i]))
+            worst = max(worst, err)
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# Ewald totals and the brute-force direct-sum reference
+# ---------------------------------------------------------------------------
+
+
+def interaction_energy(matrix: EwaldMatrix) -> float:
+    """Half the off-diagonal sum: the total pairwise interaction strength."""
+    off = matrix.total - np.diag(np.diag(matrix.total))
+    return 0.5 * float(off.sum())
+
+
+def lattice_energy(system: EwaldSystem) -> float:
+    """The physical electrostatic energy per cell of the full periodic system.
+
+    This is the textbook Ewald total: all cross pair terms plus each atom's
+    interaction with its own images, the Gaussian self correction, and the
+    uniform-background correction for a net-charged cell.
+    """
+    real, recip = _image_sums(system)
+    z = system.atomic_numbers.astype(np.float64)
+    a = system.splitting
+    # the diagonal of the image sums counts each atom's own images once
+    pairs = 0.5 * float(z @ (real + recip) @ z)
+    per_atom = -a / SQRT_PI * float((z * z).sum())
+    background = -math.pi / (2.0 * a * a * system.volume) * float(z.sum()) ** 2
+    return pairs + per_atom + background
+
+
+def direct_sum_oracle(system: EwaldSystem, shells: int) -> np.ndarray:
+    """Plain 1/r image sums with no range splitting, truncated at ``shells``.
+
+    Entry (i, j) sums Z_i Z_j / |r_i - r_j + L| over all lattice vectors L
+    with integer coordinates of max-norm at most ``shells``; the L = 0 term
+    is skipped on the diagonal.  Individual entries diverge as shells grow;
+    only charge-balanced totals converge, which is what the trend tests use.
+    """
+    if shells < 0:
+        raise EwaldError("shells must be non-negative")
+    n = system.num_atoms
+    z = system.atomic_numbers.astype(np.float64)
+    lattice = _integer_shells(shells, drop_zero=False) * system.cell_edge if shells > 0 \
+        else np.zeros((1, 3))
+    nonzero = (lattice != 0.0).any(axis=1)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            d = system.positions[i] - system.positions[j]
+            r = np.linalg.norm(d + lattice, axis=1)
+            if i == j:
+                r = r[nonzero]
+            out[i, j] = out[j, i] = z[i] * z[j] * float((1.0 / r).sum()) if r.size else 0.0
+    return out
+
+
+def direct_total_energy(system: EwaldSystem, shells: int) -> float:
+    """Half the full matrix sum of the direct oracle (self images counted once)."""
+    return 0.5 * float(direct_sum_oracle(system, shells).sum())
+
+
+def mean_reciprocal_rank(ranks: list[int]) -> float:
+    """Average of 1/rank; ranks count from 1."""
+    if not ranks:
+        raise ValueError("need at least one rank")
+    if any(r < 1 for r in ranks):
+        raise ValueError("ranks count from 1")
+    return float(np.mean([1.0 / r for r in ranks]))
+
+
+# ---------------------------------------------------------------------------
+# Graph forms
+# ---------------------------------------------------------------------------
 
 
 def neural_atom_block(h_prev: Tensor, graph: MolecularGraph,

@@ -16,17 +16,11 @@ import pytest
 from neural_atoms.autodiff import (
     Tensor,
     backward,
-    grad_check,
-    mul,
     rows,
-    sum_all,
 )
 from neural_atoms.ewald import (
     EwaldSystem,
-    direct_total_energy,
     ewald_sum_matrix,
-    interaction_energy,
-    lattice_energy,
 )
 from neural_atoms.gnn import GcnLayerParams, gcn_forward
 from neural_atoms.graphs import MolecularGraph, generate_lri_task, save_dataset
@@ -36,8 +30,9 @@ from neural_atoms.neural_atom import (
     project_to_neural_atoms,
 )
 from neural_atoms.schedules import compute_k_schedule
-from neural_atoms.training import evaluate, load_checkpoint, mean_reciprocal_rank, train
-from helpers import neural_atom_block, permute_graph
+from neural_atoms.training import evaluate, load_checkpoint, train
+from helpers import (direct_total_energy, grad_check, interaction_energy, lattice_energy,
+                     mean_reciprocal_rank, mul, neural_atom_block, permute_graph, sum_all)
 
 
 def report(num, passed, detail):

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from neural_atoms.attention import MultiHeadParams, multi_head_attention
-from neural_atoms.autodiff import ShapeError, Tensor, grad_check, mul, sum_all
+from neural_atoms.autodiff import ShapeError, Tensor
+from helpers import grad_check, mul, sum_all
 
 
 def per_head_oracle(x, params, block):

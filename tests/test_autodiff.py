@@ -32,13 +32,10 @@ from neural_atoms.autodiff import (
     concat_cols,
     concat_rows,
     gather_rows,
-    grad_check,
     layer_norm,
     matmul,
     mse_loss,
-    mul,
     no_grad,
-    relu,
     rows,
     scale,
     segment_attention,
@@ -47,10 +44,11 @@ from neural_atoms.autodiff import (
     segment_pool,
     slot_matmul,
     softmax_cross_entropy,
-    sum_all,
     symmetric_matrix,
     transpose,
 )
+import helpers
+from helpers import grad_check, mul, relu, sum_all
 
 
 def indexed_weighted_sum(x, out_index, in_index, weights, num_out_rows):
@@ -834,7 +832,7 @@ def composed_affine(x, w, b=None, relu=False):
     out = matmul(x, w)
     if b is not None:
         out = add(out, b)
-    return ad.relu(out) if relu else out
+    return helpers.relu(out) if relu else out
 
 
 class TestAffine:

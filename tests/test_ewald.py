@@ -10,14 +10,11 @@ from scipy.special import erfc
 from neural_atoms.ewald import (
     EwaldError,
     EwaldSystem,
-    direct_sum_oracle,
-    direct_total_energy,
     ewald_sum_matrix,
-    interaction_energy,
-    lattice_energy,
     load_system,
     write_interaction_heatmap,
 )
+from helpers import direct_sum_oracle, direct_total_energy, interaction_energy, lattice_energy
 
 
 def damped_madelung_oracle(damping: float) -> float:

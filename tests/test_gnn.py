@@ -8,10 +8,10 @@ aggregation the layers actually use.
 import numpy as np
 import pytest
 
-from neural_atoms.autodiff import Tensor, grad_check, mul, sum_all
+from neural_atoms.autodiff import Tensor
 from neural_atoms.gnn import GcnLayerParams, GinLayerParams, gcn_forward, gin_forward
 from neural_atoms.graphs import MolecularGraph
-from helpers import permute_graph
+from helpers import grad_check, mul, permute_graph, sum_all
 
 
 def random_graph(rng, n, dim, edge_prob=0.4, label=0):

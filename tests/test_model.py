@@ -6,8 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neural_atoms.autodiff import (GradTape, Tensor, add, backward, concat_rows, matmul, mul,
-                                   rows, sum_all)
+from neural_atoms.autodiff import GradTape, Tensor, add, backward, concat_rows, matmul, rows
 from neural_atoms import gnn as gnn_module
 from neural_atoms import model as model_module
 from neural_atoms import virtual_node as virtual_node_module
@@ -15,7 +14,7 @@ from neural_atoms.gnn import gcn_forward
 from neural_atoms.graphs import MolecularGraph, batch_graphs, generate_lri_task
 from neural_atoms.model import ConfigError, GraphPropertyModel, TrainConfig
 from neural_atoms.training import _batch_loss, dataset_dimensions
-from helpers import neural_atom_block
+from helpers import mul, neural_atom_block, sum_all
 from test_autodiff import composed_affine
 from test_virtual_node import looped_batch_round, mean_rows
 

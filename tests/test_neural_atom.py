@@ -17,9 +17,9 @@ import pytest
 
 from neural_atoms.attention import MultiHeadParams
 from neural_atoms.autodiff import (GradTape, Tensor, add, backward, concat_cols, concat_rows,
-                                   gather_rows, grad_check, layer_norm, matmul, mul, rows,
-                                   scale, segment_attention, segment_pool, softmax_cross_entropy,
-                                   sum_all, transpose)
+                                   gather_rows, layer_norm, matmul, rows, scale,
+                                   segment_attention, segment_pool, softmax_cross_entropy,
+                                   transpose)
 from neural_atoms.gnn import GcnLayerParams, gcn_forward
 from neural_atoms.graphs import MolecularGraph, batch_graphs, generate_lri_task
 from neural_atoms.model import GraphPropertyModel, TrainConfig
@@ -31,7 +31,7 @@ from neural_atoms.neural_atom import (
     project_to_neural_atoms,
     write_allocation_csv,
 )
-from helpers import neural_atom_block, permute_graph
+from helpers import grad_check, mul, neural_atom_block, permute_graph, sum_all
 from test_autodiff import softmax_rows
 
 

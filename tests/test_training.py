@@ -18,11 +18,11 @@ from neural_atoms.training import (
     dataset_dimensions,
     evaluate,
     load_checkpoint,
-    mean_reciprocal_rank,
     save_checkpoint,
     train,
     _contact_reciprocal_ranks,
 )
+from helpers import mean_reciprocal_rank
 
 
 def looped_reciprocal_ranks(batch, scores):
