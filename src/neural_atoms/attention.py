@@ -15,61 +15,60 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, block_attention, concat_cols, matmul, parameter
+from .autodiff import ShapeError, Tensor, block_attention, matmul, parameter, view
 
 
 @dataclass
 class MultiHeadParams:
-    """Per-head query/key/value projections plus the shared output map.
+    """Every head's query/key/value projections plus the shared output map.
 
-    Every head projects queries and keys to ``key_dim`` columns and values
-    to ``value_dim``; the concatenated head outputs are mixed down by
-    ``output_weight`` of shape (heads * value_dim, out_dim).
+    ``qkv`` puts the (d, d) W_q of heads 0 to H-1, then their W_k and W_v,
+    side by side; rows m*d:(m+1)*d of the (H * d, out_dim) ``output_weight``
+    mix head m.  Per-head weights are views built when asked for, so packing
+    the leaves into one flat buffer leaves none stale.
     """
 
-    query_weights: list[Tensor]
-    key_weights: list[Tensor]
-    value_weights: list[Tensor]
+    qkv: Tensor
     output_weight: Tensor
 
     @property
     def heads(self) -> int:
-        return len(self.query_weights)
+        return self.qkv.shape[1] // (3 * self.qkv.shape[0])
+
+    def _blocks(self, role: int) -> list[Tensor]:
+        d, first = self.qkv.shape[0], role * self.heads
+        return [view(self.qkv, np.s_[:, (first + m) * d:(first + m + 1) * d])
+                for m in range(self.heads)]
+
+    query_weights = property(lambda self: self._blocks(0))
+    key_weights = property(lambda self: self._blocks(1))
+    value_weights = property(lambda self: self._blocks(2))
 
     @classmethod
-    def init(cls, heads: int, key_dim: int, value_dim: int, out_dim: int,
-             rng: np.random.Generator, std: float | None = None) -> "MultiHeadParams":
+    def init(cls, heads: int, dim: int, rng: np.random.Generator) -> "MultiHeadParams":
         if heads < 1:
             raise ValueError("need at least one attention head")
         # fan-in scaling; tiny projections leave the attention logits so
         # flat that nothing downstream gets a usable gradient
-        qk_std = key_dim ** -0.5 if std is None else std
-        v_std = value_dim ** -0.5 if std is None else std
-        out_std = (heads * value_dim) ** -0.5 if std is None else std
-        return cls(
-            query_weights=[parameter(rng, (key_dim, key_dim), qk_std) for _ in range(heads)],
-            key_weights=[parameter(rng, (key_dim, key_dim), qk_std) for _ in range(heads)],
-            value_weights=[parameter(rng, (value_dim, value_dim), v_std) for _ in range(heads)],
-            output_weight=parameter(rng, (heads * value_dim, out_dim), out_std),
-        )
+        blocks = [rng.normal(0.0, dim ** -0.5, size=(dim, dim)) for _ in range(3 * heads)]
+        return cls(qkv=Tensor(np.concatenate(blocks, axis=1), requires_grad=True),
+                   output_weight=parameter(rng, (heads * dim, dim), (heads * dim) ** -0.5))
 
     def tensors(self) -> list[Tensor]:
-        return [*self.query_weights, *self.key_weights, *self.value_weights, self.output_weight]
+        return [self.qkv, self.output_weight]
 
 
 def multi_head_attention(x: Tensor, params: MultiHeadParams, block: int) -> Tensor:
     """Scaled dot-product self-attention within each block of ``block`` rows.
 
-    Head m computes softmax(X W_q,m (X W_k,m)^T / sqrt(key_dim)) X W_v,m
-    over the rows of one block; the heads are concatenated and mixed by the
-    output weight.  One matmul by the concatenated W_q, W_k and W_v of all
-    heads projects every row once, and one ``block_attention`` runs every
-    head of every block.
+    Head m computes softmax(X W_q,m (X W_k,m)^T / sqrt(d)) X W_v,m over the
+    rows of one block; the heads are concatenated and mixed by the output
+    weight.  One matmul by ``qkv`` projects every row onto the queries, keys
+    and values of all heads, and one ``block_attention`` runs every head of
+    every block.
     """
-    key_dim = params.query_weights[0].shape[0]
-    if x.data.ndim != 2 or x.shape[1] != key_dim:
-        raise ShapeError(f"attention input must be (n, {key_dim}), got {x.shape}")
-    qkv = matmul(x, concat_cols([*params.query_weights, *params.key_weights,
-                                 *params.value_weights]))
-    mixed = block_attention(qkv, block, params.heads, 1.0 / math.sqrt(key_dim))
+    dim = params.qkv.shape[0]
+    if x.data.ndim != 2 or x.shape[1] != dim:
+        raise ShapeError(f"attention input must be (n, {dim}), got {x.shape}")
+    mixed = block_attention(matmul(x, params.qkv), block, params.heads, 1.0 / math.sqrt(dim))
     return matmul(mixed, params.output_weight)

@@ -1,17 +1,17 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every differentiable computation in this package runs on the small engine in
-this module.  A :class:`Tensor` wraps a C-contiguous float64 numpy array.
-Each operation that has to be differentiated records a :class:`TapeEntry`
-holding its inputs and a backward closure; :func:`backward` collects the
-entries reachable from a scalar loss into a :class:`GradTape` and replays
-them exactly once in reverse topological order, accumulating gradients into
-the leaves.  Inside :func:`no_grad` nothing is recorded, so inference
-builds no tape.
+this module.  A :class:`Tensor` wraps a float64 numpy array, C-contiguous
+unless it is a leaf's :func:`view`.  Each operation that has to be
+differentiated records a :class:`TapeEntry` holding its inputs and a
+backward closure; :func:`backward` collects the entries reachable from a
+scalar loss into a :class:`GradTape` and replays them exactly once in
+reverse topological order, adding gradients in place into the leaves.
+Inside :func:`no_grad` nothing is recorded, so inference builds no tape.
 
 The engine is deliberately plain: no broadcasting beyond row-vector bias
-addition, no views, no dtype zoo.  The test suite checks every op's
-backward against central differences.
+addition, no views but of leaves, no dtype zoo.  The test suite checks
+every op's backward against central differences.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ class Tensor:
     """A float64 array plus the bookkeeping needed for reverse mode.
 
     ``grad`` is populated by :func:`backward` for leaves with
-    ``requires_grad=True``.  Non-leaf tensors keep a reference to the tape
-    entry that produced them; leaves have ``entry None``.
+    ``requires_grad=True``, in place once it exists, so it may be a view.
+    Non-leaf tensors keep a reference to the tape entry that produced them.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "entry")
@@ -142,14 +142,17 @@ def backward(loss: Tensor, params: Sequence[Tensor] | None = None) -> None:
     """Populate ``grad`` on every requires-grad leaf that ``loss`` depends on.
 
     ``loss`` must hold a single element.  When ``params`` is given, each
-    listed tensor gets its gradient zero-initialised first, so parameters the
+    listed tensor gets its gradient zero-filled first, so parameters the
     loss does not touch come back with exact zeros instead of ``None``.
+    Gradients are added in place, into fresh zeros where ``grad`` is None,
+    so no ``grad`` is a closure's output and views of one array sum into it.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if params is not None:
-        for p in params:
+    for p in params or ():
+        if p.grad is None:
             p.grad = np.zeros_like(p.data)
+        p.grad.fill(0.0)
     if loss.entry is None:
         return  # constant loss: nothing depends on anything
 
@@ -166,7 +169,9 @@ def backward(loss: Tensor, params: Sequence[Tensor] | None = None) -> None:
                 key = t.entry.op_id
                 pending[key] = pending[key] + g if key in pending else g
             elif t.requires_grad:
-                t.grad = g if t.grad is None else t.grad + g
+                if t.grad is None:
+                    t.grad = np.zeros_like(t.data)
+                t.grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +188,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim == 2 and b.shape == (1, a.shape[1]):
         return _result(a.data + b.data, "add_row", (a, b), lambda g: (g, g.sum(axis=0, keepdims=True)))
     raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
-
-
-def scale(a: Tensor, factor: float) -> Tensor:
-    """Multiply by a python float (the float is a constant, not a tensor)."""
-    c = float(factor)
-    return _result(a.data * c, "scale", (a,), lambda g: (g * c,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -236,20 +235,6 @@ def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose needs a rank-2 tensor, got {a.shape}")
     return _result(np.ascontiguousarray(a.data.T), "transpose", (a,), lambda g: (g.T,))
-
-
-def rows(a: Tensor, start: int, stop: int) -> Tensor:
-    """Copy of the row slice [start, stop); gradient scatters back into place."""
-    if not (0 <= start <= stop <= a.shape[0]):
-        raise ShapeError(f"rows: slice [{start}, {stop}) out of range for shape {a.shape}")
-    n = a.shape[0]
-
-    def back(g: np.ndarray) -> tuple:
-        full = np.zeros((n,) + g.shape[1:])
-        full[start:stop] = g
-        return (full,)
-
-    return _result(a.data[start:stop].copy(), "rows", (a,), back)
 
 
 def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
@@ -536,27 +521,31 @@ def segment_mean(values: Tensor, offsets) -> Tensor:
     return segment_pool(Tensor(np.repeat(1.0 / counts, counts)[None, :]), values, offsets)
 
 
-def segment_broadcast(weights: Tensor, states: Tensor, offsets) -> Tensor:
+def segment_broadcast(weights: Tensor, states: Tensor, offsets, heads: int = 1) -> Tensor:
     """Each row mixes the K states of its own segment: the adjoint of ``segment_pool``.
 
     ``weights`` is (K, N), as ``segment_pool`` takes it, and ``states``
     (B * K, d); row n of the (N, d) result is weights[:, n] @ states[b*K:(b+1)*K]
-    for n's segment b.
+    for n's segment b.  With ``heads`` = H, ``weights`` is H row blocks of
+    (K, N), and their mean, summed in head order, takes its place.
     """
-    if weights.data.ndim != 2 or states.data.ndim != 2:
-        raise ShapeError(f"segment_broadcast: weights {weights.shape} vs states {states.shape}")
+    if weights.data.ndim != 2 or states.data.ndim != 2 or heads < 1 or weights.shape[0] % heads:
+        raise ShapeError(f"segment_broadcast: weights {weights.shape} of {heads} heads "
+                         f"vs states {states.shape}")
     layout = _segment_layout(offsets, weights.shape[1], "segment_broadcast")
-    segments, k, d = layout[0], weights.shape[0], states.shape[1]
+    segments, k, d = layout[0], weights.shape[0] // heads, states.shape[1]
     if states.shape[0] != segments * k:
         raise ShapeError(f"segment_broadcast: {segments} segments of {k} states "
                          f"need {segments * k} rows, got {states.shape}")
-    w = _padded(weights.data.T, layout)                     # (B, max_n, K)
+    c = 1.0 / heads
+    w = _padded((weights.data.reshape(heads, k, -1).sum(axis=0) * c).T, layout)  # (B, max_n, K)
     s = states.data.reshape(segments, k, d)
 
     def back(g: np.ndarray) -> tuple:
         g3 = _padded(g, layout)                             # (B, max_n, d)
-        return (_unpadded(g3 @ s.transpose(0, 2, 1), layout).T,
-                (w.transpose(0, 2, 1) @ g3).reshape(-1, d))
+        # C order: the reductions upstream sum in memory order, so this layout sets their bits
+        g_mean = np.multiply(_unpadded(g3 @ s.transpose(0, 2, 1), layout).T, c, order="C")
+        return np.tile(g_mean, (heads, 1)), (w.transpose(0, 2, 1) @ g3).reshape(-1, d)
 
     return _result(_unpadded(w @ s, layout), "segment_broadcast", (weights, states), back)
 
@@ -695,3 +684,24 @@ def mse_loss(pred: Tensor, targets: np.ndarray) -> Tensor:
 def parameter(rng: np.random.Generator, shape: tuple[int, ...], std: float = 0.02) -> Tensor:
     """A trainable tensor with i.i.d. normal(0, std) entries."""
     return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
+
+
+def view(owner: Tensor, index) -> Tensor:
+    """A leaf over ``owner.data[index]``, for basic slices only, with no copy and no
+    tape entry; its ``grad`` is ``owner.grad[index]``, so views sum into their owner."""
+    if owner.grad is None:
+        owner.grad = np.zeros_like(owner.data)
+    leaf = Tensor(0.0, owner.requires_grad)
+    leaf.data, leaf.grad = owner.data[index], owner.grad[index]
+    return leaf
+
+
+def pack(leaves: Sequence[Tensor]) -> Tensor:
+    """Move the leaves' values into one flat leaf and return it; the leaves'
+    ``data`` and ``grad`` become views of the flat ones, so one call covers all."""
+    flat = Tensor(np.concatenate([t.data.ravel() for t in leaves]), requires_grad=True)
+    flat.grad = np.zeros_like(flat.data)
+    splits = np.cumsum([t.data.size for t in leaves])[:-1]
+    for t, data, grad in zip(leaves, np.split(flat.data, splits), np.split(flat.grad, splits)):
+        t.data, t.grad = data.reshape(t.shape), grad.reshape(t.shape)
+    return flat

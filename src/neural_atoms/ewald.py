@@ -53,9 +53,11 @@ def _integer_shells(cutoff: int, drop_zero: bool) -> np.ndarray:
 class EwaldSystem:
     """A cubic periodic cell of point charges plus summation controls.
 
-    ``atomic_numbers`` are nonzero integers: positive for real elements,
+    ``atomic_numbers`` are nonzero 64-bit integers: positive for elements,
     and signed surrogate charges (for example +1/-1) are accepted so that
-    charge-balanced verification systems can be expressed.
+    charge-balanced verification systems can be expressed.  Every entry of
+    both arrays, as given, passes the rule of :mod:`neural_atoms.validate`;
+    an array of atomic numbers must have an integer dtype, too.
     """
 
     atomic_numbers: np.ndarray
@@ -66,15 +68,17 @@ class EwaldSystem:
     recip_cutoff: int
 
     def __post_init__(self):
-        z = np.asarray(self.atomic_numbers)
+        z, pos = (np.asarray(v, dtype=object) for v in (self.atomic_numbers, self.positions))
         if z.ndim != 1 or z.size < 1:
             raise EwaldError("Z must be a non-empty 1-D integer array")
-        if not np.issubdtype(z.dtype, np.integer) or (z == 0).any():
-            raise EwaldError("atomic numbers must be nonzero integers")
-        self.atomic_numbers = z.astype(np.int64)
-        pos = np.asarray(self.positions, dtype=np.float64)
-        if pos.shape != (z.size, 3) or not np.isfinite(pos).all():
+        if pos.shape != (z.size, 3):
             raise EwaldError(f"positions must be finite with shape ({z.size}, 3)")
+        z = [integer(v, "system key 'Z'", EwaldError) for v in z]
+        pos = np.array([number(v, "system key 'positions'", EwaldError) for v in pos.flat])
+        if (getattr(self.atomic_numbers, "dtype", np.dtype(int)).kind not in "iu" or 0 in z
+                or max(map(abs, z)) > np.iinfo(np.int64).max):  # else int64 overflows
+            raise EwaldError("system key 'Z' must hold nonzero integers of at most 64 bits")
+        self.atomic_numbers, pos = np.array(z, dtype=np.int64), pos.reshape(-1, 3)
         self.cell_edge = number(self.cell_edge, "system key 'cell_edge'", EwaldError)
         if not self.cell_edge > 0.0:
             raise EwaldError(f"cell_edge must be positive, got {self.cell_edge}")
@@ -126,11 +130,10 @@ def load_system(path) -> EwaldSystem:
         raise EwaldError(f"system key 'Z' must be a list, got {z!r}")
     if not isinstance(rows, list) or any(not isinstance(r, list) or len(r) != 3 for r in rows):
         raise EwaldError("system key 'positions' must be a list of [x, y, z] rows")
-    # Z and a have other names in EwaldSystem, and an array would take "1" or true as 1.0
+    # Z and a have other names in EwaldSystem
     return EwaldSystem(
-        atomic_numbers=np.array([integer(v, "system key 'Z'", EwaldError) for v in z]),
-        positions=np.array([[number(v, "system key 'positions'", EwaldError) for v in r]
-                            for r in rows]).reshape(-1, 3),
+        atomic_numbers=z,
+        positions=rows,
         cell_edge=record["cell_edge"],
         splitting=number(record["a"], "system key 'a'", EwaldError),
         real_cutoff=record["real_cutoff"],

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .autodiff import Tensor, affine, concat_cols, gather_rows, parameter, segment_mean
+from .autodiff import Tensor, affine, concat_cols, gather_rows, pack, parameter, segment_mean
 from .gnn import GcnLayerParams, GinLayerParams, gcn_forward, gin_forward
 from .graphs import GraphBatch
 from .neural_atom import NeuralAtomLayerParams, NeuralAtomTrace, enhance_segments
@@ -97,7 +97,8 @@ class GraphPropertyModel:
     """Config-driven stack of layers plus a task head.
 
     Parameter construction order is fixed, so two models built from the
-    same config and seed hold byte-identical arrays.
+    same config and seed hold byte-identical arrays.  They are then packed
+    into ``flat``, one leaf whose data and gradient every parameter views.
     """
 
     def __init__(self, cfg: TrainConfig, feature_dim: int, out_dim: int,
@@ -143,22 +144,22 @@ class GraphPropertyModel:
                 "weight": parameter(rng, (cfg.hidden, self.out_dim), cfg.hidden ** -0.5),
                 "bias": Tensor(np.zeros(self.out_dim), requires_grad=True),
             }
+        leaves = [getattr(p, f.name) for p in self.gnn_layers + self.vn_layers for f in fields(p)]
+        leaves += [t for atoms in self.atom_layers for t in atoms.tensors()]
+        self.flat = pack(leaves + list(self.head.values()))
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         named: list[tuple[str, Tensor]] = []
-        gnn_names = (("weight",) if self.cfg.backbone == "gcn"
-                     else ("w1", "b1", "w2", "b2"))
         for i, layer in enumerate(self.gnn_layers):
-            for attr in gnn_names:
-                named.append((f"layer{i}.{self.cfg.backbone}.{attr}", getattr(layer, attr)))
+            for f in fields(layer):
+                named.append((f"layer{i}.{self.cfg.backbone}.{f.name}", getattr(layer, f.name)))
         for i, atoms in enumerate(self.atom_layers):
             named.append((f"layer{i}.atoms.queries", atoms.queries))
             for role, att in (("project", atoms.project_attention),
                               ("exchange", atoms.exchange_attention)):
-                for m in range(att.heads):
-                    named.append((f"layer{i}.atoms.{role}.head{m}.wq", att.query_weights[m]))
-                    named.append((f"layer{i}.atoms.{role}.head{m}.wk", att.key_weights[m]))
-                    named.append((f"layer{i}.atoms.{role}.head{m}.wv", att.value_weights[m]))
+                for m, qkv in enumerate(zip(att.query_weights, att.key_weights, att.value_weights)):
+                    named.extend((f"layer{i}.atoms.{role}.head{m}.{attr}", w)
+                                 for attr, w in zip(("wq", "wk", "wv"), qkv))
                 named.append((f"layer{i}.atoms.{role}.wo", att.output_weight))
             for role, norm in (("project_norm", atoms.project_norm),
                                ("exchange_norm", atoms.exchange_norm)):

@@ -6,9 +6,10 @@ routes them through a small set of learnable "neural atoms":
 1. cross-attention from the atom queries onto the nodes groups every node
    softly into atoms (an information bottleneck of K slots),
 2. self-attention among the atoms exchanges information globally in one hop,
-3. the head-averaged (K, N) allocation matrix carries the exchanged atom
-   states back onto the nodes, as the adjoint of the pooling in step 1, and
-   the nodes are enhanced additively.
+3. the mean of the heads' (K, N) allocation matrices carries the exchanged
+   atom states back onto the nodes, as the adjoint of the pooling in step 1,
+   and the nodes are enhanced additively; ``segment_broadcast`` takes the
+   head mean itself, so the per-head matrices never become tape ops.
 
 Because step 3 reuses the attention weights from step 1, any two nodes can
 trade information through a shared atom regardless of their graph distance,
@@ -32,8 +33,7 @@ import numpy as np
 
 from .attention import MultiHeadParams, multi_head_attention
 from .autodiff import (Tensor, add, concat_rows, gather_rows, layer_norm, matmul, parameter,
-                       rows, scale, segment_attention, segment_broadcast, segment_pool,
-                       transpose)
+                       segment_attention, segment_broadcast, segment_pool, transpose, view)
 from .files import replacing
 
 LAYER_NORM_EPS = 1e-5
@@ -75,8 +75,8 @@ class NeuralAtomLayerParams:
             raise ValueError("a block needs at least one neural atom")
         return cls(
             queries=parameter(rng, (num_atoms, dim), QUERY_INIT_STD),
-            project_attention=MultiHeadParams.init(heads, dim, dim, dim, rng),
-            exchange_attention=MultiHeadParams.init(heads, dim, dim, dim, rng),
+            project_attention=MultiHeadParams.init(heads, dim, rng),
+            exchange_attention=MultiHeadParams.init(heads, dim, rng),
             project_norm=LayerNormParams.init(dim),
             exchange_norm=LayerNormParams.init(dim),
         )
@@ -97,22 +97,16 @@ class NeuralAtomTrace:
     node_allocation: np.ndarray        # N x K, head mean transposed
 
 
-def _offsets_or_whole(h_nodes: Tensor, offsets: np.ndarray | None) -> np.ndarray:
-    """``offsets`` as given, or a single segment covering every row."""
-    return np.array([0, h_nodes.shape[0]]) if offsets is None else np.asarray(offsets)
-
-
 def project_to_neural_atoms(h_nodes: Tensor, params: NeuralAtomLayerParams,
-                            offsets: np.ndarray | None = None
-                            ) -> tuple[Tensor, list[Tensor]]:
+                            offsets: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """Attend from the atom queries onto the nodes; returns atom states and
-    the per-head allocation matrices.
+    the (H * K, N) allocations, head m's (K, N) matrix in rows m*K:(m+1)*K.
 
     With ``offsets`` the nodes form one segment per graph: the atom states
-    come back as a (B * K, d) stack and each head's (K, N) allocation is
+    come back as a (B * K, d) stack and each head's allocation is
     row-stochastic within every graph's column block.  The atoms see the
     nodes only through attention, so the result is invariant under any
-    relabeling of the nodes.
+    relabeling of the nodes.  Without ``offsets`` all nodes are one graph.
 
     No weight multiplies the N node rows.  Head m's logits
     (q W_q,m)(h W_k,m)^T are (q W_q,m W_k,m^T) h^T, and its output
@@ -122,19 +116,19 @@ def project_to_neural_atoms(h_nodes: Tensor, params: NeuralAtomLayerParams,
     stacked W_v,m W_o,m.  Products are associative, so this is exact up to
     rounding.
     """
-    offsets = _offsets_or_whole(h_nodes, offsets)
+    offsets = np.array([0, h_nodes.shape[0]]) if offsets is None else np.asarray(offsets)
     attn, k, d = params.project_attention, params.num_atoms, params.queries.shape[1]
     # (H * K, d) effective queries; (B * K, H * d) pooled nodes; (H * d, d) mix
     queries = concat_rows([matmul(matmul(params.queries, wq), transpose(wk))
                            for wq, wk in zip(attn.query_weights, attn.key_weights)])
     weights = segment_attention(queries, h_nodes, offsets, d ** -0.5)
     pooled = segment_pool(weights, h_nodes, offsets, heads=attn.heads)
-    mix = concat_rows([matmul(wv, rows(attn.output_weight, m * d, (m + 1) * d))
+    mix = concat_rows([matmul(wv, view(attn.output_weight, np.s_[m * d:(m + 1) * d]))
                        for m, wv in enumerate(attn.value_weights)])
     stacked = gather_rows(params.queries, np.tile(np.arange(k), len(offsets) - 1))
     atoms = layer_norm(add(stacked, matmul(pooled, mix)),
                        params.project_norm.gain, params.project_norm.bias, LAYER_NORM_EPS)
-    return atoms, [rows(weights, m * k, (m + 1) * k) for m in range(attn.heads)]
+    return atoms, weights
 
 
 def exchange_neural_atoms(h_atoms: Tensor, params: NeuralAtomLayerParams) -> Tensor:
@@ -145,27 +139,15 @@ def exchange_neural_atoms(h_atoms: Tensor, params: NeuralAtomLayerParams) -> Ten
                       params.exchange_norm.gain, params.exchange_norm.bias, LAYER_NORM_EPS)
 
 
-def aggregate_allocations(per_head_weights: list[Tensor]) -> Tensor:
-    """Head-mean of the K x N allocation maps."""
-    total = per_head_weights[0]
-    for w in per_head_weights[1:]:
-        total = add(total, w)
-    return scale(total, 1.0 / len(per_head_weights))
-
-
-def backproject_and_enhance(h_nodes: Tensor, exchanged: Tensor,
-                            per_head_weights: list[Tensor],
-                            offsets: np.ndarray | None = None) -> Tensor:
+def backproject_and_enhance(h_nodes: Tensor, exchanged: Tensor, weights: Tensor, heads: int,
+                            offsets: np.ndarray) -> Tensor:
     """Carry exchanged atom states back to the nodes and add them on.
 
-    The transport map is the head-averaged allocation from the projection
-    step, so gradients flow through the attention weights themselves as
-    well as through the atom states.  Each node draws only on its own
-    graph's atoms.
+    The transport map is the head mean of the projection's allocations, so
+    gradients flow through the attention weights as well as the atom states.
+    Each node draws only on its own graph's atoms.
     """
-    allocation = aggregate_allocations(per_head_weights)
-    offsets = _offsets_or_whole(h_nodes, offsets)
-    return add(h_nodes, segment_broadcast(allocation, exchanged, offsets))
+    return add(h_nodes, segment_broadcast(weights, exchanged, offsets, heads=heads))
 
 
 def enhance_segments(h_gnn: Tensor, offsets: np.ndarray, params: NeuralAtomLayerParams,
@@ -177,21 +159,22 @@ def enhance_segments(h_gnn: Tensor, offsets: np.ndarray, params: NeuralAtomLayer
     hot path skips the detached copies), one trace per graph.
     """
     offsets = np.asarray(offsets)
-    atoms, head_weights = project_to_neural_atoms(h_gnn, params, offsets)
+    heads = params.project_attention.heads
+    atoms, weights = project_to_neural_atoms(h_gnn, params, offsets)
     exchanged = exchange_neural_atoms(atoms, params)
-    enhanced = backproject_and_enhance(h_gnn, exchanged, head_weights, offsets)
+    enhanced = backproject_and_enhance(h_gnn, exchanged, weights, heads, offsets)
     if not want_trace:
         return enhanced, None
 
     k = params.num_atoms
     traces = []
     for b, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
-        heads = [w.data[:, lo:hi].copy() for w in head_weights]
+        per_head = [weights.data[m * k:(m + 1) * k, lo:hi].copy() for m in range(heads)]
         traces.append(NeuralAtomTrace(
             atom_states=atoms.data[b * k:(b + 1) * k].copy(),
             exchanged_states=exchanged.data[b * k:(b + 1) * k].copy(),
-            allocation_per_head=heads,
-            node_allocation=(sum(heads) / len(heads)).T.copy(),
+            allocation_per_head=per_head,
+            node_allocation=(sum(per_head) / heads).T.copy(),
         ))
     return enhanced, traces
 

@@ -29,30 +29,32 @@ class TrainingError(RuntimeError):
 
 
 class Adam:
-    """Standard Adam with bias correction; state follows parameter order."""
+    """Standard Adam with bias correction over one tensor, such as a model's ``flat`` leaf.
+
+    Every element takes the operations of a tensor-by-tensor update in the
+    same order, with the temporaries written into two arrays made once."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: list[Tensor], lr: float):
-        self.params = params
-        self.lr = lr
-        self.step_count = 0
-        self.first_moment = [np.zeros(p.shape) for p in params]
-        self.second_moment = [np.zeros(p.shape) for p in params]
+    def __init__(self, param: Tensor, lr: float):
+        self.param, self.lr, self.step_count = param, lr, 0
+        self.first_moment, self.second_moment, self._a, self._b = (
+            np.zeros(param.shape) for _ in range(4))
 
     def step(self) -> None:
+        g, m, v, a, b = self.param.grad, self.first_moment, self.second_moment, self._a, self._b
+        if g is None:
+            raise TrainingError("parameter has no gradient; run backward first")
         self.step_count += 1
-        correction1 = 1.0 - self.BETA1 ** self.step_count
-        correction2 = 1.0 - self.BETA2 ** self.step_count
-        for p, m, v in zip(self.params, self.first_moment, self.second_moment):
-            if p.grad is None:
-                raise TrainingError("parameter has no gradient; run backward first")
-            m *= self.BETA1
-            m += (1.0 - self.BETA1) * p.grad
-            v *= self.BETA2
-            v += (1.0 - self.BETA2) * p.grad * p.grad
-            update = (m / correction1) / (np.sqrt(v / correction2) + self.EPS)
-            p.data -= self.lr * update
+        m *= self.BETA1
+        m += np.multiply(1.0 - self.BETA1, g, out=a)
+        v *= self.BETA2
+        v += np.multiply(np.multiply(1.0 - self.BETA2, g, out=a), g, out=a)
+        # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+        np.sqrt(np.divide(v, 1.0 - self.BETA2 ** self.step_count, out=a), out=a)
+        a += self.EPS
+        np.divide(np.divide(m, 1.0 - self.BETA1 ** self.step_count, out=b), a, out=b)
+        self.param.data -= np.multiply(self.lr, b, out=b)
 
 
 def dataset_dimensions(graphs: list[MolecularGraph], task: str
@@ -122,8 +124,7 @@ def train(cfg: TrainConfig) -> tuple[GraphPropertyModel, Path]:
     graphs = load_dataset(cfg.dataset)
     feature_dim, out_dim, avg_nodes = dataset_dimensions(graphs, cfg.task)
     model = GraphPropertyModel(cfg, feature_dim, out_dim, avg_nodes)
-    params = model.tensors()
-    optimizer = Adam(params, cfg.lr)
+    optimizer = Adam(model.flat, cfg.lr)
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
 
     out_dir = Path(cfg.out)
@@ -141,8 +142,8 @@ def train(cfg: TrainConfig) -> tuple[GraphPropertyModel, Path]:
                 raise TrainingError(
                     f"non-finite loss {value} at epoch {epoch}, "
                     f"batch starting at {start}")
-            backward(loss, params)
-            grad_norm = math.sqrt(sum(float(np.vdot(p.grad, p.grad)) for p in params))
+            backward(loss, [model.flat])    # zero-fills every gradient with one call
+            grad_norm = math.sqrt(float(np.vdot(model.flat.grad, model.flat.grad)))
             if not math.isfinite(grad_norm):
                 raise TrainingError(
                     f"non-finite gradient norm {grad_norm} at epoch {epoch}, "

@@ -7,6 +7,7 @@ bool or a string.  Errors are of the caller's class and name the field.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -29,7 +30,9 @@ def integer(value, name: str, error: type[Exception], minimum: int | None = None
 
 def number(value, name: str, error: type[Exception]) -> float:
     """``value`` as a finite float."""
-    if not _is_number(value) or not math.isfinite(value):
+    # math.isfinite overflows on an int too large for a float; the comparison does not
+    if not _is_number(value) or not (abs(value) <= sys.float_info.max if isinstance(value, int)
+                                     else math.isfinite(value)):
         raise error(f"{name} must hold numbers that are finite, got {value!r}")
     return float(value)
 

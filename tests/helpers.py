@@ -13,7 +13,8 @@ from neural_atoms.neural_atom import NeuralAtomLayerParams, NeuralAtomTrace, enh
 
 
 # ---------------------------------------------------------------------------
-# Tape ops the package no longer records, and the finite-difference oracle
+# Tape ops the package no longer records, the finite-difference oracle and
+# the tensor-by-tensor optimiser
 # ---------------------------------------------------------------------------
 
 
@@ -34,6 +35,26 @@ def relu(a: Tensor) -> Tensor:
     return _result(np.where(mask, a.data, 0.0), "relu", (a,), lambda g: (g * mask,))
 
 
+def scale(a: Tensor, factor: float) -> Tensor:
+    """Multiply by a python float (the float is a constant, not a tensor)."""
+    c = float(factor)
+    return _result(a.data * c, "scale", (a,), lambda g: (g * c,))
+
+
+def rows(a: Tensor, start: int, stop: int) -> Tensor:
+    """Copy of the row slice [start, stop); gradient scatters back into place."""
+    if not (0 <= start <= stop <= a.shape[0]):
+        raise ShapeError(f"rows: slice [{start}, {stop}) out of range for shape {a.shape}")
+    n = a.shape[0]
+
+    def back(g: np.ndarray) -> tuple:
+        full = np.zeros((n,) + g.shape[1:])
+        full[start:stop] = g
+        return (full,)
+
+    return _result(a.data[start:stop].copy(), "rows", (a,), back)
+
+
 def sum_all(a: Tensor) -> Tensor:
     """Sum of every element, as a 0-d scalar tensor."""
     return _result(np.asarray(a.data.sum()), "sum_all", (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
@@ -45,6 +66,8 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], eps: float = 1
     ``f`` rebuilds the scalar loss from scratch on every call (it closes over
     ``params``).  Returns the worst relative error
     ``|analytic - numeric| / max(1, |analytic|)`` over every parameter entry.
+    Entries are perturbed by index, so a strided view is perturbed in place
+    rather than through a copy.
     """
     if not (1e-7 <= eps <= 1e-3):
         raise ContractError(f"grad_check: eps {eps} outside [1e-7, 1e-3]")
@@ -54,19 +77,42 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], eps: float = 1
 
     worst = 0.0
     for p, ref in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        ref_flat = ref.reshape(-1)
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + eps
+        for i in np.ndindex(p.shape):
+            saved = p.data[i]
+            p.data[i] = saved + eps
             f_plus = f().item()
-            flat[i] = saved - eps
+            p.data[i] = saved - eps
             f_minus = f().item()
-            flat[i] = saved
+            p.data[i] = saved
             numeric = (f_plus - f_minus) / (2.0 * eps)
-            err = abs(ref_flat[i] - numeric) / max(1.0, abs(ref_flat[i]))
+            err = abs(ref[i] - numeric) / max(1.0, abs(ref[i]))
             worst = max(worst, err)
     return worst
+
+
+class TensorByTensorAdam:
+    """Adam as one update per parameter tensor: the oracle for the flat ``Adam``."""
+
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[Tensor], lr: float):
+        self.params = params
+        self.lr = lr
+        self.step_count = 0
+        self.first_moment = [np.zeros(p.shape) for p in params]
+        self.second_moment = [np.zeros(p.shape) for p in params]
+
+    def step(self) -> None:
+        self.step_count += 1
+        correction1 = 1.0 - self.BETA1 ** self.step_count
+        correction2 = 1.0 - self.BETA2 ** self.step_count
+        for p, m, v in zip(self.params, self.first_moment, self.second_moment):
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * p.grad
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * p.grad * p.grad
+            update = (m / correction1) / (np.sqrt(v / correction2) + self.EPS)
+            p.data -= self.lr * update
 
 
 # ---------------------------------------------------------------------------

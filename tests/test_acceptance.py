@@ -16,7 +16,6 @@ import pytest
 from neural_atoms.autodiff import (
     Tensor,
     backward,
-    rows,
 )
 from neural_atoms.ewald import (
     EwaldSystem,
@@ -32,7 +31,7 @@ from neural_atoms.neural_atom import (
 from neural_atoms.schedules import compute_k_schedule
 from neural_atoms.training import evaluate, load_checkpoint, train
 from helpers import (direct_total_energy, grad_check, interaction_energy, lattice_energy,
-                     mean_reciprocal_rank, mul, neural_atom_block, permute_graph, sum_all)
+                     mean_reciprocal_rank, mul, neural_atom_block, permute_graph, rows, sum_all)
 
 
 def report(num, passed, detail):
@@ -78,9 +77,8 @@ def test_criterion_02_allocations_are_row_stochastic():
             params = NeuralAtomLayerParams.init(3, dim, 2, rng)
         n = int(rng.integers(2, 17))
         h = Tensor(rng.normal(scale=2.0, size=(n, dim)))
-        _, head_weights = project_to_neural_atoms(h, params)
-        for w in head_weights:
-            worst = max(worst, float(np.abs(w.data.sum(axis=1) - 1.0).max()))
+        _, weights = project_to_neural_atoms(h, params)     # every head's rows
+        worst = max(worst, float(np.abs(weights.data.sum(axis=1) - 1.0).max()))
     report(2, worst < 1e-10, f"worst row-sum deviation {worst:.3g} over 1000 inputs")
 
 

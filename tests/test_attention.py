@@ -34,13 +34,10 @@ def per_head_oracle(x, params, block):
 
 def make_params(rng, heads, dim, out_dim=None, std=0.5):
     out_dim = dim if out_dim is None else out_dim
+    # W_q of every head, then W_k, then W_v, as column blocks of one leaf
+    blocks = [rng.normal(size=(dim, dim)) * std for _ in range(3 * heads)]
     return MultiHeadParams(
-        query_weights=[Tensor(rng.normal(size=(dim, dim)) * std, requires_grad=True)
-                       for _ in range(heads)],
-        key_weights=[Tensor(rng.normal(size=(dim, dim)) * std, requires_grad=True)
-                     for _ in range(heads)],
-        value_weights=[Tensor(rng.normal(size=(dim, dim)) * std, requires_grad=True)
-                       for _ in range(heads)],
+        qkv=Tensor(np.concatenate(blocks, axis=1), requires_grad=True),
         output_weight=Tensor(rng.normal(size=(heads * dim, out_dim)) * std, requires_grad=True),
     )
 

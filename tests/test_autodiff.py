@@ -36,8 +36,7 @@ from neural_atoms.autodiff import (
     matmul,
     mse_loss,
     no_grad,
-    rows,
-    scale,
+    pack,
     segment_attention,
     segment_broadcast,
     segment_mean,
@@ -46,9 +45,10 @@ from neural_atoms.autodiff import (
     softmax_cross_entropy,
     symmetric_matrix,
     transpose,
+    view,
 )
 import helpers
-from helpers import grad_check, mul, relu, sum_all
+from helpers import grad_check, mul, relu, rows, scale, sum_all
 
 
 def indexed_weighted_sum(x, out_index, in_index, weights, num_out_rows):
@@ -255,6 +255,48 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, 4.0 * x.data, atol=1e-14)
 
 
+class TestLeafViews:
+    def test_views_of_one_owner_sum_their_gradients_into_it(self):
+        rng = np.random.default_rng(48)
+        owner = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        x = Tensor(rng.normal(size=(5, 4)))
+        probe = Tensor(rng.normal(size=(5, 3)))
+
+        def f():
+            # columns 2:4 lie in both views, and column 5 in neither
+            left, right = view(owner, np.s_[:, 0:3]), view(owner, np.s_[:, 2:5])
+            return add(sum_all(mul(matmul(x, left), probe)),
+                       sum_all(mul(matmul(x, right), matmul(x, right))))
+
+        assert grad_check(f, [owner]) < 1e-7
+        np.testing.assert_array_equal(owner.grad[:, 5], 0.0)
+        assert np.abs(owner.grad[:, 2]).min() > 0.0
+
+    def test_add_hands_each_leaf_its_own_gradient_array(self):
+        a = Tensor(np.ones((2, 2)), requires_grad=True)
+        b = Tensor(np.ones((2, 2)), requires_grad=True)
+        backward(sum_all(add(a, b)))
+        backward(sum_all(mul(a, a)))                 # a later contribution to a alone
+        np.testing.assert_array_equal(a.grad, np.full((2, 2), 3.0))
+        np.testing.assert_array_equal(b.grad, np.ones((2, 2)))
+
+    def test_pack_makes_every_leaf_a_view_of_one_flat_leaf(self):
+        rng = np.random.default_rng(49)
+        leaves = [Tensor(rng.normal(size=shape), requires_grad=True)
+                  for shape in ((2, 3), (4,), (1, 1))]
+        values = [t.data.copy() for t in leaves]
+        flat = pack(leaves)
+        np.testing.assert_array_equal(flat.data, np.concatenate([v.ravel() for v in values]))
+        for t, v in zip(leaves, values):
+            np.testing.assert_array_equal(t.data, v)
+            assert np.shares_memory(t.data, flat.data) and np.shares_memory(t.grad, flat.grad)
+        backward(sum_all(mul(leaves[0], leaves[0])), [flat])
+        np.testing.assert_array_equal(flat.grad, np.concatenate([2.0 * values[0].ravel(),
+                                                                 np.zeros(5)]))
+        flat.data += 1.0
+        np.testing.assert_array_equal(leaves[2].data, values[2] + 1.0)
+
+
 class TestNoGrad:
     def test_nothing_is_recorded_inside(self):
         w = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -439,6 +481,55 @@ class TestSegmentOps:
             np.testing.assert_allclose(spread[lo:hi], alloc[:, lo:hi].T @ states[block],
                                        atol=1e-14)
 
+    @pytest.mark.parametrize("heads", [1, 3])
+    @pytest.mark.parametrize("offsets", SEGMENT_LAYOUTS)
+    def test_segment_broadcast_heads_grad_check(self, offsets, heads):
+        rng = np.random.default_rng(46)
+        n, k = offsets[-1], 2
+        w = Tensor(rng.normal(size=(heads * k, n)), requires_grad=True)
+        states = Tensor(rng.normal(size=((len(offsets) - 1) * k, 3)), requires_grad=True)
+        probe = Tensor(rng.normal(size=(n, 3)))
+        f = lambda: sum_all(mul(segment_broadcast(w, states, offsets, heads=heads), probe))
+        assert grad_check(f, [w, states]) < 1e-7
+
+    @pytest.mark.parametrize("heads", [1, 2, 3])
+    @pytest.mark.parametrize("offsets", SEGMENT_LAYOUTS)
+    def test_segment_broadcast_head_mean_is_the_rows_add_scale_chain_bitwise(self, offsets,
+                                                                            heads):
+        """The head mean taken inside the op, against the per-head ``rows``, ``add``
+        and ``scale`` ops that took it before: same bits forward and backward, also
+        in the attention that made the weights and in a second use of them."""
+        rng = np.random.default_rng(47)
+        n, k, d = offsets[-1], 3, 4
+        queries = Tensor(rng.normal(size=(heads * k, d)), requires_grad=True)
+        nodes = Tensor(rng.normal(size=(n, d)), requires_grad=True)
+        states = Tensor(rng.normal(size=((len(offsets) - 1) * k, d)), requires_grad=True)
+        probe = Tensor(rng.normal(size=(n, d)))
+        pool_probe = Tensor(rng.normal(size=((len(offsets) - 1) * k, heads * d)))
+
+        def chain(w):
+            total = rows(w, 0, k)
+            for m in range(1, heads):
+                total = add(total, rows(w, m * k, (m + 1) * k))
+            return segment_broadcast(scale(total, 1.0 / heads), states, offsets)
+
+        results = []
+        for mix in (lambda w: segment_broadcast(w, states, offsets, heads=heads), chain):
+            w = segment_attention(queries, nodes, offsets, 0.5)
+            pooled = segment_pool(w, nodes, offsets, heads=heads)
+            out = mix(w)
+            leaves = [queries, nodes, states]
+            backward(add(sum_all(mul(out, probe)), sum_all(mul(pooled, pool_probe))), leaves)
+            results.append([out.data] + [t.grad.copy() for t in leaves])
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
+    def test_segment_broadcast_heads_must_split_the_weight_rows(self):
+        states = Tensor(np.ones((4, 2)))
+        for rows_, heads in ((5, 2), (4, 0)):
+            with pytest.raises(ShapeError, match="heads"):
+                segment_broadcast(Tensor(np.ones((rows_, 4))), states, [0, 2, 4], heads=heads)
+
     @pytest.mark.parametrize("heads", [1, 2, 3])
     @pytest.mark.parametrize("block", [1, 3, 12])
     def test_block_attention_is_per_head_per_block_attention(self, block, heads):
@@ -621,7 +712,7 @@ class TestSlotMatmul:
         want = indexed_weighted_sum(x, dst, src, w, num_out_rows=9)
         np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-10)
         backward(sum_all(mul(got, probe)), [x])
-        got_grad = x.grad
+        got_grad = x.grad.copy()
         backward(sum_all(mul(want, probe)), [x])
         np.testing.assert_allclose(got_grad, x.grad, rtol=0, atol=1e-10)
         assert len(matrix.slots) == 8
@@ -657,7 +748,7 @@ class TestSlotMatmul:
             x = Tensor(merged.node_features, requires_grad=True)
             out = layer(backbone, x, merged, params)
             backward(sum_all(mul(out, Tensor(probe))), [x] + leaves)
-            results.append([out.data, x.grad] + [t.grad for t in leaves])
+            results.append([out.data, x.grad] + [t.grad.copy() for t in leaves])
         for got, want in zip(*results):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
         feats = merged.node_features
@@ -806,7 +897,7 @@ class TestBlockMatrix:
                 assert isinstance(merged.closed_neighborhood(backbone == "gcn"), form)
                 out = layer_forward(backbone, x, merged, params)
             backward(sum_all(mul(out, Tensor(probe))), [x] + leaves)
-            results.append([out.data, x.grad] + [t.grad for t in leaves])
+            results.append([out.data, x.grad] + [t.grad.copy() for t in leaves])
         for other in results[1:]:
             for got, want in zip(results[0], other):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
@@ -875,7 +966,7 @@ class TestAffine:
             agg = slot_matmul(merged.closed_neighborhood(normalised=False), h)
             out = op(agg)
             backward(sum_all(mul(out, probe)), [h] + leaves)
-            results.append([out.data, h.grad] + [t.grad for t in leaves])
+            results.append([out.data, h.grad] + [t.grad.copy() for t in leaves])
         for got, want in zip(*results):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 

@@ -82,6 +82,18 @@ class TestTrain:
         assert "error:" in err and field in err
         assert not (tmp_path / "run").exists()
 
+    def test_int_too_large_for_a_float_in_config_is_a_clean_failure(
+            self, tmp_path, tiny_dataset, capsys):
+        config = {"dataset": str(tiny_dataset), "out": str(tmp_path / "run"), "lr": 10 ** 400}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert len(str(config["lr"])) == 401
+        code = run_cli("train", "--config", str(config_path), "--epochs", "1")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: lr ") and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_bad_enum_exits_with_usage(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("train", "--backbone", "transformer")
@@ -165,6 +177,17 @@ class TestEwald:
                        str(tmp_path / "m.csv"))
         assert code == 1
         assert "nonzero" in capsys.readouterr().err
+
+    def test_z_too_large_for_64_bits_is_exit_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"Z": [10 ** 30, -1], "positions": [[0.1] * 3, [0.6] * 3],
+                                   "cell_edge": 1.0, "a": 0.4,
+                                   "real_cutoff": 2, "recip_cutoff": 2}))
+        code = run_cli("ewald", "--system", str(bad), "--out", str(tmp_path / "m.csv"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'Z'" in err and "Traceback" not in err
+        assert not (tmp_path / "m.csv").exists()
 
     def test_list_cell_edge_is_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -244,6 +244,35 @@ def test_system_validation_errors():
                     splitting=0.4, real_cutoff=2, recip_cutoff=2)
 
 
+@pytest.mark.parametrize("changes, message", [
+    (dict(positions=[[True, "0.1", 0.1], [0.6, 0.6, 0.6]]), "'positions' must hold numbers"),
+    (dict(positions=np.array([["0.1", "0.1", "0.1"], ["0.6", "0.6", "0.6"]])),
+     "'positions' must hold numbers"),
+    (dict(atomic_numbers=[True, 2]), "'Z' must hold numbers"),
+    (dict(atomic_numbers=np.array([True, False])), "'Z' must hold numbers"),
+    (dict(atomic_numbers=["1", -1]), "'Z' must hold numbers"),
+], ids=["bool and string positions", "string array positions", "bool in Z list",
+        "bool array Z", "string in Z"])
+def test_system_built_directly_refuses_what_a_file_refuses(changes, message):
+    system = dict(atomic_numbers=np.array([1, -1]), positions=[[0.1, 0.1, 0.1], [0.6, 0.6, 0.6]],
+                  cell_edge=1.0, splitting=0.4, real_cutoff=2, recip_cutoff=2)
+    with pytest.raises(EwaldError, match=message):
+        EwaldSystem(**dict(system, **changes))
+
+
+@pytest.mark.parametrize("z, positions", [
+    ([1, -1], [[0.1, 0.1, 0.1], [0.6, 0.6, 0.6]]),
+    (np.array([1, -1], dtype=np.int32), np.array([[0.1, 0.1, 0.1], [0.6, 0.6, 0.6]])),
+    (np.array([1, -1]), [[0, 0, 0], [1, 2, 0.5]]),
+], ids=["lists", "int32 and float arrays", "int positions"])
+def test_system_accepts_int_lists_int_arrays_and_float_arrays(z, positions):
+    system = EwaldSystem(atomic_numbers=z, positions=positions, cell_edge=3.0, splitting=0.4,
+                         real_cutoff=2, recip_cutoff=2)
+    assert system.atomic_numbers.dtype == np.int64 and system.positions.dtype == np.float64
+    np.testing.assert_array_equal(system.atomic_numbers, [1, -1])
+    np.testing.assert_array_equal(system.positions, np.asarray(positions, dtype=np.float64))
+
+
 def test_system_json_round_trip(tmp_path):
     path = tmp_path / "system.json"
     record = {
@@ -303,6 +332,22 @@ def test_load_system_does_not_coerce_values(tmp_path, key, value, message):
     path.write_text(json.dumps(system_record(**{key: value})), encoding="utf-8")
     with pytest.raises(EwaldError, match=message):
         load_system(path)
+
+
+def test_z_too_large_for_64_bits_is_refused_from_a_file_and_directly(tmp_path):
+    huge = 10 ** 30
+    assert len(str(huge)) == 31
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system_record(Z=[huge, -1])), encoding="utf-8")
+    with pytest.raises(EwaldError, match="'Z' must hold nonzero integers of at most 64 bits"):
+        load_system(path)
+    for z in ([huge, -1], [1, -2 ** 63 - 1]):
+        with pytest.raises(EwaldError, match="'Z' must hold nonzero integers"):
+            EwaldSystem(atomic_numbers=z, positions=[[0.1, 0.1, 0.1], [0.6, 0.6, 0.6]],
+                        cell_edge=1.0, splitting=0.4, real_cutoff=2, recip_cutoff=2)
+    system = EwaldSystem(atomic_numbers=[2 ** 63 - 1, -1], positions=[[0.1] * 3, [0.6] * 3],
+                         cell_edge=1.0, splitting=0.4, real_cutoff=2, recip_cutoff=2)
+    assert system.atomic_numbers.tolist() == [2 ** 63 - 1, -1]
 
 
 def test_load_system_accepts_integral_floats(tmp_path):

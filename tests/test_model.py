@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neural_atoms.autodiff import GradTape, Tensor, add, backward, concat_rows, matmul, rows
+from neural_atoms.autodiff import GradTape, Tensor, add, backward, concat_rows, matmul
 from neural_atoms import gnn as gnn_module
 from neural_atoms import model as model_module
 from neural_atoms import virtual_node as virtual_node_module
@@ -14,7 +14,7 @@ from neural_atoms.gnn import gcn_forward
 from neural_atoms.graphs import MolecularGraph, batch_graphs, generate_lri_task
 from neural_atoms.model import ConfigError, GraphPropertyModel, TrainConfig
 from neural_atoms.training import _batch_loss, dataset_dimensions
-from helpers import mul, neural_atom_block, sum_all
+from helpers import mul, neural_atom_block, rows, sum_all
 from test_autodiff import composed_affine
 from test_virtual_node import looped_batch_round, mean_rows
 
@@ -293,11 +293,14 @@ def test_virtual_node_forward_matches_graph_by_graph_loop(count):
     assert np.abs(grads[names.index("layer0.vnode.w1")]).max() > 0
 
 
-# The benchmark's workloads: model settings and the most tape entries per batch
+# The benchmark's workloads, and lri-atoms at 1 and 3 heads besides its 2: model
+# settings and the most tape entries per batch
 WORKLOAD_MODELS = {
     "contact-gin": (dict(backbone="gin", task="pair-contact"), 14),
     "lri-vnode": (dict(augment="virtual-node"), 26),
-    "lri-atoms": (dict(augment="neural-atoms"), 98),
+    "lri-atoms": (dict(augment="neural-atoms"), 77),
+    "lri-atoms-1-head": (dict(augment="neural-atoms", heads=1), 65),
+    "lri-atoms-3-heads": (dict(augment="neural-atoms", heads=3), 89),
 }
 
 
@@ -308,7 +311,8 @@ def test_training_tape_per_workload_batch_has_no_unfused_bias_or_relu(workload):
     graphs = generate_lri_task(64, 20, 4, seed=1)
     if overrides.get("task") == "pair-contact":
         graphs = with_pairs(graphs)
-    cfg = TrainConfig(dataset="unused", out="unused", layers=3, hidden=32, heads=2, **overrides)
+    cfg = TrainConfig(dataset="unused", out="unused", layers=3, hidden=32,
+                      **{"heads": 2, **overrides})
     model = GraphPropertyModel(cfg, *dataset_dimensions(graphs, cfg.task))
     loss, _, _ = _batch_loss(model, batch_graphs(graphs))
     names = [e.name for e in GradTape.trace(loss).entries]
@@ -349,6 +353,29 @@ def test_fused_affine_matches_composed_ops_on_the_whole_model(overrides, monkeyp
     for name, got, want in zip(names, fused, composed):
         assert np.abs(got - want).max() < 1e-10, name
     assert all(np.abs(g).max() > 0 for g in fused[1:3])
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(), dict(backbone="gin"), dict(augment="virtual-node", virtual_nodes=2),
+    dict(augment="neural-atoms", heads=1), dict(augment="neural-atoms", heads=3),
+    dict(backbone="gin", task="pair-contact"),
+], ids=["gcn", "gin", "virtual-node", "neural-atoms-1-head", "neural-atoms-3-heads",
+        "pair-contact"])
+def test_named_parameters_cover_the_flat_buffer_exactly_once(overrides):
+    """Every checkpointed tensor is trained: its data and gradient view ``flat``,
+    and the named tensors together cover each element of it once."""
+    task = overrides.get("task", "graph-classification")
+    graphs = ragged_graphs(4)
+    if task == "pair-contact":
+        graphs = with_pairs([g for g in graphs if g.num_nodes > 1])
+    model = GraphPropertyModel(make_config(layers=3, **overrides),
+                               *dataset_dimensions(graphs, task))
+    for buffer, of in ((model.flat.data, lambda t: t.data), (model.flat.grad, lambda t: t.grad)):
+        buffer[...] = 0.0
+        for name, t in model.parameters():
+            assert np.shares_memory(of(t), buffer), name
+            of(t)[...] += 1.0
+        np.testing.assert_array_equal(buffer, 1.0)
 
 
 @pytest.mark.parametrize("name", ["dataset", "out"])

@@ -17,9 +17,8 @@ import pytest
 
 from neural_atoms.attention import MultiHeadParams
 from neural_atoms.autodiff import (GradTape, Tensor, add, backward, concat_cols, concat_rows,
-                                   gather_rows, layer_norm, matmul, rows, scale,
-                                   segment_attention, segment_pool, softmax_cross_entropy,
-                                   transpose)
+                                   gather_rows, layer_norm, matmul, segment_attention,
+                                   segment_pool, softmax_cross_entropy, transpose)
 from neural_atoms.gnn import GcnLayerParams, gcn_forward
 from neural_atoms.graphs import MolecularGraph, batch_graphs, generate_lri_task
 from neural_atoms.model import GraphPropertyModel, TrainConfig
@@ -31,8 +30,9 @@ from neural_atoms.neural_atom import (
     project_to_neural_atoms,
     write_allocation_csv,
 )
-from helpers import grad_check, mul, neural_atom_block, permute_graph, sum_all
+from helpers import grad_check, mul, neural_atom_block, permute_graph, rows, scale, sum_all
 from test_autodiff import softmax_rows
+from test_model import ragged_graphs
 
 
 def path_graph(rng, n, dim):
@@ -90,10 +90,9 @@ class TestSteps:
         for _ in range(50):
             n = int(rng.integers(1, 20))
             params = NeuralAtomLayerParams.init(4, 5, 3, rng)
-            _, head_w = project_to_neural_atoms(Tensor(rng.normal(size=(n, 5)) * 3), params)
-            for w in head_w:
-                assert w.shape == (4, n)
-                np.testing.assert_allclose(w.data.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            _, weights = project_to_neural_atoms(Tensor(rng.normal(size=(n, 5)) * 3), params)
+            assert weights.shape == (3 * 4, n)
+            np.testing.assert_allclose(weights.data.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_projection_is_invariant_to_node_order(self):
         rng = np.random.default_rng(7)
@@ -153,7 +152,6 @@ class TestBlock:
         probe = Tensor(rng.normal(size=(1, dim)))
 
         x = Tensor(g.node_features, requires_grad=True)
-        from neural_atoms.autodiff import rows
         enhanced, _ = neural_atom_block(x, g, lambda t, gr: gcn_forward(t, gr, gcn), params)
         backward(sum_all(mul(rows(enhanced, 5, 6), probe)))
         assert np.abs(x.grad[0]).max() > 1e-8
@@ -389,10 +387,13 @@ def per_head_block(h_nodes, params, offsets):
 
 
 def oracle_batch(layout, rng, dim):
-    """(batch, K): ragged with a 1-node and an edgeless graph, eight 20-node
-    paths, or three graphs with fewer nodes in total than K atoms."""
+    """(batch, K): ragged with a 1-node and an edgeless graph (two such
+    batches), eight 20-node paths, or three graphs with fewer nodes in total
+    than K atoms."""
     if layout == "ragged":
         return ragged_batch(rng, dim), 4
+    if layout == "ragged_graphs":
+        return batch_graphs(ragged_graphs(dim)), 4
     if layout == "paths":
         return batch_graphs([path_graph(rng, 20, dim) for _ in range(8)]), 4
     graphs = [MolecularGraph(n, [], rng.normal(size=(n, dim)), graph_label=0) for n in (2, 1, 3)]
@@ -402,7 +403,7 @@ def oracle_batch(layout, rng, dim):
 class TestReassociatedProjection:
     """The block against ``per_head_block``: same outputs, traces and gradients."""
 
-    @pytest.mark.parametrize("layout", ["ragged", "paths", "k_exceeds_n"])
+    @pytest.mark.parametrize("layout", ["ragged", "ragged_graphs", "paths", "k_exceeds_n"])
     @pytest.mark.parametrize("heads", [1, 2, 3])
     def test_matches_per_head_projection(self, heads, layout):
         rng = np.random.default_rng(60 + heads)
@@ -414,9 +415,8 @@ class TestReassociatedProjection:
         probe = Tensor(rng.normal(size=h.shape))
         leaves = params.tensors() + [h]
 
-        _, head_weights = project_to_neural_atoms(h, params, offsets)
-        assert len(head_weights) == heads
-        assert all(w.shape == (k, batch.total_nodes) and w.requires_grad for w in head_weights)
+        _, weights = project_to_neural_atoms(h, params, offsets)
+        assert weights.shape == (heads * k, batch.total_nodes) and weights.requires_grad
 
         enhanced, traces = enhance_segments(h, offsets, params)
         backward(sum_all(mul(enhanced, probe)), params=leaves)
@@ -475,7 +475,7 @@ class TestReassociatedProjection:
         # the head-by-head order multiplies them twice per head
         assert len(node_row_matmuls(per_head_block(h, params, batch.offsets)[0])) == 2 * heads
 
-    @pytest.mark.parametrize("heads, most", [(1, 81), (2, 102), (4, 144)])
+    @pytest.mark.parametrize("heads, most", [(1, 65), (2, 77), (4, 101)])
     def test_tape_entries_per_lri_batch(self, heads, most):
         """The whole training tape of one 64-graph batch of 20-node paths."""
         graphs = generate_lri_task(64, 20, 4, seed=1)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from neural_atoms import training
-from neural_atoms.autodiff import Tensor, bce_with_logits, softmax_cross_entropy
+from neural_atoms.autodiff import Tensor, backward, bce_with_logits, softmax_cross_entropy
 from neural_atoms.graphs import (DatasetError, MolecularGraph, batch_graphs,
                                  generate_lri_task, save_dataset)
 from neural_atoms.model import ConfigError, GraphPropertyModel, TrainConfig
@@ -22,7 +22,7 @@ from neural_atoms.training import (
     train,
     _contact_reciprocal_ranks,
 )
-from helpers import mean_reciprocal_rank
+from helpers import TensorByTensorAdam, mean_reciprocal_rank
 
 
 def looped_reciprocal_ranks(batch, scores):
@@ -63,13 +63,13 @@ class TestAdam:
         # with fresh state every factor cancels: x <- x - lr * g / (|g| + eps)
         p = Tensor(np.array([[1.0]]), requires_grad=True)
         p.grad = np.array([[2.0]])
-        Adam([p], lr=0.1).step()
+        Adam(p, lr=0.1).step()
         want = 1.0 - 0.1 * (2.0 / (2.0 + 1e-8))
         assert abs(p.data[0, 0] - want) < 1e-15
 
     def test_two_steps_follow_moment_recursion(self):
         p = Tensor(np.array([[0.5]]), requires_grad=True)
-        opt = Adam([p], lr=0.05)
+        opt = Adam(p, lr=0.05)
         m = v = 0.0
         x = 0.5
         for g in (1.5, -0.3):
@@ -85,7 +85,31 @@ class TestAdam:
     def test_missing_gradient_is_an_error(self):
         p = Tensor(np.array([[1.0]]), requires_grad=True)
         with pytest.raises(TrainingError, match="no gradient"):
-            Adam([p], lr=0.1).step()
+            Adam(p, lr=0.1).step()
+
+    def test_flat_step_matches_tensor_by_tensor_bitwise(self):
+        """20 steps on the 2-head lri-atoms model, one parameter with gradient 0."""
+        graphs = generate_lri_task(64, 20, 4, seed=1)
+        cfg = TrainConfig(dataset="unused", out="unused", augment="neural-atoms", layers=3,
+                          hidden=32, heads=2)
+        flat_model, oracle_model = (GraphPropertyModel(cfg, *dataset_dimensions(graphs, cfg.task))
+                                    for _ in range(2))
+        flat, oracle = Adam(flat_model.flat, cfg.lr), TensorByTensorAdam(oracle_model.tensors(),
+                                                                         cfg.lr)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            batch = batch_graphs([graphs[i] for i in rng.permutation(64)[:16]])
+            for model in (flat_model, oracle_model):
+                loss, _, _ = training._batch_loss(model, batch)
+                backward(loss, model.tensors())
+                dict(model.parameters())["layer1.atoms.exchange.head1.wk"].grad[...] = 0.0
+            flat.step()
+            oracle.step()
+            for (name, got), (_, want) in zip(flat_model.parameters(), oracle_model.parameters()):
+                assert np.array_equal(got.data, want.data), name
+        untouched = dict(flat_model.parameters())["layer1.atoms.exchange.head1.wk"]
+        fresh = dict(GraphPropertyModel(cfg, *dataset_dimensions(graphs, cfg.task)).parameters())
+        assert np.array_equal(untouched.data, fresh["layer1.atoms.exchange.head1.wk"].data)
 
 
 class TestDatasetDimensions:
@@ -165,7 +189,7 @@ class TestTrainLoop:
             seen["calls"] += 1
             if seen["calls"] == 6:          # 4 batches an epoch: epoch 1, batch 2
                 assert np.isfinite(loss.item())
-                params[0].grad[0, 0] = np.nan
+                params[0].grad[0] = np.nan       # the one flat leaf every parameter views
                 seen["params"], seen["before"] = params, [p.data.copy() for p in params]
 
         monkeypatch.setattr(training, "backward", poisoning_backward)
@@ -189,6 +213,16 @@ class TestCheckpoint:
             assert np.array_equal(ta.data, tb.data), name_a
         assert evaluate(loaded, graphs) == before
         assert record["epoch"] == cfg.epochs
+
+    def test_a_step_after_loading_moves_the_loaded_values(self, tmp_path):
+        # loading writes into the flat buffer the parameters view, so a step moves them
+        _, path = train(lri_config(tmp_path, augment="neural-atoms"))
+        loaded, record = load_checkpoint(path)
+        loaded.flat.grad[...] = 1.0
+        Adam(loaded.flat, lr=0.01).step()
+        for name, tensor in loaded.parameters():
+            stored = np.array(record["params"][name]["data"]).reshape(tensor.shape)
+            np.testing.assert_allclose(tensor.data, stored - 0.01, rtol=0, atol=1e-9)
 
     def test_missing_and_unknown_parameters_are_rejected(self, tmp_path):
         cfg = lri_config(tmp_path)

@@ -143,6 +143,12 @@ def test_number_refuses_what_is_not_a_finite_number(value):
         number(value, "x", EwaldError)
 
 
+@pytest.mark.parametrize("value", [10 ** 400, -10 ** 400], ids=["huge", "huge negative"])
+def test_number_refuses_an_int_too_large_for_a_float_with_the_callers_error(value):
+    with pytest.raises(ConfigError, match="lr must hold numbers that are finite"):
+        number(value, "lr", ConfigError)
+
+
 def test_choice_names_the_options():
     choice("gin", "backbone", ("gcn", "gin"), ConfigError)
     with pytest.raises(ConfigError, match=r"backbone must be one of \('gcn', 'gin'\), got 1"):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from neural_atoms.autodiff import (ShapeError, Tensor, _result, add, backward, concat_rows,
-                                   matmul, rows, scale)
+                                   matmul)
 from neural_atoms.virtual_node import VirtualNodeParams, multi_virtual_node_layer
-from helpers import grad_check, mul, neg, relu, sum_all
+from helpers import grad_check, mul, neg, relu, rows, scale, sum_all
 
 
 def mean_rows(a):
