@@ -5,7 +5,9 @@ K rows, and every atom attends to the atoms of its own block only.  All
 heads run at once: one matmul projects the rows onto the queries, keys and
 values of every head, one ``block_attention`` attends within every block
 and head, and one matmul mixes the heads.  The neural-atom projection
-reassociates its products instead and does not come through here.
+reassociates its products instead and does not come through here: it views
+the (d, H * d) W_q, W_k and W_v blocks of ``qkv`` whole and forms every
+head's product of two weights with one ``segment_pool`` over head blocks.
 """
 
 from __future__ import annotations

@@ -253,18 +253,6 @@ def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
     return _result(a.data[idx], "gather_rows", (a,), back)
 
 
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ContractError("concat_rows needs at least one tensor")
-    counts = [p.shape[0] for p in parts]
-    splits = np.cumsum(counts)[:-1]
-
-    def back(g: np.ndarray) -> tuple:
-        return tuple(np.split(g, splits, axis=0))
-
-    return _result(np.concatenate([p.data for p in parts], axis=0), "concat_rows", tuple(parts), back)
-
-
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     if not parts:
         raise ContractError("concat_cols needs at least one tensor")

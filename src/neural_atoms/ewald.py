@@ -56,8 +56,9 @@ class EwaldSystem:
     ``atomic_numbers`` are nonzero 64-bit integers: positive for elements,
     and signed surrogate charges (for example +1/-1) are accepted so that
     charge-balanced verification systems can be expressed.  Every entry of
-    both arrays, as given, passes the rule of :mod:`neural_atoms.validate`;
-    an array of atomic numbers must have an integer dtype, too.
+    both arrays, as given, passes the rule of :mod:`neural_atoms.validate`,
+    so an integral float such as 1.0 is an atomic number whether it comes
+    in a list or in a float array.
     """
 
     atomic_numbers: np.ndarray
@@ -75,8 +76,7 @@ class EwaldSystem:
             raise EwaldError(f"positions must be finite with shape ({z.size}, 3)")
         z = [integer(v, "system key 'Z'", EwaldError) for v in z]
         pos = np.array([number(v, "system key 'positions'", EwaldError) for v in pos.flat])
-        if (getattr(self.atomic_numbers, "dtype", np.dtype(int)).kind not in "iu" or 0 in z
-                or max(map(abs, z)) > np.iinfo(np.int64).max):  # else int64 overflows
+        if 0 in z or max(map(abs, z)) > np.iinfo(np.int64).max:  # else int64 overflows
             raise EwaldError("system key 'Z' must hold nonzero integers of at most 64 bits")
         self.atomic_numbers, pos = np.array(z, dtype=np.int64), pos.reshape(-1, 3)
         self.cell_edge = number(self.cell_edge, "system key 'cell_edge'", EwaldError)

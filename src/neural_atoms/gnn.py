@@ -37,8 +37,9 @@ class GcnLayerParams:
 
 
 @dataclass
-class GinLayerParams:
-    """Two affine maps with a ReLU between them, applied after the sum."""
+class MlpParams:
+    """Two affine maps with a ReLU between them: the GIN layer's map after
+    the sum, and the virtual-node update."""
 
     w1: Tensor
     b1: Tensor
@@ -71,10 +72,14 @@ def gcn_forward(h: Tensor, graph: MolecularGraph, params: GcnLayerParams) -> Ten
     return affine(agg, params.weight, relu=True)
 
 
-def gin_forward(h: Tensor, graph: MolecularGraph, params: GinLayerParams) -> Tensor:
+def mlp(x: Tensor, params: MlpParams) -> Tensor:
+    """relu(x W1 + b1) W2 + b2, as two :func:`affine` tape ops."""
+    hidden = affine(x, params.w1, params.b1, relu=True)
+    return affine(hidden, params.w2, params.b2)
+
+
+def gin_forward(h: Tensor, graph: MolecularGraph, params: MlpParams) -> Tensor:
     """Unweighted neighbourhood-plus-self sum pushed through a two-layer MLP."""
     if h.shape[0] != graph.num_nodes:
         raise ValueError(f"feature rows {h.shape[0]} != graph nodes {graph.num_nodes}")
-    agg = slot_matmul(graph.closed_neighborhood(normalised=False), h)
-    hidden = affine(agg, params.w1, params.b1, relu=True)
-    return affine(hidden, params.w2, params.b2)
+    return mlp(slot_matmul(graph.closed_neighborhood(normalised=False), h), params)

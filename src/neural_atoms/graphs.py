@@ -54,7 +54,13 @@ class MolecularGraph:
 
     def __post_init__(self):
         self.num_nodes = integer(self.num_nodes, "num_nodes", GraphError, minimum=1)
-        feats = np.asarray(self.node_features, dtype=np.float64)
+        feats = self.node_features
+        if not (isinstance(feats, np.ndarray) and feats.dtype.kind in "iuf"):
+            # bools, strings and objects would convert to floats; the one rule refuses them
+            feats = np.asarray(feats, dtype=object)
+            for value in feats.ravel():
+                number(value, "node_feats", GraphError)
+        feats = np.asarray(feats, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[0] != self.num_nodes or feats.shape[1] < 1:
             raise GraphError(
                 f"node_features must be ({self.num_nodes}, D) with D >= 1, got {feats.shape}")
@@ -235,11 +241,8 @@ def _graph_from_record(record: dict, plain: bool) -> MolecularGraph:
         pairs = [tuple(t) for t in pairs]
     edges = [tuple(e) for e in record["edges"]]
     feats = record["node_feats"]
-    if not plain:
-        for value in np.asarray(feats, dtype=object).ravel():
-            if isinstance(value, (bool, str)):
-                raise DatasetError(f"node_feats must hold numbers, got {value!r}")
-    return MolecularGraph(record["num_nodes"], edges, np.asarray(feats, dtype=np.float64),
+    return MolecularGraph(record["num_nodes"], edges,
+                          np.asarray(feats, dtype=np.float64) if plain else feats,
                           record.get("graph_label"), pairs)
 
 

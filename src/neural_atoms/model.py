@@ -16,12 +16,12 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .autodiff import Tensor, affine, concat_cols, gather_rows, pack, parameter, segment_mean
-from .gnn import GcnLayerParams, GinLayerParams, gcn_forward, gin_forward
+from .gnn import GcnLayerParams, MlpParams, gcn_forward, gin_forward
 from .graphs import GraphBatch
 from .neural_atom import NeuralAtomLayerParams, NeuralAtomTrace, enhance_segments
 from .schedules import STRATEGIES, compute_k_schedule
 from .validate import choice, integer, number
-from .virtual_node import VirtualNodeParams, multi_virtual_node_layer
+from .virtual_node import multi_virtual_node_layer
 
 BACKBONES = ("gcn", "gin")
 AUGMENTS = ("none", "neural-atoms", "virtual-node")
@@ -115,11 +115,10 @@ class GraphPropertyModel:
             if cfg.backbone == "gcn":
                 self.gnn_layers.append(GcnLayerParams.init(dim_in, cfg.hidden, rng))
             else:
-                self.gnn_layers.append(
-                    GinLayerParams.init(dim_in, cfg.hidden, cfg.hidden, rng))
+                self.gnn_layers.append(MlpParams.init(dim_in, cfg.hidden, cfg.hidden, rng))
 
         self.atom_layers: list[NeuralAtomLayerParams] = []
-        self.vn_layers: list[VirtualNodeParams] = []
+        self.vn_layers: list[MlpParams] = []
         if cfg.augment == "neural-atoms":
             schedule = compute_k_schedule(cfg.k_strategy, cfg.proportion,
                                           self.avg_nodes, cfg.layers)
@@ -129,7 +128,7 @@ class GraphPropertyModel:
                     NeuralAtomLayerParams.init(k, cfg.hidden, cfg.heads, rng))
         elif cfg.augment == "virtual-node":
             for _ in range(cfg.layers):
-                self.vn_layers.append(VirtualNodeParams.init(rng, cfg.hidden))
+                self.vn_layers.append(MlpParams.init(cfg.hidden, cfg.hidden, cfg.hidden, rng))
 
         if cfg.task == "pair-contact":
             self.head = {
@@ -166,8 +165,8 @@ class GraphPropertyModel:
                 named.append((f"layer{i}.atoms.{role}.gain", norm.gain))
                 named.append((f"layer{i}.atoms.{role}.bias", norm.bias))
         for i, vn in enumerate(self.vn_layers):
-            for attr in ("w1", "b1", "w2", "b2"):
-                named.append((f"layer{i}.vnode.{attr}", getattr(vn, attr)))
+            for f in fields(vn):
+                named.append((f"layer{i}.vnode.{f.name}", getattr(vn, f.name)))
         for attr in sorted(self.head):
             named.append((f"head.{attr}", self.head[attr]))
         return named

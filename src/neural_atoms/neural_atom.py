@@ -4,7 +4,9 @@ A block takes the node states produced by one message-passing layer and
 routes them through a small set of learnable "neural atoms":
 
 1. cross-attention from the atom queries onto the nodes groups every node
-   softly into atoms (an information bottleneck of K slots),
+   softly into atoms (an information bottleneck of K slots); the heads'
+   weight products run as one ``segment_pool`` over head blocks, so no step
+   loops over the heads,
 2. self-attention among the atoms exchanges information globally in one hop,
 3. the mean of the heads' (K, N) allocation matrices carries the exchanged
    atom states back onto the nodes, as the adjoint of the pooling in step 1,
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import MultiHeadParams, multi_head_attention
-from .autodiff import (Tensor, add, concat_rows, gather_rows, layer_norm, matmul, parameter,
+from .autodiff import (Tensor, add, gather_rows, layer_norm, matmul, parameter,
                        segment_attention, segment_broadcast, segment_pool, transpose, view)
 from .files import replacing
 
@@ -115,16 +117,22 @@ def project_to_neural_atoms(h_nodes: Tensor, params: NeuralAtomLayerParams,
     call, one pooling serves all heads, and the B * K pooled rows meet the
     stacked W_v,m W_o,m.  Products are associative, so this is exact up to
     rounding.
+
+    Both per-head products are one ``segment_pool`` each, with the heads'
+    d-wide blocks as its segments: segment m of (q W_q) times W_k^T is
+    q W_q,m W_k,m^T, and segment m of W_v times W_o is W_v,m W_o,m.  So the
+    tape holds the same four entries for these products at any head count.
     """
     offsets = np.array([0, h_nodes.shape[0]]) if offsets is None else np.asarray(offsets)
     attn, k, d = params.project_attention, params.num_atoms, params.queries.shape[1]
+    width = attn.heads * d
+    w_q, w_k, w_v = (view(attn.qkv, np.s_[:, r * width:(r + 1) * width]) for r in range(3))
+    head_offsets = np.arange(0, width + 1, d)    # head m's d columns or rows are segment m
     # (H * K, d) effective queries; (B * K, H * d) pooled nodes; (H * d, d) mix
-    queries = concat_rows([matmul(matmul(params.queries, wq), transpose(wk))
-                           for wq, wk in zip(attn.query_weights, attn.key_weights)])
+    queries = segment_pool(matmul(params.queries, w_q), transpose(w_k), head_offsets)
     weights = segment_attention(queries, h_nodes, offsets, d ** -0.5)
     pooled = segment_pool(weights, h_nodes, offsets, heads=attn.heads)
-    mix = concat_rows([matmul(wv, view(attn.output_weight, np.s_[m * d:(m + 1) * d]))
-                       for m, wv in enumerate(attn.value_weights)])
+    mix = segment_pool(w_v, attn.output_weight, head_offsets)
     stacked = gather_rows(params.queries, np.tile(np.arange(k), len(offsets) - 1))
     atoms = layer_norm(add(stacked, matmul(pooled, mix)),
                        params.project_norm.gain, params.project_norm.bias, LAYER_NORM_EPS)

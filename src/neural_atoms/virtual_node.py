@@ -11,55 +11,18 @@ The round runs on a whole batch at once in the segment layout of
 :mod:`neural_atoms.autodiff`: the node rows of B graphs are consecutive
 segments delimited by ``offsets``, and graph b's V states are rows
 b*V:(b+1)*V of a (B * V, d) stack.  A state only ever sees its own graph.
-The update MLP is two :func:`affine` tape ops, the first with its ReLU fused.
+The update MLP is the GIN layer's :func:`neural_atoms.gnn.mlp`, mapping d to d.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .autodiff import (
-    ShapeError,
-    Tensor,
-    add,
-    affine,
-    gather_rows,
-    parameter,
-    segment_broadcast,
-    segment_mean,
-)
+from .autodiff import ShapeError, Tensor, add, gather_rows, segment_broadcast, segment_mean
+from .gnn import MlpParams, mlp
 
 
-@dataclass
-class VirtualNodeParams:
-    """Two affine layers with a ReLU between them, mapping d to d."""
-
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, dim: int) -> "VirtualNodeParams":
-        return cls(
-            w1=parameter(rng, (dim, dim), dim ** -0.5),
-            b1=Tensor(np.zeros(dim), requires_grad=True),
-            w2=parameter(rng, (dim, dim), dim ** -0.5),
-            b2=Tensor(np.zeros(dim), requires_grad=True),
-        )
-
-    def tensors(self) -> list[Tensor]:
-        return [self.w1, self.b1, self.w2, self.b2]
-
-
-def _update_mlp(state: Tensor, params: VirtualNodeParams) -> Tensor:
-    hidden = affine(state, params.w1, params.b1, relu=True)
-    return affine(hidden, params.w2, params.b2)
-
-
-def multi_virtual_node_layer(h: Tensor, vstates: Tensor, params: VirtualNodeParams,
+def multi_virtual_node_layer(h: Tensor, vstates: Tensor, params: MlpParams,
                              offsets: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """One round of V fully connected virtual nodes per graph, sharing one update MLP.
 
@@ -91,6 +54,6 @@ def multi_virtual_node_layer(h: Tensor, vstates: Tensor, params: VirtualNodePara
         incoming = segment_broadcast(Tensor(mix), vstates,
                                      np.arange(0, vstates.shape[0] + 1, count))
         pooled = gather_rows(pooled, np.repeat(np.arange(num_graphs), count))
-    new_states = _update_mlp(add(incoming, pooled), params)
+    new_states = mlp(add(incoming, pooled), params)
     ones = Tensor(np.ones((count, h.shape[0])))
     return add(h, segment_broadcast(ones, new_states, offsets)), new_states

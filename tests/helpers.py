@@ -5,11 +5,14 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from neural_atoms.autodiff import ContractError, ShapeError, Tensor, _result, backward
+from neural_atoms.autodiff import (ContractError, ShapeError, Tensor, _result, add, backward,
+                                   gather_rows, layer_norm, matmul, segment_attention,
+                                   segment_pool, transpose, view)
 from neural_atoms.ewald import (SQRT_PI, EwaldError, EwaldMatrix, EwaldSystem, _image_sums,
                                 _integer_shells)
 from neural_atoms.graphs import GraphError, MolecularGraph
-from neural_atoms.neural_atom import NeuralAtomLayerParams, NeuralAtomTrace, enhance_segments
+from neural_atoms.neural_atom import (LAYER_NORM_EPS, NeuralAtomLayerParams, NeuralAtomTrace,
+                                      enhance_segments)
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +56,18 @@ def rows(a: Tensor, start: int, stop: int) -> Tensor:
         return (full,)
 
     return _result(a.data[start:stop].copy(), "rows", (a,), back)
+
+
+def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+    if not parts:
+        raise ContractError("concat_rows needs at least one tensor")
+    counts = [p.shape[0] for p in parts]
+    splits = np.cumsum(counts)[:-1]
+
+    def back(g: np.ndarray) -> tuple:
+        return tuple(np.split(g, splits, axis=0))
+
+    return _result(np.concatenate([p.data for p in parts], axis=0), "concat_rows", tuple(parts), back)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -199,6 +214,25 @@ def neural_atom_block(h_prev: Tensor, graph: MolecularGraph,
     h = gnn_layer(h_prev, graph)
     enhanced, traces = enhance_segments(h, np.array([0, h.shape[0]]), params)
     return enhanced, traces[0]
+
+
+def looped_projection(h_nodes: Tensor, params: NeuralAtomLayerParams,
+                      offsets: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """``project_to_neural_atoms`` with each head's two weight products built
+    in a loop over the heads and stacked by ``concat_rows``: the form the
+    one ``segment_pool`` per product replaced."""
+    offsets = np.array([0, h_nodes.shape[0]]) if offsets is None else np.asarray(offsets)
+    attn, k, d = params.project_attention, params.num_atoms, params.queries.shape[1]
+    queries = concat_rows([matmul(matmul(params.queries, wq), transpose(wk))
+                           for wq, wk in zip(attn.query_weights, attn.key_weights)])
+    weights = segment_attention(queries, h_nodes, offsets, d ** -0.5)
+    pooled = segment_pool(weights, h_nodes, offsets, heads=attn.heads)
+    mix = concat_rows([matmul(wv, view(attn.output_weight, np.s_[m * d:(m + 1) * d]))
+                       for m, wv in enumerate(attn.value_weights)])
+    stacked = gather_rows(params.queries, np.tile(np.arange(k), len(offsets) - 1))
+    atoms = layer_norm(add(stacked, matmul(pooled, mix)),
+                       params.project_norm.gain, params.project_norm.bias, LAYER_NORM_EPS)
+    return atoms, weights
 
 
 def permute_graph(graph: MolecularGraph, perm) -> MolecularGraph:

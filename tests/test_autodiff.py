@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from neural_atoms import autodiff as ad
-from neural_atoms.gnn import GcnLayerParams, GinLayerParams, gcn_forward, gin_forward
+from neural_atoms.gnn import GcnLayerParams, MlpParams, gcn_forward, gin_forward
 from neural_atoms.graphs import MolecularGraph, batch_graphs, generate_lri_task
 from test_gnn import dense_gcn_oracle, dense_gin_sum_oracle, random_graph
 from test_virtual_node import mean_rows
@@ -30,7 +30,6 @@ from neural_atoms.autodiff import (
     bce_with_logits,
     block_attention,
     concat_cols,
-    concat_rows,
     gather_rows,
     layer_norm,
     matmul,
@@ -48,7 +47,7 @@ from neural_atoms.autodiff import (
     view,
 )
 import helpers
-from helpers import grad_check, mul, relu, rows, scale, sum_all
+from helpers import concat_rows, grad_check, mul, relu, rows, scale, sum_all
 
 
 def indexed_weighted_sum(x, out_index, in_index, weights, num_out_rows):
@@ -685,7 +684,7 @@ def ragged_graphs(seed, dim=4):
 def layer_params(backbone, rng, dim=4):
     if backbone == "gcn":
         return GcnLayerParams.init(dim, 5, rng, std=0.5)
-    return GinLayerParams.init(dim, 6, 5, rng, std=0.5)
+    return MlpParams.init(dim, 6, 5, rng, std=0.5)
 
 
 def layer_forward(backbone, h, graph, params):

@@ -224,8 +224,12 @@ def test_system_validation_errors():
                 cell_edge=1.0, splitting=0.4, real_cutoff=2, recip_cutoff=2)
     with pytest.raises(EwaldError, match="nonzero integers"):
         EwaldSystem(atomic_numbers=np.array([1, 0]), **good)
-    with pytest.raises(EwaldError, match="nonzero integers"):
-        EwaldSystem(atomic_numbers=np.array([1.0, -1.0]), **good)
+    with pytest.raises(EwaldError, match="'Z' must hold integers"):
+        EwaldSystem(atomic_numbers=np.array([1.5, -1.0]), **good)
+    # an integral float array passes the one rule, as a list of the same floats does
+    system = EwaldSystem(atomic_numbers=np.array([1.0, -1.0]), **good)
+    assert system.atomic_numbers.dtype == np.int64
+    assert system.atomic_numbers.tolist() == [1, -1]
     with pytest.raises(EwaldError, match="coincide"):
         EwaldSystem(atomic_numbers=np.array([1, -1]),
                     positions=np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]]),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from neural_atoms.autodiff import Tensor
-from neural_atoms.gnn import GcnLayerParams, GinLayerParams, gcn_forward, gin_forward
+from neural_atoms.gnn import GcnLayerParams, MlpParams, gcn_forward, gin_forward
 from neural_atoms.graphs import MolecularGraph
 from helpers import grad_check, mul, permute_graph, sum_all
 
@@ -109,7 +109,7 @@ class TestGcn:
 class TestGin:
     def test_isolated_node_through_identity_mlp(self):
         g = MolecularGraph(1, [], np.array([[1.0, 2.0]]), graph_label=0)
-        params = GinLayerParams(w1=Tensor(np.eye(2)), b1=Tensor(np.zeros(2)),
+        params = MlpParams(w1=Tensor(np.eye(2)), b1=Tensor(np.zeros(2)),
                                 w2=Tensor(np.eye(2)), b2=Tensor(np.zeros(2)))
         out = gin_forward(Tensor(g.node_features), g, params)
         np.testing.assert_allclose(out.data, [[1.0, 2.0]], atol=1e-15)
@@ -117,7 +117,7 @@ class TestGin:
     def test_two_node_sum_before_mlp(self):
         # closed-neighbourhood sums are [1 + 2] = [3] for both nodes
         g = MolecularGraph(2, [(0, 1)], np.array([[1.0], [2.0]]), graph_label=0)
-        params = GinLayerParams(w1=Tensor(np.eye(1)), b1=Tensor(np.zeros(1)),
+        params = MlpParams(w1=Tensor(np.eye(1)), b1=Tensor(np.zeros(1)),
                                 w2=Tensor(np.eye(1)), b2=Tensor(np.zeros(1)))
         out = gin_forward(Tensor(g.node_features), g, params)
         np.testing.assert_allclose(out.data, [[3.0], [3.0]], atol=1e-15)
@@ -128,7 +128,7 @@ class TestGin:
             g = random_graph(rng, int(rng.integers(2, 12)), 3)
             # identity MLP on positive sums exposes the raw aggregation
             feats = np.abs(g.node_features) + 0.1
-            params = GinLayerParams(w1=Tensor(np.eye(3)), b1=Tensor(np.zeros(3)),
+            params = MlpParams(w1=Tensor(np.eye(3)), b1=Tensor(np.zeros(3)),
                                     w2=Tensor(np.eye(3)), b2=Tensor(np.zeros(3)))
             got = gin_forward(Tensor(feats), g, params).data
             np.testing.assert_allclose(got, dense_gin_sum_oracle(g, feats), atol=1e-12)
@@ -138,7 +138,7 @@ class TestGin:
         for _ in range(20):
             n = int(rng.integers(2, 15))
             g = random_graph(rng, n, 4)
-            params = GinLayerParams.init(4, 6, 5, rng, std=0.4)
+            params = MlpParams.init(4, 6, 5, rng, std=0.4)
             perm = rng.permutation(n)
             pg = permute_graph(g, perm)
             base = gin_forward(Tensor(g.node_features), g, params).data
@@ -148,7 +148,7 @@ class TestGin:
     def test_gradients(self):
         rng = np.random.default_rng(14)
         g = random_graph(rng, 6, 3)
-        params = GinLayerParams.init(3, 4, 3, rng, std=0.5)
+        params = MlpParams.init(3, 4, 3, rng, std=0.5)
         x = Tensor(g.node_features, requires_grad=True)
 
         def f():
@@ -161,7 +161,7 @@ class TestGin:
 
 def test_gin_row_count_mismatch_is_rejected():
     g = MolecularGraph(3, [(0, 1)], np.zeros((3, 2)), graph_label=0)
-    params = GinLayerParams(w1=Tensor(np.eye(2)), b1=Tensor(np.zeros(2)),
+    params = MlpParams(w1=Tensor(np.eye(2)), b1=Tensor(np.zeros(2)),
                             w2=Tensor(np.eye(2)), b2=Tensor(np.zeros(2)))
     with pytest.raises(ValueError, match="feature rows 2 != graph nodes 3"):
         gin_forward(Tensor(np.zeros((2, 2))), g, params)

@@ -38,6 +38,20 @@ class TestMolecularGraph:
         with pytest.raises(GraphError):
             MolecularGraph(2, [(0, 1)], feats, graph_label=0)
 
+    @pytest.mark.parametrize("feats", [
+        [[True], [0.5]], [[1.0], ["0.5"]],
+        np.array([[True], [False]]), np.array([["1.0"], ["0.5"]]),
+    ], ids=["bool-list", "string-list", "bool-array", "string-array"])
+    def test_refuses_features_that_would_be_coerced(self, feats):
+        with pytest.raises(GraphError, match="node_feats"):
+            MolecularGraph(2, [(0, 1)], feats, graph_label=0)
+
+    def test_keeps_integer_features_and_plain_number_lists(self):
+        for feats in (np.array([[1], [2]]), [[1], [2.0]], np.array([[1.0], [2.0]], dtype=object)):
+            graph = MolecularGraph(2, [(0, 1)], feats, graph_label=0)
+            assert graph.node_features.dtype == np.float64
+            assert graph.node_features.tolist() == [[1.0], [2.0]]
+
     def test_rejects_bad_pair_flag(self):
         with pytest.raises(GraphError):
             MolecularGraph(3, [(0, 1)], np.zeros((3, 2)), pair_labels=[(0, 2, 7)])

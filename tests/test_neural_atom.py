@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 
 from neural_atoms.attention import MultiHeadParams
-from neural_atoms.autodiff import (GradTape, Tensor, add, backward, concat_cols, concat_rows,
+from neural_atoms.autodiff import (GradTape, Tensor, add, backward, concat_cols,
                                    gather_rows, layer_norm, matmul, segment_attention,
                                    segment_pool, softmax_cross_entropy, transpose)
 from neural_atoms.gnn import GcnLayerParams, gcn_forward
 from neural_atoms.graphs import MolecularGraph, batch_graphs, generate_lri_task
+from neural_atoms import neural_atom as neural_atom_module
 from neural_atoms.model import GraphPropertyModel, TrainConfig
 from neural_atoms.neural_atom import (
     LAYER_NORM_EPS,
@@ -30,7 +31,8 @@ from neural_atoms.neural_atom import (
     project_to_neural_atoms,
     write_allocation_csv,
 )
-from helpers import grad_check, mul, neural_atom_block, permute_graph, rows, scale, sum_all
+from helpers import (concat_rows, grad_check, looped_projection, mul, neural_atom_block,
+                     permute_graph, rows, scale, sum_all)
 from test_autodiff import softmax_rows
 from test_model import ragged_graphs
 
@@ -475,9 +477,10 @@ class TestReassociatedProjection:
         # the head-by-head order multiplies them twice per head
         assert len(node_row_matmuls(per_head_block(h, params, batch.offsets)[0])) == 2 * heads
 
-    @pytest.mark.parametrize("heads, most", [(1, 65), (2, 77), (4, 101)])
-    def test_tape_entries_per_lri_batch(self, heads, most):
-        """The whole training tape of one 64-graph batch of 20-node paths."""
+    @pytest.mark.parametrize("heads", [1, 2, 3, 4])
+    def test_tape_entries_per_lri_batch(self, heads):
+        """The whole training tape of one 64-graph batch of 20-node paths, the
+        same at every head count."""
         graphs = generate_lri_task(64, 20, 4, seed=1)
         cfg = TrainConfig(dataset="unused", out="unused", augment="neural-atoms",
                           layers=3, hidden=32, heads=heads)
@@ -485,4 +488,47 @@ class TestReassociatedProjection:
         assert model.k_counts == [4, 4, 4]
         logits = model.forward(batch_graphs(graphs)).graph_outputs
         loss = softmax_cross_entropy(logits, np.array([g.graph_label for g in graphs]))
-        assert len(GradTape.trace(loss).entries) <= most
+        assert len(GradTape.trace(loss).entries) <= 59
+
+
+class TestHeadProductsAsSegments:
+    """The model against itself with ``looped_projection``: the heads' weight
+    products as one ``segment_pool`` each give the same logits, traces and
+    gradients, bar the last bits of the atom queries' gradient."""
+
+    @pytest.mark.parametrize("layout", ["paths", "ragged"])
+    @pytest.mark.parametrize("heads", [1, 2, 3, 4])
+    def test_matches_looped_projection(self, heads, layout, monkeypatch):
+        # 64 equal 20-node paths, or chains, a 1-node and an edgeless graph
+        graphs = generate_lri_task(64, 20, 4, seed=1) if layout == "paths" else ragged_graphs(5)
+        cfg = TrainConfig(dataset="unused", out="unused", augment="neural-atoms",
+                          layers=3, hidden=32, heads=heads)
+        batch = batch_graphs(graphs)
+        labels = np.array([g.graph_label for g in graphs])
+
+        def run():
+            model = GraphPropertyModel(cfg, graphs[0].feature_dim, 2, 20.0)
+            out = model.forward(batch, collect_traces=True)
+            backward(softmax_cross_entropy(out.graph_outputs, labels), model.tensors())
+            return out, {name: t.grad.copy() for name, t in model.parameters()}
+
+        folded, folded_grads = run()
+        monkeypatch.setattr(neural_atom_module, "project_to_neural_atoms", looped_projection)
+        looped, looped_grads = run()
+
+        assert np.array_equal(folded.graph_outputs.data, looped.graph_outputs.data)
+        for got_layer, want_layer in zip(folded.traces, looped.traces, strict=True):
+            for got, want in zip(got_layer, want_layer, strict=True):
+                assert np.array_equal(got.atom_states, want.atom_states)
+                assert np.array_equal(got.node_allocation, want.node_allocation)
+                for got_w, want_w in zip(got.allocation_per_head, want.allocation_per_head,
+                                         strict=True):
+                    assert np.array_equal(got_w, want_w)
+        assert folded_grads.keys() == looped_grads.keys()
+        for name, want in looped_grads.items():
+            got = folded_grads[name]
+            if name.endswith(".atoms.queries"):
+                # one (K, d)(d, H * d) product sums the heads' query gradients inside BLAS
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), name
+            else:
+                assert np.array_equal(got, want), name

@@ -1,12 +1,14 @@
 """Tests for the virtual-node baseline layer."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from neural_atoms.autodiff import (ShapeError, Tensor, _result, add, backward, concat_rows,
-                                   matmul)
-from neural_atoms.virtual_node import VirtualNodeParams, multi_virtual_node_layer
-from helpers import grad_check, mul, neg, relu, rows, scale, sum_all
+from neural_atoms.autodiff import ShapeError, Tensor, _result, add, backward, matmul
+from neural_atoms.gnn import MlpParams
+from neural_atoms.virtual_node import multi_virtual_node_layer
+from helpers import concat_rows, grad_check, mul, neg, relu, rows, scale, sum_all
 
 
 def mean_rows(a):
@@ -66,11 +68,15 @@ def looped_batch_round(h, vstates, params, offsets):
 
 
 def make_params(rng, dim):
-    return VirtualNodeParams.init(rng, dim)
+    return MlpParams.init(dim, dim, dim, rng)
+
+
+def leaves_of(params):
+    return [getattr(params, f.name) for f in fields(params)]
 
 
 def zero_params(dim):
-    return VirtualNodeParams(
+    return MlpParams(
         w1=Tensor(np.zeros((dim, dim)), requires_grad=True),
         b1=Tensor(np.zeros(dim), requires_grad=True),
         w2=Tensor(np.zeros((dim, dim)), requires_grad=True),
@@ -80,7 +86,7 @@ def zero_params(dim):
 
 def identity_params(dim):
     eye = np.eye(dim)
-    return VirtualNodeParams(
+    return MlpParams(
         w1=Tensor(eye.copy(), requires_grad=True),
         b1=Tensor(np.zeros(dim), requires_grad=True),
         w2=Tensor(eye.copy(), requires_grad=True),
@@ -186,7 +192,7 @@ def test_gradients_flow_to_update_mlp():
         out, states = multi_virtual_node_layer(h, vstates, params)
         return sum_all(out) + sum_all(states)
 
-    worst = grad_check(loss, params.tensors() + [h])
+    worst = grad_check(loss, leaves_of(params) + [h])
     assert worst < 1e-6, f"worst relative gradient error {worst}"
 
 
@@ -223,7 +229,7 @@ class TestBatchedRound:
         h = Tensor(rng.normal(size=(offsets[-1], 4)), requires_grad=True)
         vstates = Tensor(rng.normal(size=(5 * count, 4)), requires_grad=True)
         weights = rng.normal(size=(offsets[-1], 4))
-        leaves = params.tensors() + [h, vstates]
+        leaves = leaves_of(params) + [h, vstates]
 
         def grads(layer):
             backward(weighted_loss(*layer(h, vstates, params, offsets), weights), leaves)
@@ -244,7 +250,7 @@ class TestBatchedRound:
             return weighted_loss(*multi_virtual_node_layer(h, vstates, params, offsets),
                                  weights)
 
-        worst = grad_check(loss, params.tensors() + [h, vstates])
+        worst = grad_check(loss, leaves_of(params) + [h, vstates])
         assert worst < 1e-6, f"worst relative gradient error {worst}"
 
     def test_graphs_do_not_see_each_other(self, count):
