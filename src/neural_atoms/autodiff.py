@@ -265,61 +265,69 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     return _result(np.concatenate([p.data for p in parts], axis=1), "concat_cols", tuple(parts), back)
 
 
-def _checked_entries(diagonal, edges, edge_weights, op: str) -> tuple:
-    """(diagonal, (E, 2) edges, edge weights) as arrays that fit an (n, n) matrix."""
-    diag = np.asarray(diagonal, dtype=np.float64)
+def _checked_entries(edges: np.ndarray, offsets, scale: np.ndarray | None, op: str) -> tuple:
+    """(row count n, (E, 2) edges, scale or None) of an (n, n) matrix; n is the last offset."""
+    off = np.asarray(offsets, dtype=np.intp)
+    n = int(off[-1]) if off.ndim == 1 and off.size else 0
+    _checked_offsets(off, n, op)
     pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-    w = np.asarray(edge_weights, dtype=np.float64)
-    if diag.ndim != 1 or w.shape != (pairs.shape[0],):
-        raise ShapeError(f"{op}: diagonal {diag.shape}, edges {pairs.shape} "
-                         f"and edge weights {w.shape} do not fit together")
-    n = diag.shape[0]
+    if scale is not None:
+        scale = np.asarray(scale, dtype=np.float64)
+        if scale.shape != (n,):
+            raise ShapeError(f"{op}: scale {scale.shape} and {n} rows do not fit together")
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
         raise ShapeError(f"{op}: edge index out of range for {n} rows")
-    return diag, pairs, w
+    return n, pairs, scale
+
+
+def _narrow(keys: np.ndarray) -> np.ndarray:
+    """Non-negative keys in the narrowest unsigned type: numpy radix-sorts 8 and 16 bits."""
+    return keys.astype(np.min_scalar_type(keys.max(initial=0)), copy=False)
 
 
 class SlotMatrix:
-    """A sparse symmetric (n, n) matrix, stored so that a product needs no scatter-add.
+    """S(A + I)S for a sparse graph, stored so that a product needs no scatter-add.
 
-    The matrix is ``diag(diagonal)`` plus, for every undirected edge (u, v)
-    with weight w, w at both (u, v) and (v, u); repeated edges add up.  The
-    off-diagonal entries are grouped by row and a row's k-th entry goes to
-    slot k.  No row repeats within a slot, so the product is the diagonal
-    term plus ``out[rows] += w * x[cols]`` once per slot, exact without
-    ``np.add.at``; there are as many slots as the largest row has edges.
-    Build it once per graph and reuse it for every product.  Every slot
-    costs a gather and a scatter, so :func:`symmetric_matrix` keeps this
-    form for graphs whose dense blocks would be large and mostly empty.
+    A counts every stored undirected edge (u, v) once at (u, v) and once at
+    (v, u), so repeated edges add up; S is ``diag(scale)``, or the identity
+    when ``scale`` is None.  The edges are grouped by row and a row's k-th
+    neighbour goes to slot k.  No row repeats within a slot, so
+    ``(A + I) @ x`` is ``x`` plus ``out[rows] += x[cols]`` once per slot,
+    exact without ``np.add.at`` and with no per-entry weight; there are as
+    many slots as the largest row has edges.  The slots need no segments, so
+    ``offsets`` only sets the row count.  Build it once per graph and reuse
+    it for every product.  Every slot costs a gather and a scatter, so
+    :func:`symmetric_matrix` keeps this form for graphs whose dense blocks
+    would be large and mostly empty.
     """
 
-    def __init__(self, diagonal: np.ndarray, edges: np.ndarray, edge_weights: np.ndarray):
-        diag, pairs, w = _checked_entries(diagonal, edges, edge_weights, "SlotMatrix")
-        n = diag.shape[0]
+    def __init__(self, edges: np.ndarray, offsets, scale: np.ndarray | None):
+        n, pairs, scale = _checked_entries(edges, offsets, scale, "SlotMatrix")
         rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
         cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        w = np.concatenate([w, w])
-        by_row = np.argsort(rows, kind="stable")
-        rows, cols, w = rows[by_row], cols[by_row], w[by_row]
+        by_row = np.argsort(_narrow(rows), kind="stable")
+        rows, cols = rows[by_row], cols[by_row]
         counts = np.bincount(rows, minlength=n)
-        rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        by_slot = np.argsort(rank, kind="stable")
-        rows, cols, w = rows[by_slot], cols[by_slot], w[by_slot, None]
+        rank = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+        by_slot = np.argsort(_narrow(rank), kind="stable")
+        rows, cols = rows[by_slot], cols[by_slot]
         sizes = np.bincount(rank)
         ends = np.cumsum(sizes)
         self.num_rows = n
-        self.diagonal = diag[:, None]
+        self.scale = None if scale is None else scale[:, None]
         # a slot that covers every row updates ``out`` in place, not through an index
-        self.slots = [(rows[a:b] if b - a < n else slice(None), cols[a:b], w[a:b])
+        self.slots = [(rows[a:b] if b - a < n else slice(None), cols[a:b])
                       for a, b in zip(ends - sizes, ends)]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """The product ``M @ x`` for an (n, d) array ``x``."""
-        out = self.diagonal * x
-        for rows, cols, w in self.slots:
-            term = x[cols]
-            term *= w
-            out[rows] += term
+        """The product ``S(A + I)S @ x`` for an (n, d) array ``x``."""
+        if self.scale is not None:
+            x = self.scale * x
+        out = x.copy()
+        for rows, cols in self.slots:
+            out[rows] += x[cols]
+        if self.scale is not None:
+            out *= self.scale
         return out
 
 
@@ -329,19 +337,20 @@ class BlockMatrix:
     ``offsets`` splits the rows into segments as for the segment ops below,
     and every edge must join two rows of one segment.  Segment b's block is
     kept as an (m, m) matrix, zero-padded to the longest segment's m rows,
-    so the product is one batched matmul of the (B, m, m) blocks with the
-    padded (B, m, d) view of ``x``.
+    with s_u * s_v at every edge's two entries and s_u**2 on the diagonal
+    (all ones when ``scale`` is None).  The product is one batched matmul
+    of the (B, m, m) blocks with the padded (B, m, d) view of ``x``.
     """
 
-    def __init__(self, diagonal: np.ndarray, edges: np.ndarray, edge_weights: np.ndarray,
-                 offsets):
-        diag, pairs, w = _checked_entries(diagonal, edges, edge_weights, "BlockMatrix")
-        n = diag.shape[0]
+    def __init__(self, edges: np.ndarray, offsets, scale: np.ndarray | None):
+        n, pairs, scale = _checked_entries(edges, offsets, scale, "BlockMatrix")
         self.layout = segments, width, slot = _segment_layout(offsets, n, "BlockMatrix")
         segment = np.repeat(np.arange(segments), np.diff(np.asarray(offsets, dtype=np.intp)))
         u, v = pairs.T
         if (segment[u] != segment[v]).any():
             raise ShapeError("BlockMatrix: an edge joins rows of two segments")
+        s = np.ones(n) if scale is None else scale
+        diag, w = s * s, s[u] * s[v]
         padded = np.arange(n) if slot is None else slot     # row in the (B * m) padded rows
         local = padded - segment * width                    # row within its own block
         # entry (r, c) of block b is flat entry (b * m + r) * m + c; bincount
@@ -354,7 +363,7 @@ class BlockMatrix:
                                   ).reshape(segments, width, width)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """The product ``M @ x`` for an (n, d) array ``x``."""
+        """The product ``S(A + I)S @ x`` for an (n, d) array ``x``."""
         return _unpadded(self.blocks @ _padded(x, self.layout), self.layout)
 
 
@@ -364,17 +373,18 @@ class BlockMatrix:
 BLOCK_CROSSOVER = 32
 
 
-def symmetric_matrix(diagonal: np.ndarray, edges: np.ndarray, edge_weights: np.ndarray,
-                     offsets) -> BlockMatrix | SlotMatrix:
-    """The matrix of :class:`SlotMatrix` in the cheaper of its two forms.
+def symmetric_matrix(edges: np.ndarray, offsets, scale: np.ndarray | None
+                     ) -> BlockMatrix | SlotMatrix:
+    """S(A + I)S of :class:`SlotMatrix` in the cheaper of its two forms.
 
     Blocks when B * m**2 <= ``BLOCK_CROSSOVER`` * (n + 2E) for B segments
     of at most m rows, n rows and E edges, else slots.
     """
-    segments, width, _ = _segment_layout(offsets, len(diagonal), "symmetric_matrix")
-    if segments * width * width <= BLOCK_CROSSOVER * (len(diagonal) + 2 * len(edges)):
-        return BlockMatrix(diagonal, edges, edge_weights, offsets)
-    return SlotMatrix(diagonal, edges, edge_weights)
+    n, pairs, _ = _checked_entries(edges, offsets, scale, "symmetric_matrix")
+    segments, width, _ = _segment_layout(offsets, n, "symmetric_matrix")
+    if segments * width * width <= BLOCK_CROSSOVER * (n + 2 * len(pairs)):
+        return BlockMatrix(pairs, offsets, scale)
+    return SlotMatrix(pairs, offsets, scale)
 
 
 def slot_matmul(matrix: BlockMatrix | SlotMatrix, x: Tensor) -> Tensor:
@@ -399,6 +409,15 @@ def slot_matmul(matrix: BlockMatrix | SlotMatrix, x: Tensor) -> Tensor:
 # per-graph arithmetic for all segments as one batched matmul.
 
 
+def _checked_offsets(offsets, n: int, op: str) -> np.ndarray:
+    """``offsets`` as an array, checked to rise strictly from 0 to ``n``."""
+    off = np.asarray(offsets, dtype=np.intp)
+    if off.ndim != 1 or off.size < 2 or off[0] != 0 or off[-1] != n \
+            or (np.diff(off) < 1).any():
+        raise ShapeError(f"{op}: offsets must rise strictly from 0 to {n}, got {off.tolist()}")
+    return off
+
+
 def _segment_layout(offsets, n: int, op: str) -> tuple[int, int, np.ndarray | None]:
     """(segment count B, longest segment max_n, padded slot of each row) for ``n`` rows.
 
@@ -408,10 +427,7 @@ def _segment_layout(offsets, n: int, op: str) -> tuple[int, int, np.ndarray | No
     every segment has max_n rows, since the buffer is then the rows
     themselves, reshaped.
     """
-    off = np.asarray(offsets, dtype=np.intp)
-    if off.ndim != 1 or off.size < 2 or off[0] != 0 or off[-1] != n \
-            or (np.diff(off) < 1).any():
-        raise ShapeError(f"{op}: offsets must rise strictly from 0 to {n}, got {off.tolist()}")
+    off = _checked_offsets(offsets, n, op)
     counts = np.diff(off)
     segments, width = counts.size, int(counts.max())
     if counts.min() == width:

@@ -39,8 +39,7 @@ class MolecularGraph:
     Edges are stored once per undirected pair and never as self-loops;
     layers that need self-connections add them on the fly.  The edges must
     not change once the graph is built: their array form and the
-    neighbourhood matrices built from it are cached.  A merged batch also
-    keeps its graphs' row offsets, as every edge stays within one graph.
+    neighbourhood matrices built from it are cached.
     """
 
     num_nodes: int
@@ -101,20 +100,6 @@ class MolecularGraph:
             self.graph_label = np.array([number(v, "graph_label", GraphError)
                                          for v in self.graph_label])
 
-    @classmethod
-    def _from_checked(cls, num_nodes: int, edge_index: np.ndarray,
-                      node_features: np.ndarray, offsets: np.ndarray) -> "MolecularGraph":
-        """An unlabeled graph of segments ``offsets`` from parts that passed ``__post_init__``."""
-        graph = cls.__new__(cls)
-        graph.num_nodes = num_nodes
-        graph.edges = list(zip(*edge_index.T.tolist()))
-        graph.node_features = node_features
-        graph.graph_label = graph.pair_labels = None
-        graph._edge_index = edge_index
-        graph._neighborhoods = None
-        graph._offsets = offsets
-        return graph
-
     @property
     def feature_dim(self) -> int:
         return self.node_features.shape[1]
@@ -134,7 +119,7 @@ class MolecularGraph:
         return np.bincount(self.edge_index.ravel(), minlength=self.num_nodes)
 
     def closed_neighborhood(self, normalised: bool) -> BlockMatrix | SlotMatrix:
-        """A + I, or D^-1/2 (A + I) D^-1/2 when ``normalised``; built once.
+        """S(A + I)S with S = D^-1/2 when ``normalised``, else A + I; built once.
 
         D counts the self-loop, so every degree is at least 1.  The matrix is
         block-diagonal over the graph's segments: the graphs of a merged
@@ -145,16 +130,32 @@ class MolecularGraph:
         if self._neighborhoods is None:
             self._neighborhoods = {}
         if normalised not in self._neighborhoods:
-            u, v = self.edge_index.T
-            if normalised:
-                inv_sqrt = 1.0 / np.sqrt(self.degrees() + 1.0)
-                diag, weights = inv_sqrt * inv_sqrt, inv_sqrt[u] * inv_sqrt[v]
-            else:
-                diag, weights = np.ones(self.num_nodes), np.ones(u.size)
+            inv_sqrt = 1.0 / np.sqrt(self.degrees() + 1.0) if normalised else None
             offsets = [0, self.num_nodes] if self._offsets is None else self._offsets
-            self._neighborhoods[normalised] = symmetric_matrix(diag, self.edge_index, weights,
-                                                               offsets)
+            self._neighborhoods[normalised] = symmetric_matrix(self.edge_index, offsets,
+                                                               inv_sqrt)
         return self._neighborhoods[normalised]
+
+
+class _MergedGraph(MolecularGraph):
+    """A batch's disjoint union: an unlabeled graph of parts that passed ``__post_init__``.
+
+    It keeps its graphs' row offsets, as every edge stays within one graph,
+    and makes its edge list from the edge array only when the list is read.
+    """
+
+    def __init__(self, num_nodes: int, edge_index: np.ndarray, node_features: np.ndarray,
+                 offsets: np.ndarray):
+        self.num_nodes = num_nodes
+        self.node_features = node_features
+        self.graph_label = self.pair_labels = None
+        self._edge_index = edge_index
+        self._neighborhoods = None
+        self._offsets = offsets
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        return list(zip(*self._edge_index.T.tolist()))
 
 
 @dataclass
@@ -190,8 +191,8 @@ class GraphBatch:
             parts = [g.edge_index for g in self.graphs]
             shift = np.repeat(self.offsets[:-1], [len(p) for p in parts])
             edge_index = (np.concatenate(parts) + shift[:, None]).astype(np.intp, copy=False)
-            self._merged = MolecularGraph._from_checked(self.total_nodes, edge_index,
-                                                        self.node_features, self.offsets)
+            self._merged = _MergedGraph(self.total_nodes, edge_index, self.node_features,
+                                        self.offsets)
         return self._merged
 
     def pair_indices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

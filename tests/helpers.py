@@ -203,6 +203,45 @@ def mean_reciprocal_rank(ranks: list[int]) -> float:
 # ---------------------------------------------------------------------------
 
 
+class WeightedSlotMatrix:
+    """``diag(diagonal)`` plus w at (u, v) and (v, u) for every edge (u, v) of
+    weight w, as slots that carry one weight per entry: the form the unweighted
+    S(A + I)S slots of ``SlotMatrix`` replaced, kept as their oracle.
+
+    The off-diagonal entries are grouped by row and a row's k-th entry goes
+    to slot k, so no row repeats within a slot and the product is the
+    diagonal term plus ``out[rows] += w * x[cols]`` once per slot.
+    """
+
+    def __init__(self, diagonal: np.ndarray, edges: np.ndarray, edge_weights: np.ndarray):
+        pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+        w = np.asarray(edge_weights, dtype=np.float64)
+        n = len(diagonal)
+        rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+        cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+        w = np.concatenate([w, w])
+        by_row = np.argsort(rows, kind="stable")
+        rows, cols, w = rows[by_row], cols[by_row], w[by_row]
+        counts = np.bincount(rows, minlength=n)
+        rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        by_slot = np.argsort(rank, kind="stable")
+        rows, cols, w = rows[by_slot], cols[by_slot], w[by_slot, None]
+        sizes = np.bincount(rank)
+        ends = np.cumsum(sizes)
+        self.num_rows = n
+        self.diagonal = np.asarray(diagonal, dtype=np.float64)[:, None]
+        self.slots = [(rows[a:b] if b - a < n else slice(None), cols[a:b], w[a:b])
+                      for a, b in zip(ends - sizes, ends)]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        out = self.diagonal * x
+        for rows, cols, w in self.slots:
+            term = x[cols]
+            term *= w
+            out[rows] += term
+        return out
+
+
 def neural_atom_block(h_prev: Tensor, graph: MolecularGraph,
                       gnn_layer: Callable[[Tensor, MolecularGraph], Tensor],
                       params: NeuralAtomLayerParams) -> tuple[Tensor, NeuralAtomTrace]:
@@ -233,6 +272,15 @@ def looped_projection(h_nodes: Tensor, params: NeuralAtomLayerParams,
     atoms = layer_norm(add(stacked, matmul(pooled, mix)),
                        params.project_norm.gain, params.project_norm.bias, LAYER_NORM_EPS)
     return atoms, weights
+
+
+def contact_like_graph(rng, n, dim=4):
+    """A tree that mostly grows chains, plus n // 12 tries at closing a 5-7 atom ring."""
+    edges = [(int(rng.integers(i)) if rng.random() < 0.2 else i - 1, i) for i in range(1, n)]
+    for _ in range(n // 12):
+        u = int(rng.integers(n - 7))
+        edges.append((u, u + int(rng.integers(4, 7))))
+    return MolecularGraph(n, edges, rng.normal(size=(n, dim)), graph_label=0)
 
 
 def permute_graph(graph: MolecularGraph, perm) -> MolecularGraph:

@@ -47,7 +47,8 @@ from neural_atoms.autodiff import (
     view,
 )
 import helpers
-from helpers import concat_rows, grad_check, mul, relu, rows, scale, sum_all
+from helpers import (concat_rows, contact_like_graph, grad_check, mul, relu, rows, scale,
+                     sum_all)
 
 
 def indexed_weighted_sum(x, out_index, in_index, weights, num_out_rows):
@@ -642,7 +643,7 @@ class TestSegmentOps:
 
 
 def scatter_add_entries(n, edges, edge_weights, diagonal):
-    """(out, in, weight) entries of a SlotMatrix as directed messages, for the oracle."""
+    """(out, in, weight) entries of diag(diagonal) plus weighted edges as directed messages."""
     out_idx, in_idx, w = list(range(n)), list(range(n)), list(diagonal)
     for (u, v), weight in zip(edges, edge_weights):
         out_idx += [v, u]
@@ -691,49 +692,88 @@ def layer_forward(backbone, h, graph, params):
     return (gcn_forward if backbone == "gcn" else gin_forward)(h, graph, params)
 
 
+def dense_closed_matrix(n, edges, scale):
+    """S(A + I)S as a dense (n, n) array, built entry by entry; S = I for no scale."""
+    dense = np.eye(n)
+    for u, v in edges:
+        dense[u, v] += 1.0
+        dense[v, u] += 1.0
+    s = np.ones(n) if scale is None else np.asarray(scale)
+    return s[:, None] * dense * s[None, :]
+
+
+def matches_dense_oracle_both_ways(matrix, dense, rng):
+    """The product and its backward against ``dense @ x`` and ``dense.T @ g``."""
+    x = Tensor(rng.normal(size=(dense.shape[0], 3)), requires_grad=True)
+    probe = rng.normal(size=(dense.shape[0], 3))
+    out = slot_matmul(matrix, x)
+    np.testing.assert_allclose(out.data, dense @ x.data, rtol=0, atol=1e-10)
+    backward(sum_all(mul(out, Tensor(probe))), [x])
+    np.testing.assert_allclose(x.grad, dense.T @ probe, rtol=0, atol=1e-10)
+
+
+def random_scale(rng, n, scaled):
+    """A random positive scale of ``n`` rows, or None for S = I."""
+    return rng.uniform(0.2, 2.0, size=n) if scaled else None
+
+
 class TestSlotMatmul:
-    """The slot product against the scatter-add oracle and the dense layers."""
+    """The slot product against the dense S(A + I)S oracle, the weighted
+    slots it replaced and the dense layers."""
 
-    def random_matrix(self, rng, n=9):
-        # a hub of degree 8, an edge repeated in both orientations, one isolated row
+    def random_matrix(self, rng, scaled, n=10):
+        # a hub of degree 8, an edge repeated in both orientations, isolated row 9
         edges = [(0, i) for i in range(1, 8)] + [(2, 8), (3, 4), (4, 3), (8, 0)]
-        weights = rng.normal(size=len(edges))
-        diagonal = rng.normal(size=n)
-        return SlotMatrix(diagonal, np.array(edges), weights), (edges, weights, diagonal)
+        scale = random_scale(rng, n, scaled)
+        return SlotMatrix(np.array(edges), [0, n], scale), dense_closed_matrix(n, edges, scale)
 
-    def test_matches_scatter_add_oracle_both_ways(self):
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_matches_dense_oracle_both_ways(self, scaled):
         rng = np.random.default_rng(60)
-        matrix, (edges, weights, diagonal) = self.random_matrix(rng)
-        dst, src, w = scatter_add_entries(9, edges, weights, diagonal)
-        x = Tensor(rng.normal(size=(9, 3)), requires_grad=True)
-        probe = Tensor(rng.normal(size=(9, 3)))
-        got = slot_matmul(matrix, x)
-        want = indexed_weighted_sum(x, dst, src, w, num_out_rows=9)
-        np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-10)
-        backward(sum_all(mul(got, probe)), [x])
-        got_grad = x.grad.copy()
-        backward(sum_all(mul(want, probe)), [x])
-        np.testing.assert_allclose(got_grad, x.grad, rtol=0, atol=1e-10)
+        matrix, dense = self.random_matrix(rng, scaled)
+        matches_dense_oracle_both_ways(matrix, dense, rng)
         assert len(matrix.slots) == 8
 
-    def test_grad_check(self):
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_grad_check(self, scaled):
         rng = np.random.default_rng(61)
-        matrix, _ = self.random_matrix(rng)
-        x = Tensor(rng.normal(size=(9, 3)), requires_grad=True)
+        matrix, _ = self.random_matrix(rng, scaled)
+        x = Tensor(rng.normal(size=(10, 3)), requires_grad=True)
         assert grad_check(lambda: sum_all(mul(slot_matmul(matrix, x),
                                                  slot_matmul(matrix, x))), [x]) < 1e-8
 
     def test_edgeless_matrix_is_diagonal_and_bad_input_is_rejected(self):
-        matrix = SlotMatrix(np.array([2.0, 3.0]), np.zeros((0, 2)), np.zeros(0))
+        matrix = SlotMatrix(np.zeros((0, 2)), [0, 2], np.array([2.0, 3.0]))
         assert matrix.slots == []
         got = slot_matmul(matrix, Tensor(np.ones((2, 1)))).data
-        np.testing.assert_array_equal(got, [[2.0], [3.0]])
+        np.testing.assert_array_equal(got, [[4.0], [9.0]])
+        got = slot_matmul(SlotMatrix(np.zeros((0, 2)), [0, 2], None), Tensor(np.ones((2, 1))))
+        np.testing.assert_array_equal(got.data, [[1.0], [1.0]])
         with pytest.raises(ShapeError, match="slot_matmul"):
             slot_matmul(matrix, Tensor(np.ones((3, 1))))
         with pytest.raises(ShapeError, match="out of range"):
-            SlotMatrix(np.ones(2), np.array([[0, 2]]), np.ones(1))
+            SlotMatrix(np.array([[0, 2]]), [0, 2], None)
         with pytest.raises(ShapeError, match="fit together"):
-            SlotMatrix(np.ones(2), np.array([[0, 1]]), np.ones(2))
+            SlotMatrix(np.array([[0, 1]]), [0, 2], np.ones(3))
+        with pytest.raises(ShapeError, match="offsets"):
+            SlotMatrix(np.array([[0, 1]]), [1, 2], None)
+
+    def test_contact_batch_matches_the_weighted_slots(self):
+        rng = np.random.default_rng(67)
+        graphs = [contact_like_graph(rng, int(n)) for n in rng.integers(40, 161, 64)]
+        batch = batch_graphs(graphs)
+        merged = batch.merged_graph()
+        assert isinstance(merged.closed_neighborhood(normalised=False), SlotMatrix)
+        edges, n = merged.edge_index, merged.num_nodes
+        u, v = edges.T
+        x = rng.normal(size=(n, 32))
+        plain = helpers.WeightedSlotMatrix(np.ones(n), edges, np.ones(len(edges)))
+        got = merged.closed_neighborhood(normalised=False).apply(x)
+        assert got.tobytes() == plain.apply(x).tobytes()
+        s = 1.0 / np.sqrt(merged.degrees() + 1.0)
+        weighted = helpers.WeightedSlotMatrix(s * s, edges, s[u] * s[v])
+        np.testing.assert_allclose(SlotMatrix(edges, batch.offsets, s).apply(x),
+                                   weighted.apply(x), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("backbone", ["gcn", "gin"])
     def test_layers_match_scatter_add_path_and_dense_oracles(self, backbone):
@@ -781,15 +821,6 @@ def with_repeated_edge(graphs, dim=4):
                                     rng.normal(size=(4, dim)), graph_label=0)]
 
 
-def contact_like_graph(rng, n, dim=4):
-    """A tree that mostly grows chains, plus n // 12 tries at closing a 5-7 atom ring."""
-    edges = [(int(rng.integers(i)) if rng.random() < 0.2 else i - 1, i) for i in range(1, n)]
-    for _ in range(n // 12):
-        u = int(rng.integers(n - 7))
-        edges.append((u, u + int(rng.integers(4, 7))))
-    return MolecularGraph(n, edges, rng.normal(size=(n, dim)), graph_label=0)
-
-
 @pytest.fixture
 def form(request, monkeypatch):
     """Make ``symmetric_matrix`` pick the named form for every graph."""
@@ -798,66 +829,57 @@ def form(request, monkeypatch):
 
 
 class TestBlockMatrix:
-    """The dense-block form against the slot form and the scatter-add oracle."""
+    """The dense-block form against the slot form and the dense S(A + I)S oracle."""
 
-    def random_entries(self, rng):
+    def random_entries(self, rng, scaled):
         # segments of 1, 3 (edgeless), 6 and 4 rows; an edge repeated in both orientations
         offsets = [0, 1, 4, 10, 14]
         edges = [(4, 5), (4, 6), (4, 7), (4, 8), (8, 9), (5, 6), (6, 5), (10, 11), (11, 13)]
-        return rng.normal(size=14), edges, rng.normal(size=len(edges)), offsets
+        return edges, offsets, random_scale(rng, 14, scaled)
 
-    def test_matches_slot_form_and_scatter_add_oracle_both_ways(self):
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_matches_slot_form_and_dense_oracle_both_ways(self, scaled):
         rng = np.random.default_rng(80)
-        diagonal, edges, weights, offsets = self.random_entries(rng)
-        dst, src, w = scatter_add_entries(14, edges, weights, diagonal)
-        probe = Tensor(rng.normal(size=(14, 3)))
-        x0 = rng.normal(size=(14, 3))
-        results = []
-        for product in (lambda x: slot_matmul(BlockMatrix(diagonal, edges, weights, offsets), x),
-                        lambda x: slot_matmul(SlotMatrix(diagonal, edges, weights), x),
-                        lambda x: indexed_weighted_sum(x, dst, src, w, num_out_rows=14)):
-            x = Tensor(x0, requires_grad=True)
-            out = product(x)
-            backward(sum_all(mul(out, probe)), [x])
-            results.append((out.data, x.grad))
-        for other in results[1:]:
-            for got, want in zip(results[0], other):
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        edges, offsets, scale = self.random_entries(rng, scaled)
+        dense = dense_closed_matrix(14, edges, scale)
+        matches_dense_oracle_both_ways(BlockMatrix(edges, offsets, scale), dense, rng)
+        matches_dense_oracle_both_ways(SlotMatrix(edges, offsets, scale), dense, rng)
 
-    def test_blocks_are_the_dense_segments(self):
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_blocks_are_the_dense_segments(self, scaled):
         rng = np.random.default_rng(81)
-        diagonal, edges, weights, offsets = self.random_entries(rng)
-        dense = np.diag(diagonal)
-        for (u, v), weight in zip(edges, weights):
-            dense[u, v] += weight
-            dense[v, u] += weight
-        blocks = BlockMatrix(diagonal, edges, weights, offsets).blocks
+        edges, offsets, scale = self.random_entries(rng, scaled)
+        dense = dense_closed_matrix(14, edges, scale)
+        blocks = BlockMatrix(edges, offsets, scale).blocks
         assert blocks.shape == (4, 6, 6)
         for b, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
             np.testing.assert_array_equal(blocks[b, :hi - lo, :hi - lo], dense[lo:hi, lo:hi])
             assert not blocks[b, hi - lo:].any() and not blocks[b, :, hi - lo:].any()
 
-    def test_grad_check(self):
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_grad_check(self, scaled):
         rng = np.random.default_rng(82)
-        diagonal, edges, weights, offsets = self.random_entries(rng)
-        matrix = BlockMatrix(diagonal, edges, weights, offsets)
+        matrix = BlockMatrix(*self.random_entries(rng, scaled))
         x = Tensor(rng.normal(size=(14, 3)), requires_grad=True)
         assert grad_check(lambda: sum_all(mul(slot_matmul(matrix, x),
                                                  slot_matmul(matrix, x))), [x]) < 1e-8
 
     def test_bad_input_is_rejected(self):
         with pytest.raises(ShapeError, match="out of range"):
-            BlockMatrix(np.ones(2), np.array([[0, 2]]), np.ones(1), [0, 2])
+            BlockMatrix(np.array([[0, 2]]), [0, 2], None)
         with pytest.raises(ShapeError, match="fit together"):
-            BlockMatrix(np.ones(2), np.array([[0, 1]]), np.ones(2), [0, 2])
+            BlockMatrix(np.array([[0, 1]]), [0, 2], np.ones(3))
         with pytest.raises(ShapeError, match="two segments"):
-            BlockMatrix(np.ones(3), np.array([[0, 1], [1, 2]]), np.ones(2), [0, 2, 3])
-        for offsets in ([0, 2], [0, 3, 3, 3], [1, 3]):
-            with pytest.raises(ShapeError, match="offsets"):
-                BlockMatrix(np.ones(3), np.zeros((0, 2)), np.zeros(0), offsets)
-            with pytest.raises(ShapeError, match="offsets"):
-                symmetric_matrix(np.ones(3), np.zeros((0, 2)), np.zeros(0), offsets)
-        matrix = BlockMatrix(np.ones(3), np.zeros((0, 2)), np.zeros(0), [0, 1, 3])
+            BlockMatrix(np.array([[0, 1], [1, 2]]), [0, 2, 3], None)
+        for offsets in ([0, 3, 3, 3], [1, 3], [], [[0, 3]]):
+            for form in (BlockMatrix, SlotMatrix, symmetric_matrix):
+                with pytest.raises(ShapeError, match="offsets"):
+                    form(np.zeros((0, 2)), offsets, None)
+        for form in (BlockMatrix, symmetric_matrix):
+            # the offsets give 2 rows; a scale of 3 does not fit them
+            with pytest.raises(ShapeError, match="fit together"):
+                form(np.zeros((0, 2)), [0, 2], np.ones(3))
+        matrix = BlockMatrix(np.zeros((0, 2)), [0, 1, 3], None)
         with pytest.raises(ShapeError, match="slot_matmul"):
             slot_matmul(matrix, Tensor(np.ones((2, 1))))
 

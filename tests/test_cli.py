@@ -1,8 +1,12 @@
 """End-to-end tests of the command line interface."""
 
 import csv
+import inspect
 import json
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from neural_atoms import cli
 from neural_atoms.cli import main
 from neural_atoms.graphs import load_dataset
 from neural_atoms.model import TrainConfig
+from helpers import contact_like_graph
 
 
 def run_cli(*argv):
@@ -247,6 +252,38 @@ def test_help_lists_subcommands(capsys):
     text = capsys.readouterr().out
     for name in ("train", "evaluate", "generate", "ewald", "export-alloc"):
         assert name in text
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+sys.path[:0] = [{src!r}]
+import numpy as np
+import {module}
+from neural_atoms.autodiff import SlotMatrix, Tensor
+from neural_atoms.gnn import MlpParams, gin_forward
+from neural_atoms.graphs import MolecularGraph, batch_graphs
+{contact_like_graph}
+rng = np.random.default_rng(0)
+graphs = [contact_like_graph(rng, int(n)) for n in rng.integers(40, 161, 64)]
+merged = batch_graphs(graphs).merged_graph()
+assert isinstance(merged.closed_neighborhood(normalised=False), SlotMatrix)
+gin_forward(Tensor(merged.node_features), merged, MlpParams.init(4, 8, 8, rng))
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+@pytest.mark.parametrize("module, loads_scipy", [("neural_atoms.cli", False),
+                                                 ("neural_atoms.training", False),
+                                                 ("neural_atoms.ewald", True)])
+def test_only_ewald_loads_scipy(module, loads_scipy):
+    # a fresh process, since this one has imported scipy already; ewald is the control
+    script = NO_SCIPY_SCRIPT.format(src=str(Path(__file__).resolve().parents[1] / "src"),
+                                    module=module,
+                                    contact_like_graph=inspect.getsource(contact_like_graph))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (done.stdout.strip() != "[]") == loads_scipy, done.stdout
 
 
 # (field, value in the config file, flag text on the line, value the flag sets)
