@@ -4,10 +4,11 @@ The neural-atom exchange stacks the K atom states of B graphs as B blocks of
 K rows, and every atom attends to the atoms of its own block only.  All
 heads run at once: one matmul projects the rows onto the queries, keys and
 values of every head, one ``block_attention`` attends within every block
-and head, and one matmul mixes the heads.  The neural-atom projection
-reassociates its products instead and does not come through here: it views
-the (d, H * d) W_q, W_k and W_v blocks of ``qkv`` whole and forms every
-head's product of two weights with one ``segment_pool`` over head blocks.
+and head, and one ``affine`` mixes the heads and adds the input back as a
+residual.  The neural-atom projection reassociates its products instead and
+does not come through here: it views the (d, H * d) W_q, W_k and W_v blocks
+of ``qkv`` whole and forms every head's product of two weights with one
+``segment_pool`` over head blocks.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, block_attention, matmul, parameter, view
+from .autodiff import ShapeError, Tensor, affine, block_attention, matmul, parameter, view
 
 
 @dataclass
@@ -61,16 +62,17 @@ class MultiHeadParams:
 
 
 def multi_head_attention(x: Tensor, params: MultiHeadParams, block: int) -> Tensor:
-    """Scaled dot-product self-attention within each block of ``block`` rows.
+    """X plus scaled dot-product self-attention within each block of ``block`` rows.
 
     Head m computes softmax(X W_q,m (X W_k,m)^T / sqrt(d)) X W_v,m over the
-    rows of one block; the heads are concatenated and mixed by the output
-    weight.  One matmul by ``qkv`` projects every row onto the queries, keys
-    and values of all heads, and one ``block_attention`` runs every head of
-    every block.
+    rows of one block; the heads are concatenated, mixed by the output
+    weight and added to X.  One matmul by ``qkv`` projects every row onto
+    the queries, keys and values of all heads, one ``block_attention`` runs
+    every head of every block, and one ``affine`` with X as its same-shape
+    bias mixes the heads and adds the residual.
     """
     dim = params.qkv.shape[0]
     if x.data.ndim != 2 or x.shape[1] != dim:
         raise ShapeError(f"attention input must be (n, {dim}), got {x.shape}")
     mixed = block_attention(matmul(x, params.qkv), block, params.heads, 1.0 / math.sqrt(dim))
-    return matmul(mixed, params.output_weight)
+    return affine(mixed, params.output_weight, x)

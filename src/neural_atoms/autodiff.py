@@ -9,8 +9,8 @@ scalar loss into a :class:`GradTape` and replays them exactly once in
 reverse topological order, adding gradients in place into the leaves.
 Inside :func:`no_grad` nothing is recorded, so inference builds no tape.
 
-The engine is deliberately plain: no broadcasting beyond row-vector bias
-addition, no views but of leaves, no dtype zoo.  The test suite checks
+The engine is deliberately plain: no broadcasting beyond the bias rule of
+:func:`affine`, no views but of leaves, no dtype zoo.  The test suite checks
 every op's backward against central differences.
 """
 
@@ -77,9 +77,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
 
 
 _recording = True
@@ -180,14 +177,10 @@ def backward(loss: Tensor, params: Sequence[Tensor] | None = None) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a (d,) or (1, d) row added to an (n, d) matrix."""
-    if a.shape == b.shape:
-        return _result(a.data + b.data, "add", (a, b), lambda g: (g, g))
-    if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        return _result(a.data + b.data, "add_row", (a, b), lambda g: (g, g.sum(axis=0)))
-    if a.data.ndim == 2 and b.shape == (1, a.shape[1]):
-        return _result(a.data + b.data, "add_row", (a, b), lambda g: (g, g.sum(axis=0, keepdims=True)))
-    raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+    """Elementwise sum of same-shape tensors; :func:`affine` adds biases."""
+    if a.shape != b.shape:
+        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+    return _result(a.data + b.data, "add", (a, b), lambda g: (g, g))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -199,24 +192,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) -> Tensor:
-    """``x @ w``, plus the (d,) row ``b`` when given, through a ReLU when ``relu``.
+    """``x @ w``, plus the bias ``b`` when given, through a ReLU when ``relu``.
 
-    One tape entry for what :func:`matmul`, the row branch of :func:`add`
-    and a ReLU op would record as up to three, with the same values and
-    gradients.  The bias and the ReLU are applied in place, so the op makes
-    one result array where the three ops make one each, and the tape keeps
-    only that one alive.  ``g @ w.T`` is skipped when ``x`` needs no
+    ``b`` is (d,) or has r rows of the output's width d, where r divides the
+    n rows of ``x @ w``; it is added to every block of r consecutive rows
+    and its gradient is the sum over those blocks.  So one rule covers a
+    dense layer's row bias (r = 1), K per-graph rows tiled down B * K rows
+    (r = K) and a same-shape residual (r = n).
+
+    One tape entry for what :func:`matmul`, a tiling, :func:`add` and a
+    ReLU op would record as up to four, with the same values and gradients.
+    The bias and the ReLU are applied in place, so the tape keeps only the
+    one result array alive.  ``g @ w.T`` is skipped when ``x`` needs no
     gradient.
     """
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise ShapeError(f"affine needs rank-2 operands, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[0]:
         raise ShapeError(f"affine: inner dimensions differ, {x.shape} vs {w.shape}")
-    if b is not None and b.shape != (w.shape[1],):
-        raise ShapeError(f"affine: bias must have shape ({w.shape[1]},), got {b.shape}")
+    n, d = x.shape[0], w.shape[1]
+    if b is not None and not (b.shape == (d,) or (b.data.ndim == 2 and b.shape[1] == d
+                                                  and b.shape[0] > 0 and n % b.shape[0] == 0)):
+        raise ShapeError(f"affine: bias must be ({d},) or (r, {d}) with r dividing {n}, "
+                         f"got {b.shape}")
     out = x.data @ w.data
     if b is not None:
-        out += b.data
+        out.reshape(-1, *b.shape)[...] += b.data
     if relu:
         np.maximum(out, 0.0, out=out)
     needs_dx = x.requires_grad
@@ -226,7 +227,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) ->
             # out > 0 exactly where the input to the ReLU was, so no mask is kept
             g = g * (out > 0.0)
         grads = (g @ w.data.T if needs_dx else None, x.data.T @ g)
-        return grads if b is None else grads + (g.sum(axis=0),)
+        return grads if b is None else grads + (g.reshape(-1, *b.shape).sum(axis=0),)
 
     return _result(out, "affine", (x, w) if b is None else (x, w, b), back)
 

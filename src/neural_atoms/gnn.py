@@ -30,11 +30,9 @@ class GcnLayerParams:
     weight: Tensor
 
     @classmethod
-    def init(cls, dim_in: int, dim_out: int, rng: np.random.Generator,
-             std: float | None = None):
+    def init(cls, dim_in: int, dim_out: int, rng: np.random.Generator):
         # fan-in scaling keeps activation variance flat across layers
-        return cls(weight=parameter(rng, (dim_in, dim_out),
-                                    dim_in ** -0.5 if std is None else std))
+        return cls(weight=parameter(rng, (dim_in, dim_out), dim_in ** -0.5))
 
 
 @dataclass
@@ -48,14 +46,11 @@ class MlpParams:
     b2: Tensor
 
     @classmethod
-    def init(cls, dim_in: int, dim_hidden: int, dim_out: int,
-             rng: np.random.Generator, std: float | None = None):
+    def init(cls, dim_in: int, dim_hidden: int, dim_out: int, rng: np.random.Generator):
         return cls(
-            w1=parameter(rng, (dim_in, dim_hidden),
-                         dim_in ** -0.5 if std is None else std),
+            w1=parameter(rng, (dim_in, dim_hidden), dim_in ** -0.5),
             b1=Tensor(np.zeros(dim_hidden), requires_grad=True),
-            w2=parameter(rng, (dim_hidden, dim_out),
-                         dim_hidden ** -0.5 if std is None else std),
+            w2=parameter(rng, (dim_hidden, dim_out), dim_hidden ** -0.5),
             b2=Tensor(np.zeros(dim_out), requires_grad=True),
         )
 
@@ -67,8 +62,6 @@ def gcn_forward(h: Tensor, graph: MolecularGraph, params: GcnLayerParams) -> Ten
     the self-loop, so an isolated node keeps exactly its own transformed
     feature.
     """
-    if h.shape[0] != graph.num_nodes:
-        raise ValueError(f"feature rows {h.shape[0]} != graph nodes {graph.num_nodes}")
     agg = slot_matmul(graph.closed_neighborhood(normalised=True), h)
     return affine(agg, params.weight, relu=True)
 
@@ -81,6 +74,4 @@ def mlp(x: Tensor, params: MlpParams) -> Tensor:
 
 def gin_forward(h: Tensor, graph: MolecularGraph, params: MlpParams) -> Tensor:
     """Unweighted neighbourhood-plus-self sum pushed through a two-layer MLP."""
-    if h.shape[0] != graph.num_nodes:
-        raise ValueError(f"feature rows {h.shape[0]} != graph nodes {graph.num_nodes}")
     return mlp(slot_matmul(graph.closed_neighborhood(normalised=False), h), params)

@@ -8,6 +8,7 @@ routes them through a small set of learnable "neural atoms":
    weight products run as one ``segment_pool`` over head blocks, so no step
    loops over the heads,
 2. self-attention among the atoms exchanges information globally in one hop,
+   and the atoms keep their own states through a residual,
 3. the mean of the heads' (K, N) allocation matrices carries the exchanged
    atom states back onto the nodes, as the adjoint of the pooling in step 1,
    and the nodes are enhanced additively; ``segment_broadcast`` takes the
@@ -23,7 +24,10 @@ consecutive segments delimited by ``offsets``, and graph b's K atom states
 are rows b*K:(b+1)*K of a (B * K, d) stack.  Atoms only ever see the nodes
 of their own graph; a single graph is a batch of one segment.  The
 projection's weights multiply the K queries and the B * K pooled rows, never
-the N node rows, so only the segment ops grow with N.
+the N node rows, so only the segment ops grow with N.  The residuals of steps
+1 and 2 are the bias of the ``affine`` that mixes the heads: the (K, d)
+queries repeat down the B graphs' rows and the exchange adds its input, so
+neither is a tape op of its own.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import MultiHeadParams, multi_head_attention
-from .autodiff import (Tensor, add, gather_rows, layer_norm, matmul, parameter,
-                       segment_attention, segment_broadcast, segment_pool, transpose, view)
+from .autodiff import (Tensor, add, affine, layer_norm, matmul, parameter, segment_attention,
+                       segment_broadcast, segment_pool, transpose, view)
 from .files import replacing
 
 LAYER_NORM_EPS = 1e-5
@@ -115,8 +119,9 @@ def project_to_neural_atoms(h_nodes: Tensor, params: NeuralAtomLayerParams,
     (A_m h W_v,m) W_o,m, with W_o,m its rows of W_o, is (A_m h)(W_v,m W_o,m):
     the K effective queries of all heads attend to the raw nodes in one
     call, one pooling serves all heads, and the B * K pooled rows meet the
-    stacked W_v,m W_o,m.  Products are associative, so this is exact up to
-    rounding.
+    stacked W_v,m W_o,m in one ``affine`` whose (K, d) bias adds graph b's
+    queries to rows b*K:(b+1)*K as the residual.  Products are associative,
+    so this is exact up to rounding.
 
     Both per-head products are one ``segment_pool`` each, with the heads'
     d-wide blocks as its segments: segment m of (q W_q) times W_k^T is
@@ -124,7 +129,7 @@ def project_to_neural_atoms(h_nodes: Tensor, params: NeuralAtomLayerParams,
     tape holds the same four entries for these products at any head count.
     """
     offsets = np.array([0, h_nodes.shape[0]]) if offsets is None else np.asarray(offsets)
-    attn, k, d = params.project_attention, params.num_atoms, params.queries.shape[1]
+    attn, d = params.project_attention, params.queries.shape[1]
     width = attn.heads * d
     w_q, w_k, w_v = (view(attn.qkv, np.s_[:, r * width:(r + 1) * width]) for r in range(3))
     head_offsets = np.arange(0, width + 1, d)    # head m's d columns or rows are segment m
@@ -133,18 +138,18 @@ def project_to_neural_atoms(h_nodes: Tensor, params: NeuralAtomLayerParams,
     weights = segment_attention(queries, h_nodes, offsets, d ** -0.5)
     pooled = segment_pool(weights, h_nodes, offsets, heads=attn.heads)
     mix = segment_pool(w_v, attn.output_weight, head_offsets)
-    stacked = gather_rows(params.queries, np.tile(np.arange(k), len(offsets) - 1))
-    atoms = layer_norm(add(stacked, matmul(pooled, mix)),
+    atoms = layer_norm(affine(pooled, mix, params.queries),
                        params.project_norm.gain, params.project_norm.bias, LAYER_NORM_EPS)
     return atoms, weights
 
 
 def exchange_neural_atoms(h_atoms: Tensor, params: NeuralAtomLayerParams) -> Tensor:
     """Self-attention among the atoms: every atom reads every other atom of
-    its own graph in one hop."""
+    its own graph in one hop, and keeps its own state through the residual
+    that the attention adds."""
     attended = multi_head_attention(h_atoms, params.exchange_attention, params.num_atoms)
-    return layer_norm(add(h_atoms, attended),
-                      params.exchange_norm.gain, params.exchange_norm.bias, LAYER_NORM_EPS)
+    return layer_norm(attended, params.exchange_norm.gain, params.exchange_norm.bias,
+                      LAYER_NORM_EPS)
 
 
 def backproject_and_enhance(h_nodes: Tensor, exchanged: Tensor, weights: Tensor, heads: int,

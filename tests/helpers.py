@@ -16,13 +16,22 @@ from neural_atoms.neural_atom import (LAYER_NORM_EPS, NeuralAtomLayerParams, Neu
 
 
 # ---------------------------------------------------------------------------
-# Tape ops the package no longer records, the finite-difference oracle and
-# the tensor-by-tensor optimiser
+# Tape ops the package no longer records, the finite-difference oracle,
+# rescaled initial weights and the tensor-by-tensor optimiser
 # ---------------------------------------------------------------------------
 
 
 def neg(a: Tensor) -> Tensor:
     return _result(-a.data, "neg", (a,), lambda g: (-g,))
+
+
+def add_row(a: Tensor, b: Tensor) -> Tensor:
+    """A (d,) or (1, d) row added to every row of an (n, d) matrix: the row
+    branch ``add`` had before ``affine`` took over every bias."""
+    if a.data.ndim != 2 or b.shape not in ((a.shape[1],), (1, a.shape[1])):
+        raise ShapeError(f"add_row: incompatible shapes {a.shape} and {b.shape}")
+    return _result(a.data + b.data, "add_row", (a, b),
+                   lambda g: (g, g.sum(axis=0).reshape(b.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -103,6 +112,16 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], eps: float = 1
             err = abs(ref[i] - numeric) / max(1.0, abs(ref[i]))
             worst = max(worst, err)
     return worst
+
+
+def rescale_weights(params, std: float):
+    """``params`` with every weight matrix scaled from its fan-in default
+    normal(0, rows ** -0.5) to normal(0, std); biases are left as they are."""
+    for name in ("weight", "w1", "w2"):
+        w = getattr(params, name, None)
+        if w is not None:
+            w.data *= std * w.shape[0] ** 0.5
+    return params
 
 
 class TensorByTensorAdam:

@@ -1,9 +1,9 @@
 """Multi-head self-attention tests.
 
 The oracle recomputes every head of every block with plain numpy calls,
-including the 1/sqrt(d) logit scaling and one projection per head, so any
-drift in the packed library implementation shows up as a value difference
-rather than a property violation.
+including the 1/sqrt(d) logit scaling, one projection per head and the
+residual, so any drift in the packed library implementation shows up as a
+value difference rather than a property violation.
 """
 
 import math
@@ -17,8 +17,8 @@ from helpers import grad_check, mul, sum_all
 
 
 def per_head_oracle(x, params, block):
-    """Dense attention head by head, block by block, then concat and W_o."""
-    out = np.empty((x.shape[0], params.output_weight.shape[1]))
+    """x plus dense attention head by head, block by block, then concat and W_o."""
+    out = np.empty_like(x)
     for lo in range(0, x.shape[0], block):
         rows = x[lo:lo + block]
         heads = []
@@ -28,17 +28,16 @@ def per_head_oracle(x, params, block):
             weights = np.exp(logits)
             weights /= weights.sum(axis=1, keepdims=True)
             heads.append(weights @ (rows @ wv.data))
-        out[lo:lo + block] = np.concatenate(heads, axis=1) @ params.output_weight.data
+        out[lo:lo + block] = rows + np.concatenate(heads, axis=1) @ params.output_weight.data
     return out
 
 
-def make_params(rng, heads, dim, out_dim=None, std=0.5):
-    out_dim = dim if out_dim is None else out_dim
+def make_params(rng, heads, dim, std=0.5):
     # W_q of every head, then W_k, then W_v, as column blocks of one leaf
     blocks = [rng.normal(size=(dim, dim)) * std for _ in range(3 * heads)]
     return MultiHeadParams(
         qkv=Tensor(np.concatenate(blocks, axis=1), requires_grad=True),
-        output_weight=Tensor(rng.normal(size=(heads * dim, out_dim)) * std, requires_grad=True),
+        output_weight=Tensor(rng.normal(size=(heads * dim, dim)) * std, requires_grad=True),
     )
 
 
@@ -48,7 +47,7 @@ class TestForward:
     def test_matches_per_head_dense_attention(self, block, heads):
         rng = np.random.default_rng(heads)
         x = rng.normal(size=(12, 5))
-        params = make_params(rng, heads, 5, out_dim=3)
+        params = make_params(rng, heads, 5)
         got = multi_head_attention(Tensor(x), params, block).data
         np.testing.assert_allclose(got, per_head_oracle(x, params, block), rtol=0, atol=1e-12)
 
@@ -61,11 +60,22 @@ class TestForward:
         shuffled = multi_head_attention(Tensor(x[perm]), params, 4).data
         np.testing.assert_allclose(shuffled, base[perm], rtol=0, atol=1e-12)
 
+    def test_zero_output_weight_returns_the_input(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(6, 4))
+        params = make_params(rng, 2, 4)
+        params.output_weight.data[...] = 0.0
+        np.testing.assert_array_equal(multi_head_attention(Tensor(x), params, 3).data, x)
+
     def test_width_must_match_the_weights(self):
         params = make_params(np.random.default_rng(2), 1, 4)
         for shape in ((6, 5), (6, 3), (6,)):
             with pytest.raises(ShapeError, match="attention input"):
                 multi_head_attention(Tensor(np.zeros(shape)), params, 3)
+        # the residual needs the output as wide as the input
+        params.output_weight = Tensor(np.zeros((4, 3)))
+        with pytest.raises(ShapeError, match="bias"):
+            multi_head_attention(Tensor(np.zeros((6, 4))), params, 3)
 
 
 class TestGradients:

@@ -47,8 +47,8 @@ from neural_atoms.autodiff import (
     view,
 )
 import helpers
-from helpers import (concat_rows, contact_like_graph, grad_check, mul, relu, rows, scale,
-                     sum_all)
+from helpers import (add_row, concat_rows, contact_like_graph, grad_check, mul, relu,
+                     rescale_weights, rows, scale, sum_all)
 
 
 def indexed_weighted_sum(x, out_index, in_index, weights, num_out_rows):
@@ -145,6 +145,12 @@ class TestForwardValues:
         with pytest.raises(ShapeError) as err:
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
         assert "(2, 3)" in str(err.value) and "(4, 5)" in str(err.value)
+
+    def test_add_takes_only_same_shape_operands(self):
+        # a row bias goes through affine, which has the one broadcasting rule
+        for shape in ((3,), (1, 3), (2, 3)):
+            with pytest.raises(ShapeError, match="add: incompatible"):
+                add(Tensor(np.zeros((4, 3))), Tensor(np.zeros(shape)))
 
     def test_softmax_rows_match_oracle(self):
         rng = np.random.default_rng(11)
@@ -402,7 +408,7 @@ class TestGradCheck:
         b = Tensor(rng.normal(size=3), requires_grad=True)
 
         def f():
-            return sum_all(mul(scale(add(x, b), 1.7), add(x, b)))
+            return sum_all(mul(scale(add_row(x, b), 1.7), add_row(x, b)))
 
         assert grad_check(f, [x, b], eps=1e-5) < 1e-8
 
@@ -667,8 +673,8 @@ def scatter_add_layer(h, graph, params):
     agg = indexed_weighted_sum(h, dst, src, w, num_out_rows=graph.num_nodes)
     if gcn:
         return relu(matmul(agg, params.weight))
-    hidden = relu(add(matmul(agg, params.w1), params.b1))
-    return add(matmul(hidden, params.w2), params.b2)
+    hidden = relu(add_row(matmul(agg, params.w1), params.b1))
+    return add_row(matmul(hidden, params.w2), params.b2)
 
 
 def ragged_graphs(seed, dim=4):
@@ -684,8 +690,8 @@ def ragged_graphs(seed, dim=4):
 
 def layer_params(backbone, rng, dim=4):
     if backbone == "gcn":
-        return GcnLayerParams.init(dim, 5, rng, std=0.5)
-    return MlpParams.init(dim, 6, 5, rng, std=0.5)
+        return rescale_weights(GcnLayerParams.init(dim, 5, rng), 0.5)
+    return rescale_weights(MlpParams.init(dim, 6, 5, rng), 0.5)
 
 
 def layer_forward(backbone, h, graph, params):
@@ -940,24 +946,35 @@ class TestBlockMatrix:
 
 
 def composed_affine(x, w, b=None, relu=False):
-    """Oracle for ``affine``: the matmul, row-add and relu tape ops it fuses."""
+    """Oracle for ``affine``: the tape ops it fuses.  A one-row bias goes
+    through ``add_row``, a same-shape one through ``add``, and one of K rows
+    is tiled down the n rows by ``gather_rows`` first, as the atom projection
+    once did."""
     out = matmul(x, w)
     if b is not None:
-        out = add(out, b)
+        if b.data.ndim == 1 or b.shape[0] == 1:
+            out = add_row(out, b)
+        elif b.shape == out.shape:
+            out = add(out, b)
+        else:
+            k = b.shape[0]
+            out = add(gather_rows(b, np.tile(np.arange(k), out.shape[0] // k)), out)
     return helpers.relu(out) if relu else out
 
 
 class TestAffine:
     """The fused x·W + b and ReLU against central differences and the composed ops."""
 
-    @pytest.mark.parametrize("with_bias", [False, True])
+    # K = 2 rows repeat down the 6 output rows; 6 rows are a residual
+    @pytest.mark.parametrize("bias_shape", [None, (3,), (1, 3), (2, 3), (6, 3)],
+                             ids=["no-bias", "row", "1-row", "2-rows", "residual"])
     @pytest.mark.parametrize("with_relu", [False, True])
     @pytest.mark.parametrize("x_needs_grad", [False, True])
-    def test_grad_check(self, with_bias, with_relu, x_needs_grad):
+    def test_grad_check(self, bias_shape, with_relu, x_needs_grad):
         rng = np.random.default_rng(70)
         x = Tensor(rng.normal(size=(6, 4)), requires_grad=x_needs_grad)
         w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=3), requires_grad=True) if with_bias else None
+        b = None if bias_shape is None else Tensor(rng.normal(size=bias_shape), requires_grad=True)
         probe = Tensor(rng.normal(size=(6, 3)))
         leaves = [t for t in (x, w, b) if t is not None and t.requires_grad]
 
@@ -967,8 +984,10 @@ class TestAffine:
         assert grad_check(f, leaves, eps=1e-6) < 1e-8
         out = affine(x, w, b, relu=with_relu)
         assert (out.data > 0).any() and (not with_relu or (out.data == 0).any())
+        np.testing.assert_array_equal(out.data, composed_affine(x, w, b, relu=with_relu).data)
         grads = out.entry.backward(probe.data)
-        assert len(grads) == (3 if with_bias else 2)
+        assert len(grads) == (2 if b is None else 3)
+        assert b is None or grads[2].shape == b.shape
         assert (grads[0] is None) == (not x_needs_grad)
 
     @pytest.mark.parametrize("with_bias", [False, True])
@@ -1011,6 +1030,8 @@ class TestAffine:
             affine(x, Tensor(np.ones((3, 4))))
         with pytest.raises(ShapeError, match="rank-2"):
             affine(Tensor(np.ones(2)), w)
-        for bias in (np.ones(3), np.ones((1, 4))):
+        # wrong width, a row count that does not divide 3, 3-D, and 0 rows
+        for bias in (np.ones(3), np.ones((3, 3)), np.ones((2, 4)), np.ones((1, 1, 4)),
+                     np.ones((0, 4))):
             with pytest.raises(ShapeError, match="bias"):
                 affine(x, w, Tensor(bias))

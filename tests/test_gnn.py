@@ -8,10 +8,10 @@ aggregation the layers actually use.
 import numpy as np
 import pytest
 
-from neural_atoms.autodiff import Tensor
+from neural_atoms.autodiff import ShapeError, Tensor
 from neural_atoms.gnn import GcnLayerParams, MlpParams, gcn_forward, gin_forward
 from neural_atoms.graphs import MolecularGraph
-from helpers import grad_check, mul, permute_graph, sum_all
+from helpers import grad_check, mul, permute_graph, rescale_weights, sum_all
 
 
 def random_graph(rng, n, dim, edge_prob=0.4, label=0):
@@ -91,7 +91,7 @@ class TestGcn:
     def test_gradients(self):
         rng = np.random.default_rng(3)
         g = random_graph(rng, 7, 4)
-        params = GcnLayerParams.init(4, 5, rng, std=0.5)
+        params = rescale_weights(GcnLayerParams.init(4, 5, rng), 0.5)
         x = Tensor(g.node_features, requires_grad=True)
 
         def f():
@@ -102,7 +102,7 @@ class TestGcn:
 
     def test_row_count_mismatch_is_rejected(self):
         g = MolecularGraph(3, [(0, 1)], np.zeros((3, 2)), graph_label=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError, match="slot_matmul: 3-row matrix"):
             gcn_forward(Tensor(np.zeros((4, 2))), g, GcnLayerParams(Tensor(np.eye(2))))
 
 
@@ -138,7 +138,7 @@ class TestGin:
         for _ in range(20):
             n = int(rng.integers(2, 15))
             g = random_graph(rng, n, 4)
-            params = MlpParams.init(4, 6, 5, rng, std=0.4)
+            params = rescale_weights(MlpParams.init(4, 6, 5, rng), 0.4)
             perm = rng.permutation(n)
             pg = permute_graph(g, perm)
             base = gin_forward(Tensor(g.node_features), g, params).data
@@ -148,7 +148,7 @@ class TestGin:
     def test_gradients(self):
         rng = np.random.default_rng(14)
         g = random_graph(rng, 6, 3)
-        params = MlpParams.init(3, 4, 3, rng, std=0.5)
+        params = rescale_weights(MlpParams.init(3, 4, 3, rng), 0.5)
         x = Tensor(g.node_features, requires_grad=True)
 
         def f():
@@ -163,5 +163,5 @@ def test_gin_row_count_mismatch_is_rejected():
     g = MolecularGraph(3, [(0, 1)], np.zeros((3, 2)), graph_label=0)
     params = MlpParams(w1=Tensor(np.eye(2)), b1=Tensor(np.zeros(2)),
                             w2=Tensor(np.eye(2)), b2=Tensor(np.zeros(2)))
-    with pytest.raises(ValueError, match="feature rows 2 != graph nodes 3"):
+    with pytest.raises(ShapeError, match=r"slot_matmul: 3-row matrix vs x \(2, 2\)"):
         gin_forward(Tensor(np.zeros((2, 2))), g, params)

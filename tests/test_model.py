@@ -6,14 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neural_atoms.autodiff import GradTape, Tensor, add, backward, matmul
+from neural_atoms.autodiff import GradTape, Tensor, backward, matmul
+from neural_atoms import attention as attention_module
 from neural_atoms import gnn as gnn_module
 from neural_atoms import model as model_module
+from neural_atoms import neural_atom as neural_atom_module
 from neural_atoms.gnn import gcn_forward
 from neural_atoms.graphs import MolecularGraph, batch_graphs, generate_lri_task
 from neural_atoms.model import ConfigError, GraphPropertyModel, TrainConfig
 from neural_atoms.training import _batch_loss, dataset_dimensions
-from helpers import concat_rows, mul, neural_atom_block, rows, sum_all
+from helpers import add_row, concat_rows, mul, neural_atom_block, rows, sum_all
 from test_autodiff import composed_affine
 from test_virtual_node import looped_batch_round, mean_rows
 
@@ -266,7 +268,7 @@ def looped_virtual_node_forward(model, batch):
         h, vstates = looped_batch_round(h, vstates, model.vn_layers[i], batch.offsets)
     pooled = concat_rows([mean_rows(rows(h, lo, hi))
                           for lo, hi in zip(batch.offsets[:-1], batch.offsets[1:])])
-    return add(matmul(pooled, model.head["weight"]), model.head["bias"])
+    return add_row(matmul(pooled, model.head["weight"]), model.head["bias"])
 
 
 @pytest.mark.parametrize("count", [1, 3])
@@ -297,10 +299,10 @@ def test_virtual_node_forward_matches_graph_by_graph_loop(count):
 WORKLOAD_MODELS = {
     "contact-gin": (dict(backbone="gin", task="pair-contact"), 14),
     "lri-vnode": (dict(augment="virtual-node"), 26),
-    "lri-atoms": (dict(augment="neural-atoms"), 59),
-    "lri-atoms-1-head": (dict(augment="neural-atoms", heads=1), 59),
-    "lri-atoms-3-heads": (dict(augment="neural-atoms", heads=3), 59),
-    "lri-atoms-4-heads": (dict(augment="neural-atoms", heads=4), 59),
+    "lri-atoms": (dict(augment="neural-atoms"), 50),
+    "lri-atoms-1-head": (dict(augment="neural-atoms", heads=1), 50),
+    "lri-atoms-3-heads": (dict(augment="neural-atoms", heads=3), 50),
+    "lri-atoms-4-heads": (dict(augment="neural-atoms", heads=4), 50),
 }
 
 
@@ -345,8 +347,9 @@ def test_fused_affine_matches_composed_ops_on_the_whole_model(overrides, monkeyp
         return [loss.data] + [t.grad.copy() for t in model.tensors()], ops
 
     fused, fused_ops = run()
-    # the virtual-node update is gnn.mlp, so gnn's affine covers it too
-    for module in (gnn_module, model_module):
+    # the virtual-node update is gnn.mlp, so gnn's affine covers it too; the
+    # atom block's residuals go through attention's and neural_atom's
+    for module in (gnn_module, model_module, attention_module, neural_atom_module):
         monkeypatch.setattr(module, "affine", composed_affine)
     composed, composed_ops = run()
     assert "relu" in composed_ops and "affine" in fused_ops and "affine" not in composed_ops

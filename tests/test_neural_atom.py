@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from neural_atoms import attention as attention_module
 from neural_atoms.attention import MultiHeadParams
 from neural_atoms.autodiff import (GradTape, Tensor, add, backward, concat_cols,
                                    gather_rows, layer_norm, matmul, segment_attention,
@@ -32,8 +33,8 @@ from neural_atoms.neural_atom import (
     write_allocation_csv,
 )
 from helpers import (concat_rows, grad_check, looped_projection, mul, neural_atom_block,
-                     permute_graph, rows, scale, sum_all)
-from test_autodiff import softmax_rows
+                     permute_graph, rescale_weights, rows, scale, sum_all)
+from test_autodiff import composed_affine, softmax_rows
 from test_model import ragged_graphs
 
 
@@ -120,7 +121,7 @@ class TestSteps:
         # states, so the exchange norm's affine map is zeroed as well
         params.exchange_norm.gain.data[:] = 0.0
         params.exchange_norm.bias.data[:] = 0.0
-        gcn = GcnLayerParams.init(dim, dim, rng, std=0.4)
+        gcn = rescale_weights(GcnLayerParams.init(dim, dim, rng), 0.4)
         layer = lambda t, gr: gcn_forward(t, gr, gcn)
         enhanced, _ = neural_atom_block(Tensor(g.node_features), g, layer, params)
         plain = gcn_forward(Tensor(g.node_features), g, gcn)
@@ -134,7 +135,7 @@ class TestBlock:
             n, dim = int(rng.integers(2, 15)), 6
             g = path_graph(rng, n, dim)
             params = NeuralAtomLayerParams.init(3, dim, 2, rng)
-            gcn = GcnLayerParams.init(dim, dim, rng, std=0.4)
+            gcn = rescale_weights(GcnLayerParams.init(dim, dim, rng), 0.4)
             layer = lambda t, gr: gcn_forward(t, gr, gcn)
             base, trace = neural_atom_block(Tensor(g.node_features), g, layer, params)
             perm = rng.permutation(n)
@@ -150,7 +151,7 @@ class TestBlock:
         dim = 4
         g = path_graph(rng, 6, dim)
         params = NeuralAtomLayerParams.init(3, dim, 2, rng)
-        gcn = GcnLayerParams.init(dim, dim, rng, std=0.5)
+        gcn = rescale_weights(GcnLayerParams.init(dim, dim, rng), 0.5)
         probe = Tensor(rng.normal(size=(1, dim)))
 
         x = Tensor(g.node_features, requires_grad=True)
@@ -168,7 +169,7 @@ class TestBlock:
         dim = 5
         g = path_graph(rng, 6, dim)
         params = NeuralAtomLayerParams.init(3, dim, 2, rng)
-        gcn = GcnLayerParams.init(dim, dim, rng, std=0.5)
+        gcn = rescale_weights(GcnLayerParams.init(dim, dim, rng), 0.5)
         x = Tensor(g.node_features)
         enhanced, _ = neural_atom_block(x, g, lambda t, gr: gcn_forward(t, gr, gcn), params)
         probe = Tensor(rng.normal(size=enhanced.shape))
@@ -182,7 +183,7 @@ class TestBlock:
         dim = 4
         g = path_graph(rng, 5, dim)
         params = NeuralAtomLayerParams.init(2, dim, 2, rng)
-        gcn = GcnLayerParams.init(dim, dim, rng, std=0.5)
+        gcn = rescale_weights(GcnLayerParams.init(dim, dim, rng), 0.5)
         x = Tensor(g.node_features)
         probe = Tensor(rng.normal(size=(5, dim)))
 
@@ -198,7 +199,7 @@ class TestBlock:
         dim = 5
         g = path_graph(rng, 8, dim)
         params = NeuralAtomLayerParams.init(3, dim, 2, rng)
-        gcn = GcnLayerParams.init(dim, dim, rng, std=0.4)
+        gcn = rescale_weights(GcnLayerParams.init(dim, dim, rng), 0.4)
         layer = lambda t, gr: gcn_forward(t, gr, gcn)
         _, first = neural_atom_block(Tensor(g.node_features), g, layer, params)
         _, second = neural_atom_block(Tensor(g.node_features), g, layer, params)
@@ -241,7 +242,7 @@ class TestBatchedBlock:
         for _ in range(5):
             batch = ragged_batch(rng, dim)
             params = NeuralAtomLayerParams.init(4, dim, 2, rng)
-            gcn = GcnLayerParams.init(dim, dim, rng, std=0.4)
+            gcn = rescale_weights(GcnLayerParams.init(dim, dim, rng), 0.4)
             h = gcn_forward(Tensor(batch.node_features), batch.merged_graph(), gcn)
             enhanced, traces = enhance_segments(h, batch.offsets, params)
             assert len(traces) == len(batch.graphs)
@@ -262,7 +263,7 @@ class TestBatchedBlock:
         dim = 5
         batch = ragged_batch(rng, dim)
         params = NeuralAtomLayerParams.init(4, dim, 2, rng)
-        gcn = GcnLayerParams.init(dim, dim, rng, std=0.4)
+        gcn = rescale_weights(GcnLayerParams.init(dim, dim, rng), 0.4)
         probe = rng.normal(size=(batch.total_nodes, dim))
         leaves = params.tensors() + [gcn.weight]
 
@@ -288,7 +289,7 @@ class TestBatchedBlock:
         dim = 6
         batch = batch_graphs([path_graph(rng, 20, dim) for _ in range(8)])
         params = NeuralAtomLayerParams.init(4, dim, 2, rng)
-        gcn = GcnLayerParams.init(dim, dim, rng, std=0.4)
+        gcn = rescale_weights(GcnLayerParams.init(dim, dim, rng), 0.4)
         probe = rng.normal(size=(batch.total_nodes, dim))
         leaves = params.tensors() + [gcn.weight]
 
@@ -323,7 +324,7 @@ class TestBatchedBlock:
                   path_graph(rng, 4, dim)]
         batch = batch_graphs(graphs)
         params = NeuralAtomLayerParams.init(4, dim, 2, rng)
-        gcn = GcnLayerParams.init(dim, dim, rng, std=0.5)
+        gcn = rescale_weights(GcnLayerParams.init(dim, dim, rng), 0.5)
         x = Tensor(batch.node_features, requires_grad=True)
         probe = Tensor(rng.normal(size=(batch.total_nodes, dim)))
 
@@ -488,7 +489,7 @@ class TestReassociatedProjection:
         assert model.k_counts == [4, 4, 4]
         logits = model.forward(batch_graphs(graphs)).graph_outputs
         loss = softmax_cross_entropy(logits, np.array([g.graph_label for g in graphs]))
-        assert len(GradTape.trace(loss).entries) <= 59
+        assert len(GradTape.trace(loss).entries) <= 50
 
 
 class TestHeadProductsAsSegments:
@@ -532,3 +533,41 @@ class TestHeadProductsAsSegments:
                 assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), name
             else:
                 assert np.array_equal(got, want), name
+
+
+class TestResidualsInsideAffine:
+    """The projection's tiled queries and the exchange's residual as the bias of
+    one ``affine`` each, against ``gather_rows``, ``matmul`` and ``add``
+    recorded apart: the same logits, traces and gradients, bit for bit."""
+
+    def test_matches_composed_path_on_a_ragged_batch(self, monkeypatch):
+        graphs = ragged_graphs(5)
+        cfg = TrainConfig(dataset="unused", out="unused", augment="neural-atoms",
+                          layers=3, hidden=32, heads=3)
+        batch = batch_graphs(graphs)
+        labels = np.array([g.graph_label for g in graphs])
+
+        def run():
+            model = GraphPropertyModel(cfg, graphs[0].feature_dim, 2, 20.0)
+            out = model.forward(batch, collect_traces=True)
+            loss = softmax_cross_entropy(out.graph_outputs, labels)
+            backward(loss, model.tensors())
+            names = [e.name for e in GradTape.trace(loss).entries]
+            return out, {name: t.grad.copy() for name, t in model.parameters()}, names
+
+        fused, fused_grads, fused_names = run()
+        for module in (attention_module, neural_atom_module):
+            monkeypatch.setattr(module, "affine", composed_affine)
+        composed, composed_grads, composed_names = run()
+
+        assert "gather_rows" not in fused_names and composed_names.count("gather_rows") == 3
+        assert len(composed_names) - len(fused_names) == 3 * 3
+        assert np.array_equal(fused.graph_outputs.data, composed.graph_outputs.data)
+        for got_layer, want_layer in zip(fused.traces, composed.traces, strict=True):
+            for got, want in zip(got_layer, want_layer, strict=True):
+                assert np.array_equal(got.atom_states, want.atom_states)
+                assert np.array_equal(got.exchanged_states, want.exchanged_states)
+                assert np.array_equal(got.node_allocation, want.node_allocation)
+        assert fused_grads.keys() == composed_grads.keys()
+        for name, want in composed_grads.items():
+            assert np.array_equal(fused_grads[name], want), name

@@ -8,7 +8,7 @@ import pytest
 from neural_atoms.autodiff import ShapeError, Tensor, _result, add, backward, matmul
 from neural_atoms.gnn import MlpParams
 from neural_atoms.virtual_node import multi_virtual_node_layer
-from helpers import concat_rows, grad_check, mul, neg, relu, rows, scale, sum_all
+from helpers import add_row, concat_rows, grad_check, mul, neg, relu, rows, scale, sum_all
 
 
 def mean_rows(a):
@@ -23,8 +23,8 @@ def mean_rows(a):
 
 
 def update_mlp(state, params):
-    hidden = relu(add(matmul(state, params.w1), params.b1))
-    return add(matmul(hidden, params.w2), params.b2)
+    hidden = relu(add_row(matmul(state, params.w1), params.b1))
+    return add_row(matmul(hidden, params.w2), params.b2)
 
 
 def virtual_node_layer(h, vstate, params):
@@ -33,7 +33,7 @@ def virtual_node_layer(h, vstate, params):
         raise ShapeError(
             f"virtual-node state must be (1, {h.shape[1]}), got {vstate.shape}")
     new_state = update_mlp(add(vstate, mean_rows(h)), params)
-    return add(h, new_state), new_state
+    return add_row(h, new_state), new_state
 
 
 def looped_virtual_node_layer(h, vstates, params):
@@ -51,7 +51,7 @@ def looped_virtual_node_layer(h, vstates, params):
         new_states.append(update_mlp(incoming, params))
     out = h
     for state in new_states:
-        out = add(out, state)
+        out = add_row(out, state)
     return out, concat_rows(new_states)
 
 
@@ -190,7 +190,7 @@ def test_gradients_flow_to_update_mlp():
 
     def loss():
         out, states = multi_virtual_node_layer(h, vstates, params)
-        return sum_all(out) + sum_all(states)
+        return add(sum_all(out), sum_all(states))
 
     worst = grad_check(loss, leaves_of(params) + [h])
     assert worst < 1e-6, f"worst relative gradient error {worst}"
