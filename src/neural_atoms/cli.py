@@ -90,9 +90,8 @@ def _cmd_export_alloc(args) -> int:
         output = model.forward(batch, collect_traces=True)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for i, layer_traces in enumerate(output.traces):
-        write_allocation_csv(layer_traces[0].node_allocation,
-                             out_dir / f"alloc_layer{i}.csv")
+    for i, trace in enumerate(output.traces):     # a batch of one graph
+        write_allocation_csv(trace.node_allocation, out_dir / f"alloc_layer{i}.csv")
     print(f"wrote {len(output.traces)} allocation files to {out_dir}")
     return 0
 

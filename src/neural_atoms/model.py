@@ -85,12 +85,12 @@ class TrainConfig:
 
 @dataclass
 class ModelOutput:
-    """Everything one forward pass produces."""
+    """Everything one forward pass produces; ``traces`` holds one per atom layer."""
 
     node_states: Tensor
     graph_outputs: Tensor | None = None
     pair_scores: Tensor | None = None
-    traces: list[list[NeuralAtomTrace]] | None = field(default=None)
+    traces: list[NeuralAtomTrace] | None = field(default=None)
 
 
 class GraphPropertyModel:
@@ -120,9 +120,8 @@ class GraphPropertyModel:
         self.atom_layers: list[NeuralAtomLayerParams] = []
         self.vn_layers: list[MlpParams] = []
         if cfg.augment == "neural-atoms":
-            schedule = compute_k_schedule(cfg.k_strategy, cfg.proportion,
-                                          self.avg_nodes, cfg.layers)
-            self.k_counts = list(schedule.counts)
+            self.k_counts = compute_k_schedule(cfg.k_strategy, cfg.proportion,
+                                               self.avg_nodes, cfg.layers)
             for k in self.k_counts:
                 self.atom_layers.append(
                     NeuralAtomLayerParams.init(k, cfg.hidden, cfg.heads, rng))
@@ -187,7 +186,7 @@ class GraphPropertyModel:
                 f"dataset has {batch.graphs[0].feature_dim}")
         merged = batch.merged_graph()
         h = Tensor(merged.node_features)
-        traces: list[list[NeuralAtomTrace]] = [] if collect_traces else None
+        traces: list[NeuralAtomTrace] = [] if collect_traces else None
         vstates = None
         if self.cfg.augment == "virtual-node":
             vstates = Tensor(np.zeros((len(batch) * self.cfg.virtual_nodes, self.cfg.hidden)))
@@ -195,10 +194,9 @@ class GraphPropertyModel:
         for i in range(self.cfg.layers):
             h = self._message_pass(h, merged, i)
             if self.cfg.augment == "neural-atoms":
-                h, layer_traces = enhance_segments(h, batch.offsets, self.atom_layers[i],
-                                                   want_trace=collect_traces)
+                h, trace = enhance_segments(h, batch.offsets, self.atom_layers[i])
                 if collect_traces:
-                    traces.append(layer_traces)
+                    traces.append(trace)
             elif self.cfg.augment == "virtual-node":
                 h, vstates = multi_virtual_node_layer(h, vstates, self.vn_layers[i],
                                                       batch.offsets)

@@ -95,24 +95,49 @@ class NeuralAtomLayerParams:
 
 @dataclass
 class NeuralAtomTrace:
-    """Detached intermediates of one block application, for inspection/export."""
+    """One block's detached results on a batch of B graphs, as they are, not copied.
 
-    atom_states: np.ndarray            # K x d, after projection
-    exchanged_states: np.ndarray       # K x d, after atom self-attention
-    allocation_per_head: list[np.ndarray]  # each K x N, rows sum to 1
-    node_allocation: np.ndarray        # N x K, head mean transposed
+    ``len(trace)`` is B; ``trace[b]`` is graph b's trace, of views, with offsets [0, n_b]."""
+
+    offsets: np.ndarray            # B + 1 segment bounds over the N nodes
+    atom_states: np.ndarray        # B * K x d, after projection
+    exchanged_states: np.ndarray   # B * K x d, after atom self-attention
+    allocations: np.ndarray        # H * K x N, head m in rows m*K:(m+1)*K
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, b: int) -> "NeuralAtomTrace":
+        if not 0 <= b < len(self):
+            raise IndexError(f"graph {b} outside 0..{len(self) - 1}")
+        k, lo, hi = self.atom_states.shape[0] // len(self), self.offsets[b], self.offsets[b + 1]
+        atoms = np.s_[b * k:(b + 1) * k]
+        return NeuralAtomTrace(np.array([0, hi - lo]), self.atom_states[atoms],
+                               self.exchanged_states[atoms], self.allocations[:, lo:hi])
+
+    @property
+    def allocation_per_head(self) -> list[np.ndarray]:
+        """Each head's K x N allocation; its rows sum to 1 within each graph."""
+        k = self.atom_states.shape[0] // len(self)
+        return [self.allocations[m:m + k] for m in range(0, self.allocations.shape[0], k)]
+
+    @property
+    def node_allocation(self) -> np.ndarray:
+        """The N x K head mean, transposed."""
+        per_head = self.allocation_per_head
+        return (sum(per_head) / len(per_head)).T
 
 
 def project_to_neural_atoms(h_nodes: Tensor, params: NeuralAtomLayerParams,
-                            offsets: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+                            offsets: np.ndarray) -> tuple[Tensor, Tensor]:
     """Attend from the atom queries onto the nodes; returns atom states and
     the (H * K, N) allocations, head m's (K, N) matrix in rows m*K:(m+1)*K.
 
-    With ``offsets`` the nodes form one segment per graph: the atom states
+    The nodes form one segment per graph of ``offsets``: the atom states
     come back as a (B * K, d) stack and each head's allocation is
     row-stochastic within every graph's column block.  The atoms see the
     nodes only through attention, so the result is invariant under any
-    relabeling of the nodes.  Without ``offsets`` all nodes are one graph.
+    relabeling of the nodes.
 
     No weight multiplies the N node rows.  Head m's logits
     (q W_q,m)(h W_k,m)^T are (q W_q,m W_k,m^T) h^T, and its output
@@ -128,7 +153,6 @@ def project_to_neural_atoms(h_nodes: Tensor, params: NeuralAtomLayerParams,
     q W_q,m W_k,m^T, and segment m of W_v times W_o is W_v,m W_o,m.  So the
     tape holds the same four entries for these products at any head count.
     """
-    offsets = np.array([0, h_nodes.shape[0]]) if offsets is None else np.asarray(offsets)
     attn, d = params.project_attention, params.queries.shape[1]
     width = attn.heads * d
     w_q, w_k, w_v = (view(attn.qkv, np.s_[:, r * width:(r + 1) * width]) for r in range(3))
@@ -163,33 +187,18 @@ def backproject_and_enhance(h_nodes: Tensor, exchanged: Tensor, weights: Tensor,
     return add(h_nodes, segment_broadcast(weights, exchanged, offsets, heads=heads))
 
 
-def enhance_segments(h_gnn: Tensor, offsets: np.ndarray, params: NeuralAtomLayerParams,
-                     want_trace: bool = True
-                     ) -> tuple[Tensor, list[NeuralAtomTrace] | None]:
+def enhance_segments(h_gnn: Tensor, offsets: np.ndarray, params: NeuralAtomLayerParams
+                     ) -> tuple[Tensor, NeuralAtomTrace]:
     """The three neural-atom steps on a batch of message-passed node states.
 
-    Returns the enhanced nodes and, unless ``want_trace`` is False (the
-    hot path skips the detached copies), one trace per graph.
+    Returns the enhanced nodes and the batch's trace.
     """
     offsets = np.asarray(offsets)
-    heads = params.project_attention.heads
     atoms, weights = project_to_neural_atoms(h_gnn, params, offsets)
     exchanged = exchange_neural_atoms(atoms, params)
-    enhanced = backproject_and_enhance(h_gnn, exchanged, weights, heads, offsets)
-    if not want_trace:
-        return enhanced, None
-
-    k = params.num_atoms
-    traces = []
-    for b, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
-        per_head = [weights.data[m * k:(m + 1) * k, lo:hi].copy() for m in range(heads)]
-        traces.append(NeuralAtomTrace(
-            atom_states=atoms.data[b * k:(b + 1) * k].copy(),
-            exchanged_states=exchanged.data[b * k:(b + 1) * k].copy(),
-            allocation_per_head=per_head,
-            node_allocation=(sum(per_head) / heads).T.copy(),
-        ))
-    return enhanced, traces
+    enhanced = backproject_and_enhance(h_gnn, exchanged, weights,
+                                       params.project_attention.heads, offsets)
+    return enhanced, NeuralAtomTrace(offsets, atoms.data, exchanged.data, weights.data)
 
 
 def write_allocation_csv(node_allocation: np.ndarray, path) -> None:

@@ -15,7 +15,6 @@ Every count is clamped to at least one atom after flooring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .validate import choice, integer
 
@@ -26,15 +25,8 @@ class ScheduleError(ValueError):
     """Invalid strategy name or out-of-range schedule inputs."""
 
 
-@dataclass
-class KSchedule:
-    strategy: str
-    proportion: float
-    counts: list[int]
-
-
 def compute_k_schedule(strategy: str, proportion: float, avg_nodes: float,
-                       n_layers: int) -> KSchedule:
+                       n_layers: int) -> list[int]:
     """Atom counts for each of ``n_layers`` blocks; every count is >= 1."""
     choice(strategy, "strategy", STRATEGIES, ScheduleError)
     if not (0.0 < proportion <= 1.0):
@@ -52,4 +44,4 @@ def compute_k_schedule(strategy: str, proportion: float, avg_nodes: float,
             counts.append(max(1, math.floor(proportion * counts[-1])))
         if strategy == "incremental":
             counts.reverse()
-    return KSchedule(strategy=strategy, proportion=proportion, counts=counts)
+    return counts

@@ -180,10 +180,12 @@ def evaluate(model: GraphPropertyModel, graphs: list[MolecularGraph],
     if feature_dim != model.feature_dim:
         raise ConfigError(
             f"model expects {model.feature_dim} features, dataset has {feature_dim}")
-    if model.cfg.task != "pair-contact" and out_dim > model.out_dim:
+    task = model.cfg.task
+    # a classifier may meet fewer classes than it scores; a regressor fits each target
+    mismatch = out_dim != model.out_dim if task == "graph-regression" else out_dim > model.out_dim
+    if task != "pair-contact" and mismatch:
         raise ConfigError(
             f"dataset needs {out_dim} outputs, model produces {model.out_dim}")
-    task = model.cfg.task
     totals = {"loss": 0.0, "count": 0, "correct": 0, "abs_err": 0.0}
     reciprocal_ranks: list[float] = []
     for start in range(0, len(graphs), batch_size):

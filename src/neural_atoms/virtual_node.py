@@ -23,16 +23,16 @@ from .gnn import MlpParams, mlp
 
 
 def multi_virtual_node_layer(h: Tensor, vstates: Tensor, params: MlpParams,
-                             offsets: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+                             offsets: np.ndarray) -> tuple[Tensor, Tensor]:
     """One round of V fully connected virtual nodes per graph, sharing one update MLP.
 
     Each state sees its graph's node mean plus the mean of its graph's other
     states, and every updated state is added onto each node of its graph.
-    ``h`` is (N, d) and ``vstates`` (B * V, d); without ``offsets`` all of
-    ``h`` is one graph.  Returns the enhanced node states and the updated
+    ``h`` is (N, d), split into graphs by ``offsets``, and ``vstates``
+    (B * V, d).  Returns the enhanced node states and the updated
     (B * V, d) states.
     """
-    offsets = np.array([0, h.shape[0]]) if offsets is None else np.asarray(offsets)
+    offsets = np.asarray(offsets)
     width = h.shape[1]
     if vstates.data.ndim != 2 or vstates.shape[1] != width:
         raise ShapeError(f"virtual-node states must have width {width}, got {vstates.shape}")

@@ -270,16 +270,14 @@ def neural_atom_block(h_prev: Tensor, graph: MolecularGraph,
     model run on a single graph.
     """
     h = gnn_layer(h_prev, graph)
-    enhanced, traces = enhance_segments(h, np.array([0, h.shape[0]]), params)
-    return enhanced, traces[0]
+    return enhance_segments(h, np.array([0, h.shape[0]]), params)
 
 
 def looped_projection(h_nodes: Tensor, params: NeuralAtomLayerParams,
-                      offsets: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+                      offsets: np.ndarray) -> tuple[Tensor, Tensor]:
     """``project_to_neural_atoms`` with each head's two weight products built
     in a loop over the heads and stacked by ``concat_rows``: the form the
     one ``segment_pool`` per product replaced."""
-    offsets = np.array([0, h_nodes.shape[0]]) if offsets is None else np.asarray(offsets)
     attn, k, d = params.project_attention, params.num_atoms, params.queries.shape[1]
     queries = concat_rows([matmul(matmul(params.queries, wq), transpose(wk))
                            for wq, wk in zip(attn.query_weights, attn.key_weights)])

@@ -77,7 +77,7 @@ def test_criterion_02_allocations_are_row_stochastic():
             params = NeuralAtomLayerParams.init(3, dim, 2, rng)
         n = int(rng.integers(2, 17))
         h = Tensor(rng.normal(scale=2.0, size=(n, dim)))
-        _, weights = project_to_neural_atoms(h, params)     # every head's rows
+        _, weights = project_to_neural_atoms(h, params, [0, n])     # every head's rows
         worst = max(worst, float(np.abs(weights.data.sum(axis=1) - 1.0).max()))
     report(2, worst < 1e-10, f"worst row-sum deviation {worst:.3g} over 1000 inputs")
 
@@ -128,7 +128,7 @@ def test_criterion_04_one_block_couples_path_endpoints():
 
 
 def test_criterion_05_k_schedule_matches_published_configuration():
-    counts = compute_k_schedule("fixed", 0.15, 150.94, 5).counts
+    counts = compute_k_schedule("fixed", 0.15, 150.94, 5)
     report(5, counts == [22] * 5, f"fixed schedule {counts}")
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from neural_atoms import cli
 from neural_atoms.cli import main
-from neural_atoms.graphs import load_dataset
+from neural_atoms.graphs import MolecularGraph, load_dataset, save_dataset
 from neural_atoms.model import TrainConfig
 from helpers import contact_like_graph
 
@@ -105,6 +105,7 @@ class TestTrain:
         assert exc.value.code == 2
 
 
+
 class TestEvaluate:
     def test_prints_metrics(self, tiny_dataset, trained_na_checkpoint, capsys):
         code = run_cli("evaluate", "--checkpoint", str(trained_na_checkpoint),
@@ -155,6 +156,25 @@ class TestEvaluate:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "must" in err and "object" in err
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_regression_targets_of_another_width_are_exit_one(self, tmp_path, capsys, width):
+        rng = np.random.default_rng(9)
+
+        def regression_dataset(name, width):
+            graphs = [MolecularGraph(4, [(0, 1), (1, 2), (2, 3)], rng.normal(size=(4, 3)),
+                                     rng.normal(size=width)) for _ in range(4)]
+            save_dataset(graphs, tmp_path / name)
+            return str(tmp_path / name)
+
+        assert run_cli("train", "--dataset", regression_dataset("train.jsonl", 2),
+                       "--out", str(tmp_path / "run"), "--task", "graph-regression",
+                       "--layers", "1", "--hidden", "4", "--epochs", "1") == 0
+        capsys.readouterr()
+        code = run_cli("evaluate", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                       "--dataset", regression_dataset("other.jsonl", width))
+        assert code == 1
+        assert f"dataset needs {width} outputs, model produces 2" in capsys.readouterr().err
 
 
 class TestEwald:

@@ -1,12 +1,13 @@
 """Tests for configuration handling and model assembly."""
 
+import importlib.util
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from neural_atoms.autodiff import GradTape, Tensor, backward, matmul
+from neural_atoms.autodiff import GradTape, Tensor, backward, matmul, softmax_cross_entropy
 from neural_atoms import attention as attention_module
 from neural_atoms import gnn as gnn_module
 from neural_atoms import model as model_module
@@ -14,7 +15,7 @@ from neural_atoms import neural_atom as neural_atom_module
 from neural_atoms.gnn import gcn_forward
 from neural_atoms.graphs import MolecularGraph, batch_graphs, generate_lri_task
 from neural_atoms.model import ConfigError, GraphPropertyModel, TrainConfig
-from neural_atoms.training import _batch_loss, dataset_dimensions
+from neural_atoms.training import Adam, _batch_loss, dataset_dimensions
 from helpers import add_row, concat_rows, mul, neural_atom_block, rows, sum_all
 from test_autodiff import composed_affine
 from test_virtual_node import looped_batch_round, mean_rows
@@ -256,6 +257,46 @@ def ragged_graphs(feature_dim):
                                  node_features=rng.normal(size=(4, feature_dim)),
                                  graph_label=1))
     return graphs
+
+
+def perfbench_checks():
+    """The benchmark's own ``perfbench/checks.py``, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("heads", [1, 2, 3])
+def test_traces_pass_the_benchmark_allocation_check(heads):
+    graphs = ragged_graphs(4)
+    model = GraphPropertyModel(make_config(augment="neural-atoms", layers=3, heads=heads),
+                               *dataset_dimensions(graphs, "graph-classification"))
+    traces = model.forward(batch_graphs(graphs), collect_traces=True).traces
+    assert len(traces) == 3 and all(len(trace) == len(graphs) for trace in traces)
+    checks = perfbench_checks()
+    checks.check_allocations(traces)
+    traces[1].allocations[0, traces[1].offsets[1]] += 1e-6     # graph 1's one node
+    with pytest.raises(checks.CheckFailed, match="layer 1 graph 1"):
+        checks.check_allocations(traces)
+
+
+@pytest.mark.parametrize("layout", ["ragged", "equal"])
+def test_traces_keep_their_bytes_through_backward_and_an_adam_step(layout):
+    # on graphs of one size the allocations view the array the backward reads
+    graphs = ragged_graphs(4) if layout == "ragged" else [chain_graph(5, 4, s) for s in range(4)]
+    model = GraphPropertyModel(make_config(augment="neural-atoms", layers=3),
+                               *dataset_dimensions(graphs, "graph-classification"))
+    optimizer = Adam(model.flat, 0.02)
+    labels = np.array([g.graph_label for g in graphs])
+    out = model.forward(batch_graphs(graphs), collect_traces=True)
+    arrays = [a for trace in out.traces for a in (trace.offsets, trace.atom_states,
+                                                   trace.exchanged_states, trace.allocations)]
+    before = [a.tobytes() for a in arrays]
+    backward(softmax_cross_entropy(out.graph_outputs, labels), [model.flat])
+    optimizer.step()
+    assert [a.tobytes() for a in arrays] == before
 
 
 def looped_virtual_node_forward(model, batch):

@@ -27,7 +27,6 @@ from neural_atoms.model import GraphPropertyModel, TrainConfig
 from neural_atoms.neural_atom import (
     LAYER_NORM_EPS,
     NeuralAtomLayerParams,
-    NeuralAtomTrace,
     enhance_segments,
     project_to_neural_atoms,
     write_allocation_csv,
@@ -93,7 +92,8 @@ class TestSteps:
         for _ in range(50):
             n = int(rng.integers(1, 20))
             params = NeuralAtomLayerParams.init(4, 5, 3, rng)
-            _, weights = project_to_neural_atoms(Tensor(rng.normal(size=(n, 5)) * 3), params)
+            _, weights = project_to_neural_atoms(Tensor(rng.normal(size=(n, 5)) * 3), params,
+                                                 [0, n])
             assert weights.shape == (3 * 4, n)
             np.testing.assert_allclose(weights.data.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
@@ -101,9 +101,9 @@ class TestSteps:
         rng = np.random.default_rng(7)
         h = rng.normal(size=(9, 6))
         params = NeuralAtomLayerParams.init(3, 6, 2, rng)
-        atoms, _ = project_to_neural_atoms(Tensor(h), params)
+        atoms, _ = project_to_neural_atoms(Tensor(h), params, [0, 9])
         perm = rng.permutation(9)
-        atoms_p, _ = project_to_neural_atoms(Tensor(h[perm]), params)
+        atoms_p, _ = project_to_neural_atoms(Tensor(h[perm]), params, [0, 9])
         np.testing.assert_allclose(atoms_p.data, atoms.data, atol=1e-10)
 
     def test_zero_value_and_output_paths_reduce_to_gnn(self):
@@ -268,7 +268,7 @@ class TestBatchedBlock:
         leaves = params.tensors() + [gcn.weight]
 
         h = gcn_forward(Tensor(batch.node_features), batch.merged_graph(), gcn)
-        enhanced, _ = enhance_segments(h, batch.offsets, params, want_trace=False)
+        enhanced, _ = enhance_segments(h, batch.offsets, params)
         backward(sum_all(mul(enhanced, Tensor(probe))), params=leaves)
         batched = [leaf.grad.copy() for leaf in leaves]
 
@@ -330,10 +330,46 @@ class TestBatchedBlock:
 
         def f():
             h = gcn_forward(x, batch.merged_graph(), gcn)
-            enhanced, _ = enhance_segments(h, batch.offsets, params, want_trace=False)
+            enhanced, _ = enhance_segments(h, batch.offsets, params)
             return sum_all(mul(enhanced, probe))
 
         assert grad_check(f, params.tensors() + [gcn.weight, x], eps=1e-5) < 1e-5
+
+
+class TestBatchTrace:
+    """One trace per block call, holding the batch's results; ``trace[b]`` is
+    graph b's part of them."""
+
+    def test_length_and_bounds(self):
+        rng = np.random.default_rng(34)
+        batch = ragged_batch(rng, 5)
+        params = NeuralAtomLayerParams.init(4, 5, 2, rng)
+        _, trace = enhance_segments(Tensor(batch.node_features), batch.offsets, params)
+        assert len(trace) == len(batch.graphs) == len(list(trace))
+        for b in (-1, len(batch.graphs)):
+            with pytest.raises(IndexError):
+                trace[b]
+
+    @pytest.mark.parametrize("heads", [1, 2, 3])
+    def test_graph_traces_are_views_equal_to_the_block_alone(self, heads):
+        rng = np.random.default_rng(35 + heads)
+        dim = 5
+        batch = ragged_batch(rng, dim)
+        params = NeuralAtomLayerParams.init(4, dim, heads, rng)
+        _, trace = enhance_segments(Tensor(batch.node_features), batch.offsets, params)
+        assert trace.allocations.shape == (heads * 4, batch.total_nodes)
+        for b, graph in enumerate(batch.graphs):
+            part = trace[b]
+            assert part.offsets.tolist() == [0, graph.num_nodes] and len(part) == 1
+            for name in ("atom_states", "exchanged_states", "allocations"):
+                assert np.shares_memory(getattr(part, name), getattr(trace, name)), name
+            _, alone = enhance_segments(Tensor(graph.node_features), [0, graph.num_nodes],
+                                        params)
+            for name in ("atom_states", "exchanged_states", "allocations"):
+                np.testing.assert_allclose(getattr(part, name), getattr(alone, name),
+                                           rtol=0, atol=1e-10, err_msg=name)
+            assert part.node_allocation.shape == (graph.num_nodes, 4)
+            assert len(part.allocation_per_head) == heads
 
 
 def per_head_projection(h_nodes, params, offsets):
@@ -453,7 +489,7 @@ class TestReassociatedProjection:
         probe = Tensor(rng.normal(size=h.shape))
 
         def f():
-            enhanced, _ = enhance_segments(h, batch.offsets, params, want_trace=False)
+            enhanced, _ = enhance_segments(h, batch.offsets, params)
             return sum_all(mul(enhanced, probe))
 
         assert grad_check(f, params.tensors() + [h], eps=1e-5) < 1e-5
@@ -473,7 +509,7 @@ class TestReassociatedProjection:
             assert matmuls
             return [e for e in matmuls if any(t.shape[0] == batch.total_nodes for t in e.inputs)]
 
-        enhanced, _ = enhance_segments(h, batch.offsets, params, want_trace=False)
+        enhanced, _ = enhance_segments(h, batch.offsets, params)
         assert node_row_matmuls(enhanced) == []
         # the head-by-head order multiplies them twice per head
         assert len(node_row_matmuls(per_head_block(h, params, batch.offsets)[0])) == 2 * heads

@@ -5,28 +5,28 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from neural_atoms.schedules import STRATEGIES, KSchedule, ScheduleError, compute_k_schedule
+from neural_atoms.schedules import STRATEGIES, ScheduleError, compute_k_schedule
 
 
 class TestFrozenValues:
     def test_fixed_reference_point(self):
         # floor(0.15 * 150.94) = floor(22.641) = 22, five layers
         got = compute_k_schedule("fixed", 0.15, 150.94, 5)
-        assert got.counts == [22, 22, 22, 22, 22]
+        assert got == [22, 22, 22, 22, 22]
 
     def test_decremental_halving(self):
         # floor chain from 40 at one half: 20, 10, 5
         got = compute_k_schedule("decremental", 0.5, 40, 3)
-        assert got.counts == [20, 10, 5]
+        assert got == [20, 10, 5]
 
     def test_incremental_is_reversed_decremental(self):
         dec = compute_k_schedule("decremental", 0.5, 40, 3)
         inc = compute_k_schedule("incremental", 0.5, 40, 3)
-        assert inc.counts == list(reversed(dec.counts))
+        assert inc == list(reversed(dec))
 
     def test_small_proportion_clamps_to_one(self):
         got = compute_k_schedule("decremental", 0.01, 10, 4)
-        assert got.counts == [1, 1, 1, 1]
+        assert got == [1, 1, 1, 1]
 
 
 class TestValidation:
@@ -56,13 +56,13 @@ class TestValidation:
 )
 def test_schedule_properties(strategy, proportion, avg_nodes, n_layers):
     got = compute_k_schedule(strategy, proportion, avg_nodes, n_layers)
-    assert isinstance(got, KSchedule)
-    assert len(got.counts) == n_layers
-    assert all(isinstance(k, int) and k >= 1 for k in got.counts)
-    assert max(got.counts) <= max(1, math.floor(proportion * avg_nodes))
+    assert isinstance(got, list)
+    assert len(got) == n_layers
+    assert all(isinstance(k, int) and k >= 1 for k in got)
+    assert max(got) <= max(1, math.floor(proportion * avg_nodes))
     if strategy == "decremental":
-        assert all(a >= b for a, b in zip(got.counts, got.counts[1:]))
+        assert all(a >= b for a, b in zip(got, got[1:]))
     if strategy == "incremental":
-        assert all(a <= b for a, b in zip(got.counts, got.counts[1:]))
+        assert all(a <= b for a, b in zip(got, got[1:]))
     if strategy == "fixed":
-        assert len(set(got.counts)) == 1
+        assert len(set(got)) == 1

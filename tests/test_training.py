@@ -525,6 +525,19 @@ def test_evaluate_needs_as_many_outputs_as_the_dataset_has_classes():
         evaluate(model, graphs)
 
 
+@pytest.mark.parametrize("width", [1, 3])
+def test_evaluate_regression_needs_as_many_targets_as_the_model_has_outputs(width):
+    cfg = TrainConfig(dataset="unused", out="unused", task="graph-regression",
+                      layers=1, hidden=4, heads=2)
+    model = GraphPropertyModel(cfg, feature_dim=3, out_dim=2, avg_nodes=4.0)
+    rng = np.random.default_rng(6)
+    graphs = [MolecularGraph(num_nodes=4, edges=[(0, 1), (1, 2), (2, 3)],
+                             node_features=rng.normal(size=(4, 3)),
+                             graph_label=rng.normal(size=width)) for _ in range(4)]
+    with pytest.raises(ConfigError, match=f"dataset needs {width} outputs, model produces 2"):
+        evaluate(model, graphs)
+
+
 def test_evaluate_pair_contact_without_positives_is_an_error():
     rng = np.random.default_rng(7)
     graphs = [MolecularGraph(num_nodes=5, edges=[(i, i + 1) for i in range(4)],

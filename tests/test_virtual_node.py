@@ -144,7 +144,7 @@ def test_single_state_multi_layer_matches_plain_layer():
     params = make_params(rng, 4)
     out_a, state_a = virtual_node_layer(Tensor(h_data), Tensor(state_data), params)
     out_b, states_b = multi_virtual_node_layer(Tensor(h_data), Tensor(state_data),
-                                               params)
+                                               params, [0, 5])
     assert np.array_equal(out_a.data, out_b.data)
     assert np.array_equal(state_a.data, states_b.data)
 
@@ -154,12 +154,12 @@ def test_multiple_states_exchange_information():
     h = Tensor(rng.normal(size=(4, 3)))
     params = make_params(rng, 3)
     base = np.zeros((2, 3))
-    out_zero, _ = multi_virtual_node_layer(h, Tensor(base), params)
+    out_zero, _ = multi_virtual_node_layer(h, Tensor(base), params, [0, 4])
     poked = base.copy()
     poked[1, :] = 5.0
-    out_poked, states = multi_virtual_node_layer(h, Tensor(poked), params)
+    out_poked, states = multi_virtual_node_layer(h, Tensor(poked), params, [0, 4])
     # state 0 saw state 1 through the fully connected update
-    _, states_zero = multi_virtual_node_layer(h, Tensor(base), params)
+    _, states_zero = multi_virtual_node_layer(h, Tensor(base), params, [0, 4])
     assert np.abs(states.data[0] - states_zero.data[0]).max() > 1e-6
     assert not np.array_equal(out_zero.data, out_poked.data)
 
@@ -173,9 +173,9 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         virtual_node_layer(h, Tensor(np.zeros((2, 4))), params)
     with pytest.raises(ShapeError, match="width 4"):
-        multi_virtual_node_layer(h, Tensor(np.zeros((2, 3))), params)
+        multi_virtual_node_layer(h, Tensor(np.zeros((2, 3))), params, [0, 5])
     with pytest.raises(ShapeError, match="MLP"):
-        multi_virtual_node_layer(h, Tensor(np.zeros((1, 4))), make_params(rng, 3))
+        multi_virtual_node_layer(h, Tensor(np.zeros((1, 4))), make_params(rng, 3), [0, 5])
     with pytest.raises(ShapeError, match="each of 2 graphs"):
         multi_virtual_node_layer(h, Tensor(np.zeros((3, 4))), params, [0, 2, 5])
     with pytest.raises(ShapeError, match="each of 2 graphs"):
@@ -189,7 +189,7 @@ def test_gradients_flow_to_update_mlp():
     params = make_params(rng, 4)
 
     def loss():
-        out, states = multi_virtual_node_layer(h, vstates, params)
+        out, states = multi_virtual_node_layer(h, vstates, params, [0, 5])
         return add(sum_all(out), sum_all(states))
 
     worst = grad_check(loss, leaves_of(params) + [h])
