@@ -2,13 +2,13 @@
 
 The neural-atom exchange stacks the K atom states of B graphs as B blocks of
 K rows, and every atom attends to the atoms of its own block only.  All
-heads run at once: one matmul projects the rows onto the queries, keys and
-values of every head, one ``block_attention`` attends within every block
-and head, and one ``affine`` mixes the heads and adds the input back as a
-residual.  The neural-atom projection reassociates its products instead and
-does not come through here: it views the (d, H * d) W_q, W_k and W_v blocks
-of ``qkv`` whole and forms every head's product of two weights with one
-``segment_pool`` over head blocks.
+heads run at once: one ``affine`` by ``qkv`` projects the rows onto the
+queries, keys and values of every head, one ``block_attention`` attends
+within every block and head, and one ``affine`` mixes the heads and adds the
+input back as a residual.  The neural-atom projection reassociates its
+products instead and does not come through here: it views the (d, H * d)
+W_q, W_k and W_v blocks of ``qkv`` whole and forms every head's product of
+two weights with one ``segment_pool`` over head blocks.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, affine, block_attention, matmul, parameter, view
+from .autodiff import ShapeError, Tensor, affine, block_attention, parameter, view
 
 
 @dataclass
@@ -66,7 +66,7 @@ def multi_head_attention(x: Tensor, params: MultiHeadParams, block: int) -> Tens
 
     Head m computes softmax(X W_q,m (X W_k,m)^T / sqrt(d)) X W_v,m over the
     rows of one block; the heads are concatenated, mixed by the output
-    weight and added to X.  One matmul by ``qkv`` projects every row onto
+    weight and added to X.  One ``affine`` by ``qkv`` projects every row onto
     the queries, keys and values of all heads, one ``block_attention`` runs
     every head of every block, and one ``affine`` with X as its same-shape
     bias mixes the heads and adds the residual.
@@ -74,5 +74,5 @@ def multi_head_attention(x: Tensor, params: MultiHeadParams, block: int) -> Tens
     dim = params.qkv.shape[0]
     if x.data.ndim != 2 or x.shape[1] != dim:
         raise ShapeError(f"attention input must be (n, {dim}), got {x.shape}")
-    mixed = block_attention(matmul(x, params.qkv), block, params.heads, 1.0 / math.sqrt(dim))
+    mixed = block_attention(affine(x, params.qkv), block, params.heads, 1.0 / math.sqrt(dim))
     return affine(mixed, params.output_weight, x)

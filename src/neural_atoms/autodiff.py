@@ -183,14 +183,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data + b.data, "add", (a, b), lambda g: (g, g))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} vs {b.shape}")
-    return _result(a.data @ b.data, "matmul", (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
-
-
 def affine(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) -> Tensor:
     """``x @ w``, plus the bias ``b`` when given, through a ReLU when ``relu``.
 
@@ -200,11 +192,11 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) ->
     dense layer's row bias (r = 1), K per-graph rows tiled down B * K rows
     (r = K) and a same-shape residual (r = n).
 
-    One tape entry for what :func:`matmul`, a tiling, :func:`add` and a
-    ReLU op would record as up to four, with the same values and gradients.
-    The bias and the ReLU are applied in place, so the tape keeps only the
-    one result array alive.  ``g @ w.T`` is skipped when ``x`` needs no
-    gradient.
+    With no bias and no ReLU it is the plain product.  It is one tape entry
+    for what a product, a tiling, a sum and a ReLU would record as up to
+    four, with the same values and gradients.  The bias and the ReLU are
+    applied in place, so the tape keeps only the one result array alive.
+    ``g @ w.T`` is skipped when ``x`` needs no gradient.
     """
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise ShapeError(f"affine needs rank-2 operands, got {x.shape} and {w.shape}")
@@ -239,31 +231,27 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
-    """Select rows by integer index (repeats allowed); gradient accumulates."""
+    """Rows of an (n, d) tensor by integer index (repeats allowed); gradient accumulates.
+
+    A (P, c) index gives (P, c * d): row i holds the c rows ``index[i]`` side by side.
+    """
     idx = np.asarray(index, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError("gather_rows needs a 1-D index array")
+    if idx.ndim not in (1, 2) or a.data.ndim != 2:
+        raise ShapeError(f"gather_rows needs a 1-D or 2-D index into rows of an (n, d) "
+                         f"tensor, got index {idx.shape} and {a.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ShapeError(f"gather_rows: index out of range for {a.shape[0]} rows")
+    blocks = idx[:, None] if idx.ndim == 1 else idx      # (P, c)
+    p, c = blocks.shape
 
     def back(g: np.ndarray) -> tuple:
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
-        return (full,)
+        # column block j sums into a buffer of its own, and the blocks are
+        # added last first: the bits of c one-column gathers side by side
+        parts = np.zeros((c,) + a.shape)
+        np.add.at(parts, (np.arange(c), blocks), g.reshape(p, c, a.shape[1]))
+        return (parts[::-1].sum(axis=0),)
 
-    return _result(a.data[idx], "gather_rows", (a,), back)
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ContractError("concat_cols needs at least one tensor")
-    counts = [p.shape[1] for p in parts]
-    splits = np.cumsum(counts)[:-1]
-
-    def back(g: np.ndarray) -> tuple:
-        return tuple(np.split(g, splits, axis=1))
-
-    return _result(np.concatenate([p.data for p in parts], axis=1), "concat_cols", tuple(parts), back)
+    return _result(a.data[blocks].reshape(p, c * a.shape[1]), "gather_rows", (a,), back)
 
 
 def _checked_entries(edges: np.ndarray, offsets, scale: np.ndarray | None, op: str) -> tuple:
@@ -526,13 +514,15 @@ def segment_mean(values: Tensor, offsets) -> Tensor:
     return segment_pool(Tensor(np.repeat(1.0 / counts, counts)[None, :]), values, offsets)
 
 
-def segment_broadcast(weights: Tensor, states: Tensor, offsets, heads: int = 1) -> Tensor:
-    """Each row mixes the K states of its own segment: the adjoint of ``segment_pool``.
+def segment_broadcast(weights: Tensor, states: Tensor, offsets, onto: Tensor,
+                      heads: int = 1) -> Tensor:
+    """``onto`` plus each row's mix of the K states of its own segment.
 
-    ``weights`` is (K, N), as ``segment_pool`` takes it, and ``states``
-    (B * K, d); row n of the (N, d) result is weights[:, n] @ states[b*K:(b+1)*K]
+    The mix is the adjoint of ``segment_pool``: ``weights`` is (K, N) and
+    ``states`` (B * K, d); row n of the mix is weights[:, n] @ states[b*K:(b+1)*K]
     for n's segment b.  With ``heads`` = H, ``weights`` is H row blocks of
-    (K, N), and their mean, summed in head order, takes its place.
+    (K, N), and their mean, summed in head order, takes its place.  The
+    (N, d) ``onto`` is added in place into the mix, so it needs no tape entry.
     """
     if weights.data.ndim != 2 or states.data.ndim != 2 or heads < 1 or weights.shape[0] % heads:
         raise ShapeError(f"segment_broadcast: weights {weights.shape} of {heads} heads "
@@ -542,17 +532,22 @@ def segment_broadcast(weights: Tensor, states: Tensor, offsets, heads: int = 1) 
     if states.shape[0] != segments * k:
         raise ShapeError(f"segment_broadcast: {segments} segments of {k} states "
                          f"need {segments * k} rows, got {states.shape}")
+    if onto.shape != (weights.shape[1], d):
+        raise ShapeError(f"segment_broadcast: onto must be ({weights.shape[1]}, {d}), "
+                         f"got {onto.shape}")
     c = 1.0 / heads
     w = _padded((weights.data.reshape(heads, k, -1).sum(axis=0) * c).T, layout)  # (B, max_n, K)
     s = states.data.reshape(segments, k, d)
+    out = _unpadded(w @ s, layout)
+    out += onto.data
 
     def back(g: np.ndarray) -> tuple:
         g3 = _padded(g, layout)                             # (B, max_n, d)
         # C order: the reductions upstream sum in memory order, so this layout sets their bits
         g_mean = np.multiply(_unpadded(g3 @ s.transpose(0, 2, 1), layout).T, c, order="C")
-        return np.tile(g_mean, (heads, 1)), (w.transpose(0, 2, 1) @ g3).reshape(-1, d)
+        return np.tile(g_mean, (heads, 1)), (w.transpose(0, 2, 1) @ g3).reshape(-1, d), g
 
-    return _result(_unpadded(w @ s, layout), "segment_broadcast", (weights, states), back)
+    return _result(out, "segment_broadcast", (weights, states, onto), back)
 
 
 def block_attention(qkv: Tensor, block: int, heads: int, inv_scale: float) -> Tensor:

@@ -312,10 +312,10 @@ def generate_lri_task(num_graphs: int, path_len: int, num_colors: int,
     within 2% of one half for any size above 25.
     """
     num_graphs = integer(num_graphs, "num_graphs", GraphError, minimum=1)
-    if path_len < 2:
-        raise GraphError("path_len must be at least 2 so the endpoints differ")
-    if num_colors < 2:
-        raise GraphError("need at least two colors for a non-trivial task")
+    # two path nodes so the endpoints differ, two colors for a non-trivial task
+    path_len = integer(path_len, "path_len", GraphError, minimum=2)
+    num_colors = integer(num_colors, "num_colors", GraphError, minimum=2)
+    seed = integer(seed, "seed", GraphError, minimum=0)
     rng = np.random.default_rng(seed)
     labels = np.zeros(num_graphs, dtype=np.int64)
     labels[: num_graphs // 2] = 1

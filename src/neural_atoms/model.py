@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .autodiff import Tensor, affine, concat_cols, gather_rows, pack, parameter, segment_mean
+from .autodiff import Tensor, affine, gather_rows, pack, parameter, segment_mean
 from .gnn import GcnLayerParams, MlpParams, gcn_forward, gin_forward
 from .graphs import GraphBatch
 from .neural_atom import NeuralAtomLayerParams, NeuralAtomTrace, enhance_segments
@@ -205,7 +205,7 @@ class GraphPropertyModel:
             u_idx, v_idx, _ = batch.pair_indices()
             if u_idx.size == 0:
                 raise ConfigError("pair-contact task needs graphs with pair labels")
-            feats = concat_cols([gather_rows(h, u_idx), gather_rows(h, v_idx)])
+            feats = gather_rows(h, np.stack([u_idx, v_idx], axis=1))
             hidden = affine(feats, self.head["w1"], self.head["b1"], relu=True)
             scores = affine(hidden, self.head["w2"], self.head["b2"])
             return ModelOutput(node_states=h, pair_scores=scores, traces=traces)

@@ -12,7 +12,8 @@ routes them through a small set of learnable "neural atoms":
 3. the mean of the heads' (K, N) allocation matrices carries the exchanged
    atom states back onto the nodes, as the adjoint of the pooling in step 1,
    and the nodes are enhanced additively; ``segment_broadcast`` takes the
-   head mean itself, so the per-head matrices never become tape ops.
+   head mean itself and adds the nodes in, so neither the per-head matrices
+   nor the enhancement become tape ops.
 
 Because step 3 reuses the attention weights from step 1, any two nodes can
 trade information through a shared atom regardless of their graph distance,
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import MultiHeadParams, multi_head_attention
-from .autodiff import (Tensor, add, affine, layer_norm, matmul, parameter, segment_attention,
+from .autodiff import (Tensor, affine, layer_norm, parameter, segment_attention,
                        segment_broadcast, segment_pool, transpose, view)
 from .files import replacing
 
@@ -95,7 +96,7 @@ class NeuralAtomLayerParams:
 
 @dataclass
 class NeuralAtomTrace:
-    """One block's detached results on a batch of B graphs, as they are, not copied.
+    """One block's detached results on a batch of B graphs, as read-only views, not copies.
 
     ``len(trace)`` is B; ``trace[b]`` is graph b's trace, of views, with offsets [0, n_b]."""
 
@@ -158,7 +159,7 @@ def project_to_neural_atoms(h_nodes: Tensor, params: NeuralAtomLayerParams,
     w_q, w_k, w_v = (view(attn.qkv, np.s_[:, r * width:(r + 1) * width]) for r in range(3))
     head_offsets = np.arange(0, width + 1, d)    # head m's d columns or rows are segment m
     # (H * K, d) effective queries; (B * K, H * d) pooled nodes; (H * d, d) mix
-    queries = segment_pool(matmul(params.queries, w_q), transpose(w_k), head_offsets)
+    queries = segment_pool(affine(params.queries, w_q), transpose(w_k), head_offsets)
     weights = segment_attention(queries, h_nodes, offsets, d ** -0.5)
     pooled = segment_pool(weights, h_nodes, offsets, heads=attn.heads)
     mix = segment_pool(w_v, attn.output_weight, head_offsets)
@@ -184,21 +185,25 @@ def backproject_and_enhance(h_nodes: Tensor, exchanged: Tensor, weights: Tensor,
     gradients flow through the attention weights as well as the atom states.
     Each node draws only on its own graph's atoms.
     """
-    return add(h_nodes, segment_broadcast(weights, exchanged, offsets, heads=heads))
+    return segment_broadcast(weights, exchanged, offsets, h_nodes, heads=heads)
 
 
 def enhance_segments(h_gnn: Tensor, offsets: np.ndarray, params: NeuralAtomLayerParams
                      ) -> tuple[Tensor, NeuralAtomTrace]:
     """The three neural-atom steps on a batch of message-passed node states.
 
-    Returns the enhanced nodes and the batch's trace.
+    Returns the enhanced nodes and the batch's trace, whose read-only views
+    of the tape's arrays refuse a write that would change the batch's gradients.
     """
     offsets = np.asarray(offsets)
     atoms, weights = project_to_neural_atoms(h_gnn, params, offsets)
     exchanged = exchange_neural_atoms(atoms, params)
     enhanced = backproject_and_enhance(h_gnn, exchanged, weights,
                                        params.project_attention.heads, offsets)
-    return enhanced, NeuralAtomTrace(offsets, atoms.data, exchanged.data, weights.data)
+    views = [a.view() for a in (offsets, atoms.data, exchanged.data, weights.data)]
+    for v in views:
+        v.setflags(write=False)
+    return enhanced, NeuralAtomTrace(*views)
 
 
 def write_allocation_csv(node_allocation: np.ndarray, path) -> None:

@@ -176,10 +176,7 @@ def evaluate(model: GraphPropertyModel, graphs: list[MolecularGraph],
 
     Runs under ``no_grad``: no tape is recorded, as nothing is backpropagated.
     """
-    feature_dim, out_dim, _ = dataset_dimensions(graphs, model.cfg.task)
-    if feature_dim != model.feature_dim:
-        raise ConfigError(
-            f"model expects {model.feature_dim} features, dataset has {feature_dim}")
+    _, out_dim, _ = dataset_dimensions(graphs, model.cfg.task)
     task = model.cfg.task
     # a classifier may meet fewer classes than it scores; a regressor fits each target
     mismatch = out_dim != model.out_dim if task == "graph-regression" else out_dim > model.out_dim

@@ -19,12 +19,13 @@ def _is_number(value) -> bool:
 
 
 def integer(value, name: str, error: type[Exception], minimum: int | None = None) -> int:
-    """``value`` as an int of at least ``minimum``, which is None, 0 or 1."""
+    """``value`` as an int of at least ``minimum``, when one is given."""
+    kind = _INTEGERS.get(minimum, f"integers of at least {minimum}")
     if not _is_number(value):
-        raise error(f"{name} must hold numbers that are {_INTEGERS[minimum]}, got {value!r}")
+        raise error(f"{name} must hold numbers that are {kind}, got {value!r}")
     # a fraction leaves a remainder, and nan or inf a nan one
     if value % 1 or (minimum is not None and value < minimum):
-        raise error(f"{name} must hold {_INTEGERS[minimum]}, got {value!r}")
+        raise error(f"{name} must hold {kind}, got {value!r}")
     return int(value)
 
 

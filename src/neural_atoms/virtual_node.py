@@ -45,15 +45,16 @@ def multi_virtual_node_layer(h: Tensor, vstates: Tensor, params: MlpParams,
                          f"for each of {num_graphs} graphs, got {vstates.shape[0]}")
     count = vstates.shape[0] // num_graphs
     pooled = segment_mean(h, offsets)                        # (B, d)
-    incoming = vstates
     if count > 1:
-        # own state plus the mean of the graph's other states, and the
-        # graph's node mean once per state
+        # the graph's node mean once per state, plus its own state and the
+        # mean of the graph's other states
         eye = np.eye(count)
         mix = np.tile(eye + (1.0 - eye) / (count - 1), num_graphs)   # (V, B * V)
         incoming = segment_broadcast(Tensor(mix), vstates,
-                                     np.arange(0, vstates.shape[0] + 1, count))
-        pooled = gather_rows(pooled, np.repeat(np.arange(num_graphs), count))
-    new_states = mlp(add(incoming, pooled), params)
+                                     np.arange(0, vstates.shape[0] + 1, count),
+                                     gather_rows(pooled, np.repeat(np.arange(num_graphs), count)))
+    else:
+        incoming = add(vstates, pooled)
+    new_states = mlp(incoming, params)
     ones = Tensor(np.ones((count, h.shape[0])))
-    return add(h, segment_broadcast(ones, new_states, offsets)), new_states
+    return segment_broadcast(ones, new_states, offsets, h), new_states

@@ -6,7 +6,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from neural_atoms.autodiff import (ContractError, ShapeError, Tensor, _result, add, backward,
-                                   gather_rows, layer_norm, matmul, segment_attention,
+                                   gather_rows, layer_norm, segment_attention, segment_broadcast,
                                    segment_pool, transpose, view)
 from neural_atoms.ewald import (SQRT_PI, EwaldError, EwaldMatrix, EwaldSystem, _image_sums,
                                 _integer_shells)
@@ -32,6 +32,45 @@ def add_row(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add_row: incompatible shapes {a.shape} and {b.shape}")
     return _result(a.data + b.data, "add_row", (a, b),
                    lambda g: (g, g.sum(axis=0).reshape(b.shape)))
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """The plain product as a tape op of its own: ``affine`` with no bias."""
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} vs {b.shape}")
+    return _result(a.data @ b.data, "matmul", (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+
+
+def concat_cols(parts: Sequence[Tensor]) -> Tensor:
+    """Tensors of one row count side by side, as a tape op of its own."""
+    if not parts:
+        raise ContractError("concat_cols needs at least one tensor")
+    counts = [p.shape[1] for p in parts]
+    splits = np.cumsum(counts)[:-1]
+
+    def back(g: np.ndarray) -> tuple:
+        return tuple(np.split(g, splits, axis=1))
+
+    return _result(np.concatenate([p.data for p in parts], axis=1), "concat_cols", tuple(parts), back)
+
+
+def side_by_side_gathers(a: Tensor, index: np.ndarray) -> Tensor:
+    """``gather_rows`` of a (P, c) index as ``concat_cols`` of c one-column
+    gathers: the pair head's form before one gather took the 2-D index."""
+    idx = np.asarray(index)
+    if idx.ndim == 1:
+        return gather_rows(a, idx)
+    return concat_cols([gather_rows(a, column) for column in idx.T])
+
+
+def broadcast_then_add(weights: Tensor, states: Tensor, offsets, onto: Tensor,
+                       heads: int = 1) -> Tensor:
+    """``segment_broadcast`` onto zeros, then ``add`` of ``onto``: the two
+    tape entries the enhancement took before the op added ``onto`` itself."""
+    mix = segment_broadcast(weights, states, offsets, Tensor(np.zeros(onto.shape)), heads=heads)
+    return add(onto, mix)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

@@ -29,10 +29,8 @@ from neural_atoms.autodiff import (
     backward,
     bce_with_logits,
     block_attention,
-    concat_cols,
     gather_rows,
     layer_norm,
-    matmul,
     mse_loss,
     no_grad,
     pack,
@@ -47,8 +45,8 @@ from neural_atoms.autodiff import (
     view,
 )
 import helpers
-from helpers import (add_row, concat_rows, contact_like_graph, grad_check, mul, relu,
-                     rescale_weights, rows, scale, sum_all)
+from helpers import (add_row, concat_cols, concat_rows, contact_like_graph, grad_check, matmul,
+                     mul, relu, rescale_weights, rows, scale, sum_all)
 
 
 def indexed_weighted_sum(x, out_index, in_index, weights, num_out_rows):
@@ -129,7 +127,7 @@ class TestForwardValues:
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
         b = Tensor([[5.0, 6.0], [7.0, 8.0]])
         # matmul_oracle([[1,2],[3,4]], [[5,6],[7,8]]) == [[19, 22], [43, 50]]
-        np.testing.assert_array_equal(matmul(a, b).data, [[19.0, 22.0], [43.0, 50.0]])
+        np.testing.assert_array_equal(affine(a, b).data, [[19.0, 22.0], [43.0, 50.0]])
 
     def test_matmul_matches_oracle_on_random_inputs(self):
         rng = np.random.default_rng(7)
@@ -137,13 +135,13 @@ class TestForwardValues:
             n, k, m = rng.integers(1, 6, size=3)
             a = rng.normal(size=(n, k))
             b = rng.normal(size=(k, m))
-            got = matmul(Tensor(a), Tensor(b)).data
+            got = affine(Tensor(a), Tensor(b)).data
             want = matmul_oracle(a.tolist(), b.tolist())
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_matmul_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError) as err:
-            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+            affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
         assert "(2, 3)" in str(err.value) and "(4, 5)" in str(err.value)
 
     def test_add_takes_only_same_shape_operands(self):
@@ -210,7 +208,7 @@ class TestBackward:
         rng = np.random.default_rng(13)
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        backward(sum_all(matmul(a, b)))
+        backward(sum_all(affine(a, b)))
         ones = np.ones((3, 2))
         np.testing.assert_allclose(a.grad, ones @ b.data.T, atol=1e-14)
         np.testing.assert_allclose(b.grad, a.data.T @ ones, atol=1e-14)
@@ -365,6 +363,40 @@ class TestGradCheck:
 
         assert grad_check(f, [x], eps=1e-5) < 1e-8
 
+    def test_two_column_gather_grad_check(self):
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        index = np.array([[4, 1], [1, 1], [0, 4], [4, 2]])
+        probe = Tensor(rng.normal(size=(4, 6)))
+        f = lambda: sum_all(mul(gather_rows(x, index), probe))
+        assert grad_check(f, [x], eps=1e-5) < 1e-8
+
+    @pytest.mark.parametrize("columns", [1, 2, 3])
+    def test_column_gather_is_concat_cols_of_one_column_gathers_bitwise(self, columns):
+        # rows 0 and 3 recur within every column and across the columns
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        index = rng.choice([0, 0, 0, 3, 3, 5, 1], size=(40, columns))
+        probe = Tensor(rng.normal(size=(40, columns * 4)))
+        results = []
+        for gather in (gather_rows, helpers.side_by_side_gathers):
+            out = gather(x, index)
+            backward(sum_all(mul(out, probe)), [x])
+            results.append((out.data, x.grad.copy()))
+        (got, got_grad), (want, want_grad) = results
+        assert got.shape == (40, columns * 4)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_grad, want_grad)
+
+    def test_gather_refuses_a_3d_or_out_of_range_index(self):
+        x = Tensor(np.ones((4, 2)))
+        with pytest.raises(ShapeError, match="2-D index"):
+            gather_rows(x, np.zeros((2, 2, 2), dtype=int))
+        for index in ([[0, 4]], [[-1, 0]], [4]):
+            with pytest.raises(ShapeError, match="out of range"):
+                gather_rows(x, np.array(index))
+        assert gather_rows(x, np.zeros((0, 2), dtype=int)).shape == (0, 4)
+
     def test_indexed_weighted_sum(self):
         rng = np.random.default_rng(33)
         x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
@@ -479,15 +511,17 @@ class TestSegmentOps:
         n, k = offsets[-1], 3
         w, v = rng.normal(size=(k, n)), rng.normal(size=(n, 2))
         alloc, states = rng.normal(size=(k, n)), rng.normal(size=((len(offsets) - 1) * k, 2))
+        onto = rng.normal(size=(n, 2))
         pooled = segment_pool(Tensor(w), Tensor(v), offsets).data
-        spread = segment_broadcast(Tensor(alloc), Tensor(states), offsets).data
+        spread = segment_broadcast(Tensor(alloc), Tensor(states), offsets, Tensor(onto)).data
         for b, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
             block = slice(b * k, (b + 1) * k)
             np.testing.assert_allclose(pooled[block], w[:, lo:hi] @ v[lo:hi], atol=1e-14)
-            np.testing.assert_allclose(spread[lo:hi], alloc[:, lo:hi].T @ states[block],
+            np.testing.assert_allclose(spread[lo:hi],
+                                       onto[lo:hi] + alloc[:, lo:hi].T @ states[block],
                                        atol=1e-14)
 
-    @pytest.mark.parametrize("heads", [1, 3])
+    @pytest.mark.parametrize("heads", [1, 2, 3])
     @pytest.mark.parametrize("offsets", SEGMENT_LAYOUTS)
     def test_segment_broadcast_heads_grad_check(self, offsets, heads):
         rng = np.random.default_rng(46)
@@ -495,8 +529,9 @@ class TestSegmentOps:
         w = Tensor(rng.normal(size=(heads * k, n)), requires_grad=True)
         states = Tensor(rng.normal(size=((len(offsets) - 1) * k, 3)), requires_grad=True)
         probe = Tensor(rng.normal(size=(n, 3)))
-        f = lambda: sum_all(mul(segment_broadcast(w, states, offsets, heads=heads), probe))
-        assert grad_check(f, [w, states]) < 1e-7
+        onto = Tensor(rng.normal(size=(n, 3)), requires_grad=True)
+        f = lambda: sum_all(mul(segment_broadcast(w, states, offsets, onto, heads=heads), probe))
+        assert grad_check(f, [w, states, onto]) < 1e-7
 
     @pytest.mark.parametrize("heads", [1, 2, 3])
     @pytest.mark.parametrize("offsets", SEGMENT_LAYOUTS)
@@ -517,10 +552,10 @@ class TestSegmentOps:
             total = rows(w, 0, k)
             for m in range(1, heads):
                 total = add(total, rows(w, m * k, (m + 1) * k))
-            return segment_broadcast(scale(total, 1.0 / heads), states, offsets)
+            return segment_broadcast(scale(total, 1.0 / heads), states, offsets, nodes)
 
         results = []
-        for mix in (lambda w: segment_broadcast(w, states, offsets, heads=heads), chain):
+        for mix in (lambda w: segment_broadcast(w, states, offsets, nodes, heads=heads), chain):
             w = segment_attention(queries, nodes, offsets, 0.5)
             pooled = segment_pool(w, nodes, offsets, heads=heads)
             out = mix(w)
@@ -534,7 +569,8 @@ class TestSegmentOps:
         states = Tensor(np.ones((4, 2)))
         for rows_, heads in ((5, 2), (4, 0)):
             with pytest.raises(ShapeError, match="heads"):
-                segment_broadcast(Tensor(np.ones((rows_, 4))), states, [0, 2, 4], heads=heads)
+                segment_broadcast(Tensor(np.ones((rows_, 4))), states, [0, 2, 4],
+                                  Tensor(np.ones((4, 2))), heads=heads)
 
     @pytest.mark.parametrize("heads", [1, 2, 3])
     @pytest.mark.parametrize("block", [1, 3, 12])
@@ -610,8 +646,9 @@ class TestSegmentOps:
         alloc = Tensor(rng.normal(size=(k, n)), requires_grad=True)
         states = Tensor(rng.normal(size=((len(offsets) - 1) * k, 2)), requires_grad=True)
         probe = Tensor(rng.normal(size=(n, 2)))
-        f = lambda: sum_all(mul(segment_broadcast(alloc, states, offsets), probe))
-        assert grad_check(f, [alloc, states]) < 1e-7
+        onto = Tensor(rng.normal(size=(n, 2)), requires_grad=True)
+        f = lambda: sum_all(mul(segment_broadcast(alloc, states, offsets, onto), probe))
+        assert grad_check(f, [alloc, states, onto]) < 1e-7
 
     @pytest.mark.parametrize("heads", [1, 2, 3])
     @pytest.mark.parametrize("block", [1, 3, 12])
@@ -643,7 +680,12 @@ class TestSegmentOps:
             with pytest.raises(ShapeError, match="offsets"):
                 segment_attention(Tensor(np.ones((2, 2))), x, offsets, 1.0)
         with pytest.raises(ShapeError, match="segments"):
-            segment_broadcast(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 2))), [0, 2, 4])
+            segment_broadcast(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 2))), [0, 2, 4],
+                              Tensor(np.ones((4, 2))))
+        for onto in (np.ones((4, 3)), np.ones((3, 2)), np.ones(8)):
+            with pytest.raises(ShapeError, match="onto"):
+                segment_broadcast(Tensor(np.ones((2, 4))), Tensor(np.ones((4, 2))), [0, 2, 4],
+                                  Tensor(onto))
         with pytest.raises(ShapeError, match="blocks"):
             block_attention(Tensor(np.ones((4, 3))), 3, 1, 1.0)
 

@@ -48,6 +48,15 @@ class TestGenerate:
         assert len(graphs) == 16
         assert sum(g.graph_label for g in graphs) == 8
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--seed", "-1", "seed"), ("--path-len", "1", "path_len"), ("--colors", "1", "colors")])
+    def test_bad_arguments_are_exit_one_naming_the_field(self, tmp_path, capsys, flag, value,
+                                                         field):
+        path = tmp_path / "bad.jsonl"
+        assert run_cli("generate", "--out", str(path), "--graphs", "4", flag, value) == 1
+        assert field in capsys.readouterr().err
+        assert not path.exists()
+
     def test_same_seed_same_bytes(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         run_cli("generate", "--out", str(a), "--graphs", "10", "--seed", "5")

@@ -254,6 +254,24 @@ class TestLriTask:
         with pytest.raises(GraphError):
             generate_lri_task(10, 5, 1, seed=0)
 
+    def test_integral_floats_are_the_integers(self):
+        as_floats = generate_lri_task(12, 5.0, 3.0, seed=4.0)
+        as_ints = generate_lri_task(12, 5, 3, seed=4)
+        assert [(g.edges, g.graph_label) for g in as_floats] == \
+            [(g.edges, g.graph_label) for g in as_ints]
+        for a, b in zip(as_floats, as_ints):
+            np.testing.assert_array_equal(a.node_features, b.node_features)
+
+    @pytest.mark.parametrize("field, args", [
+        ("seed", dict(seed=-1)), ("seed", dict(seed=1.5)), ("seed", dict(seed="1")),
+        ("path_len", dict(path_len=4.5)), ("path_len", dict(path_len=True)),
+        ("num_colors", dict(num_colors=2.5)), ("num_colors", dict(num_colors=None)),
+    ])
+    def test_every_argument_follows_the_one_input_rule(self, field, args):
+        call = {"num_graphs": 10, "path_len": 5, "num_colors": 3, "seed": 0, **args}
+        with pytest.raises(GraphError, match=field):
+            generate_lri_task(**call)
+
 
 GOOD_LINE = {"num_nodes": 2, "edges": [[0, 1]], "node_feats": [[1.0], [2.0]], "graph_label": 0}
 

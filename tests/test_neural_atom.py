@@ -17,9 +17,9 @@ import pytest
 
 from neural_atoms import attention as attention_module
 from neural_atoms.attention import MultiHeadParams
-from neural_atoms.autodiff import (GradTape, Tensor, add, backward, concat_cols,
-                                   gather_rows, layer_norm, matmul, segment_attention,
-                                   segment_pool, softmax_cross_entropy, transpose)
+from neural_atoms.autodiff import (GradTape, Tensor, add, backward, gather_rows, layer_norm,
+                                   segment_attention, segment_pool, softmax_cross_entropy,
+                                   transpose)
 from neural_atoms.gnn import GcnLayerParams, gcn_forward
 from neural_atoms.graphs import MolecularGraph, batch_graphs, generate_lri_task
 from neural_atoms import neural_atom as neural_atom_module
@@ -31,8 +31,8 @@ from neural_atoms.neural_atom import (
     project_to_neural_atoms,
     write_allocation_csv,
 )
-from helpers import (concat_rows, grad_check, looped_projection, mul, neural_atom_block,
-                     permute_graph, rescale_weights, rows, scale, sum_all)
+from helpers import (concat_cols, concat_rows, grad_check, looped_projection, matmul, mul,
+                     neural_atom_block, permute_graph, rescale_weights, rows, scale, sum_all)
 from test_autodiff import composed_affine, softmax_rows
 from test_model import ragged_graphs
 
@@ -350,6 +350,30 @@ class TestBatchTrace:
             with pytest.raises(IndexError):
                 trace[b]
 
+    @pytest.mark.parametrize("layout", ["ragged", "paths"])
+    def test_writes_through_a_trace_raise_and_leave_the_gradient(self, layout):
+        # on graphs of one size the allocations view the softmax the backward reads
+        rng = np.random.default_rng(36)
+        batch = (ragged_batch(rng, 5) if layout == "ragged"
+                 else batch_graphs([path_graph(rng, 5, 5) for _ in range(4)]))
+        params = NeuralAtomLayerParams.init(4, 5, 2, rng)
+        h = Tensor(batch.node_features, requires_grad=True)
+        enhanced, trace = enhance_segments(h, batch.offsets, params)
+        # trace[b] makes offsets of its own; the batch's are a view of the caller's array
+        names = ("atom_states", "exchanged_states", "allocations")
+        parts = (trace, trace[0], trace[len(trace) - 1])
+        writes = [(trace, "offsets")] + [(part, name) for part in parts for name in names]
+        for part, name in writes:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(part, name)[...] *= 0.5
+        assert batch.offsets.flags.writeable
+        leaves = params.tensors() + [h]
+        backward(sum_all(enhanced), leaves)
+        got = [t.grad.copy() for t in leaves]
+        backward(sum_all(enhance_segments(h, batch.offsets, params)[0]), leaves)
+        for grad, t in zip(got, leaves):
+            assert np.array_equal(grad, t.grad)
+
     @pytest.mark.parametrize("heads", [1, 2, 3])
     def test_graph_traces_are_views_equal_to_the_block_alone(self, heads):
         rng = np.random.default_rng(35 + heads)
@@ -503,16 +527,17 @@ class TestReassociatedProjection:
         params = NeuralAtomLayerParams.init(4, dim, heads, rng)
         h = Tensor(rng.normal(size=(batch.total_nodes, dim)), requires_grad=True)
 
-        def node_row_matmuls(out):
+        def node_row_products(out, name):
             entries = GradTape.trace(sum_all(out)).entries
-            matmuls = [e for e in entries if e.name == "matmul"]
-            assert matmuls
-            return [e for e in matmuls if any(t.shape[0] == batch.total_nodes for t in e.inputs)]
+            products = [e for e in entries if e.name == name]
+            assert products
+            return [e for e in products if any(t.shape[0] == batch.total_nodes for t in e.inputs)]
 
         enhanced, _ = enhance_segments(h, batch.offsets, params)
-        assert node_row_matmuls(enhanced) == []
+        assert node_row_products(enhanced, "affine") == []
         # the head-by-head order multiplies them twice per head
-        assert len(node_row_matmuls(per_head_block(h, params, batch.offsets)[0])) == 2 * heads
+        per_head = per_head_block(h, params, batch.offsets)[0]
+        assert len(node_row_products(per_head, "matmul")) == 2 * heads
 
     @pytest.mark.parametrize("heads", [1, 2, 3, 4])
     def test_tape_entries_per_lri_batch(self, heads):
@@ -525,7 +550,7 @@ class TestReassociatedProjection:
         assert model.k_counts == [4, 4, 4]
         logits = model.forward(batch_graphs(graphs)).graph_outputs
         loss = softmax_cross_entropy(logits, np.array([g.graph_label for g in graphs]))
-        assert len(GradTape.trace(loss).entries) <= 50
+        assert len(GradTape.trace(loss).entries) <= 47
 
 
 class TestHeadProductsAsSegments:

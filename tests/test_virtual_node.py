@@ -5,10 +5,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from neural_atoms.autodiff import ShapeError, Tensor, _result, add, backward, matmul
+from neural_atoms.autodiff import ShapeError, Tensor, _result, add, backward
 from neural_atoms.gnn import MlpParams
 from neural_atoms.virtual_node import multi_virtual_node_layer
-from helpers import add_row, concat_rows, grad_check, mul, neg, relu, rows, scale, sum_all
+from helpers import add_row, concat_rows, grad_check, matmul, mul, neg, relu, rows, scale, sum_all
 
 
 def mean_rows(a):
