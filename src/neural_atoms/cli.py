@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from .autodiff import no_grad
+from .files import read_object, write_table
 from .graphs import batch_graphs, generate_lri_task, load_dataset, save_dataset
 from .model import CHOICES, ConfigError, TrainConfig
-from .neural_atom import write_allocation_csv
 from .training import TrainingError, evaluate, load_checkpoint, train
 
 # every error the package raises on bad input is a ValueError, except TrainingError
@@ -31,11 +30,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 def _merge_config(args: argparse.Namespace) -> TrainConfig:
     record: dict = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise ConfigError("config file must hold a JSON object")
-        record.update(loaded)
+        record.update(read_object(args.config, "config file", ConfigError))
     for f in fields(TrainConfig):
         value = getattr(args, f.name, None)
         if value is not None:
@@ -89,9 +84,11 @@ def _cmd_export_alloc(args) -> int:
     with no_grad():
         output = model.forward(batch, collect_traces=True)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for i, trace in enumerate(output.traces):     # a batch of one graph
-        write_allocation_csv(trace.node_allocation, out_dir / f"alloc_layer{i}.csv")
+        allocation = trace.node_allocation
+        write_table(out_dir / f"alloc_layer{i}.csv",
+                    ["node"] + [f"atom_{j}" for j in range(allocation.shape[1])],
+                    ([node] + row for node, row in enumerate(allocation.tolist())))
     print(f"wrote {len(output.traces)} allocation files to {out_dir}")
     return 0
 

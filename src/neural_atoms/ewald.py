@@ -20,15 +20,13 @@ Gaussian units (e^2 per length unit).  Cells are cubic.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
 
-from .files import replacing
+from .files import read_object, write_table
 from .validate import integer, number
 
 SQRT_PI = math.sqrt(math.pi)
@@ -115,10 +113,7 @@ def load_system(path) -> EwaldSystem:
     list of [x, y, z] rows, ``cell_edge`` and ``a`` numbers and the two
     cutoffs integers.
     """
-    with open(path, encoding="utf-8") as fh:
-        record = json.load(fh)
-    if not isinstance(record, dict):
-        raise EwaldError("system file must hold a JSON object")
+    record = read_object(path, "system file", EwaldError)
     unknown = set(record) - _SYSTEM_KEYS
     if unknown:
         raise EwaldError(f"unknown system keys {sorted(unknown)}")
@@ -208,9 +203,5 @@ def write_interaction_heatmap(matrix: EwaldMatrix, threshold: float, path) -> No
         raise EwaldError("threshold must be non-negative")
     magnitudes = np.abs(matrix.total)
     magnitudes[magnitudes < threshold] = 0.0
-    n = magnitudes.shape[0]
-    with replacing(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["atom"] + [str(j) for j in range(n)])
-        for i in range(n):
-            writer.writerow([i] + [repr(float(v)) for v in magnitudes[i]])
+    write_table(path, ["atom"] + list(range(magnitudes.shape[0])),
+                ([i] + row for i, row in enumerate(magnitudes.tolist())))

@@ -237,38 +237,40 @@ def _graph_from_record(record: dict, plain: bool) -> MolecularGraph:
     has_pairs = "pair_labels" in record
     if has_graph == has_pairs:
         raise DatasetError("need exactly one of 'graph_label' or 'pair_labels'")
-    pairs = record.get("pair_labels")
-    if pairs is not None:
-        pairs = [tuple(t) for t in pairs]
-    edges = [tuple(e) for e in record["edges"]]
     feats = record["node_feats"]
-    return MolecularGraph(record["num_nodes"], edges,
+    # the graph checks and stores each edge and pair as a tuple itself
+    return MolecularGraph(record["num_nodes"], record["edges"],
                           np.asarray(feats, dtype=np.float64) if plain else feats,
-                          record.get("graph_label"), pairs)
+                          record.get("graph_label"), record.get("pair_labels"))
 
 
 def load_dataset(path) -> list[MolecularGraph]:
     """Read a JSON Lines dataset; any defect is reported with its line number."""
     graphs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DatasetError(f"line {lineno}: invalid JSON ({err.msg})") from err
-            if not isinstance(record, dict):
-                raise DatasetError(f"line {lineno}: expected a JSON object")
-            # a line with no string value quotes only its keys, and one with
-            # no bool spells neither true nor false; reading that off the text
-            # costs far less than a scan of every feature
-            plain = ("true" not in line and "false" not in line
-                     and line.count('"') == 2 * len(record))
-            try:
-                graphs.append(_graph_from_record(record, plain))
-            except (DatasetError, GraphError, TypeError, ValueError) as err:
-                raise DatasetError(f"line {lineno}: {err}") from err
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as err:
+                    raise DatasetError(f"line {lineno}: invalid JSON ({err.msg})") from err
+                if not isinstance(record, dict):
+                    raise DatasetError(f"line {lineno}: expected a JSON object")
+                # a line with no string value quotes only its keys, and one with
+                # no bool spells neither true nor false; reading that off the text
+                # costs far less than a scan of every feature
+                plain = ("true" not in line and "false" not in line
+                         and line.count('"') == 2 * len(record))
+                try:
+                    graphs.append(_graph_from_record(record, plain))
+                except (DatasetError, GraphError, TypeError, ValueError) as err:
+                    raise DatasetError(f"line {lineno}: {err}") from err
+    except UnicodeDecodeError as err:
+        # text mode decodes a chunk ahead of the line being parsed, so the
+        # error's line and position would not be the file's
+        raise DatasetError(f"dataset {path} is not UTF-8 text: {err.reason}") from None
     if not graphs:
         raise DatasetError(f"dataset {path} holds no graphs")
     return graphs

@@ -33,7 +33,6 @@ neither is a tape op of its own.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +40,6 @@ import numpy as np
 from .attention import MultiHeadParams, multi_head_attention
 from .autodiff import (Tensor, affine, layer_norm, parameter, segment_attention,
                        segment_broadcast, segment_pool, transpose, view)
-from .files import replacing
 
 LAYER_NORM_EPS = 1e-5
 QUERY_INIT_STD = 0.02
@@ -204,16 +202,3 @@ def enhance_segments(h_gnn: Tensor, offsets: np.ndarray, params: NeuralAtomLayer
     for v in views:
         v.setflags(write=False)
     return enhanced, NeuralAtomTrace(*views)
-
-
-def write_allocation_csv(node_allocation: np.ndarray, path) -> None:
-    """One row per node, one column per neural atom, float values as repr.
-
-    The file takes the place of ``path`` only once every row is written.
-    """
-    n_atoms = node_allocation.shape[1]
-    with replacing(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node"] + [f"atom_{j}" for j in range(n_atoms)])
-        for i, row in enumerate(node_allocation):
-            writer.writerow([i] + [repr(float(v)) for v in row])

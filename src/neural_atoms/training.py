@@ -8,7 +8,6 @@ produce byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from pathlib import Path
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor, backward, bce_with_logits, mse_loss, no_grad, softmax_cross_entropy
-from .files import replacing
+from .files import read_object, replacing, write_table
 from .graphs import DatasetError, GraphBatch, MolecularGraph, batch_graphs, load_dataset
 from .model import ConfigError, GraphPropertyModel, ModelOutput, TrainConfig
 from .validate import integer, number
@@ -65,8 +64,10 @@ def dataset_dimensions(graphs: list[MolecularGraph], task: str
     feature_dim = graphs[0].feature_dim
     avg_nodes = float(np.mean([g.num_nodes for g in graphs]))
     if task == "pair-contact":
-        if any(g.pair_labels is None for g in graphs):
-            raise DatasetError("pair-contact task needs pair labels on every graph")
+        empty = [i for i, g in enumerate(graphs) if not g.pair_labels]  # nothing to score
+        if empty:
+            raise DatasetError(f"pair-contact task needs pair labels on every graph; "
+                               f"graph {empty[0]} has none")
         return feature_dim, 1, avg_nodes
     if any(g.graph_label is None for g in graphs):
         raise DatasetError(f"{task} needs a graph label on every graph")
@@ -155,19 +156,10 @@ def train(cfg: TrainConfig) -> tuple[GraphPropertyModel, Path]:
         for metric, value in _epoch_metrics(cfg.task, totals):
             history.append([epoch, "train", metric, value])
 
-    metrics_path = out_dir / "metrics.csv"
-    _write_metrics(history, metrics_path)
+    write_table(out_dir / "metrics.csv", METRICS_HEADER, history)
     checkpoint_path = out_dir / "checkpoint.json"
     save_checkpoint(model, cfg.epochs, history, checkpoint_path)
     return model, checkpoint_path
-
-
-def _write_metrics(rows: list[list], path: Path) -> None:
-    with replacing(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_HEADER)
-        for epoch, split, metric, value in rows:
-            writer.writerow([epoch, split, metric, repr(float(value))])
 
 
 def evaluate(model: GraphPropertyModel, graphs: list[MolecularGraph],
@@ -273,10 +265,7 @@ def _stored_array(name: str, entry) -> np.ndarray:
 
 def load_checkpoint(path) -> tuple[GraphPropertyModel, dict]:
     """Rebuild a model from a checkpoint; returns it with the raw record."""
-    with open(path, encoding="utf-8") as fh:
-        record = json.load(fh)
-    if not isinstance(record, dict):
-        raise TrainingError(f"checkpoint {path} must hold a JSON object, got {record!r:.40}")
+    record = read_object(path, "checkpoint", TrainingError)
     for key in ("config", "feature_dim", "out_dim", "avg_nodes", "params"):
         if key not in record:
             raise TrainingError(f"checkpoint is missing {key!r}")

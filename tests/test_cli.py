@@ -377,7 +377,34 @@ def test_config_file_not_holding_an_object_is_exit_one(tmp_path, capsys, text):
     config_path = tmp_path / "config.json"
     config_path.write_text(text, encoding="utf-8")
     assert run_cli("train", "--config", str(config_path)) == 1
-    assert capsys.readouterr().err.startswith("error: config file must hold a JSON object")
+    assert capsys.readouterr().err.startswith(
+        f"error: config file {config_path} must hold a JSON object")
+
+
+# (command line with FILE for the bad document, the document's role)
+DOCUMENT_COMMANDS = [
+    (["evaluate", "--checkpoint", "FILE", "--dataset", "DATA"], "checkpoint"),
+    (["export-alloc", "--checkpoint", "FILE", "--dataset", "DATA", "--out", "OUT"],
+     "checkpoint"),
+    (["ewald", "--system", "FILE", "--out", "OUT"], "system file"),
+    (["train", "--config", "FILE", "--dataset", "DATA", "--out", "OUT"], "config file"),
+]
+BAD_DOCUMENTS = {"truncated": b'{"config": {"hidden": ', "non-utf8": b'{"\xff": 1}',
+                 "list": b"[1, 2]"}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_DOCUMENTS))
+@pytest.mark.parametrize("argv, role", DOCUMENT_COMMANDS,
+                         ids=[argv[0] for argv, _ in DOCUMENT_COMMANDS])
+def test_bad_document_is_exit_one_naming_role_and_path(tmp_path, tiny_dataset, capsys, argv,
+                                                      role, kind):
+    document = tmp_path / "bad.json"
+    document.write_bytes(BAD_DOCUMENTS[kind])
+    out = tmp_path / "out"
+    names = {"FILE": str(document), "DATA": str(tiny_dataset), "OUT": str(out)}
+    assert run_cli(*[names.get(word, word) for word in argv]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {role} {document} ")
+    assert not out.exists()
 
 
 def test_nan_threshold_is_exit_one(tmp_path, capsys):

@@ -29,7 +29,6 @@ from neural_atoms.neural_atom import (
     NeuralAtomLayerParams,
     enhance_segments,
     project_to_neural_atoms,
-    write_allocation_csv,
 )
 from helpers import (concat_cols, concat_rows, grad_check, looped_projection, matmul, mul,
                      neural_atom_block, permute_graph, rescale_weights, rows, scale, sum_all)
@@ -208,17 +207,6 @@ class TestBlock:
         assert np.array_equal(first.node_allocation, second.node_allocation)
         for a, b in zip(first.allocation_per_head, second.allocation_per_head):
             assert np.array_equal(a, b)
-
-    def test_allocation_csv_round_trips(self, tmp_path):
-        rng = np.random.default_rng(4)
-        alloc = rng.random(size=(6, 3))
-        path = tmp_path / "alloc.csv"
-        write_allocation_csv(alloc, path)
-        rows_ = path.read_text().strip().split("\n")
-        assert rows_[0] == "node,atom_0,atom_1,atom_2"
-        assert len(rows_) == 7
-        parsed = np.array([[float(v) for v in line.split(",")[1:]] for line in rows_[1:]])
-        np.testing.assert_array_equal(parsed, alloc)
 
 
 def ragged_batch(rng, dim):

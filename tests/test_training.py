@@ -7,7 +7,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from neural_atoms import training
+from neural_atoms import files, training
 from neural_atoms.autodiff import Tensor, backward, bce_with_logits, softmax_cross_entropy
 from neural_atoms.graphs import (DatasetError, MolecularGraph, batch_graphs,
                                  generate_lri_task, save_dataset)
@@ -128,6 +128,13 @@ class TestDatasetDimensions:
         assert dataset_dimensions(graphs, "graph-regression")[1] == 3
         with pytest.raises(DatasetError, match="one width"):
             dataset_dimensions([labelled(3), labelled(2)], "graph-regression")
+
+    def test_pair_contact_graph_without_pairs_is_named(self):
+        rng = np.random.default_rng(3)
+        graphs = [pair_graph(rng) for _ in range(4)]
+        graphs[2].pair_labels = []
+        with pytest.raises(DatasetError, match="pair labels on every graph; graph 2 has none"):
+            dataset_dimensions(graphs, "pair-contact")
 
     def test_task_label_mismatches(self):
         graphs = generate_lri_task(4, 5, 3, seed=0)
@@ -285,7 +292,7 @@ class TestCheckpoint:
         model, path = train(cfg)
         run_dir = path.parent
         metrics_path = run_dir / "metrics.csv"
-        files = sorted(p.name for p in run_dir.iterdir())
+        listing = sorted(p.name for p in run_dir.iterdir())
         saved_checkpoint, saved_metrics = path.read_bytes(), metrics_path.read_bytes()
 
         replacing = training.replacing
@@ -309,13 +316,14 @@ class TestCheckpoint:
             patch.setattr(training, "replacing", half_replacing)
             with pytest.raises(OSError, match="disk full"):
                 save_checkpoint(model, 3, [], path)
-        # the second row's value cannot be converted, after the first is written
-        with pytest.raises(ValueError):
-            training._write_metrics([[0, "train", "loss", 0.5],
-                                     [0, "train", "accuracy", "oops"]], metrics_path)
+        # a second run fails partway through metrics.csv, before its checkpoint
+        with monkeypatch.context() as patch:
+            patch.setattr(files, "replacing", half_replacing)
+            with pytest.raises(OSError, match="disk full"):
+                train(cfg)
         assert path.read_bytes() == saved_checkpoint
         assert metrics_path.read_bytes() == saved_metrics
-        assert sorted(p.name for p in run_dir.iterdir()) == files
+        assert sorted(p.name for p in run_dir.iterdir()) == listing
 
 
 @pytest.fixture(scope="module")
@@ -536,6 +544,37 @@ def test_evaluate_regression_needs_as_many_targets_as_the_model_has_outputs(widt
                              graph_label=rng.normal(size=width)) for _ in range(4)]
     with pytest.raises(ConfigError, match=f"dataset needs {width} outputs, model produces 2"):
         evaluate(model, graphs)
+
+
+def graphs_with_two_unlabelled(tmp_path):
+    """A saved pair-contact dataset of 8 graphs, where graphs 3 and 6 label no pair."""
+    rng = np.random.default_rng(11)
+    graphs = [pair_graph(rng) for _ in range(8)]
+    for i in (3, 6):
+        graphs[i].pair_labels = []
+    data = tmp_path / "pairs.jsonl"
+    save_dataset(graphs, data)
+    return graphs, data
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_training_on_graphs_without_pairs_fails_on_every_seed(tmp_path, seed):
+    _, data = graphs_with_two_unlabelled(tmp_path)
+    cfg = TrainConfig(dataset=str(data), out=str(tmp_path / "pc"), task="pair-contact",
+                      layers=1, hidden=4, heads=2, epochs=1, batch=2, seed=seed)
+    with pytest.raises(DatasetError, match="pair labels on every graph; graph 3 has none"):
+        train(cfg)
+    assert not (tmp_path / "pc").exists()
+
+
+@pytest.mark.parametrize("batch_size", [64, 1])
+def test_evaluating_graphs_without_pairs_fails_at_every_batch_size(tmp_path, batch_size):
+    graphs, _ = graphs_with_two_unlabelled(tmp_path)
+    cfg = TrainConfig(dataset="unused", out="unused", task="pair-contact",
+                      layers=1, hidden=4, heads=2)
+    model = GraphPropertyModel(cfg, feature_dim=3, out_dim=1, avg_nodes=6.0)
+    with pytest.raises(DatasetError, match="pair labels on every graph; graph 3 has none"):
+        evaluate(model, graphs, batch_size=batch_size)
 
 
 def test_evaluate_pair_contact_without_positives_is_an_error():
