@@ -2,7 +2,7 @@
 
 Both layers aggregate over the closed neighbourhood (neighbours plus the node
 itself, via an implicit self-loop) with :func:`slot_matmul` by S(A + I)S:
-S = D^-1/2 for the convolution and the identity for the sum.  The graph
+S = D^-1/2 for the convolution and the identity for the sum.  The batch
 builds the matrix once and every layer and backward pass reuses it; since it
 is symmetric the backward pass is the same aggregation.  For a batch of
 small graphs, such as molecules of tens of atoms, the matrix is a
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, affine, parameter, slot_matmul
-from .graphs import MolecularGraph
+from .graphs import GraphBatch
 
 
 @dataclass
@@ -55,14 +55,14 @@ class MlpParams:
         )
 
 
-def gcn_forward(h: Tensor, graph: MolecularGraph, params: GcnLayerParams) -> Tensor:
+def gcn_forward(h: Tensor, batch: GraphBatch, params: GcnLayerParams) -> Tensor:
     """ReLU of the symmetrically degree-normalised neighbourhood sum times W.
 
     Each message from u to v is scaled by 1/sqrt(d_u * d_v) where d counts
     the self-loop, so an isolated node keeps exactly its own transformed
     feature.
     """
-    agg = slot_matmul(graph.closed_neighborhood(normalised=True), h)
+    agg = slot_matmul(batch.closed_neighborhood(normalised=True), h)
     return affine(agg, params.weight, relu=True)
 
 
@@ -72,6 +72,6 @@ def mlp(x: Tensor, params: MlpParams) -> Tensor:
     return affine(hidden, params.w2, params.b2)
 
 
-def gin_forward(h: Tensor, graph: MolecularGraph, params: MlpParams) -> Tensor:
+def gin_forward(h: Tensor, batch: GraphBatch, params: MlpParams) -> Tensor:
     """Unweighted neighbourhood-plus-self sum pushed through a two-layer MLP."""
-    return mlp(slot_matmul(graph.closed_neighborhood(normalised=False), h), params)
+    return mlp(slot_matmul(batch.closed_neighborhood(normalised=False), h), params)

@@ -38,8 +38,7 @@ class MolecularGraph:
 
     Edges are stored once per undirected pair and never as self-loops;
     layers that need self-connections add them on the fly.  The edges must
-    not change once the graph is built: their array form and the
-    neighbourhood matrices built from it are cached.
+    not change once the graph is built: their array form is cached.
     """
 
     num_nodes: int
@@ -48,8 +47,6 @@ class MolecularGraph:
     graph_label: int | np.ndarray | None = None
     pair_labels: list[tuple[int, int, int]] | None = None
     _edge_index: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _neighborhoods: dict | None = field(default=None, init=False, repr=False, compare=False)
-    _offsets: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.num_nodes = integer(self.num_nodes, "num_nodes", GraphError, minimum=1)
@@ -95,8 +92,9 @@ class MolecularGraph:
         if isinstance(self.graph_label, (int, np.integer)):  # a class, and True is refused
             self.graph_label = integer(self.graph_label, "graph_label", GraphError)
         elif self.graph_label is not None:
-            if np.ndim(self.graph_label) != 1:
-                raise GraphError("graph_label must be an int or a finite 1-D float array")
+            if np.ndim(self.graph_label) != 1 or np.size(self.graph_label) == 0:
+                raise GraphError("graph_label must be an int or a finite, non-empty 1-D "
+                                 "float array")
             self.graph_label = np.array([number(v, "graph_label", GraphError)
                                          for v in self.graph_label])
 
@@ -114,49 +112,6 @@ class MolecularGraph:
             self._edge_index = edges if edges.size else edges.reshape(0, 2)
         return self._edge_index
 
-    def degrees(self) -> np.ndarray:
-        """Number of incident edges per node (self-loops are never stored)."""
-        return np.bincount(self.edge_index.ravel(), minlength=self.num_nodes)
-
-    def closed_neighborhood(self, normalised: bool) -> BlockMatrix | SlotMatrix:
-        """S(A + I)S with S = D^-1/2 when ``normalised``, else A + I; built once.
-
-        D counts the self-loop, so every degree is at least 1.  The matrix is
-        block-diagonal over the graph's segments: the graphs of a merged
-        batch, or the one segment of a lone graph.  :func:`symmetric_matrix`
-        stores it as dense per-graph blocks when they are small, as for
-        molecules of tens of atoms, and as slots otherwise.
-        """
-        if self._neighborhoods is None:
-            self._neighborhoods = {}
-        if normalised not in self._neighborhoods:
-            inv_sqrt = 1.0 / np.sqrt(self.degrees() + 1.0) if normalised else None
-            offsets = [0, self.num_nodes] if self._offsets is None else self._offsets
-            self._neighborhoods[normalised] = symmetric_matrix(self.edge_index, offsets,
-                                                               inv_sqrt)
-        return self._neighborhoods[normalised]
-
-
-class _MergedGraph(MolecularGraph):
-    """A batch's disjoint union: an unlabeled graph of parts that passed ``__post_init__``.
-
-    It keeps its graphs' row offsets, as every edge stays within one graph,
-    and makes its edge list from the edge array only when the list is read.
-    """
-
-    def __init__(self, num_nodes: int, edge_index: np.ndarray, node_features: np.ndarray,
-                 offsets: np.ndarray):
-        self.num_nodes = num_nodes
-        self.node_features = node_features
-        self.graph_label = self.pair_labels = None
-        self._edge_index = edge_index
-        self._neighborhoods = None
-        self._offsets = offsets
-
-    @property
-    def edges(self) -> list[tuple[int, int]]:
-        return list(zip(*self._edge_index.T.tolist()))
-
 
 @dataclass
 class GraphBatch:
@@ -169,7 +124,8 @@ class GraphBatch:
     graphs: list[MolecularGraph]
     offsets: np.ndarray
     node_features: np.ndarray
-    _merged: MolecularGraph | None = field(default=None, repr=False, compare=False)
+    _edge_index: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _neighborhoods: dict = field(default_factory=dict, repr=False, compare=False)
     _pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False)
 
@@ -180,20 +136,36 @@ class GraphBatch:
     def total_nodes(self) -> int:
         return int(self.offsets[-1])
 
-    def merged_graph(self) -> MolecularGraph:
-        """The disjoint union as a single unlabeled graph (cached).
+    def merged_graph(self) -> np.ndarray:
+        """The disjoint union's edges as an (E, 2) intp array (cached).
 
-        Its edges are the graphs' edge arrays shifted by their offsets; they
-        are not validated again, as every graph was when it was built.  It
-        keeps the offsets, so its neighbourhood matrices know the graphs.
+        They are the graphs' edge arrays shifted by their offsets, and are not
+        validated again, as every graph was when it was built.  The array
+        lives as long as the batch: freed once the matrix is built, it lets
+        glibc trim the heap, and the next batch page-faults to grow it back.
         """
-        if self._merged is None:
+        if self._edge_index is None:
             parts = [g.edge_index for g in self.graphs]
             shift = np.repeat(self.offsets[:-1], [len(p) for p in parts])
-            edge_index = (np.concatenate(parts) + shift[:, None]).astype(np.intp, copy=False)
-            self._merged = _MergedGraph(self.total_nodes, edge_index, self.node_features,
-                                        self.offsets)
-        return self._merged
+            self._edge_index = (np.concatenate(parts) + shift[:, None]).astype(np.intp, copy=False)
+        return self._edge_index
+
+    def closed_neighborhood(self, normalised: bool) -> BlockMatrix | SlotMatrix:
+        """S(A + I)S of the union with S = D^-1/2 when ``normalised``, else A + I; built once.
+
+        D counts the self-loop, so every degree is at least 1.  The matrix is
+        block-diagonal over the graphs' segments, and :func:`symmetric_matrix`
+        stores it as dense per-graph blocks when they are small, as for
+        molecules of tens of atoms, and as slots otherwise.
+        """
+        if normalised not in self._neighborhoods:
+            edges = self.merged_graph()
+            inv_sqrt = None
+            if normalised:
+                degrees = np.bincount(edges.ravel(), minlength=self.total_nodes)
+                inv_sqrt = 1.0 / np.sqrt(degrees + 1.0)
+            self._neighborhoods[normalised] = symmetric_matrix(edges, self.offsets, inv_sqrt)
+        return self._neighborhoods[normalised]
 
     def pair_indices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Merged-row (u, v) and float flag arrays of every labelled pair (cached)."""

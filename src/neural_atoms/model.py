@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .autodiff import Tensor, affine, gather_rows, pack, parameter, segment_mean
-from .gnn import GcnLayerParams, MlpParams, gcn_forward, gin_forward
+from .gnn import GcnLayerParams, MlpParams, gcn_forward, gin_forward, mlp
 from .graphs import GraphBatch
 from .neural_atom import NeuralAtomLayerParams, NeuralAtomTrace, enhance_segments
 from .schedules import STRATEGIES, compute_k_schedule
@@ -130,13 +130,7 @@ class GraphPropertyModel:
                 self.vn_layers.append(MlpParams.init(cfg.hidden, cfg.hidden, cfg.hidden, rng))
 
         if cfg.task == "pair-contact":
-            self.head = {
-                "w1": parameter(rng, (2 * cfg.hidden, cfg.hidden),
-                                (2 * cfg.hidden) ** -0.5),
-                "b1": Tensor(np.zeros(cfg.hidden), requires_grad=True),
-                "w2": parameter(rng, (cfg.hidden, 1), cfg.hidden ** -0.5),
-                "b2": Tensor(np.zeros(1), requires_grad=True),
-            }
+            self.head = vars(MlpParams.init(2 * cfg.hidden, cfg.hidden, 1, rng))
         else:
             self.head = {
                 "weight": parameter(rng, (cfg.hidden, self.out_dim), cfg.hidden ** -0.5),
@@ -173,26 +167,25 @@ class GraphPropertyModel:
     def tensors(self) -> list[Tensor]:
         return [t for _, t in self.parameters()]
 
-    def _message_pass(self, h: Tensor, merged, layer_index: int) -> Tensor:
+    def _message_pass(self, h: Tensor, batch: GraphBatch, layer_index: int) -> Tensor:
         params = self.gnn_layers[layer_index]
         if self.cfg.backbone == "gcn":
-            return gcn_forward(h, merged, params)
-        return gin_forward(h, merged, params)
+            return gcn_forward(h, batch, params)
+        return gin_forward(h, batch, params)
 
     def forward(self, batch: GraphBatch, collect_traces: bool = False) -> ModelOutput:
         if batch.graphs[0].feature_dim != self.feature_dim:
             raise ConfigError(
                 f"model expects {self.feature_dim} node features, "
                 f"dataset has {batch.graphs[0].feature_dim}")
-        merged = batch.merged_graph()
-        h = Tensor(merged.node_features)
+        h = Tensor(batch.node_features)
         traces: list[NeuralAtomTrace] = [] if collect_traces else None
         vstates = None
         if self.cfg.augment == "virtual-node":
             vstates = Tensor(np.zeros((len(batch) * self.cfg.virtual_nodes, self.cfg.hidden)))
 
         for i in range(self.cfg.layers):
-            h = self._message_pass(h, merged, i)
+            h = self._message_pass(h, batch, i)
             if self.cfg.augment == "neural-atoms":
                 h, trace = enhance_segments(h, batch.offsets, self.atom_layers[i])
                 if collect_traces:
@@ -206,8 +199,7 @@ class GraphPropertyModel:
             if u_idx.size == 0:
                 raise ConfigError("pair-contact task needs graphs with pair labels")
             feats = gather_rows(h, np.stack([u_idx, v_idx], axis=1))
-            hidden = affine(feats, self.head["w1"], self.head["b1"], relu=True)
-            scores = affine(hidden, self.head["w2"], self.head["b2"])
+            scores = mlp(feats, MlpParams(**self.head))
             return ModelOutput(node_states=h, pair_scores=scores, traces=traces)
 
         pooled = segment_mean(h, batch.offsets)

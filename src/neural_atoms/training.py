@@ -62,6 +62,11 @@ def dataset_dimensions(graphs: list[MolecularGraph], task: str
     if not graphs:
         raise DatasetError("empty dataset")
     feature_dim = graphs[0].feature_dim
+    # checked over the whole dataset, so every batching refuses the same graph
+    odd = [i for i, g in enumerate(graphs) if g.feature_dim != feature_dim]
+    if odd:
+        raise DatasetError(f"graph {odd[0]} has {graphs[odd[0]].feature_dim} node features, "
+                           f"graph 0 has {feature_dim}")
     avg_nodes = float(np.mean([g.num_nodes for g in graphs]))
     if task == "pair-contact":
         empty = [i for i, g in enumerate(graphs) if not g.pair_labels]  # nothing to score
@@ -168,6 +173,7 @@ def evaluate(model: GraphPropertyModel, graphs: list[MolecularGraph],
 
     Runs under ``no_grad``: no tape is recorded, as nothing is backpropagated.
     """
+    batch_size = integer(batch_size, "batch_size", ConfigError, minimum=1)
     _, out_dim, _ = dataset_dimensions(graphs, model.cfg.task)
     task = model.cfg.task
     # a classifier may meet fewer classes than it scores; a regressor fits each target

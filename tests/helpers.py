@@ -10,7 +10,7 @@ from neural_atoms.autodiff import (ContractError, ShapeError, Tensor, _result, a
                                    segment_pool, transpose, view)
 from neural_atoms.ewald import (SQRT_PI, EwaldError, EwaldMatrix, EwaldSystem, _image_sums,
                                 _integer_shells)
-from neural_atoms.graphs import GraphError, MolecularGraph
+from neural_atoms.graphs import GraphBatch, GraphError, MolecularGraph
 from neural_atoms.neural_atom import (LAYER_NORM_EPS, NeuralAtomLayerParams, NeuralAtomTrace,
                                       enhance_segments)
 
@@ -300,16 +300,13 @@ class WeightedSlotMatrix:
         return out
 
 
-def neural_atom_block(h_prev: Tensor, graph: MolecularGraph,
-                      gnn_layer: Callable[[Tensor, MolecularGraph], Tensor],
+def neural_atom_block(h_prev: Tensor, batch: GraphBatch,
+                      gnn_layer: Callable[[Tensor, GraphBatch], Tensor],
                       params: NeuralAtomLayerParams) -> tuple[Tensor, NeuralAtomTrace]:
-    """One full block on one graph: message passing, then the three neural-atom steps.
-
-    The graph is a batch of one segment, so this is the batched block of the
-    model run on a single graph.
-    """
-    h = gnn_layer(h_prev, graph)
-    return enhance_segments(h, np.array([0, h.shape[0]]), params)
+    """One full block on a batch, most often of one graph: message passing,
+    then the three neural-atom steps, as the model runs them."""
+    h = gnn_layer(h_prev, batch)
+    return enhance_segments(h, batch.offsets, params)
 
 
 def looped_projection(h_nodes: Tensor, params: NeuralAtomLayerParams,

@@ -7,7 +7,6 @@ variants at the reference budget, so expect this file to take a few
 minutes; everything else is seconds.
 """
 
-import dataclasses
 import time
 
 import numpy as np
@@ -22,8 +21,8 @@ from neural_atoms.ewald import (
     ewald_sum_matrix,
 )
 from neural_atoms.gnn import GcnLayerParams, gcn_forward
-from neural_atoms.graphs import MolecularGraph, generate_lri_task, save_dataset
-from neural_atoms.model import GraphPropertyModel, TrainConfig
+from neural_atoms.graphs import MolecularGraph, batch_graphs, generate_lri_task, save_dataset
+from neural_atoms.model import TrainConfig
 from neural_atoms.neural_atom import (
     NeuralAtomLayerParams,
     project_to_neural_atoms,
@@ -55,9 +54,10 @@ def test_criterion_01_block_gradients_match_finite_differences():
     gcn = GcnLayerParams.init(dim, dim, rng)
     x = Tensor(g.node_features, requires_grad=True)
     probe = Tensor(rng.normal(size=(6, dim)))
+    batch = batch_graphs([g])
 
     def f():
-        enhanced, _ = neural_atom_block(x, g, lambda t, gr: gcn_forward(t, gr, gcn), params)
+        enhanced, _ = neural_atom_block(x, batch, lambda t, gr: gcn_forward(t, gr, gcn), params)
         return sum_all(mul(enhanced, probe))
 
     start = time.monotonic()
@@ -92,10 +92,11 @@ def test_criterion_03_permutation_equivariance_and_atom_invariance():
         params = NeuralAtomLayerParams.init(3, dim, 2, rng)
         gcn = GcnLayerParams.init(dim, dim, rng)
         layer = lambda t, gr: gcn_forward(t, gr, gcn)
-        base, trace = neural_atom_block(Tensor(g.node_features), g, layer, params)
+        base, trace = neural_atom_block(Tensor(g.node_features), batch_graphs([g]), layer, params)
         perm = rng.permutation(n)
         pg = permute_graph(g, perm)
-        moved, trace_p = neural_atom_block(Tensor(pg.node_features), pg, layer, params)
+        moved, trace_p = neural_atom_block(Tensor(pg.node_features), batch_graphs([pg]), layer,
+                                           params)
         worst_nodes = max(worst_nodes, float(np.abs(moved.data[perm] - base.data).max()))
         worst_atoms = max(worst_atoms,
                           float(np.abs(trace_p.atom_states - trace.atom_states).max()),
@@ -113,14 +114,15 @@ def test_criterion_04_one_block_couples_path_endpoints():
     gcn = GcnLayerParams.init(dim, dim, rng)
     pick = np.zeros((1, dim))
     pick[0, 0] = 1.0
+    batch = batch_graphs([g])
 
     x = Tensor(g.node_features, requires_grad=True)
-    enhanced, _ = neural_atom_block(x, g, lambda t, gr: gcn_forward(t, gr, gcn), params)
+    enhanced, _ = neural_atom_block(x, batch, lambda t, gr: gcn_forward(t, gr, gcn), params)
     backward(sum_all(mul(rows(enhanced, 5, 6), Tensor(pick))))
     atom_reach = float(np.abs(x.grad[0]).max())
 
     y = Tensor(g.node_features, requires_grad=True)
-    backward(sum_all(mul(rows(gcn_forward(y, g, gcn), 5, 6), Tensor(pick))))
+    backward(sum_all(mul(rows(gcn_forward(y, batch, gcn), 5, 6), Tensor(pick))))
     plain_reach = float(np.abs(y.grad[0]).max())
 
     report(4, atom_reach > 1e-8 and plain_reach == 0.0,

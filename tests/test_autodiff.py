@@ -730,14 +730,20 @@ def ragged_graphs(seed, dim=4):
     return graphs
 
 
+def union_graph(batch):
+    """The batch's disjoint union as one unlabelled graph, for the oracles that
+    read a graph's ``num_nodes`` and ``edges``."""
+    return MolecularGraph(batch.total_nodes, batch.merged_graph().tolist(), batch.node_features)
+
+
 def layer_params(backbone, rng, dim=4):
     if backbone == "gcn":
         return rescale_weights(GcnLayerParams.init(dim, 5, rng), 0.5)
     return rescale_weights(MlpParams.init(dim, 6, 5, rng), 0.5)
 
 
-def layer_forward(backbone, h, graph, params):
-    return (gcn_forward if backbone == "gcn" else gin_forward)(h, graph, params)
+def layer_forward(backbone, h, batch, params):
+    return (gcn_forward if backbone == "gcn" else gin_forward)(h, batch, params)
 
 
 def dense_closed_matrix(n, edges, scale):
@@ -810,15 +816,14 @@ class TestSlotMatmul:
         rng = np.random.default_rng(67)
         graphs = [contact_like_graph(rng, int(n)) for n in rng.integers(40, 161, 64)]
         batch = batch_graphs(graphs)
-        merged = batch.merged_graph()
-        assert isinstance(merged.closed_neighborhood(normalised=False), SlotMatrix)
-        edges, n = merged.edge_index, merged.num_nodes
+        assert isinstance(batch.closed_neighborhood(normalised=False), SlotMatrix)
+        edges, n = batch.merged_graph(), batch.total_nodes
         u, v = edges.T
         x = rng.normal(size=(n, 32))
         plain = helpers.WeightedSlotMatrix(np.ones(n), edges, np.ones(len(edges)))
-        got = merged.closed_neighborhood(normalised=False).apply(x)
+        got = batch.closed_neighborhood(normalised=False).apply(x)
         assert got.tobytes() == plain.apply(x).tobytes()
-        s = 1.0 / np.sqrt(merged.degrees() + 1.0)
+        s = 1.0 / np.sqrt(np.bincount(edges.ravel(), minlength=n) + 1.0)
         weighted = helpers.WeightedSlotMatrix(s * s, edges, s[u] * s[v])
         np.testing.assert_allclose(SlotMatrix(edges, batch.offsets, s).apply(x),
                                    weighted.apply(x), rtol=0, atol=1e-12)
@@ -826,14 +831,16 @@ class TestSlotMatmul:
     @pytest.mark.parametrize("backbone", ["gcn", "gin"])
     def test_layers_match_scatter_add_path_and_dense_oracles(self, backbone):
         rng = np.random.default_rng(62)
-        merged = batch_graphs(ragged_graphs(63)).merged_graph()
+        batch = batch_graphs(ragged_graphs(63))
+        merged = union_graph(batch)
         params = layer_params(backbone, rng)
         leaves = [getattr(params, name) for name in vars(params)]
-        probe = rng.normal(size=(merged.num_nodes, 5))
+        probe = rng.normal(size=(batch.total_nodes, 5))
         results = []
-        for layer in (layer_forward, lambda _, h, g, p: scatter_add_layer(h, g, p)):
-            x = Tensor(merged.node_features, requires_grad=True)
-            out = layer(backbone, x, merged, params)
+        for layer in (lambda h: layer_forward(backbone, h, batch, params),
+                      lambda h: scatter_add_layer(h, merged, params)):
+            x = Tensor(batch.node_features, requires_grad=True)
+            out = layer(x)
             backward(sum_all(mul(out, Tensor(probe))), [x] + leaves)
             results.append([out.data, x.grad] + [t.grad.copy() for t in leaves])
         for got, want in zip(*results):
@@ -843,7 +850,7 @@ class TestSlotMatmul:
             want = dense_gcn_oracle(merged, feats, params.weight.data)
             np.testing.assert_allclose(results[0][0], want, rtol=0, atol=1e-10)
         else:
-            agg = slot_matmul(merged.closed_neighborhood(normalised=False), Tensor(feats))
+            agg = slot_matmul(batch.closed_neighborhood(normalised=False), Tensor(feats))
             np.testing.assert_allclose(agg.data, dense_gin_sum_oracle(merged, feats),
                                        rtol=0, atol=1e-10)
 
@@ -852,13 +859,13 @@ class TestSlotMatmul:
         graphs = ragged_graphs(64)
         params = layer_params(backbone, np.random.default_rng(65))
         batch = batch_graphs(graphs)
-        merged = batch.merged_graph()
-        h = Tensor(merged.node_features)
-        first = layer_forward(backbone, h, merged, params).data
-        again = layer_forward(backbone, h, batch_graphs(graphs).merged_graph(), params).data
+        h = Tensor(batch.node_features)
+        first = layer_forward(backbone, h, batch, params).data
+        again = layer_forward(backbone, h, batch_graphs(graphs), params).data
         assert first.tobytes() == again.tobytes()
         for g, lo, hi in zip(graphs, batch.offsets[:-1], batch.offsets[1:]):
-            alone = layer_forward(backbone, Tensor(g.node_features), g, params).data
+            alone = layer_forward(backbone, Tensor(g.node_features), batch_graphs([g]),
+                                  params).data
             np.testing.assert_allclose(first[lo:hi], alone, rtol=0, atol=1e-10)
 
 
@@ -933,20 +940,16 @@ class TestBlockMatrix:
 
     def test_rule_picks_blocks_for_small_paths_and_slots_for_contact_like_graphs(self):
         paths = generate_lri_task(64, 20, 4, seed=0)
-        merged = batch_graphs(paths).merged_graph()
-        assert isinstance(merged.closed_neighborhood(normalised=True), BlockMatrix)
+        assert isinstance(batch_graphs(paths).closed_neighborhood(normalised=True), BlockMatrix)
         rng = np.random.default_rng(83)
         contacts = [contact_like_graph(rng, int(n)) for n in rng.integers(40, 161, 64)]
-        merged = batch_graphs(contacts).merged_graph()
-        assert isinstance(merged.closed_neighborhood(normalised=False), SlotMatrix)
-        # a graph alone is one segment under the same rule as a batch of it
-        for graph in (paths[0], contacts[0]):
-            alone = type(graph.closed_neighborhood(normalised=True))
-            assert type(batch_graphs([graph]).merged_graph()
-                        .closed_neighborhood(normalised=True)) is alone
-        assert isinstance(paths[0].closed_neighborhood(normalised=False), BlockMatrix)
-        assert isinstance(contact_like_graph(rng, 160).closed_neighborhood(normalised=False),
+        assert isinstance(batch_graphs(contacts).closed_neighborhood(normalised=False),
                           SlotMatrix)
+        # a batch of one graph is one segment under the same rule
+        assert isinstance(batch_graphs(paths[:1]).closed_neighborhood(normalised=False),
+                          BlockMatrix)
+        assert isinstance(batch_graphs([contact_like_graph(rng, 160)])
+                          .closed_neighborhood(normalised=False), SlotMatrix)
 
     @pytest.mark.parametrize("backbone", ["gcn", "gin"])
     def test_layers_match_slot_form_and_scatter_add_path(self, backbone, monkeypatch):
@@ -958,13 +961,13 @@ class TestBlockMatrix:
         results = []
         for form, crossover in ((BlockMatrix, math.inf), (SlotMatrix, 0), (None, 0)):
             monkeypatch.setattr(ad, "BLOCK_CROSSOVER", crossover)
-            merged = batch_graphs(graphs).merged_graph()
-            x = Tensor(merged.node_features, requires_grad=True)
+            batch = batch_graphs(graphs)
+            x = Tensor(batch.node_features, requires_grad=True)
             if form is None:
-                out = scatter_add_layer(x, merged, params)
+                out = scatter_add_layer(x, union_graph(batch), params)
             else:
-                assert isinstance(merged.closed_neighborhood(backbone == "gcn"), form)
-                out = layer_forward(backbone, x, merged, params)
+                assert isinstance(batch.closed_neighborhood(backbone == "gcn"), form)
+                out = layer_forward(backbone, x, batch, params)
             backward(sum_all(mul(out, Tensor(probe))), [x] + leaves)
             results.append([out.data, x.grad] + [t.grad.copy() for t in leaves])
         for other in results[1:]:
@@ -978,10 +981,10 @@ class TestBlockMatrix:
         params = layer_params(backbone, np.random.default_rng(89))
         outputs = []
         for _ in range(2):
-            merged = batch_graphs(graphs).merged_graph()
-            assert isinstance(merged.closed_neighborhood(backbone == "gcn"), form)
-            x = Tensor(merged.node_features, requires_grad=True)
-            out = layer_forward(backbone, x, merged, params)
+            batch = batch_graphs(graphs)
+            assert isinstance(batch.closed_neighborhood(backbone == "gcn"), form)
+            x = Tensor(batch.node_features, requires_grad=True)
+            out = layer_forward(backbone, x, batch, params)
             backward(sum_all(out), [x])
             outputs.append(out.data.tobytes() + x.grad.tobytes())
         assert outputs[0] == outputs[1]
@@ -1036,16 +1039,16 @@ class TestAffine:
     @pytest.mark.parametrize("with_relu", [False, True])
     def test_matches_composed_ops_on_a_ragged_batch(self, with_bias, with_relu):
         rng = np.random.default_rng(71)
-        merged = batch_graphs(ragged_graphs(72)).merged_graph()
-        probe = Tensor(rng.normal(size=(merged.num_nodes, 5)))
+        batch = batch_graphs(ragged_graphs(72))
+        probe = Tensor(rng.normal(size=(batch.total_nodes, 5)))
         w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         b = Tensor(rng.normal(size=5), requires_grad=True) if with_bias else None
         leaves = [t for t in (w, b) if t is not None]
         results = []
         for op in (lambda x: affine(x, w, b, relu=with_relu),
                    lambda x: composed_affine(x, w, b, relu=with_relu)):
-            h = Tensor(merged.node_features, requires_grad=True)
-            agg = slot_matmul(merged.closed_neighborhood(normalised=False), h)
+            h = Tensor(batch.node_features, requires_grad=True)
+            agg = slot_matmul(batch.closed_neighborhood(normalised=False), h)
             out = op(agg)
             backward(sum_all(mul(out, probe)), [h] + leaves)
             results.append([out.data, h.grad] + [t.grad.copy() for t in leaves])

@@ -84,6 +84,16 @@ class TestTrain:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_empty_regression_label_is_exit_one_naming_the_line(self, tmp_path, capsys):
+        path = tmp_path / "empty.jsonl"
+        path.write_text(json.dumps({"num_nodes": 2, "edges": [[0, 1]],
+                                    "node_feats": [[1.0], [2.0]], "graph_label": []}) + "\n")
+        code = run_cli("train", "--dataset", str(path), "--out", str(tmp_path / "run"),
+                       "--task", "graph-regression", "--epochs", "1")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: line 1: graph_label must be")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("field, bad", [("lr", True), ("lr", "0.1"), ("proportion", None)])
     def test_non_number_float_field_in_config_is_a_clean_failure(
             self, tmp_path, tiny_dataset, capsys, field, bad):
@@ -294,9 +304,9 @@ from neural_atoms.graphs import MolecularGraph, batch_graphs
 {contact_like_graph}
 rng = np.random.default_rng(0)
 graphs = [contact_like_graph(rng, int(n)) for n in rng.integers(40, 161, 64)]
-merged = batch_graphs(graphs).merged_graph()
-assert isinstance(merged.closed_neighborhood(normalised=False), SlotMatrix)
-gin_forward(Tensor(merged.node_features), merged, MlpParams.init(4, 8, 8, rng))
+batch = batch_graphs(graphs)
+assert isinstance(batch.closed_neighborhood(normalised=False), SlotMatrix)
+gin_forward(Tensor(batch.node_features), batch, MlpParams.init(4, 8, 8, rng))
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 

@@ -10,7 +10,7 @@ import pytest
 
 from neural_atoms.autodiff import ShapeError, Tensor
 from neural_atoms.gnn import GcnLayerParams, MlpParams, gcn_forward, gin_forward
-from neural_atoms.graphs import MolecularGraph
+from neural_atoms.graphs import MolecularGraph, batch_graphs
 from helpers import grad_check, mul, permute_graph, rescale_weights, sum_all
 
 
@@ -44,13 +44,13 @@ class TestGcn:
         # both degrees are 2 with the self-loop, so each output is (2+4)/2 = 3
         g = MolecularGraph(2, [(0, 1)], np.array([[2.0], [4.0]]), graph_label=0)
         params = GcnLayerParams(weight=Tensor(np.eye(1), requires_grad=True))
-        out = gcn_forward(Tensor(g.node_features), g, params)
+        out = gcn_forward(Tensor(g.node_features), batch_graphs([g]), params)
         np.testing.assert_allclose(out.data, [[3.0], [3.0]], atol=1e-15)
 
     def test_isolated_node_keeps_own_feature(self):
         g = MolecularGraph(1, [], np.array([[5.0, 7.0]]), graph_label=0)
         params = GcnLayerParams(weight=Tensor(np.eye(2)))
-        out = gcn_forward(Tensor(g.node_features), g, params)
+        out = gcn_forward(Tensor(g.node_features), batch_graphs([g]), params)
         np.testing.assert_allclose(out.data, [[5.0, 7.0]], atol=1e-15)
 
     def test_matches_dense_oracle(self):
@@ -58,7 +58,7 @@ class TestGcn:
         for _ in range(25):
             g = random_graph(rng, int(rng.integers(2, 12)), 5)
             w = rng.normal(size=(5, 4))
-            got = gcn_forward(Tensor(g.node_features), g,
+            got = gcn_forward(Tensor(g.node_features), batch_graphs([g]),
                               GcnLayerParams(weight=Tensor(w))).data
             np.testing.assert_allclose(got, dense_gcn_oracle(g, g.node_features, w),
                                        atol=1e-12)
@@ -67,12 +67,12 @@ class TestGcn:
         """Changing a far node's features leaves a non-neighbour bit-identical."""
         edges = [(i, i + 1) for i in range(5)]
         feats = np.random.default_rng(4).normal(size=(6, 3))
-        g = MolecularGraph(6, edges, feats, graph_label=0)
+        batch = batch_graphs([MolecularGraph(6, edges, feats, graph_label=0)])
         params = GcnLayerParams(weight=Tensor(np.random.default_rng(5).normal(size=(3, 3))))
-        base = gcn_forward(Tensor(feats), g, params).data
+        base = gcn_forward(Tensor(feats), batch, params).data
         bumped = feats.copy()
         bumped[5] += 10.0
-        moved = gcn_forward(Tensor(bumped), g, params).data
+        moved = gcn_forward(Tensor(bumped), batch, params).data
         assert np.array_equal(base[0], moved[0])
         assert not np.array_equal(base[4], moved[4])
 
@@ -84,8 +84,9 @@ class TestGcn:
             w = rng.normal(size=(4, 6))
             perm = rng.permutation(n)
             pg = permute_graph(g, perm)
-            base = gcn_forward(Tensor(g.node_features), g, GcnLayerParams(Tensor(w))).data
-            permuted = gcn_forward(Tensor(pg.node_features), pg, GcnLayerParams(Tensor(w))).data
+            params = GcnLayerParams(Tensor(w))
+            base = gcn_forward(Tensor(g.node_features), batch_graphs([g]), params).data
+            permuted = gcn_forward(Tensor(pg.node_features), batch_graphs([pg]), params).data
             np.testing.assert_allclose(permuted[perm], base, atol=1e-10)
 
     def test_gradients(self):
@@ -93,9 +94,10 @@ class TestGcn:
         g = random_graph(rng, 7, 4)
         params = rescale_weights(GcnLayerParams.init(4, 5, rng), 0.5)
         x = Tensor(g.node_features, requires_grad=True)
+        batch = batch_graphs([g])
 
         def f():
-            out = gcn_forward(x, g, params)
+            out = gcn_forward(x, batch, params)
             return sum_all(mul(out, out))
 
         assert grad_check(f, [x, params.weight], eps=1e-5) < 1e-6
@@ -103,7 +105,8 @@ class TestGcn:
     def test_row_count_mismatch_is_rejected(self):
         g = MolecularGraph(3, [(0, 1)], np.zeros((3, 2)), graph_label=0)
         with pytest.raises(ShapeError, match="slot_matmul: 3-row matrix"):
-            gcn_forward(Tensor(np.zeros((4, 2))), g, GcnLayerParams(Tensor(np.eye(2))))
+            gcn_forward(Tensor(np.zeros((4, 2))), batch_graphs([g]),
+                        GcnLayerParams(Tensor(np.eye(2))))
 
 
 class TestGin:
@@ -111,7 +114,7 @@ class TestGin:
         g = MolecularGraph(1, [], np.array([[1.0, 2.0]]), graph_label=0)
         params = MlpParams(w1=Tensor(np.eye(2)), b1=Tensor(np.zeros(2)),
                                 w2=Tensor(np.eye(2)), b2=Tensor(np.zeros(2)))
-        out = gin_forward(Tensor(g.node_features), g, params)
+        out = gin_forward(Tensor(g.node_features), batch_graphs([g]), params)
         np.testing.assert_allclose(out.data, [[1.0, 2.0]], atol=1e-15)
 
     def test_two_node_sum_before_mlp(self):
@@ -119,7 +122,7 @@ class TestGin:
         g = MolecularGraph(2, [(0, 1)], np.array([[1.0], [2.0]]), graph_label=0)
         params = MlpParams(w1=Tensor(np.eye(1)), b1=Tensor(np.zeros(1)),
                                 w2=Tensor(np.eye(1)), b2=Tensor(np.zeros(1)))
-        out = gin_forward(Tensor(g.node_features), g, params)
+        out = gin_forward(Tensor(g.node_features), batch_graphs([g]), params)
         np.testing.assert_allclose(out.data, [[3.0], [3.0]], atol=1e-15)
 
     def test_aggregation_matches_dense_oracle(self):
@@ -130,7 +133,7 @@ class TestGin:
             feats = np.abs(g.node_features) + 0.1
             params = MlpParams(w1=Tensor(np.eye(3)), b1=Tensor(np.zeros(3)),
                                     w2=Tensor(np.eye(3)), b2=Tensor(np.zeros(3)))
-            got = gin_forward(Tensor(feats), g, params).data
+            got = gin_forward(Tensor(feats), batch_graphs([g]), params).data
             np.testing.assert_allclose(got, dense_gin_sum_oracle(g, feats), atol=1e-12)
 
     def test_permutation_equivariance(self):
@@ -141,8 +144,8 @@ class TestGin:
             params = rescale_weights(MlpParams.init(4, 6, 5, rng), 0.4)
             perm = rng.permutation(n)
             pg = permute_graph(g, perm)
-            base = gin_forward(Tensor(g.node_features), g, params).data
-            permuted = gin_forward(Tensor(pg.node_features), pg, params).data
+            base = gin_forward(Tensor(g.node_features), batch_graphs([g]), params).data
+            permuted = gin_forward(Tensor(pg.node_features), batch_graphs([pg]), params).data
             np.testing.assert_allclose(permuted[perm], base, atol=1e-10)
 
     def test_gradients(self):
@@ -150,9 +153,10 @@ class TestGin:
         g = random_graph(rng, 6, 3)
         params = rescale_weights(MlpParams.init(3, 4, 3, rng), 0.5)
         x = Tensor(g.node_features, requires_grad=True)
+        batch = batch_graphs([g])
 
         def f():
-            out = gin_forward(x, g, params)
+            out = gin_forward(x, batch, params)
             return sum_all(mul(out, out))
 
         leaves = [x, params.w1, params.b1, params.w2, params.b2]
@@ -164,4 +168,4 @@ def test_gin_row_count_mismatch_is_rejected():
     params = MlpParams(w1=Tensor(np.eye(2)), b1=Tensor(np.zeros(2)),
                             w2=Tensor(np.eye(2)), b2=Tensor(np.zeros(2)))
     with pytest.raises(ShapeError, match=r"slot_matmul: 3-row matrix vs x \(2, 2\)"):
-        gin_forward(Tensor(np.zeros((2, 2))), g, params)
+        gin_forward(Tensor(np.zeros((2, 2))), batch_graphs([g]), params)

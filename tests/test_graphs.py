@@ -56,10 +56,6 @@ class TestMolecularGraph:
         with pytest.raises(GraphError):
             MolecularGraph(3, [(0, 1)], np.zeros((3, 2)), pair_labels=[(0, 2, 7)])
 
-    def test_degrees_count_each_edge_twice(self):
-        g = MolecularGraph(4, [(0, 1), (1, 2), (2, 3)], np.zeros((4, 1)), graph_label=0)
-        np.testing.assert_array_equal(g.degrees(), [1, 2, 2, 1])
-
 
 class TestPermute:
     def test_round_trip_through_inverse(self):
@@ -95,7 +91,19 @@ class TestBatching:
     def test_merged_graph_shifts_edges(self):
         batch = batch_graphs([make_graph(n=2), make_graph(n=3)])
         merged = batch.merged_graph()
-        assert merged.edges == [(0, 1), (2, 3), (3, 4)]
+        assert merged.dtype == np.intp and merged.tolist() == [[0, 1], [2, 3], [3, 4]]
+        assert batch.merged_graph() is merged
+
+    def test_degrees_count_each_edge_twice(self):
+        # a path's degrees are 1, 2, 2, 1, and S = D^-1/2 counts the self-loop too
+        path = MolecularGraph(4, [(0, 1), (1, 2), (2, 3)], np.zeros((4, 1)), graph_label=0)
+        batch = batch_graphs([make_graph(n=2, dim=1), path])
+        s = 1.0 / np.sqrt([2.0, 2.0, 2.0, 3.0, 3.0, 2.0])
+        a = np.eye(6) + np.eye(6, k=1) + np.eye(6, k=-1)
+        a[1, 2] = a[2, 1] = 0.0
+        got = batch.closed_neighborhood(normalised=True).apply(np.eye(6))
+        np.testing.assert_allclose(got, s[:, None] * a * s, rtol=0, atol=1e-15)
+        assert batch.closed_neighborhood(normalised=True) is batch.closed_neighborhood(True)
 
     def test_rejects_mixed_feature_dims(self):
         with pytest.raises(GraphError):
@@ -154,6 +162,14 @@ class TestDatasetIO:
         record = {"num_nodes": 2, "edges": [[0, 1]], "node_feats": [[1.0], [2.0]]}
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(DatasetError, match="line 1"):
+            load_dataset(path)
+
+    def test_empty_regression_label_is_rejected_with_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        good = {"num_nodes": 2, "edges": [[0, 1]], "node_feats": [[1.0], [2.0]],
+                "graph_label": [0.5]}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, graph_label=[])) + "\n")
+        with pytest.raises(DatasetError, match="line 2: graph_label must be .* non-empty"):
             load_dataset(path)
 
     def test_invalid_json_reports_line(self, tmp_path):

@@ -163,12 +163,13 @@ class TestForward:
         graph = chain_graph(6, 4, seed=3)
 
         h = Tensor(graph.node_features)
+        batch = batch_graphs([graph])
         for i in range(2):
             h, _ = neural_atom_block(
-                h, graph,
-                lambda x, g, i=i: gcn_forward(x, g, model.gnn_layers[i]),
+                h, batch,
+                lambda x, b, i=i: gcn_forward(x, b, model.gnn_layers[i]),
                 model.atom_layers[i])
-        out = model.forward(batch_graphs([graph]))
+        out = model.forward(batch)
         assert np.array_equal(out.node_states.data, h.data)
 
     def test_traces_cover_every_layer_and_graph(self):
@@ -308,11 +309,10 @@ def test_traces_keep_their_bytes_through_backward_and_an_adam_step(layout):
 
 def looped_virtual_node_forward(model, batch):
     """Oracle: the model's forward with the graph-by-graph virtual-node loop."""
-    merged = batch.merged_graph()
-    h = Tensor(merged.node_features)
+    h = Tensor(batch.node_features)
     vstates = Tensor(np.zeros((len(batch) * model.cfg.virtual_nodes, model.cfg.hidden)))
     for i in range(model.cfg.layers):
-        h = model._message_pass(h, merged, i)
+        h = model._message_pass(h, batch, i)
         h, vstates = looped_batch_round(h, vstates, model.vn_layers[i], batch.offsets)
     pooled = concat_rows([mean_rows(rows(h, lo, hi))
                           for lo, hi in zip(batch.offsets[:-1], batch.offsets[1:])])

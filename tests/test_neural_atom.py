@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from neural_atoms import attention as attention_module
-from neural_atoms.attention import MultiHeadParams
 from neural_atoms.autodiff import (GradTape, Tensor, add, backward, gather_rows, layer_norm,
                                    segment_attention, segment_pool, softmax_cross_entropy,
                                    transpose)
@@ -79,7 +78,7 @@ class TestSteps:
             h = rng.normal(size=(n, dim))
             params = NeuralAtomLayerParams.init(k, dim, heads, rng)
             enhanced, trace = neural_atom_block(
-                Tensor(h), path_graph(rng, n, dim), lambda t, g: t, params)
+                Tensor(h), batch_graphs([path_graph(rng, n, dim)]), lambda t, b: t, params)
             want, atoms, exchanged, alloc = numpy_block_oracle(h, params)
             np.testing.assert_allclose(enhanced.data, want, atol=1e-12)
             np.testing.assert_allclose(trace.atom_states, atoms, atol=1e-12)
@@ -122,8 +121,9 @@ class TestSteps:
         params.exchange_norm.bias.data[:] = 0.0
         gcn = rescale_weights(GcnLayerParams.init(dim, dim, rng), 0.4)
         layer = lambda t, gr: gcn_forward(t, gr, gcn)
-        enhanced, _ = neural_atom_block(Tensor(g.node_features), g, layer, params)
-        plain = gcn_forward(Tensor(g.node_features), g, gcn)
+        batch = batch_graphs([g])
+        enhanced, _ = neural_atom_block(Tensor(g.node_features), batch, layer, params)
+        plain = gcn_forward(Tensor(g.node_features), batch, gcn)
         np.testing.assert_array_equal(enhanced.data, plain.data)
 
 
@@ -136,10 +136,12 @@ class TestBlock:
             params = NeuralAtomLayerParams.init(3, dim, 2, rng)
             gcn = rescale_weights(GcnLayerParams.init(dim, dim, rng), 0.4)
             layer = lambda t, gr: gcn_forward(t, gr, gcn)
-            base, trace = neural_atom_block(Tensor(g.node_features), g, layer, params)
+            base, trace = neural_atom_block(Tensor(g.node_features), batch_graphs([g]), layer,
+                                            params)
             perm = rng.permutation(n)
             pg = permute_graph(g, perm)
-            moved, trace_p = neural_atom_block(Tensor(pg.node_features), pg, layer, params)
+            moved, trace_p = neural_atom_block(Tensor(pg.node_features), batch_graphs([pg]),
+                                               layer, params)
             np.testing.assert_allclose(moved.data[perm], base.data, atol=1e-10)
             np.testing.assert_allclose(trace_p.atom_states, trace.atom_states, atol=1e-10)
 
@@ -152,14 +154,15 @@ class TestBlock:
         params = NeuralAtomLayerParams.init(3, dim, 2, rng)
         gcn = rescale_weights(GcnLayerParams.init(dim, dim, rng), 0.5)
         probe = Tensor(rng.normal(size=(1, dim)))
+        batch = batch_graphs([g])
 
         x = Tensor(g.node_features, requires_grad=True)
-        enhanced, _ = neural_atom_block(x, g, lambda t, gr: gcn_forward(t, gr, gcn), params)
+        enhanced, _ = neural_atom_block(x, batch, lambda t, gr: gcn_forward(t, gr, gcn), params)
         backward(sum_all(mul(rows(enhanced, 5, 6), probe)))
         assert np.abs(x.grad[0]).max() > 1e-8
 
         y = Tensor(g.node_features, requires_grad=True)
-        plain = gcn_forward(y, g, gcn)
+        plain = gcn_forward(y, batch, gcn)
         backward(sum_all(mul(rows(plain, 5, 6), probe)))
         assert np.abs(y.grad[0]).max() == 0.0
 
@@ -170,7 +173,8 @@ class TestBlock:
         params = NeuralAtomLayerParams.init(3, dim, 2, rng)
         gcn = rescale_weights(GcnLayerParams.init(dim, dim, rng), 0.5)
         x = Tensor(g.node_features)
-        enhanced, _ = neural_atom_block(x, g, lambda t, gr: gcn_forward(t, gr, gcn), params)
+        enhanced, _ = neural_atom_block(x, batch_graphs([g]),
+                                        lambda t, gr: gcn_forward(t, gr, gcn), params)
         probe = Tensor(rng.normal(size=enhanced.shape))
         leaves = params.tensors() + [gcn.weight]
         backward(sum_all(mul(enhanced, probe)), params=leaves)
@@ -185,9 +189,11 @@ class TestBlock:
         gcn = rescale_weights(GcnLayerParams.init(dim, dim, rng), 0.5)
         x = Tensor(g.node_features)
         probe = Tensor(rng.normal(size=(5, dim)))
+        batch = batch_graphs([g])
 
         def f():
-            enhanced, _ = neural_atom_block(x, g, lambda t, gr: gcn_forward(t, gr, gcn), params)
+            enhanced, _ = neural_atom_block(x, batch, lambda t, gr: gcn_forward(t, gr, gcn),
+                                            params)
             return sum_all(mul(enhanced, probe))
 
         leaves = params.tensors() + [gcn.weight]
@@ -200,8 +206,8 @@ class TestBlock:
         params = NeuralAtomLayerParams.init(3, dim, 2, rng)
         gcn = rescale_weights(GcnLayerParams.init(dim, dim, rng), 0.4)
         layer = lambda t, gr: gcn_forward(t, gr, gcn)
-        _, first = neural_atom_block(Tensor(g.node_features), g, layer, params)
-        _, second = neural_atom_block(Tensor(g.node_features), g, layer, params)
+        _, first = neural_atom_block(Tensor(g.node_features), batch_graphs([g]), layer, params)
+        _, second = neural_atom_block(Tensor(g.node_features), batch_graphs([g]), layer, params)
         assert np.array_equal(first.atom_states, second.atom_states)
         assert np.array_equal(first.exchanged_states, second.exchanged_states)
         assert np.array_equal(first.node_allocation, second.node_allocation)
@@ -231,12 +237,12 @@ class TestBatchedBlock:
             batch = ragged_batch(rng, dim)
             params = NeuralAtomLayerParams.init(4, dim, 2, rng)
             gcn = rescale_weights(GcnLayerParams.init(dim, dim, rng), 0.4)
-            h = gcn_forward(Tensor(batch.node_features), batch.merged_graph(), gcn)
+            h = gcn_forward(Tensor(batch.node_features), batch, gcn)
             enhanced, traces = enhance_segments(h, batch.offsets, params)
             assert len(traces) == len(batch.graphs)
             for g, (graph, trace) in enumerate(zip(batch.graphs, traces)):
                 lo, hi = batch.offsets[g], batch.offsets[g + 1]
-                h_g = gcn_forward(Tensor(graph.node_features), graph, gcn).data
+                h_g = gcn_forward(Tensor(graph.node_features), batch_graphs([graph]), gcn).data
                 want, atoms, exchanged, alloc = numpy_block_oracle(h_g, params)
                 np.testing.assert_allclose(enhanced.data[lo:hi], want, rtol=0, atol=1e-10)
                 np.testing.assert_allclose(trace.atom_states, atoms, rtol=0, atol=1e-10)
@@ -255,7 +261,7 @@ class TestBatchedBlock:
         probe = rng.normal(size=(batch.total_nodes, dim))
         leaves = params.tensors() + [gcn.weight]
 
-        h = gcn_forward(Tensor(batch.node_features), batch.merged_graph(), gcn)
+        h = gcn_forward(Tensor(batch.node_features), batch, gcn)
         enhanced, _ = enhance_segments(h, batch.offsets, params)
         backward(sum_all(mul(enhanced, Tensor(probe))), params=leaves)
         batched = [leaf.grad.copy() for leaf in leaves]
@@ -263,7 +269,7 @@ class TestBatchedBlock:
         summed = [np.zeros_like(leaf.data) for leaf in leaves]
         for g, graph in enumerate(batch.graphs):
             lo, hi = batch.offsets[g], batch.offsets[g + 1]
-            out, _ = neural_atom_block(Tensor(graph.node_features), graph,
+            out, _ = neural_atom_block(Tensor(graph.node_features), batch_graphs([graph]),
                                        lambda t, gr: gcn_forward(t, gr, gcn), params)
             backward(sum_all(mul(out, Tensor(probe[lo:hi]))), params=leaves)
             for acc, leaf in zip(summed, leaves):
@@ -281,7 +287,7 @@ class TestBatchedBlock:
         probe = rng.normal(size=(batch.total_nodes, dim))
         leaves = params.tensors() + [gcn.weight]
 
-        h = gcn_forward(Tensor(batch.node_features), batch.merged_graph(), gcn)
+        h = gcn_forward(Tensor(batch.node_features), batch, gcn)
         enhanced, traces = enhance_segments(h, batch.offsets, params)
         backward(sum_all(mul(enhanced, Tensor(probe))), params=leaves)
         batched = [leaf.grad.copy() for leaf in leaves]
@@ -289,13 +295,14 @@ class TestBatchedBlock:
         summed = [np.zeros_like(leaf.data) for leaf in leaves]
         for g, (graph, trace) in enumerate(zip(batch.graphs, traces)):
             lo, hi = batch.offsets[g], batch.offsets[g + 1]
-            h_g = gcn_forward(Tensor(graph.node_features), graph, gcn).data
+            alone = batch_graphs([graph])
+            h_g = gcn_forward(Tensor(graph.node_features), alone, gcn).data
             want, atoms, exchanged, alloc = numpy_block_oracle(h_g, params)
             np.testing.assert_allclose(enhanced.data[lo:hi], want, rtol=0, atol=1e-10)
             np.testing.assert_allclose(trace.atom_states, atoms, rtol=0, atol=1e-10)
             np.testing.assert_allclose(trace.exchanged_states, exchanged, rtol=0, atol=1e-10)
             np.testing.assert_allclose(trace.node_allocation, alloc, rtol=0, atol=1e-10)
-            out, _ = neural_atom_block(Tensor(graph.node_features), graph,
+            out, _ = neural_atom_block(Tensor(graph.node_features), alone,
                                        lambda t, gr: gcn_forward(t, gr, gcn), params)
             np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-10)
             backward(sum_all(mul(out, Tensor(probe[lo:hi]))), params=leaves)
@@ -317,7 +324,7 @@ class TestBatchedBlock:
         probe = Tensor(rng.normal(size=(batch.total_nodes, dim)))
 
         def f():
-            h = gcn_forward(x, batch.merged_graph(), gcn)
+            h = gcn_forward(x, batch, gcn)
             enhanced, _ = enhance_segments(h, batch.offsets, params)
             return sum_all(mul(enhanced, probe))
 

@@ -577,6 +577,50 @@ def test_evaluating_graphs_without_pairs_fails_at_every_batch_size(tmp_path, bat
         evaluate(model, graphs, batch_size=batch_size)
 
 
+def mixed_width_graphs(tmp_path, odd):
+    """Eight one-feature graphs, but graph ``odd`` has two, saved as a dataset."""
+    rng = np.random.default_rng(3)
+    graphs = [MolecularGraph(4, [(0, 1), (1, 2), (2, 3)],
+                             rng.normal(size=(4, 2 if i == odd else 1)), graph_label=i % 2)
+              for i in range(8)]
+    data = tmp_path / "mixed.jsonl"
+    save_dataset(graphs, data)
+    return graphs, data
+
+
+@pytest.mark.parametrize("odd, message", [(5, "graph 5 has 2 node features, graph 0 has 1"),
+                                          (0, "graph 1 has 1 node features, graph 0 has 2")],
+                         ids=["graph-5-odd", "graph-0-odd"])
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("seed", range(4))
+def test_training_on_mixed_feature_widths_names_the_graph(tmp_path, seed, batch, odd, message):
+    _, data = mixed_width_graphs(tmp_path, odd)
+    cfg = TrainConfig(dataset=str(data), out=str(tmp_path / "run"), layers=1, hidden=4,
+                      heads=2, epochs=1, batch=batch, seed=seed)
+    with pytest.raises(DatasetError, match=message):
+        train(cfg)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("batch_size", [64, 1])
+def test_evaluating_mixed_feature_widths_names_the_graph(tmp_path, batch_size):
+    graphs, _ = mixed_width_graphs(tmp_path, 5)
+    cfg = TrainConfig(dataset="unused", out="unused", layers=1, hidden=4, heads=2)
+    model = GraphPropertyModel(cfg, feature_dim=1, out_dim=2, avg_nodes=4.0)
+    with pytest.raises(DatasetError, match="graph 5 has 2 node features, graph 0 has 1"):
+        evaluate(model, graphs, batch_size=batch_size)
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_evaluate_refuses_a_batch_size_below_one(batch_size):
+    graphs = generate_lri_task(4, 5, 3, seed=0)
+    cfg = TrainConfig(dataset="unused", out="unused", layers=1, hidden=4, heads=2)
+    model = GraphPropertyModel(cfg, feature_dim=4, out_dim=2, avg_nodes=5.0)
+    with pytest.raises(ConfigError, match=f"batch_size must hold positive integers, "
+                                          f"got {batch_size}"):
+        evaluate(model, graphs, batch_size=batch_size)
+
+
 def test_evaluate_pair_contact_without_positives_is_an_error():
     rng = np.random.default_rng(7)
     graphs = [MolecularGraph(num_nodes=5, edges=[(i, i + 1) for i in range(4)],

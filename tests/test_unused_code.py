@@ -1,5 +1,6 @@
 """Nothing in the package lives for the tests alone: every function, method and
-class it defines is used by name in the package or in the benchmark."""
+class it defines is used by name in the package or in the benchmark.  No file
+of the package or of the tests imports a name it never reads."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ import neural_atoms
 
 PACKAGE = Path(neural_atoms.__file__).parent
 BENCHMARK = PACKAGE.parents[1] / "perfbench"
+TESTS = Path(__file__).resolve().parent
 
 
 def defined_names(tree: ast.AST) -> set[str]:
@@ -68,3 +70,39 @@ def test_an_unused_helper_is_found(tmp_path):
         "    pass\n", encoding="utf-8")
     (benchmark / "bench.py").write_text("getattr(module, 'hooked')\n", encoding="utf-8")
     assert unused_definitions(package, benchmark) == {"only_tests_call_this"}
+
+
+def unused_imports(path: Path) -> set[str]:
+    """Names that ``path`` imports and never reads; ``from __future__`` imports are exempt."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            # ``import a.b`` binds ``a``
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return imported - read
+
+
+def test_no_file_imports_a_name_it_never_reads():
+    files = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert len(files) > 20
+    unused = {path.name: sorted(unused_imports(path)) for path in files}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_an_unused_import_is_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from json import dumps, loads as decode\n"
+        "from csv import writer\n"
+        "def f(x: int) -> str:\n"
+        "    writer = None\n"
+        "    return dumps(np.zeros(x).tolist()) + os.sep\n", encoding="utf-8")
+    assert unused_imports(module) == {"decode", "writer"}
