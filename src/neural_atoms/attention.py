@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, affine, block_attention, parameter, view
+from .autodiff import ShapeError, Tensor, affine, block_attention, parameter
 
 
 @dataclass
@@ -26,26 +26,15 @@ class MultiHeadParams:
     """Every head's query/key/value projections plus the shared output map.
 
     ``qkv`` puts the (d, d) W_q of heads 0 to H-1, then their W_k and W_v,
-    side by side; rows m*d:(m+1)*d of the (H * d, out_dim) ``output_weight``
-    mix head m.  Per-head weights are views built when asked for, so packing
-    the leaves into one flat buffer leaves none stale.
+    side by side; rows m*d:(m+1)*d of the (H * d, out_dim) ``wo`` mix head m.
     """
 
     qkv: Tensor
-    output_weight: Tensor
+    wo: Tensor
 
     @property
     def heads(self) -> int:
         return self.qkv.shape[1] // (3 * self.qkv.shape[0])
-
-    def _blocks(self, role: int) -> list[Tensor]:
-        d, first = self.qkv.shape[0], role * self.heads
-        return [view(self.qkv, np.s_[:, (first + m) * d:(first + m + 1) * d])
-                for m in range(self.heads)]
-
-    query_weights = property(lambda self: self._blocks(0))
-    key_weights = property(lambda self: self._blocks(1))
-    value_weights = property(lambda self: self._blocks(2))
 
     @classmethod
     def init(cls, heads: int, dim: int, rng: np.random.Generator) -> "MultiHeadParams":
@@ -55,10 +44,7 @@ class MultiHeadParams:
         # flat that nothing downstream gets a usable gradient
         blocks = [rng.normal(0.0, dim ** -0.5, size=(dim, dim)) for _ in range(3 * heads)]
         return cls(qkv=Tensor(np.concatenate(blocks, axis=1), requires_grad=True),
-                   output_weight=parameter(rng, (heads * dim, dim), (heads * dim) ** -0.5))
-
-    def tensors(self) -> list[Tensor]:
-        return [self.qkv, self.output_weight]
+                   wo=parameter(rng, (heads * dim, dim), (heads * dim) ** -0.5))
 
 
 def multi_head_attention(x: Tensor, params: MultiHeadParams, block: int) -> Tensor:
@@ -75,4 +61,4 @@ def multi_head_attention(x: Tensor, params: MultiHeadParams, block: int) -> Tens
     if x.data.ndim != 2 or x.shape[1] != dim:
         raise ShapeError(f"attention input must be (n, {dim}), got {x.shape}")
     mixed = block_attention(affine(x, params.qkv), block, params.heads, 1.0 / math.sqrt(dim))
-    return affine(mixed, params.output_weight, x)
+    return affine(mixed, params.wo, x)

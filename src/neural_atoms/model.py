@@ -11,7 +11,8 @@ its own graph's nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from collections.abc import Iterator
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -93,6 +94,14 @@ class ModelOutput:
     traces: list[NeuralAtomTrace] | None = field(default=None)
 
 
+def named_leaves(prefix: str, params) -> Iterator[tuple[str, Tensor]]:
+    """``(f"{prefix}.{field}", tensor)`` for every leaf of a parameter dataclass,
+    in field order, with nested dataclasses walked in place."""
+    for f in fields(params):
+        name, value = f"{prefix}.{f.name}", getattr(params, f.name)
+        yield from named_leaves(name, value) if is_dataclass(value) else [(name, value)]
+
+
 class GraphPropertyModel:
     """Config-driven stack of layers plus a task head.
 
@@ -136,33 +145,15 @@ class GraphPropertyModel:
                 "weight": parameter(rng, (cfg.hidden, self.out_dim), cfg.hidden ** -0.5),
                 "bias": Tensor(np.zeros(self.out_dim), requires_grad=True),
             }
-        leaves = [getattr(p, f.name) for p in self.gnn_layers + self.vn_layers for f in fields(p)]
-        leaves += [t for atoms in self.atom_layers for t in atoms.tensors()]
-        self.flat = pack(leaves + list(self.head.values()))
+        self.flat = pack(self.tensors())
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        named: list[tuple[str, Tensor]] = []
-        for i, layer in enumerate(self.gnn_layers):
-            for f in fields(layer):
-                named.append((f"layer{i}.{self.cfg.backbone}.{f.name}", getattr(layer, f.name)))
-        for i, atoms in enumerate(self.atom_layers):
-            named.append((f"layer{i}.atoms.queries", atoms.queries))
-            for role, att in (("project", atoms.project_attention),
-                              ("exchange", atoms.exchange_attention)):
-                for m, qkv in enumerate(zip(att.query_weights, att.key_weights, att.value_weights)):
-                    named.extend((f"layer{i}.atoms.{role}.head{m}.{attr}", w)
-                                 for attr, w in zip(("wq", "wk", "wv"), qkv))
-                named.append((f"layer{i}.atoms.{role}.wo", att.output_weight))
-            for role, norm in (("project_norm", atoms.project_norm),
-                               ("exchange_norm", atoms.exchange_norm)):
-                named.append((f"layer{i}.atoms.{role}.gain", norm.gain))
-                named.append((f"layer{i}.atoms.{role}.bias", norm.bias))
-        for i, vn in enumerate(self.vn_layers):
-            for f in fields(vn):
-                named.append((f"layer{i}.vnode.{f.name}", getattr(vn, f.name)))
-        for attr in sorted(self.head):
-            named.append((f"head.{attr}", self.head[attr]))
-        return named
+        """Every leaf named by its field path, layer kind by layer kind, then the head."""
+        groups = ((self.cfg.backbone, self.gnn_layers), ("atoms", self.atom_layers),
+                  ("vnode", self.vn_layers))
+        named = [leaf for role, layers in groups for i, params in enumerate(layers)
+                 for leaf in named_leaves(f"layer{i}.{role}", params)]
+        return named + [(f"head.{attr}", self.head[attr]) for attr in sorted(self.head)]
 
     def tensors(self) -> list[Tensor]:
         return [t for _, t in self.parameters()]

@@ -55,17 +55,14 @@ class LayerNormParams:
         return cls(gain=Tensor(np.ones(dim), requires_grad=True),
                    bias=Tensor(np.zeros(dim), requires_grad=True))
 
-    def tensors(self) -> list[Tensor]:
-        return [self.gain, self.bias]
-
 
 @dataclass
 class NeuralAtomLayerParams:
     """Everything one block owns: atom queries, two attentions, two norms."""
 
     queries: Tensor
-    project_attention: MultiHeadParams
-    exchange_attention: MultiHeadParams
+    project: MultiHeadParams
+    exchange: MultiHeadParams
     project_norm: LayerNormParams
     exchange_norm: LayerNormParams
 
@@ -80,16 +77,11 @@ class NeuralAtomLayerParams:
             raise ValueError("a block needs at least one neural atom")
         return cls(
             queries=parameter(rng, (num_atoms, dim), QUERY_INIT_STD),
-            project_attention=MultiHeadParams.init(heads, dim, rng),
-            exchange_attention=MultiHeadParams.init(heads, dim, rng),
+            project=MultiHeadParams.init(heads, dim, rng),
+            exchange=MultiHeadParams.init(heads, dim, rng),
             project_norm=LayerNormParams.init(dim),
             exchange_norm=LayerNormParams.init(dim),
         )
-
-    def tensors(self) -> list[Tensor]:
-        return [self.queries,
-                *self.project_attention.tensors(), *self.exchange_attention.tensors(),
-                *self.project_norm.tensors(), *self.exchange_norm.tensors()]
 
 
 @dataclass
@@ -152,7 +144,7 @@ def project_to_neural_atoms(h_nodes: Tensor, params: NeuralAtomLayerParams,
     q W_q,m W_k,m^T, and segment m of W_v times W_o is W_v,m W_o,m.  So the
     tape holds the same four entries for these products at any head count.
     """
-    attn, d = params.project_attention, params.queries.shape[1]
+    attn, d = params.project, params.queries.shape[1]
     width = attn.heads * d
     w_q, w_k, w_v = (view(attn.qkv, np.s_[:, r * width:(r + 1) * width]) for r in range(3))
     head_offsets = np.arange(0, width + 1, d)    # head m's d columns or rows are segment m
@@ -160,7 +152,7 @@ def project_to_neural_atoms(h_nodes: Tensor, params: NeuralAtomLayerParams,
     queries = segment_pool(affine(params.queries, w_q), transpose(w_k), head_offsets)
     weights = segment_attention(queries, h_nodes, offsets, d ** -0.5)
     pooled = segment_pool(weights, h_nodes, offsets, heads=attn.heads)
-    mix = segment_pool(w_v, attn.output_weight, head_offsets)
+    mix = segment_pool(w_v, attn.wo, head_offsets)
     atoms = layer_norm(affine(pooled, mix, params.queries),
                        params.project_norm.gain, params.project_norm.bias, LAYER_NORM_EPS)
     return atoms, weights
@@ -170,7 +162,7 @@ def exchange_neural_atoms(h_atoms: Tensor, params: NeuralAtomLayerParams) -> Ten
     """Self-attention among the atoms: every atom reads every other atom of
     its own graph in one hop, and keeps its own state through the residual
     that the attention adds."""
-    attended = multi_head_attention(h_atoms, params.exchange_attention, params.num_atoms)
+    attended = multi_head_attention(h_atoms, params.exchange, params.num_atoms)
     return layer_norm(attended, params.exchange_norm.gain, params.exchange_norm.bias,
                       LAYER_NORM_EPS)
 
@@ -197,7 +189,7 @@ def enhance_segments(h_gnn: Tensor, offsets: np.ndarray, params: NeuralAtomLayer
     atoms, weights = project_to_neural_atoms(h_gnn, params, offsets)
     exchanged = exchange_neural_atoms(atoms, params)
     enhanced = backproject_and_enhance(h_gnn, exchanged, weights,
-                                       params.project_attention.heads, offsets)
+                                       params.project.heads, offsets)
     views = [a.view() for a in (offsets, atoms.data, exchanged.data, weights.data)]
     for v in views:
         v.setflags(write=False)

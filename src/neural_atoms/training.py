@@ -18,6 +18,7 @@ from .autodiff import Tensor, backward, bce_with_logits, mse_loss, no_grad, soft
 from .files import read_object, replacing, write_table
 from .graphs import DatasetError, GraphBatch, MolecularGraph, batch_graphs, load_dataset
 from .model import ConfigError, GraphPropertyModel, ModelOutput, TrainConfig
+from .schedules import ScheduleError
 from .validate import integer, number
 
 METRICS_HEADER = ["epoch", "split", "metric", "value"]
@@ -220,6 +221,25 @@ def _contact_reciprocal_ranks(batch: GraphBatch, scores: np.ndarray) -> list[flo
     return (1.0 / (1.0 + beaten)).tolist()
 
 
+def checkpoint_arrays(model: GraphPropertyModel) -> list[tuple[str, np.ndarray]]:
+    """(checkpoint name, view of the model's array) for every stored parameter.
+
+    A name is the parameter's own, except that a checkpoint stores each
+    attention's ``qkv`` head by head: head m's (d, d) W_q, W_k and W_v
+    columns as ``head{m}.wq``, ``.wk`` and ``.wv``, head 0 first.
+    """
+    arrays = []
+    for name, t in model.parameters():
+        if name.endswith(".qkv"):
+            heads = t.shape[1] // (3 * t.shape[0])
+            blocks = np.split(t.data, 3 * heads, axis=1)    # W_q of every head, then W_k, W_v
+            arrays += [(f"{name[:-3]}head{m}.{attr}", blocks[role * heads + m])
+                       for m in range(heads) for role, attr in enumerate(("wq", "wk", "wv"))]
+        else:
+            arrays.append((name, t.data))
+    return arrays
+
+
 def save_checkpoint(model: GraphPropertyModel, epoch: int, history: list[list],
                     path) -> None:
     """JSON snapshot: config, dimensions, named parameter arrays, history.
@@ -227,12 +247,9 @@ def save_checkpoint(model: GraphPropertyModel, epoch: int, history: list[list],
     Arrays are stored as plain float lists; python's ``repr`` round-trips
     every finite f64 exactly, so load followed by save is lossless.
     """
-    named = model.parameters()
-    names = [name for name, _ in named]
-    if len(set(names)) != len(names):
-        raise TrainingError("parameter names collide; checkpoint would be ambiguous")
-    for name, t in named:
-        if not np.isfinite(t.data).all():
+    named = checkpoint_arrays(model)
+    for name, arr in named:
+        if not np.isfinite(arr).all():
             raise TrainingError(f"parameter {name!r} holds non-finite values")
     record = {
         "config": model.cfg.to_dict(),
@@ -241,8 +258,8 @@ def save_checkpoint(model: GraphPropertyModel, epoch: int, history: list[list],
         "avg_nodes": model.avg_nodes,
         "epoch": epoch,
         "history": history,
-        "params": {name: {"shape": list(t.shape), "data": t.data.ravel().tolist()}
-                   for name, t in named},
+        "params": {name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+                   for name, arr in named},
     }
     # json.dumps runs the C encoder; json.dump to a file streams through
     # the pure-Python one
@@ -263,6 +280,10 @@ def _stored_array(name: str, entry) -> np.ndarray:
             raise TypeError("data is not numeric")
         if not isinstance(entry["shape"], list):
             raise TypeError("shape is not a list")
+        # numpy reads a bool among numbers as 0 or 1 without a word
+        if bool in {*map(type, np.array(entry["data"], dtype=object).ravel()),
+                    *map(type, entry["shape"])}:
+            raise TypeError("a bool is not a number")
         return data.astype(np.float64).reshape(entry["shape"])
     except (TypeError, ValueError) as exc:
         raise TrainingError(f"parameter {name!r} does not hold numbers that fill "
@@ -285,20 +306,24 @@ def load_checkpoint(path) -> tuple[GraphPropertyModel, dict]:
         raise TrainingError(f"checkpoint 'avg_nodes' must be positive, got {avg_nodes!r}")
     if not isinstance(record["params"], dict):
         raise TrainingError("checkpoint 'params' must be an object")
-    cfg = TrainConfig.from_dict(record["config"])
-    model = GraphPropertyModel(cfg, feature_dim, out_dim, avg_nodes)
+    try:
+        model = GraphPropertyModel(TrainConfig.from_dict(record["config"]), feature_dim, out_dim,
+                                   avg_nodes)
+    except (ConfigError, ScheduleError) as exc:
+        raise TrainingError(f"checkpoint 'config' and dimensions build no model: {exc}") from None
     stored = record["params"]
-    for name, tensor in model.parameters():
+    arrays = checkpoint_arrays(model)
+    for name, target in arrays:
         if name not in stored:
             raise TrainingError(f"checkpoint is missing parameter {name!r}")
         arr = _stored_array(name, stored[name])
-        if arr.shape != tensor.shape:
+        if arr.shape != target.shape:
             raise TrainingError(
-                f"parameter {name!r} has shape {arr.shape}, expected {tensor.shape}")
+                f"parameter {name!r} has shape {arr.shape}, expected {target.shape}")
         if not np.isfinite(arr).all():
             raise TrainingError(f"parameter {name!r} holds non-finite values")
-        tensor.data[...] = arr
-    extra = set(stored) - {name for name, _ in model.parameters()}
+        target[...] = arr
+    extra = set(stored) - {name for name, _ in arrays}
     if extra:
         raise TrainingError(f"checkpoint has unknown parameters {sorted(extra)}")
     return model, record

@@ -5,12 +5,14 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
+from neural_atoms.attention import MultiHeadParams
 from neural_atoms.autodiff import (ContractError, ShapeError, Tensor, _result, add, backward,
                                    gather_rows, layer_norm, segment_attention, segment_broadcast,
                                    segment_pool, transpose, view)
 from neural_atoms.ewald import (SQRT_PI, EwaldError, EwaldMatrix, EwaldSystem, _image_sums,
                                 _integer_shells)
 from neural_atoms.graphs import GraphBatch, GraphError, MolecularGraph
+from neural_atoms.model import named_leaves
 from neural_atoms.neural_atom import (LAYER_NORM_EPS, NeuralAtomLayerParams, NeuralAtomTrace,
                                       enhance_segments)
 
@@ -300,6 +302,24 @@ class WeightedSlotMatrix:
         return out
 
 
+def param_leaves(params) -> list[Tensor]:
+    """Every leaf of a parameter dataclass, in the order the model packs them."""
+    return [t for _, t in named_leaves("", params)]
+
+
+def head_block(attn: MultiHeadParams, role: int, m: int) -> tuple[slice, slice]:
+    """The ``qkv`` columns of head m's W_q (role 0), W_k (role 1) or W_v (role 2)."""
+    d = attn.qkv.shape[0]
+    first = (role * attn.heads + m) * d
+    return np.s_[:, first:first + d]
+
+
+def head_weights(attn: MultiHeadParams) -> list[tuple[Tensor, Tensor, Tensor]]:
+    """(W_q, W_k, W_v) of every head, as views of their columns of ``qkv``."""
+    return [tuple(view(attn.qkv, head_block(attn, role, m)) for role in range(3))
+            for m in range(attn.heads)]
+
+
 def neural_atom_block(h_prev: Tensor, batch: GraphBatch,
                       gnn_layer: Callable[[Tensor, GraphBatch], Tensor],
                       params: NeuralAtomLayerParams) -> tuple[Tensor, NeuralAtomTrace]:
@@ -314,13 +334,13 @@ def looped_projection(h_nodes: Tensor, params: NeuralAtomLayerParams,
     """``project_to_neural_atoms`` with each head's two weight products built
     in a loop over the heads and stacked by ``concat_rows``: the form the
     one ``segment_pool`` per product replaced."""
-    attn, k, d = params.project_attention, params.num_atoms, params.queries.shape[1]
+    attn, k, d = params.project, params.num_atoms, params.queries.shape[1]
     queries = concat_rows([matmul(matmul(params.queries, wq), transpose(wk))
-                           for wq, wk in zip(attn.query_weights, attn.key_weights)])
+                           for wq, wk, _ in head_weights(attn)])
     weights = segment_attention(queries, h_nodes, offsets, d ** -0.5)
     pooled = segment_pool(weights, h_nodes, offsets, heads=attn.heads)
-    mix = concat_rows([matmul(wv, view(attn.output_weight, np.s_[m * d:(m + 1) * d]))
-                       for m, wv in enumerate(attn.value_weights)])
+    mix = concat_rows([matmul(wv, view(attn.wo, np.s_[m * d:(m + 1) * d]))
+                       for m, (_, _, wv) in enumerate(head_weights(attn))])
     stacked = gather_rows(params.queries, np.tile(np.arange(k), len(offsets) - 1))
     atoms = layer_norm(add(stacked, matmul(pooled, mix)),
                        params.project_norm.gain, params.project_norm.bias, LAYER_NORM_EPS)

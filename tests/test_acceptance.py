@@ -30,7 +30,8 @@ from neural_atoms.neural_atom import (
 from neural_atoms.schedules import compute_k_schedule
 from neural_atoms.training import evaluate, load_checkpoint, train
 from helpers import (direct_total_energy, grad_check, interaction_energy, lattice_energy,
-                     mean_reciprocal_rank, mul, neural_atom_block, permute_graph, rows, sum_all)
+                     mean_reciprocal_rank, mul, neural_atom_block, param_leaves, permute_graph,
+                     rows, sum_all)
 
 
 def report(num, passed, detail):
@@ -61,7 +62,7 @@ def test_criterion_01_block_gradients_match_finite_differences():
         return sum_all(mul(enhanced, probe))
 
     start = time.monotonic()
-    worst = grad_check(f, params.tensors() + [gcn.weight, x], eps=1e-5)
+    worst = grad_check(f, param_leaves(params) + [gcn.weight, x], eps=1e-5)
     wall = time.monotonic() - start
     report(1, worst < 1e-4 and wall < 10.0,
            f"max rel err {worst:.3g}, {wall:.1f}s")

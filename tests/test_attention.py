@@ -13,7 +13,7 @@ import pytest
 
 from neural_atoms.attention import MultiHeadParams, multi_head_attention
 from neural_atoms.autodiff import ShapeError, Tensor
-from helpers import grad_check, mul, sum_all
+from helpers import grad_check, head_weights, mul, param_leaves, sum_all
 
 
 def per_head_oracle(x, params, block):
@@ -22,13 +22,13 @@ def per_head_oracle(x, params, block):
     for lo in range(0, x.shape[0], block):
         rows = x[lo:lo + block]
         heads = []
-        for wq, wk, wv in zip(params.query_weights, params.key_weights, params.value_weights):
+        for wq, wk, wv in head_weights(params):
             logits = (rows @ wq.data) @ (rows @ wk.data).T / math.sqrt(x.shape[1])
             logits -= logits.max(axis=1, keepdims=True)
             weights = np.exp(logits)
             weights /= weights.sum(axis=1, keepdims=True)
             heads.append(weights @ (rows @ wv.data))
-        out[lo:lo + block] = rows + np.concatenate(heads, axis=1) @ params.output_weight.data
+        out[lo:lo + block] = rows + np.concatenate(heads, axis=1) @ params.wo.data
     return out
 
 
@@ -37,7 +37,7 @@ def make_params(rng, heads, dim, std=0.5):
     blocks = [rng.normal(size=(dim, dim)) * std for _ in range(3 * heads)]
     return MultiHeadParams(
         qkv=Tensor(np.concatenate(blocks, axis=1), requires_grad=True),
-        output_weight=Tensor(rng.normal(size=(heads * dim, dim)) * std, requires_grad=True),
+        wo=Tensor(rng.normal(size=(heads * dim, dim)) * std, requires_grad=True),
     )
 
 
@@ -64,7 +64,7 @@ class TestForward:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(6, 4))
         params = make_params(rng, 2, 4)
-        params.output_weight.data[...] = 0.0
+        params.wo.data[...] = 0.0
         np.testing.assert_array_equal(multi_head_attention(Tensor(x), params, 3).data, x)
 
     def test_width_must_match_the_weights(self):
@@ -73,7 +73,7 @@ class TestForward:
             with pytest.raises(ShapeError, match="attention input"):
                 multi_head_attention(Tensor(np.zeros(shape)), params, 3)
         # the residual needs the output as wide as the input
-        params.output_weight = Tensor(np.zeros((4, 3)))
+        params.wo = Tensor(np.zeros((4, 3)))
         with pytest.raises(ShapeError, match="bias"):
             multi_head_attention(Tensor(np.zeros((6, 4))), params, 3)
 
@@ -89,4 +89,4 @@ class TestGradients:
         def f():
             return sum_all(mul(multi_head_attention(x, params, 3), probe))
 
-        assert grad_check(f, [x, *params.tensors()], eps=1e-5) < 1e-6
+        assert grad_check(f, [x, *param_leaves(params)], eps=1e-5) < 1e-6

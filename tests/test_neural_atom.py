@@ -29,8 +29,9 @@ from neural_atoms.neural_atom import (
     enhance_segments,
     project_to_neural_atoms,
 )
-from helpers import (concat_cols, concat_rows, grad_check, looped_projection, matmul, mul,
-                     neural_atom_block, permute_graph, rescale_weights, rows, scale, sum_all)
+from helpers import (concat_cols, concat_rows, grad_check, head_weights, looped_projection,
+                     matmul, mul, neural_atom_block, param_leaves, permute_graph,
+                     rescale_weights, rows, scale, sum_all)
 from test_autodiff import composed_affine, softmax_rows
 from test_model import ragged_graphs
 
@@ -42,14 +43,14 @@ def path_graph(rng, n, dim):
 
 def np_attention(q, k, v, params):
     outs, weights = [], []
-    for wq, wk, wv in zip(params.query_weights, params.key_weights, params.value_weights):
+    for wq, wk, wv in head_weights(params):
         logits = (q @ wq.data) @ (k @ wk.data).T / math.sqrt(q.shape[1])
         logits -= logits.max(axis=1, keepdims=True)
         w = np.exp(logits)
         w /= w.sum(axis=1, keepdims=True)
         weights.append(w)
         outs.append(w @ (v @ wv.data))
-    return np.concatenate(outs, axis=1) @ params.output_weight.data, weights
+    return np.concatenate(outs, axis=1) @ params.wo.data, weights
 
 
 def np_layer_norm(x, gain, bias):
@@ -60,10 +61,10 @@ def np_layer_norm(x, gain, bias):
 
 def numpy_block_oracle(h_gnn, params):
     """The three steps, written straight-line in numpy."""
-    mixed, head_w = np_attention(params.queries.data, h_gnn, h_gnn, params.project_attention)
+    mixed, head_w = np_attention(params.queries.data, h_gnn, h_gnn, params.project)
     atoms = np_layer_norm(params.queries.data + mixed,
                           params.project_norm.gain.data, params.project_norm.bias.data)
-    mixed2, _ = np_attention(atoms, atoms, atoms, params.exchange_attention)
+    mixed2, _ = np_attention(atoms, atoms, atoms, params.exchange)
     exchanged = np_layer_norm(atoms + mixed2,
                               params.exchange_norm.gain.data, params.exchange_norm.bias.data)
     allocation = (sum(head_w) / len(head_w)).T
@@ -111,10 +112,10 @@ class TestSteps:
         dim = 5
         g = path_graph(rng, 7, dim)
         params = NeuralAtomLayerParams.init(3, dim, 2, rng)
-        for attn in (params.project_attention, params.exchange_attention):
-            for w in attn.value_weights:
-                w.data[:] = 0.0
-            attn.output_weight.data[:] = 0.0
+        for attn in (params.project, params.exchange):
+            for _, _, wv in head_weights(attn):
+                wv.data[:] = 0.0
+            attn.wo.data[:] = 0.0
         # zeroed value paths still leave norm(norm(queries)) in the atom
         # states, so the exchange norm's affine map is zeroed as well
         params.exchange_norm.gain.data[:] = 0.0
@@ -176,7 +177,7 @@ class TestBlock:
         enhanced, _ = neural_atom_block(x, batch_graphs([g]),
                                         lambda t, gr: gcn_forward(t, gr, gcn), params)
         probe = Tensor(rng.normal(size=enhanced.shape))
-        leaves = params.tensors() + [gcn.weight]
+        leaves = param_leaves(params) + [gcn.weight]
         backward(sum_all(mul(enhanced, probe)), params=leaves)
         for leaf in leaves:
             assert np.abs(leaf.grad).max() > 0.0
@@ -196,7 +197,7 @@ class TestBlock:
                                             params)
             return sum_all(mul(enhanced, probe))
 
-        leaves = params.tensors() + [gcn.weight]
+        leaves = param_leaves(params) + [gcn.weight]
         assert grad_check(f, leaves, eps=1e-5) < 1e-5
 
     def test_trace_is_deterministic(self):
@@ -259,7 +260,7 @@ class TestBatchedBlock:
         params = NeuralAtomLayerParams.init(4, dim, 2, rng)
         gcn = rescale_weights(GcnLayerParams.init(dim, dim, rng), 0.4)
         probe = rng.normal(size=(batch.total_nodes, dim))
-        leaves = params.tensors() + [gcn.weight]
+        leaves = param_leaves(params) + [gcn.weight]
 
         h = gcn_forward(Tensor(batch.node_features), batch, gcn)
         enhanced, _ = enhance_segments(h, batch.offsets, params)
@@ -285,7 +286,7 @@ class TestBatchedBlock:
         params = NeuralAtomLayerParams.init(4, dim, 2, rng)
         gcn = rescale_weights(GcnLayerParams.init(dim, dim, rng), 0.4)
         probe = rng.normal(size=(batch.total_nodes, dim))
-        leaves = params.tensors() + [gcn.weight]
+        leaves = param_leaves(params) + [gcn.weight]
 
         h = gcn_forward(Tensor(batch.node_features), batch, gcn)
         enhanced, traces = enhance_segments(h, batch.offsets, params)
@@ -328,7 +329,7 @@ class TestBatchedBlock:
             enhanced, _ = enhance_segments(h, batch.offsets, params)
             return sum_all(mul(enhanced, probe))
 
-        assert grad_check(f, params.tensors() + [gcn.weight, x], eps=1e-5) < 1e-5
+        assert grad_check(f, param_leaves(params) + [gcn.weight, x], eps=1e-5) < 1e-5
 
 
 class TestBatchTrace:
@@ -362,7 +363,7 @@ class TestBatchTrace:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(part, name)[...] *= 0.5
         assert batch.offsets.flags.writeable
-        leaves = params.tensors() + [h]
+        leaves = param_leaves(params) + [h]
         backward(sum_all(enhanced), leaves)
         got = [t.grad.copy() for t in leaves]
         backward(sum_all(enhance_segments(h, batch.offsets, params)[0]), leaves)
@@ -394,15 +395,15 @@ class TestBatchTrace:
 def per_head_projection(h_nodes, params, offsets):
     """The projection with every head multiplying the N node rows by its own
     key and value weights before it attends and pools."""
-    attn = params.project_attention
-    inv_scale = 1.0 / math.sqrt(attn.query_weights[0].shape[0])
+    attn = params.project
+    inv_scale = 1.0 / math.sqrt(attn.qkv.shape[0])
     outputs, weights = [], []
-    for wq, wk, wv in zip(attn.query_weights, attn.key_weights, attn.value_weights):
+    for wq, wk, wv in head_weights(attn):
         w = segment_attention(matmul(params.queries, wq), matmul(h_nodes, wk), offsets, inv_scale)
         outputs.append(segment_pool(w, matmul(h_nodes, wv), offsets))
         weights.append(w)
     queries = gather_rows(params.queries, np.tile(np.arange(params.num_atoms), len(offsets) - 1))
-    atoms = layer_norm(add(queries, matmul(concat_cols(outputs), attn.output_weight)),
+    atoms = layer_norm(add(queries, matmul(concat_cols(outputs), attn.wo)),
                        params.project_norm.gain, params.project_norm.bias, LAYER_NORM_EPS)
     return atoms, weights
 
@@ -410,17 +411,17 @@ def per_head_projection(h_nodes, params, offsets):
 def per_head_exchange(atoms, params):
     """Each head projects the atom rows by its own W_q, W_k and W_v, then
     every graph's K atoms attend densely among themselves."""
-    attn, k = params.exchange_attention, params.num_atoms
-    inv_scale = 1.0 / math.sqrt(attn.query_weights[0].shape[0])
+    attn, k = params.exchange, params.num_atoms
+    inv_scale = 1.0 / math.sqrt(attn.qkv.shape[0])
     outputs = []
-    for wq, wk, wv in zip(attn.query_weights, attn.key_weights, attn.value_weights):
+    for wq, wk, wv in head_weights(attn):
         q, key, v = matmul(atoms, wq), matmul(atoms, wk), matmul(atoms, wv)
         blocks = []
         for lo in range(0, atoms.shape[0], k):
             logits = matmul(rows(q, lo, lo + k), transpose(rows(key, lo, lo + k)))
             blocks.append(matmul(softmax_rows(scale(logits, inv_scale)), rows(v, lo, lo + k)))
         outputs.append(concat_rows(blocks))
-    mixed = matmul(concat_cols(outputs), attn.output_weight)
+    mixed = matmul(concat_cols(outputs), attn.wo)
     return layer_norm(add(atoms, mixed),
                       params.exchange_norm.gain, params.exchange_norm.bias, LAYER_NORM_EPS)
 
@@ -471,7 +472,7 @@ class TestReassociatedProjection:
         params = NeuralAtomLayerParams.init(k, dim, heads, rng)
         h = Tensor(rng.normal(size=(batch.total_nodes, dim)), requires_grad=True)
         probe = Tensor(rng.normal(size=h.shape))
-        leaves = params.tensors() + [h]
+        leaves = param_leaves(params) + [h]
 
         _, weights = project_to_neural_atoms(h, params, offsets)
         assert weights.shape == (heads * k, batch.total_nodes) and weights.requires_grad
@@ -511,7 +512,7 @@ class TestReassociatedProjection:
             enhanced, _ = enhance_segments(h, batch.offsets, params)
             return sum_all(mul(enhanced, probe))
 
-        assert grad_check(f, params.tensors() + [h], eps=1e-5) < 1e-5
+        assert grad_check(f, param_leaves(params) + [h], eps=1e-5) < 1e-5
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
     def test_no_matmul_multiplies_the_node_rows(self, heads):

@@ -3,6 +3,7 @@
 import csv
 import json
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from neural_atoms.model import ConfigError, GraphPropertyModel, TrainConfig
 from neural_atoms.training import (
     Adam,
     TrainingError,
+    checkpoint_arrays,
     dataset_dimensions,
     evaluate,
     load_checkpoint,
@@ -22,7 +24,9 @@ from neural_atoms.training import (
     train,
     _contact_reciprocal_ranks,
 )
-from helpers import TensorByTensorAdam, mean_reciprocal_rank
+from helpers import TensorByTensorAdam, head_block, mean_reciprocal_rank
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def looped_reciprocal_ranks(batch, scores):
@@ -102,14 +106,16 @@ class TestAdam:
             for model in (flat_model, oracle_model):
                 loss, _, _ = training._batch_loss(model, batch)
                 backward(loss, model.tensors())
-                dict(model.parameters())["layer1.atoms.exchange.head1.wk"].grad[...] = 0.0
+                exchange = model.atom_layers[1].exchange
+                exchange.qkv.grad[head_block(exchange, 1, 1)] = 0.0
             flat.step()
             oracle.step()
             for (name, got), (_, want) in zip(flat_model.parameters(), oracle_model.parameters()):
                 assert np.array_equal(got.data, want.data), name
-        untouched = dict(flat_model.parameters())["layer1.atoms.exchange.head1.wk"]
-        fresh = dict(GraphPropertyModel(cfg, *dataset_dimensions(graphs, cfg.task)).parameters())
-        assert np.array_equal(untouched.data, fresh["layer1.atoms.exchange.head1.wk"].data)
+        untouched = dict(checkpoint_arrays(flat_model))["layer1.atoms.exchange.head1.wk"]
+        fresh = GraphPropertyModel(cfg, *dataset_dimensions(graphs, cfg.task))
+        assert np.array_equal(untouched, dict(checkpoint_arrays(fresh))[
+            "layer1.atoms.exchange.head1.wk"])
 
 
 class TestDatasetDimensions:
@@ -227,9 +233,9 @@ class TestCheckpoint:
         loaded, record = load_checkpoint(path)
         loaded.flat.grad[...] = 1.0
         Adam(loaded.flat, lr=0.01).step()
-        for name, tensor in loaded.parameters():
-            stored = np.array(record["params"][name]["data"]).reshape(tensor.shape)
-            np.testing.assert_allclose(tensor.data, stored - 0.01, rtol=0, atol=1e-9)
+        for name, arr in checkpoint_arrays(loaded):
+            stored = np.array(record["params"][name]["data"]).reshape(arr.shape)
+            np.testing.assert_allclose(arr, stored - 0.01, rtol=0, atol=1e-9)
 
     def test_missing_and_unknown_parameters_are_rejected(self, tmp_path):
         cfg = lri_config(tmp_path)
@@ -326,6 +332,15 @@ class TestCheckpoint:
         assert sorted(p.name for p in run_dir.iterdir()) == listing
 
 
+@pytest.mark.parametrize("name", ["gcn-atoms-checkpoint.json", "gin-vnode-checkpoint.json"])
+def test_committed_checkpoint_loads_and_saves_byte_for_byte(tmp_path, name):
+    """Files written by an earlier version: any moved name, order or value shows here."""
+    path = DATA / name
+    model, record = load_checkpoint(path)
+    save_checkpoint(model, record["epoch"], record["history"], tmp_path / name)
+    assert (tmp_path / name).read_bytes() == path.read_bytes()
+
+
 @pytest.fixture(scope="module")
 def saved_record(tmp_path_factory):
     """The JSON record of one short training run's checkpoint."""
@@ -351,6 +366,17 @@ MALFORMED_CHECKPOINTS = [
     ("negative avg_nodes", lambda r: r.update(avg_nodes=-6.0), "avg_nodes.*positive"),
     ("config not an object", lambda r: r.update(config=3), "'config' must be an object"),
     ("null config", lambda r: r.update(config=None), "'config' must be an object"),
+    ("bool in data", lambda r: r["params"]["head.weight"]["data"].__setitem__(0, True),
+     "head.weight.*bool"),
+    ("bool in shape", lambda r: r["params"]["head.bias"].update(shape=[True, 2]),
+     "head.bias.*bool"),
+    ("zero layers", lambda r: r["config"].update(layers=0),
+     "checkpoint 'config'.*layers must hold positive integers, got 0"),
+    ("unknown config key", lambda r: r["config"].update(colour="red"),
+     "checkpoint 'config'.*unknown config keys \\['colour'\\]"),
+    ("atoms with avg_nodes below one", lambda r: (r["config"].update(augment="neural-atoms"),
+                                                  r.update(avg_nodes=0.5)),
+     "checkpoint.*avg_nodes must be at least 1, got 0.5"),
 ]
 
 
