@@ -653,10 +653,11 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     z = logits.data
     # max(z, 0) - z*t + log(1 + exp(-|z|)) is exact and never overflows
     loss = (np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))).mean()
-    sig = 1.0 / (1.0 + np.exp(-z))
     n = z.size
 
     def back(g: np.ndarray) -> tuple:
+        with np.errstate(over="ignore"):    # exp(-z) is inf below z = -709; sig is 0 there
+            sig = 1.0 / (1.0 + np.exp(-z))
         return ((sig - t) * (float(g.reshape(())) / n),)
 
     return _result(np.asarray(loss), "bce_with_logits", (logits,), back)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -79,10 +80,8 @@ def dataset_dimensions(graphs: list[MolecularGraph], task: str
         raise DatasetError(f"{task} needs a graph label on every graph")
     labels = [g.graph_label for g in graphs]
     if task == "graph-classification":
-        if not all(isinstance(lab, int) for lab in labels):
-            raise DatasetError("classification labels must be integers")
-        if min(labels) < 0:
-            raise DatasetError("classification labels must be non-negative")
+        if not all(isinstance(lab, int) and lab >= 0 for lab in labels):
+            raise DatasetError("classification labels must be non-negative integers")
         return feature_dim, max(labels) + 1, avg_nodes
     if any(isinstance(lab, int) for lab in labels):
         raise DatasetError("regression labels must be float vectors")
@@ -94,7 +93,8 @@ def dataset_dimensions(graphs: list[MolecularGraph], task: str
 
 def _batch_loss(model: GraphPropertyModel, batch: GraphBatch
                 ) -> tuple[Tensor, dict, ModelOutput]:
-    """Loss tensor, count-style statistics, and the forward output."""
+    """Loss tensor, forward output, and the statistics an epoch sums: the ``count``
+    that the loss averages over and, by metric name, each metric times it."""
     graphs = batch.graphs
     output = model.forward(batch)
     task = model.cfg.task
@@ -102,53 +102,34 @@ def _batch_loss(model: GraphPropertyModel, batch: GraphBatch
         labels = np.array([g.graph_label for g in graphs])
         loss = softmax_cross_entropy(output.graph_outputs, labels)
         correct = int((output.graph_outputs.data.argmax(axis=1) == labels).sum())
-        return loss, {"count": len(graphs), "correct": correct}, output
+        return loss, {"count": len(graphs), "accuracy": correct}, output
     if task == "graph-regression":
         targets = np.stack([g.graph_label for g in graphs])
         loss = mse_loss(output.graph_outputs, targets)
         abs_err = float(np.abs(output.graph_outputs.data - targets).sum())
-        return loss, {"count": targets.size, "abs_err": abs_err}, output
+        return loss, {"count": targets.size, "mae": abs_err}, output
     _, _, flags = batch.pair_indices()
     loss = bce_with_logits(output.pair_scores, flags[:, None])
     return loss, {"count": flags.size}, output
 
 
-def _epoch_metrics(task: str, totals: dict) -> list[tuple[str, float]]:
-    out = [("loss", totals["loss"] / totals["count"])]
-    if task == "graph-classification":
-        out.append(("accuracy", totals["correct"] / totals["count"]))
-    elif task == "graph-regression":
-        out.append(("mae", totals["abs_err"] / totals["count"]))
-    return out
+def run_epoch(model: GraphPropertyModel, graphs: list[MolecularGraph], order, batch_size: int,
+              optimizer: Adam | None = None, epoch: int = 0) -> dict[str, float]:
+    """Metrics of one pass over ``graphs`` in ``order``, ``batch_size`` graphs a batch.
 
-
-def train(cfg: TrainConfig) -> tuple[GraphPropertyModel, Path]:
-    """Optimize a model on the configured dataset.
-
-    Writes ``metrics.csv`` and ``checkpoint.json`` under ``cfg.out`` and
-    returns the trained model together with the checkpoint path.
-    """
-    graphs = load_dataset(cfg.dataset)
-    feature_dim, out_dim, avg_nodes = dataset_dimensions(graphs, cfg.task)
-    model = GraphPropertyModel(cfg, feature_dim, out_dim, avg_nodes)
-    optimizer = Adam(model.flat, cfg.lr)
-    shuffle_rng = np.random.default_rng([cfg.seed, 1])
-
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    history: list[list] = []
-
-    for epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(len(graphs))
-        totals = {"loss": 0.0, "count": 0, "correct": 0, "abs_err": 0.0}
-        for start in range(0, len(order), cfg.batch):
-            chunk = [graphs[i] for i in order[start:start + cfg.batch]]
-            loss, stats, _ = _batch_loss(model, batch_graphs(chunk))
-            value = loss.item()
+    With an optimizer each batch takes a step, and a non-finite loss or gradient
+    norm stops the pass before it, naming ``epoch`` and the batch.  Without one,
+    a pair-contact pass also ranks the positive pairs (``mrr``)."""
+    totals = {"loss": 0.0, "count": 0}
+    reciprocal_ranks: list[float] = []
+    for start in range(0, len(order), batch_size):
+        batch = batch_graphs([graphs[i] for i in order[start:start + batch_size]])
+        loss, stats, output = _batch_loss(model, batch)
+        value = loss.item()
+        if optimizer is not None:
             if not math.isfinite(value):
                 raise TrainingError(
-                    f"non-finite loss {value} at epoch {epoch}, "
-                    f"batch starting at {start}")
+                    f"non-finite loss {value} at epoch {epoch}, batch starting at {start}")
             backward(loss, [model.flat])    # zero-fills every gradient with one call
             grad_norm = math.sqrt(float(np.vdot(model.flat.grad, model.flat.grad)))
             if not math.isfinite(grad_norm):
@@ -156,14 +137,46 @@ def train(cfg: TrainConfig) -> tuple[GraphPropertyModel, Path]:
                     f"non-finite gradient norm {grad_norm} at epoch {epoch}, "
                     f"batch starting at {start}")
             optimizer.step()
-            totals["loss"] += value * stats["count"]
-            for key in stats:
-                totals[key] += stats[key]
-        for metric, value in _epoch_metrics(cfg.task, totals):
-            history.append([epoch, "train", metric, value])
+        elif model.cfg.task == "pair-contact":
+            reciprocal_ranks += _contact_reciprocal_ranks(batch, output.pair_scores.data[:, 0])
+        totals["loss"] += value * stats["count"]
+        for key in stats:
+            totals[key] = totals.get(key, 0) + stats[key]
+    count = totals.pop("count")
+    metrics = {name: total / count for name, total in totals.items()}
+    if reciprocal_ranks:
+        metrics["mrr"] = float(np.mean(reciprocal_ranks))
+    return metrics
 
-    write_table(out_dir / "metrics.csv", METRICS_HEADER, history)
-    checkpoint_path = out_dir / "checkpoint.json"
+
+def fit(model: GraphPropertyModel, graphs: list[MolecularGraph], cfg: TrainConfig
+        ) -> Iterator[tuple[int, dict[str, float]]]:
+    """Optimize ``model`` on ``graphs`` with Adam, yielding ``(epoch, metrics)`` after each
+    epoch's last step; between yields, ``evaluate`` and the like leave training as it is."""
+    optimizer = Adam(model.flat, cfg.lr)
+    shuffle_rng = np.random.default_rng([cfg.seed, 1])
+    for epoch in range(cfg.epochs):
+        order = shuffle_rng.permutation(len(graphs))
+        yield epoch, run_epoch(model, graphs, order, cfg.batch, optimizer, epoch)
+
+
+def train(cfg: TrainConfig) -> tuple[GraphPropertyModel, Path]:
+    """Optimize a model on the configured dataset.
+
+    Writes ``metrics.csv`` and ``checkpoint.json`` under ``cfg.out`` once the
+    last epoch is done and returns the trained model with the checkpoint path.
+    """
+    graphs = load_dataset(cfg.dataset)
+    feature_dim, out_dim, avg_nodes = dataset_dimensions(graphs, cfg.task)
+    if cfg.task == "graph-classification" and out_dim > len(graphs):  # a head column per class
+        index = next(i for i, g in enumerate(graphs) if g.graph_label >= len(graphs))
+        raise DatasetError(f"graph {index} has class label {graphs[index].graph_label}, "
+                           f"not below the dataset's {len(graphs)} graphs")
+    model = GraphPropertyModel(cfg, feature_dim, out_dim, avg_nodes)
+    history = [[epoch, "train", metric, value]
+               for epoch, metrics in fit(model, graphs, cfg) for metric, value in metrics.items()]
+    write_table(Path(cfg.out) / "metrics.csv", METRICS_HEADER, history)
+    checkpoint_path = Path(cfg.out) / "checkpoint.json"
     save_checkpoint(model, cfg.epochs, history, checkpoint_path)
     return model, checkpoint_path
 
@@ -172,34 +185,19 @@ def evaluate(model: GraphPropertyModel, graphs: list[MolecularGraph],
              batch_size: int = 64) -> dict[str, float]:
     """Task metric(s) of a model on a dataset, without touching parameters.
 
-    Runs under ``no_grad``: no tape is recorded, as nothing is backpropagated.
+    One ``run_epoch`` in file order with no optimizer, under ``no_grad``: no
+    tape is recorded, as nothing is backpropagated.
     """
     batch_size = integer(batch_size, "batch_size", ConfigError, minimum=1)
-    _, out_dim, _ = dataset_dimensions(graphs, model.cfg.task)
     task = model.cfg.task
+    _, out_dim, _ = dataset_dimensions(graphs, task)
     # a classifier may meet fewer classes than it scores; a regressor fits each target
-    mismatch = out_dim != model.out_dim if task == "graph-regression" else out_dim > model.out_dim
-    if task != "pair-contact" and mismatch:
-        raise ConfigError(
-            f"dataset needs {out_dim} outputs, model produces {model.out_dim}")
-    totals = {"loss": 0.0, "count": 0, "correct": 0, "abs_err": 0.0}
-    reciprocal_ranks: list[float] = []
-    for start in range(0, len(graphs), batch_size):
-        batch = batch_graphs(graphs[start:start + batch_size])
-        with no_grad():
-            loss, stats, output = _batch_loss(model, batch)
-        totals["loss"] += loss.item() * stats["count"]
-        for key in stats:
-            totals[key] += stats[key]
-        if task == "pair-contact":
-            scores = output.pair_scores.data[:, 0]
-            reciprocal_ranks.extend(_contact_reciprocal_ranks(batch, scores))
-    metrics = dict(_epoch_metrics(task, totals))
-    if task == "pair-contact":
-        if not reciprocal_ranks:
-            raise DatasetError("no positive pairs to rank")
-        metrics["mrr"] = float(np.mean(reciprocal_ranks))
-    return metrics
+    if out_dim != model.out_dim if task == "graph-regression" else out_dim > model.out_dim:
+        raise ConfigError(f"dataset needs {out_dim} outputs, model produces {model.out_dim}")
+    if task == "pair-contact" and not any(hit for g in graphs for _, _, hit in g.pair_labels):
+        raise DatasetError("no positive pairs to rank")
+    with no_grad():
+        return run_epoch(model, graphs, range(len(graphs)), batch_size)
 
 
 def _contact_reciprocal_ranks(batch: GraphBatch, scores: np.ndarray) -> list[float]:

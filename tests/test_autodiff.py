@@ -8,6 +8,7 @@ against hand-derived closed forms.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -457,6 +458,19 @@ class TestLossValues:
         # logit 0 against either target is -log(0.5)
         loss = bce_with_logits(Tensor([[0.0], [0.0]]), np.array([[1.0], [0.0]])).item()
         assert abs(loss - math.log(2.0)) < 1e-12
+
+    @pytest.mark.parametrize("big", [1e308, 800.0])
+    def test_bce_at_huge_logits_warns_of_nothing(self, big):
+        # sigmoid's exact limits, 1 and 0, without an overflow in exp(-z); the two
+        # wrong rows at +-800 cost 800 each over 4 rows
+        logits = Tensor([[big], [-big], [800.0], [-800.0]], requires_grad=True)
+        targets = np.array([[1.0], [0.0], [0.0], [1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss = bce_with_logits(logits, targets)
+            backward(loss, [logits])
+        assert loss.item() == 400.0
+        assert np.array_equal(logits.grad, np.array([[0.0], [0.0], [0.25], [-0.25]]))
 
     def test_mse_frozen_value(self):
         loss = mse_loss(Tensor([[1.0, 2.0]]), np.array([[0.0, 0.0]])).item()

@@ -325,6 +325,32 @@ def test_only_ewald_loads_scipy(module, loads_scipy):
     assert (done.stdout.strip() != "[]") == loads_scipy, done.stdout
 
 
+LIMITED_CLI_SCRIPT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+sys.path[:0] = [{src!r}]
+from neural_atoms.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("label", [10 ** 7, 10 ** 9, 10 ** 30])
+def test_class_label_not_below_the_graph_count_is_exit_one(tmp_path, label):
+    # a head sized by the label would take 2.4 GB or more, so the run gets 1 GiB of
+    # address space: a regression fails this test, not the machine
+    rng = np.random.default_rng(0)
+    data = tmp_path / "labels.jsonl"
+    save_dataset([MolecularGraph(3, [(0, 1), (1, 2)], rng.normal(size=(3, 2)), graph_label=y)
+                  for y in (0, label)], data)
+    script = LIMITED_CLI_SCRIPT.format(src=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", script, "train", "--dataset", str(data),
+                           "--out", str(tmp_path / "run"), "--epochs", "1"],
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (
+        1, f"error: graph 1 has class label {label}, not below the dataset's 2 graphs\n")
+    assert not (tmp_path / "run").exists()
+
+
 # (field, value in the config file, flag text on the line, value the flag sets)
 TRAIN_FLAGS = [
     ("dataset", "file.jsonl", "line.jsonl", "line.jsonl"),

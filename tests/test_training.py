@@ -10,8 +10,9 @@ import pytest
 
 from neural_atoms import files, training
 from neural_atoms.autodiff import Tensor, backward, bce_with_logits, softmax_cross_entropy
+from neural_atoms.files import write_table
 from neural_atoms.graphs import (DatasetError, MolecularGraph, batch_graphs,
-                                 generate_lri_task, save_dataset)
+                                 generate_lri_task, load_dataset, save_dataset)
 from neural_atoms.model import ConfigError, GraphPropertyModel, TrainConfig
 from neural_atoms.training import (
     Adam,
@@ -19,6 +20,7 @@ from neural_atoms.training import (
     checkpoint_arrays,
     dataset_dimensions,
     evaluate,
+    fit,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -211,6 +213,34 @@ class TestTrainLoop:
             train(cfg)
         assert all(np.array_equal(b, p.data) for b, p in zip(seen["before"], seen["params"]))
         assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
+class TestFit:
+    @pytest.mark.parametrize("overrides", [dict(augment="neural-atoms"),
+                                           dict(backbone="gin", augment="virtual-node",
+                                                virtual_nodes=2)])
+    def test_records_are_the_metrics_rows_and_evaluate_between_them_changes_nothing(
+            self, tmp_path, overrides):
+        cfg = lri_config(tmp_path, epochs=3, **overrides)
+        _, checkpoint_path = train(cfg)
+        graphs = load_dataset(cfg.dataset)
+        heldout = generate_lri_task(12, 6, 3, seed=9)
+        model = GraphPropertyModel(cfg, *dataset_dimensions(graphs, cfg.task))
+        history, held = [], []
+        for epoch, metrics in fit(model, graphs, cfg):
+            history += [[epoch, "train", name, value] for name, value in metrics.items()]
+            held.append(evaluate(model, heldout, batch_size=5))
+        with open(checkpoint_path.parent / "metrics.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows == [[str(e), split, name, repr(value)] for e, split, name, value in history]
+        assert len(held) == 3 and held[0] != held[2]
+
+        # the files train writes, rewritten from the records of the run with evaluate calls
+        write_table(tmp_path / "fit" / "metrics.csv", training.METRICS_HEADER, history)
+        save_checkpoint(model, cfg.epochs, history, tmp_path / "fit" / "checkpoint.json")
+        for name in ("metrics.csv", "checkpoint.json"):
+            assert (tmp_path / "fit" / name).read_bytes() == (
+                checkpoint_path.parent / name).read_bytes()
 
 
 class TestCheckpoint:
