@@ -394,8 +394,12 @@ def slot_matmul(matrix: BlockMatrix | SlotMatrix, x: Tensor) -> Tensor:
 # increasing row indices from 0 to the total, so segment b owns rows
 # offsets[b]:offsets[b + 1].  Per-segment results with K rows each are
 # stacked the same way, as (B * K, d) with segment b at rows b*K:(b+1)*K.
-# Every op below pads the rows into a (B, max_n, ·) view and does the
-# per-graph arithmetic for all segments as one batched matmul.
+# The reductions over a segment's rows (``segment_attention``'s softmax,
+# ``segment_mean`` and ``segment_expand``) run on the rows themselves, with
+# ``reduceat`` or a product with a ones vector and ``np.repeat`` by segment
+# length.  The ops that multiply a segment's rows by per-row weights
+# (``segment_pool``, ``segment_broadcast``) pad the rows into a
+# (B, max_n, ·) view and run one batched matmul for all segments.
 
 
 def _checked_offsets(offsets, n: int, op: str) -> np.ndarray:
@@ -424,15 +428,13 @@ def _segment_layout(offsets, n: int, op: str) -> tuple[int, int, np.ndarray | No
     return segments, width, np.arange(n) + np.repeat(np.arange(segments) * width - off[:-1], counts)
 
 
-def _padded(x: np.ndarray, layout: tuple, fill: float = 0.0) -> np.ndarray:
-    """(n, c) rows in the (B, max_n, c) padded view of ``layout``, padding ``fill``."""
+def _padded(x: np.ndarray, layout: tuple) -> np.ndarray:
+    """(n, c) rows in the (B, max_n, c) padded view of ``layout``, zero-padded."""
     segments, width, slot = layout
     if slot is None:
         return x.reshape(segments, width, x.shape[1])
-    # keep the memory order, so a transposed (K, N) matrix stays K-major and
-    # the reductions over max_n run along contiguous memory
-    buf = np.full((segments * width, x.shape[1]), fill,
-                  order="F" if x.flags.f_contiguous else "C")
+    # keep the memory order, so a transposed (K, N) matrix stays K-major
+    buf = np.zeros((segments * width, x.shape[1]), order="F" if x.flags.f_contiguous else "C")
     buf[slot] = x
     return buf.reshape(segments, width, x.shape[1])
 
@@ -443,14 +445,12 @@ def _unpadded(padded: np.ndarray, layout: tuple) -> np.ndarray:
     return flat if layout[2] is None else flat[layout[2]]
 
 
-def _softmax(logits: np.ndarray, axis: int) -> np.ndarray:
-    """Softmax along ``axis``; a logit of -inf gets weight 0."""
-    # the shift may overflow to -inf for pathologically spread rows; exp
-    # then gives the correct limit 0, so the overflow flag is noise
-    with np.errstate(over="ignore"):
-        shifted = logits - logits.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+def _segment_sums(x: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """(B, d) sums of each segment's rows of the (n, d) array ``x``."""
+    counts = np.diff(off)
+    if counts.min() == counts.max():    # a ones product beats reduceat on equal segments
+        return np.ones(counts[0]) @ x.reshape(counts.size, counts[0], x.shape[1])
+    return np.add.reduceat(x, off[:-1], axis=0)
 
 
 def segment_attention(queries: Tensor, keys: Tensor, offsets, inv_scale: float) -> Tensor:
@@ -465,17 +465,23 @@ def segment_attention(queries: Tensor, keys: Tensor, offsets, inv_scale: float) 
             or queries.shape[1] != keys.shape[1]:
         raise ShapeError(
             f"segment_attention: queries {queries.shape} vs keys {keys.shape}")
-    layout = _segment_layout(offsets, keys.shape[0], "segment_attention")
+    off = _checked_offsets(offsets, keys.shape[0], "segment_attention")
+    starts, counts = off[:-1], np.diff(off)
     c = float(inv_scale)
-    # (B, max_n, K) logits with the padding at -inf, so it gets weight 0
-    y = _softmax(_padded((c * (queries.data @ keys.data.T)).T, layout, fill=-np.inf), axis=1)
+    logits = c * (queries.data @ keys.data.T)                             # (K, N)
+    # the shift may overflow to -inf for pathologically spread segments; exp
+    # then gives the correct limit 0, so the overflow flag is noise
+    with np.errstate(over="ignore"):
+        logits -= np.repeat(np.maximum.reduceat(logits, starts, axis=1), counts, axis=1)
+    y = np.exp(logits)
+    y /= np.repeat(np.add.reduceat(y, starts, axis=1), counts, axis=1)
 
     def back(g: np.ndarray) -> tuple:
-        gy = _padded(g.T, layout) * y
-        d_logits = _unpadded(gy - y * gy.sum(axis=1, keepdims=True), layout)   # (N, K)
-        return c * (d_logits.T @ keys.data), c * (d_logits @ queries.data)
+        gy = g * y
+        d_logits = gy - y * np.repeat(np.add.reduceat(gy, starts, axis=1), counts, axis=1)
+        return c * (d_logits @ keys.data), c * (d_logits.T @ queries.data)
 
-    return _result(_unpadded(y, layout).T, "segment_attention", (queries, keys), back)
+    return _result(y, "segment_attention", (queries, keys), back)
 
 
 def segment_pool(weights: Tensor, values: Tensor, offsets, heads: int = 1) -> Tensor:
@@ -485,6 +491,7 @@ def segment_pool(weights: Tensor, values: Tensor, offsets, heads: int = 1) -> Te
     weights[:, seg b] @ values[seg b], stacked into a (B * K, d) result.
     With ``heads`` = H, ``weights`` is H row blocks of (K, N) over shared
     values; head m fills columns m*d:(m+1)*d of a (B * K, H * d) result.
+    No gradient is formed for ``weights`` when it needs none.
     """
     if weights.data.ndim != 2 or values.data.ndim != 2 \
             or weights.shape[1] != values.shape[0]:
@@ -496,10 +503,11 @@ def segment_pool(weights: Tensor, values: Tensor, offsets, heads: int = 1) -> Te
     w = _padded(weights.data.T, layout)                     # (B, max_n, H * K)
     v = _padded(values.data, layout)                        # (B, max_n, d)
     pooled = w.transpose(0, 2, 1) @ v                       # (B, H * K, d)
+    needs_dw = weights.requires_grad
 
     def back(g: np.ndarray) -> tuple:
         g3 = g.reshape(-1, k, heads, d).swapaxes(1, 2).reshape(pooled.shape)
-        return (_unpadded(v @ g3.transpose(0, 2, 1), layout).T,
+        return (_unpadded(v @ g3.transpose(0, 2, 1), layout).T if needs_dw else None,
                 _unpadded(w @ g3, layout))
 
     # (B, H, K, d) -> (B, K, H, d), a view for one head
@@ -508,10 +516,37 @@ def segment_pool(weights: Tensor, values: Tensor, offsets, heads: int = 1) -> Te
 
 
 def segment_mean(values: Tensor, offsets) -> Tensor:
-    """(B, d) column means of each segment: ``segment_pool`` with 1/N_b weights."""
-    _segment_layout(offsets, values.shape[0], "segment_mean")
-    counts = np.diff(np.asarray(offsets))
-    return segment_pool(Tensor(np.repeat(1.0 / counts, counts)[None, :]), values, offsets)
+    """(B, d) column means of each segment: its row sum times 1/N_b."""
+    off = _checked_offsets(offsets, values.shape[0], "segment_mean")
+    counts = np.diff(off)
+    inv = (1.0 / counts)[:, None]
+    out = _segment_sums(values.data, off)
+    out *= inv
+    return _result(out, "segment_mean", (values,),
+                   lambda g: (np.repeat(g * inv, counts, axis=0),))
+
+
+def segment_expand(states: Tensor, offsets, onto: Tensor) -> Tensor:
+    """``onto`` plus, on each row, the sum of its own segment's V states.
+
+    ``states`` is (B * V, d), segment b's states at rows b*V:(b+1)*V, and
+    ``onto`` is (N, d) in the B segments of ``offsets``.  The backward gives
+    every state its segment's row sum of the gradient.
+    """
+    off = _checked_offsets(offsets, onto.shape[0], "segment_expand")
+    segments, counts = off.size - 1, np.diff(off)
+    if states.data.ndim != 2 or onto.data.ndim != 2 or states.shape[1] != onto.shape[1] \
+            or states.shape[0] % segments:
+        raise ShapeError(f"segment_expand: {segments} segments of states {states.shape} "
+                         f"onto {onto.shape}")
+    count = states.shape[0] // segments
+    out = np.repeat(states.data.reshape(segments, count, -1).sum(axis=1), counts, axis=0)
+    out += onto.data
+
+    def back(g: np.ndarray) -> tuple:
+        return np.repeat(_segment_sums(g, off), count, axis=0), g
+
+    return _result(out, "segment_expand", (states, onto), back)
 
 
 def segment_broadcast(weights: Tensor, states: Tensor, offsets, onto: Tensor,
@@ -523,6 +558,7 @@ def segment_broadcast(weights: Tensor, states: Tensor, offsets, onto: Tensor,
     for n's segment b.  With ``heads`` = H, ``weights`` is H row blocks of
     (K, N), and their mean, summed in head order, takes its place.  The
     (N, d) ``onto`` is added in place into the mix, so it needs no tape entry.
+    No gradient is formed for ``weights`` when it needs none.
     """
     if weights.data.ndim != 2 or states.data.ndim != 2 or heads < 1 or weights.shape[0] % heads:
         raise ShapeError(f"segment_broadcast: weights {weights.shape} of {heads} heads "
@@ -540,14 +576,36 @@ def segment_broadcast(weights: Tensor, states: Tensor, offsets, onto: Tensor,
     s = states.data.reshape(segments, k, d)
     out = _unpadded(w @ s, layout)
     out += onto.data
+    needs_dw = weights.requires_grad
 
     def back(g: np.ndarray) -> tuple:
         g3 = _padded(g, layout)                             # (B, max_n, d)
+        g_states = (w.transpose(0, 2, 1) @ g3).reshape(-1, d)
+        if not needs_dw:
+            return None, g_states, g
         # C order: the reductions upstream sum in memory order, so this layout sets their bits
         g_mean = np.multiply(_unpadded(g3 @ s.transpose(0, 2, 1), layout).T, c, order="C")
-        return np.tile(g_mean, (heads, 1)), (w.transpose(0, 2, 1) @ g3).reshape(-1, d), g
+        return np.tile(g_mean, (heads, 1)), g_states, g
 
     return _result(out, "segment_broadcast", (weights, states, onto), back)
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Sums along the short last axis of ``x``, as one product with a ones vector."""
+    return (x.reshape(-1, x.shape[-1]) @ np.ones(x.shape[-1])).reshape(x.shape[:-1] + (1,))
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax along the short last axis of ``logits``; its max runs along the
+    long axis of a transposed copy, since a reduction along a short axis pays per row."""
+    rows = logits.reshape(-1, logits.shape[-1])
+    # the shift may overflow to -inf for pathologically spread rows; exp
+    # then gives the correct limit 0, so the overflow flag is noise
+    with np.errstate(over="ignore"):
+        e = rows - rows.T.copy().max(axis=0)[:, None]
+    np.exp(e, out=e)
+    e /= _row_sums(e)
+    return e.reshape(logits.shape)
 
 
 def block_attention(qkv: Tensor, block: int, heads: int, inv_scale: float) -> Tensor:
@@ -569,14 +627,14 @@ def block_attention(qkv: Tensor, block: int, heads: int, inv_scale: float) -> Te
     # strided (B, H, block, d) views of the packed columns; results are
     # written straight into their packed layout, so no large temporary is made
     q, k, v = qkv.data.reshape(-1, block, 3, heads, d).transpose(2, 0, 3, 1, 4)
-    y = _softmax(c * (q @ k.swapaxes(2, 3)), axis=3)
+    y = _softmax(c * (q @ k.swapaxes(2, 3)))
     out = np.empty((n // block, block, heads, d))
     np.matmul(y, v, out=out.transpose(0, 2, 1, 3))
 
     def back(g: np.ndarray) -> tuple:
         g4 = g.reshape(-1, block, heads, d).transpose(0, 2, 1, 3)
         dy = g4 @ v.swapaxes(2, 3)
-        d_logits = c * y * (dy - (dy * y).sum(axis=3, keepdims=True))
+        d_logits = c * y * (dy - _row_sums(dy * y))
         grad = np.empty(qkv.shape)
         dq, dk, dv = grad.reshape(-1, block, 3, heads, d).transpose(2, 0, 3, 1, 4)
         np.matmul(d_logits, k, out=dq)
@@ -631,14 +689,14 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise ContractError("softmax_cross_entropy: label outside class range")
     z = logits.data
     zmax = z.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+    e = np.exp(z - zmax)
+    total = e.sum(axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(total[:, 0])
     n = z.shape[0]
     loss = (lse - z[np.arange(n), lab]).mean()
-    probs = np.exp(z - zmax)
-    probs /= probs.sum(axis=1, keepdims=True)
 
     def back(g: np.ndarray) -> tuple:
-        d = probs.copy()
+        d = e / total
         d[np.arange(n), lab] -= 1.0
         return (d * (float(g.reshape(())) / n),)
 

@@ -11,6 +11,10 @@ The round runs on a whole batch at once in the segment layout of
 :mod:`neural_atoms.autodiff`: the node rows of B graphs are consecutive
 segments delimited by ``offsets``, and graph b's V states are rows
 b*V:(b+1)*V of a (B * V, d) stack.  A state only ever sees its own graph.
+Three segment ops carry the round: ``segment_mean`` pools each graph's
+nodes, ``segment_broadcast`` mixes each state with the others of its graph
+when V > 1 (an ``add`` of the mean when V = 1), and ``segment_expand`` adds
+the sum of a graph's updated states onto each of its nodes.
 The update MLP is the GIN layer's :func:`neural_atoms.gnn.mlp`, mapping d to d.
 """
 
@@ -18,7 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, add, gather_rows, segment_broadcast, segment_mean
+from .autodiff import (ShapeError, Tensor, add, gather_rows, segment_broadcast,
+                       segment_expand, segment_mean)
 from .gnn import MlpParams, mlp
 
 
@@ -56,5 +61,4 @@ def multi_virtual_node_layer(h: Tensor, vstates: Tensor, params: MlpParams,
     else:
         incoming = add(vstates, pooled)
     new_states = mlp(incoming, params)
-    ones = Tensor(np.ones((count, h.shape[0])))
-    return segment_broadcast(ones, new_states, offsets, h), new_states
+    return segment_expand(new_states, offsets, h), new_states

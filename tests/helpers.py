@@ -6,8 +6,9 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from neural_atoms.attention import MultiHeadParams
-from neural_atoms.autodiff import (ContractError, ShapeError, Tensor, _result, add, backward,
-                                   gather_rows, layer_norm, segment_attention, segment_broadcast,
+from neural_atoms.autodiff import (ContractError, ShapeError, Tensor, _result, _segment_layout,
+                                   _unpadded, add, backward, gather_rows, layer_norm,
+                                   segment_attention, segment_broadcast, segment_expand,
                                    segment_pool, transpose, view)
 from neural_atoms.ewald import (SQRT_PI, EwaldError, EwaldMatrix, EwaldSystem, _image_sums,
                                 _integer_shells)
@@ -73,6 +74,54 @@ def broadcast_then_add(weights: Tensor, states: Tensor, offsets, onto: Tensor,
     tape entries the enhancement took before the op added ``onto`` itself."""
     mix = segment_broadcast(weights, states, offsets, Tensor(np.zeros(onto.shape)), heads=heads)
     return add(onto, mix)
+
+
+def expand_then_add(states: Tensor, offsets, onto: Tensor) -> Tensor:
+    """``segment_expand`` onto zeros, then ``add`` of ``onto``: the two tape
+    entries the virtual-node output would take if the op did not add ``onto``."""
+    return add(onto, segment_expand(states, offsets, Tensor(np.zeros(onto.shape))))
+
+
+def padded_segment_mean(values: Tensor, offsets) -> Tensor:
+    """``segment_mean`` as it was before it became a tape op: ``segment_pool``
+    with a constant (1, N) row of 1/N_b weights."""
+    counts = np.diff(np.asarray(offsets))
+    return segment_pool(Tensor(np.repeat(1.0 / counts, counts)[None, :]), values, offsets)
+
+
+def ones_broadcast(states: Tensor, offsets, onto: Tensor) -> Tensor:
+    """``segment_expand`` as the virtual-node round ran it before: ``segment_broadcast``
+    of the V states with an all-ones (V, N) weight."""
+    count = states.shape[0] // (len(offsets) - 1)
+    return segment_broadcast(Tensor(np.ones((count, onto.shape[0]))), states, offsets, onto)
+
+
+def padded_segment_attention(queries: Tensor, keys: Tensor, offsets, inv_scale: float) -> Tensor:
+    """``segment_attention`` as it was before it worked on the (K, N) logits:
+    the softmax of a (B, max_n, K) padded copy whose padding holds -inf."""
+    layout = segments, width, slot = _segment_layout(offsets, keys.shape[0], "oracle")
+    c = float(inv_scale)
+
+    def padded(x, fill):
+        if slot is None:
+            return x.reshape(segments, width, x.shape[1])
+        buf = np.full((segments * width, x.shape[1]), fill,
+                      order="F" if x.flags.f_contiguous else "C")
+        buf[slot] = x
+        return buf.reshape(segments, width, x.shape[1])
+
+    logits = padded((c * (queries.data @ keys.data.T)).T, -np.inf)
+    with np.errstate(over="ignore"):
+        shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=1, keepdims=True)
+
+    def back(g: np.ndarray) -> tuple:
+        gy = padded(g.T, 0.0) * y
+        d_logits = _unpadded(gy - y * gy.sum(axis=1, keepdims=True), layout)   # (N, K)
+        return c * (d_logits.T @ keys.data), c * (d_logits @ queries.data)
+
+    return _result(_unpadded(y, layout).T, "padded_segment_attention", (queries, keys), back)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

@@ -37,6 +37,7 @@ from neural_atoms.autodiff import (
     pack,
     segment_attention,
     segment_broadcast,
+    segment_expand,
     segment_mean,
     segment_pool,
     slot_matmul,
@@ -454,6 +455,27 @@ class TestLossValues:
         got = softmax_cross_entropy(logits, np.array([0, 0])).item()
         assert abs(got - want) < 1e-12
 
+    @pytest.mark.parametrize("scale_", [1.0, 300.0])
+    def test_cross_entropy_keeps_the_bits_of_its_two_pass_form(self, scale_):
+        """One pass of exponentials gives the loss and the gradient of the form
+        that took exp(z - zmax) twice and formed the probabilities up front."""
+        rng = np.random.default_rng(52)
+        z = rng.normal(size=(7, 5)) * scale_
+        labels = rng.integers(0, 5, size=7)
+        zmax = z.max(axis=1, keepdims=True)
+        lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+        want_loss = (lse - z[np.arange(7), labels]).mean()
+        probs = np.exp(z - zmax)
+        probs /= probs.sum(axis=1, keepdims=True)
+        want_grad = probs.copy()
+        want_grad[np.arange(7), labels] -= 1.0
+        want_grad *= 0.5 / 7
+        logits = Tensor(z, requires_grad=True)
+        loss = softmax_cross_entropy(logits, labels)
+        backward(helpers.scale(loss, 0.5), [logits])
+        assert loss.item() == want_loss
+        np.testing.assert_array_equal(logits.grad, want_grad)
+
     def test_bce_frozen_value(self):
         # logit 0 against either target is -log(0.5)
         loss = bce_with_logits(Tensor([[0.0], [0.0]]), np.array([[1.0], [0.0]])).item()
@@ -479,9 +501,10 @@ class TestLossValues:
 
 # Row layouts: one segment; ragged, with 1-row segments and segments
 # shorter than K = 3; equal lengths, where the ops' padded view is a
-# reshape; skewed, one long segment between two 1-row ones.
+# reshape; skewed, one long segment between two 1-row ones; equal 1-row
+# segments.
 SEGMENT_LAYOUTS = [np.array([0, 5]), np.array([0, 1, 4, 5, 7]), np.array([0, 2, 3, 8]),
-                   np.array([0, 3, 6, 9]), np.array([0, 1, 13, 14])]
+                   np.array([0, 3, 6, 9]), np.array([0, 1, 13, 14]), np.array([0, 1, 2, 3])]
 
 
 def softmax_block_oracle(logits):
@@ -687,6 +710,91 @@ class TestSegmentOps:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
         with pytest.raises(ShapeError, match="offsets"):
             segment_mean(Tensor(v), [0, offsets[-1] + 1])
+
+    @pytest.mark.parametrize("offsets", SEGMENT_LAYOUTS)
+    def test_segment_mean_grad_check(self, offsets):
+        rng = np.random.default_rng(53)
+        v = Tensor(rng.normal(size=(offsets[-1], 3)), requires_grad=True)
+        probe = Tensor(rng.normal(size=(len(offsets) - 1, 3)))
+        assert grad_check(lambda: sum_all(mul(segment_mean(v, offsets), probe)), [v]) < 1e-7
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("offsets", SEGMENT_LAYOUTS)
+    def test_segment_expand_is_each_segments_state_sum(self, offsets, count):
+        rng = np.random.default_rng(54)
+        states = rng.normal(size=((len(offsets) - 1) * count, 3))
+        onto = rng.normal(size=(offsets[-1], 3))
+        got = segment_expand(Tensor(states), offsets, Tensor(onto)).data
+        for b, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+            want = onto[lo:hi] + states[b * count:(b + 1) * count].sum(axis=0)
+            np.testing.assert_allclose(got[lo:hi], want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("offsets", SEGMENT_LAYOUTS)
+    def test_segment_expand_grad_check(self, offsets, count):
+        rng = np.random.default_rng(55)
+        states = Tensor(rng.normal(size=((len(offsets) - 1) * count, 3)), requires_grad=True)
+        onto = Tensor(rng.normal(size=(offsets[-1], 3)), requires_grad=True)
+        probe = Tensor(rng.normal(size=(offsets[-1], 3)))
+        f = lambda: sum_all(mul(segment_expand(states, offsets, onto), probe))
+        assert grad_check(f, [states, onto]) < 1e-7
+
+    def test_segment_expand_rejects_states_that_do_not_split_into_segments(self):
+        onto = Tensor(np.ones((4, 2)))
+        for states in (np.ones((3, 2)), np.ones((4, 3)), np.ones(4)):
+            with pytest.raises(ShapeError, match="segment_expand"):
+                segment_expand(Tensor(states), [0, 2, 4], onto)
+        with pytest.raises(ShapeError, match="offsets"):
+            segment_expand(Tensor(np.ones((2, 2))), [0, 2, 5], onto)
+
+    @pytest.mark.parametrize("offsets", SEGMENT_LAYOUTS)
+    def test_row_ops_match_the_padded_forms_they_replaced(self, offsets):
+        """``segment_mean``, ``segment_expand`` and ``segment_attention`` against
+        the padded products they replaced: same values and gradients up to the
+        rounding of their sums."""
+        rng = np.random.default_rng(56)
+        n, b, d = offsets[-1], len(offsets) - 1, 4
+        queries = Tensor(rng.normal(size=(6, d)), requires_grad=True)
+        nodes = Tensor(rng.normal(size=(n, d)), requires_grad=True)
+        states = Tensor(rng.normal(size=(2 * b, d)), requires_grad=True)
+        probes = [rng.normal(size=shape) for shape in ((b, d), (n, d), (6, n))]
+        results = []
+        for mean, expand, attend in ((segment_mean, segment_expand, segment_attention),
+                                     (helpers.padded_segment_mean, helpers.ones_broadcast,
+                                      helpers.padded_segment_attention)):
+            outs = [mean(nodes, offsets), expand(states, offsets, nodes),
+                    attend(queries, nodes, offsets, 0.8)]
+            loss = sum_all(mul(outs[0], Tensor(probes[0])))
+            for out, probe in zip(outs[1:], probes[1:]):
+                loss = add(loss, sum_all(mul(out, Tensor(probe))))
+            leaves = [queries, nodes, states]
+            backward(loss, leaves)
+            results.append([o.data for o in outs] + [t.grad.copy() for t in leaves])
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("offsets", [np.array([0, 1, 5, 8]), np.array([0, 3, 4, 6, 9])])
+    def test_segment_attention_on_hard_inputs_warns_of_nothing(self, offsets):
+        """A 1-node graph, a segment whose logits spread by more than 1,500 and
+        logits of +-1e308: finite weights, each (atom, graph) block summing to 1."""
+        n = offsets[-1]
+        keys = np.zeros((n, 2))
+        keys[:, 0] = np.linspace(-1.0, 1.0, n)
+        keys[offsets[1]:offsets[2], 0] *= 2000.0           # spread > 1,500 in segment 1
+        keys[offsets[2]:offsets[3], 1] = [1e154, -1e154, 1e154][:offsets[3] - offsets[2]]
+        queries = Tensor(np.array([[1.0, 1e154], [1.0, -1e154], [-3.0, 0.0]]), requires_grad=True)
+        keys = Tensor(keys, requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = segment_attention(queries, keys, offsets, 1.0)
+            probe = Tensor(np.random.default_rng(57).normal(size=got.shape))
+            backward(sum_all(mul(got, probe)), [queries, keys])
+        logits = queries.data @ keys.data.T
+        assert np.abs(logits).max() >= 1e308
+        assert np.isfinite(got.data).all()
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            np.testing.assert_allclose(got.data[:, lo:hi].sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert not np.isnan(queries.grad).any() and not np.isnan(keys.grad).any()
 
     def test_bad_layouts_are_rejected(self):
         x = Tensor(np.ones((4, 2)))

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import importlib.util
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,8 @@ from neural_atoms.gnn import gcn_forward
 from neural_atoms.graphs import MolecularGraph, batch_graphs, generate_lri_task
 from neural_atoms.model import ConfigError, GraphPropertyModel, TrainConfig
 from neural_atoms.training import Adam, _batch_loss, dataset_dimensions
-from helpers import (add_row, broadcast_then_add, concat_rows, matmul, mul, neural_atom_block,
-                     rows, side_by_side_gathers, sum_all)
+from helpers import (add_row, broadcast_then_add, concat_rows, expand_then_add, matmul, mul,
+                     neural_atom_block, rows, side_by_side_gathers, sum_all)
 from test_autodiff import composed_affine
 from test_virtual_node import looped_batch_round, mean_rows
 
@@ -409,7 +410,7 @@ def test_every_engine_op_records_on_some_training_tape():
 def test_fused_affine_matches_composed_ops_on_the_whole_model(overrides, monkeypatch):
     """Loss and every gradient, bit for bit, as with matmul, add and relu recorded
     apart, the pair head's two gathers joined by concat_cols, and each
-    enhancement an add after its segment_broadcast."""
+    enhancement an add after its segment_broadcast or segment_expand."""
     task = overrides.get("task", "graph-classification")
     graphs = ragged_graphs(4)
     if task == "pair-contact":
@@ -425,7 +426,7 @@ def test_fused_affine_matches_composed_ops_on_the_whole_model(overrides, monkeyp
     def run():
         loss, _, _ = _batch_loss(model, batch)
         backward(loss, model.tensors())
-        ops = {e.name for e in GradTape.trace(loss).entries}
+        ops = Counter(e.name for e in GradTape.trace(loss).entries)
         return [loss.data] + [t.grad.copy() for t in model.tensors()], ops
 
     fused, fused_ops = run()
@@ -436,11 +437,15 @@ def test_fused_affine_matches_composed_ops_on_the_whole_model(overrides, monkeyp
     monkeypatch.setattr(model_module, "gather_rows", side_by_side_gathers)
     for module in (neural_atom_module, virtual_node_module):
         monkeypatch.setattr(module, "segment_broadcast", broadcast_then_add)
+    monkeypatch.setattr(virtual_node_module, "segment_expand", expand_then_add)
     composed, composed_ops = run()
     assert "relu" in composed_ops and "affine" in fused_ops and "affine" not in composed_ops
+    if "virtual_nodes" in overrides:
+        # per layer, the input mix's add and the output's: both composed forms ran
+        assert fused_ops["segment_expand"] == 3 and composed_ops["add"] == 6
     assert "matmul" in composed_ops
     assert ("concat_cols" in composed_ops) == (task == "pair-contact")
-    assert not {"matmul", "concat_cols", "add"} & fused_ops
+    assert not {"matmul", "concat_cols", "add"} & fused_ops.keys()
     names = ["loss"] + [name for name, _ in model.parameters()]
     for name, got, want in zip(names, fused, composed):
         np.testing.assert_array_equal(got, want, err_msg=name)

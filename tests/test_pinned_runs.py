@@ -14,6 +14,8 @@ import csv
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -24,7 +26,8 @@ from neural_atoms.graphs import MolecularGraph, generate_lri_task, save_dataset
 from neural_atoms.model import TrainConfig
 from neural_atoms.training import train
 
-DATA = Path(__file__).resolve().parent / "data"
+TESTS = Path(__file__).resolve().parent
+DATA = TESTS / "data"
 RTOL = 1e-9
 
 
@@ -107,3 +110,27 @@ def test_training_reproduces_the_pinned_run(tmp_path, name):
         assert got["params"][param]["shape"] == entry["shape"], param
         np.testing.assert_allclose(got["params"][param]["data"], entry["data"],
                                    rtol=RTOL, atol=0, err_msg=param)
+
+
+RUN_ALL_SCRIPT = """
+import sys
+sys.path[:0] = [{tests!r}, {src!r}]
+import test_pinned_runs
+for name in test_pinned_runs.PINNED_RUNS:
+    test_pinned_runs.run_pinned(name, f"{{sys.argv[1]}}/{{name}}")
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """Both pinned runs, trained in fresh processes under one and under two
+    OpenBLAS threads, write byte-identical files."""
+    script = RUN_ALL_SCRIPT.format(tests=str(TESTS), src=str(TESTS.parent / "src"))
+    for threads in ("1", "2"):
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / threads)],
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+    for name in PINNED_RUNS:
+        for file in ("metrics.csv", "checkpoint.json"):
+            one, two = (tmp_path / threads / name / "out" / file for threads in ("1", "2"))
+            assert one.read_bytes() == two.read_bytes(), f"{name}/{file}"
