@@ -8,6 +8,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .autodiff import no_grad
+from .ewald import ewald_sum_matrix, load_system, write_interaction_heatmap
 from .files import read_object, write_table
 from .graphs import batch_graphs, generate_lri_task, load_dataset, save_dataset
 from .model import CHOICES, ConfigError, TrainConfig
@@ -62,9 +63,6 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_ewald(args) -> int:
-    # ewald needs scipy, which no other subcommand should pay to import
-    from .ewald import ewald_sum_matrix, load_system, write_interaction_heatmap
-
     system = load_system(args.system)
     matrix = ewald_sum_matrix(system)
     write_interaction_heatmap(matrix, args.threshold, args.out)

@@ -24,12 +24,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .files import read_object, write_table
 from .validate import integer, number
 
 SQRT_PI = math.sqrt(math.pi)
+erfc = np.vectorize(math.erfc, otypes=[np.float64])
+# 20 shells are 41^3 = 68,921 lattice vectors, 1.7 MB of distances per atom in a row.
+# For 0.3 <= a * cell_edge <= 10 the first omitted real and reciprocal terms are then
+# below 1e-16 of the leading ones, and criterion 6 converges at 12: more shells buy
+# only memory, and a cutoff of 400 would ask for 4 GB.
+_MAX_SHELLS = 20
+# With cell_edge and a * cell_edge within these bounds, every term of the sums is a
+# finite float for 64-bit Z and up to _MAX_SHELLS; outside, the volume overflows or a
+# Gaussian exponent or the background term divides by zero.
+_SCALES = (1e-50, 1e50)
 
 _SYSTEM_KEYS = {"Z", "positions", "cell_edge", "a", "real_cutoff", "recip_cutoff"}
 
@@ -78,15 +87,20 @@ class EwaldSystem:
             raise EwaldError("system key 'Z' must hold nonzero integers of at most 64 bits")
         self.atomic_numbers, pos = np.array(z, dtype=np.int64), pos.reshape(-1, 3)
         self.cell_edge = number(self.cell_edge, "system key 'cell_edge'", EwaldError)
-        if not self.cell_edge > 0.0:
-            raise EwaldError(f"cell_edge must be positive, got {self.cell_edge}")
-        self.splitting = number(self.splitting, "splitting parameter", EwaldError)
-        if not self.splitting > 0.0:
-            raise EwaldError(f"splitting parameter must be positive, got {self.splitting}")
-        self.real_cutoff = integer(self.real_cutoff, "system key 'real_cutoff'", EwaldError)
-        self.recip_cutoff = integer(self.recip_cutoff, "system key 'recip_cutoff'", EwaldError)
-        if self.real_cutoff < 1 or self.recip_cutoff < 1:
-            raise EwaldError("cutoffs must be at least 1 shell")
+        low, high = _SCALES
+        if not low <= self.cell_edge <= high:
+            raise EwaldError(f"cell_edge must be positive and between {low:g} and {high:g}, "
+                             f"got {self.cell_edge}")
+        self.splitting = number(self.splitting, "splitting parameter 'a'", EwaldError)
+        if not low <= self.splitting * self.cell_edge <= high:
+            raise EwaldError(f"splitting parameter 'a' must be positive with a * cell_edge "
+                             f"between {low:g} and {high:g}, got {self.splitting}")
+        for key in ("real_cutoff", "recip_cutoff"):
+            shells = integer(getattr(self, key), f"system key '{key}'", EwaldError)
+            if not 1 <= shells <= _MAX_SHELLS:
+                raise EwaldError(f"system key '{key}' must be at least 1 shell and at most "
+                                 f"{_MAX_SHELLS}, got {shells}")
+            setattr(self, key, shells)
         wrapped = pos - np.floor(pos / self.cell_edge) * self.cell_edge
         # rounding can leave a coordinate a hair outside [0, edge): that is the site at 0
         self.positions = np.where((wrapped >= 0.0) & (wrapped < self.cell_edge), wrapped, 0.0)

@@ -1,7 +1,6 @@
 """End-to-end tests of the command line interface."""
 
 import csv
-import inspect
 import json
 import subprocess
 import sys
@@ -15,7 +14,6 @@ from neural_atoms import cli
 from neural_atoms.cli import main
 from neural_atoms.graphs import MolecularGraph, load_dataset, save_dataset
 from neural_atoms.model import TrainConfig
-from helpers import contact_like_graph
 
 
 def run_cli(*argv):
@@ -293,38 +291,6 @@ def test_help_lists_subcommands(capsys):
         assert name in text
 
 
-NO_SCIPY_SCRIPT = """
-import sys
-sys.path[:0] = [{src!r}]
-import numpy as np
-import {module}
-from neural_atoms.autodiff import SlotMatrix, Tensor
-from neural_atoms.gnn import MlpParams, gin_forward
-from neural_atoms.graphs import MolecularGraph, batch_graphs
-{contact_like_graph}
-rng = np.random.default_rng(0)
-graphs = [contact_like_graph(rng, int(n)) for n in rng.integers(40, 161, 64)]
-batch = batch_graphs(graphs)
-assert isinstance(batch.closed_neighborhood(normalised=False), SlotMatrix)
-gin_forward(Tensor(batch.node_features), batch, MlpParams.init(4, 8, 8, rng))
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
-"""
-
-
-@pytest.mark.parametrize("module, loads_scipy", [("neural_atoms.cli", False),
-                                                 ("neural_atoms.training", False),
-                                                 ("neural_atoms.ewald", True)])
-def test_only_ewald_loads_scipy(module, loads_scipy):
-    # a fresh process, since this one has imported scipy already; ewald is the control
-    script = NO_SCIPY_SCRIPT.format(src=str(Path(__file__).resolve().parents[1] / "src"),
-                                    module=module,
-                                    contact_like_graph=inspect.getsource(contact_like_graph))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert (done.stdout.strip() != "[]") == loads_scipy, done.stdout
-
-
 LIMITED_CLI_SCRIPT = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -349,6 +315,22 @@ def test_class_label_not_below_the_graph_count_is_exit_one(tmp_path, label):
     assert (done.returncode, done.stderr) == (
         1, f"error: graph 1 has class label {label}, not below the dataset's 2 graphs\n")
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("shells", [400, 10 ** 30])
+@pytest.mark.parametrize("key", ["real_cutoff", "recip_cutoff"])
+def test_ewald_cutoff_beyond_twenty_shells_is_exit_one(tmp_path, key, shells):
+    # 400 shells would build a 3.8 GiB lattice, so the run gets 1 GiB of address space
+    system = {"Z": [1, -1], "positions": [[0.1, 0.1, 0.1], [0.6, 0.6, 0.6]],
+              "cell_edge": 1.0, "a": 0.4, "real_cutoff": 2, "recip_cutoff": 2, key: shells}
+    system_path, out = tmp_path / "system.json", tmp_path / "matrix.csv"
+    system_path.write_text(json.dumps(system), encoding="utf-8")
+    script = LIMITED_CLI_SCRIPT.format(src=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", script, "ewald", "--system", str(system_path),
+                           "--out", str(out)], capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (
+        1, f"error: system key '{key}' must be at least 1 shell and at most 20, got {shells}\n")
+    assert not out.exists()
 
 
 # (field, value in the config file, flag text on the line, value the flag sets)

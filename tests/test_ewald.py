@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
+from neural_atoms import ewald
 from neural_atoms.ewald import (
     EwaldError,
     EwaldSystem,
@@ -494,3 +495,63 @@ def test_coordinate_wrapped_onto_the_cell_edge_is_the_site_at_zero():
                          positions=np.array([[-1e-17, 0.5, 0.5], [0.5, 0.5, 0.5]]),
                          cell_edge=1.0, splitting=2.0, real_cutoff=2, recip_cutoff=2)
     assert system.positions[0].tolist() == [0.0, 0.5, 0.5]
+
+
+def test_erfc_matches_scipy_to_a_relative_1e_13():
+    x = np.linspace(0.0, 28.0, 280_001)
+    want = erfc(x)
+    got = ewald.erfc(x)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    kept = want > 1e-300
+    assert kept.sum() > 250_000
+    np.testing.assert_allclose(got[kept], want[kept], rtol=1e-13, atol=0.0)
+
+
+# (changes to a pair of unit charges, the key the error must name); each made a
+# nan or inf heatmap or a traceback before the scale of a and cell_edge was bounded
+NON_FINITE_TERMS = [
+    (dict(Z=[1, -1], a=1e-300), "'a'"),
+    (dict(Z=[1, 1], a=1e-160), "'a'"),
+    (dict(cell_edge=1e120), "cell_edge"),
+    (dict(cell_edge=1e-200), "cell_edge"),
+]
+
+
+@pytest.mark.parametrize("changes, key", NON_FINITE_TERMS,
+                         ids=["a 1e-300 neutral", "a 1e-160 charged", "cell_edge 1e120",
+                              "cell_edge 1e-200"])
+def test_scales_with_non_finite_terms_are_refused_from_a_file_and_directly(tmp_path, changes,
+                                                                         key):
+    record = system_record(**changes)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    with pytest.raises(EwaldError, match=key):
+        load_system(path)
+    with pytest.raises(EwaldError, match=key):
+        EwaldSystem(atomic_numbers=record["Z"], positions=record["positions"],
+                    cell_edge=record["cell_edge"], splitting=record["a"],
+                    real_cutoff=record["real_cutoff"], recip_cutoff=record["recip_cutoff"])
+
+
+@pytest.mark.parametrize("edge", [1e-50, 1e50])
+@pytest.mark.parametrize("scale", [1e-50, 1e50])
+@pytest.mark.parametrize("sign", [1, -1], ids=["charged", "neutral"])
+def test_extreme_accepted_scales_give_finite_matrices(edge, scale, sign):
+    z = 2 ** 63 - 1
+    system = EwaldSystem(atomic_numbers=[z, sign * z],
+                         positions=np.array([[0.1, 0.2, 0.3], [0.7, 0.6, 0.5]]) * edge,
+                         cell_edge=edge, splitting=scale / edge, real_cutoff=20,
+                         recip_cutoff=20)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        matrix = ewald_sum_matrix(system)
+    for part in (matrix.total, matrix.short_range, matrix.long_range, matrix.self_interaction):
+        assert np.isfinite(part).all()
+
+
+@pytest.mark.parametrize("key", ["real_cutoff", "recip_cutoff"])
+def test_cutoff_of_twenty_shells_is_accepted_and_twenty_one_refused(key):
+    system = dict(atomic_numbers=[1, -1], positions=[[0.1, 0.1, 0.1], [0.6, 0.6, 0.6]],
+                  cell_edge=1.0, splitting=0.4, real_cutoff=2, recip_cutoff=2)
+    assert getattr(EwaldSystem(**dict(system, **{key: 20})), key) == 20
+    with pytest.raises(EwaldError, match=f"'{key}' must be at least 1 shell and at most 20"):
+        EwaldSystem(**dict(system, **{key: 21}))
