@@ -40,7 +40,8 @@ _MAX_SHELLS = 20
 # Gaussian exponent or the background term divides by zero.
 _SCALES = (1e-50, 1e50)
 
-_SYSTEM_KEYS = {"Z", "positions", "cell_edge", "a", "real_cutoff", "recip_cutoff"}
+# in the order of EwaldSystem's fields, where Z and a are atomic_numbers and splitting
+_SYSTEM_KEYS = ("Z", "positions", "cell_edge", "a", "real_cutoff", "recip_cutoff")
 
 
 class EwaldError(ValueError):
@@ -78,9 +79,9 @@ class EwaldSystem:
     def __post_init__(self):
         z, pos = (np.asarray(v, dtype=object) for v in (self.atomic_numbers, self.positions))
         if z.ndim != 1 or z.size < 1:
-            raise EwaldError("Z must be a non-empty 1-D integer array")
+            raise EwaldError("system key 'Z' must be a non-empty list of integers")
         if pos.shape != (z.size, 3):
-            raise EwaldError(f"positions must be finite with shape ({z.size}, 3)")
+            raise EwaldError(f"system key 'positions' must be ({z.size}, 3) rows, not {pos.shape}")
         z = [integer(v, "system key 'Z'", EwaldError) for v in z]
         pos = np.array([number(v, "system key 'positions'", EwaldError) for v in pos.flat])
         if 0 in z or max(map(abs, z)) > np.iinfo(np.int64).max:  # else int64 overflows
@@ -104,12 +105,20 @@ class EwaldSystem:
         wrapped = pos - np.floor(pos / self.cell_edge) * self.cell_edge
         # rounding can leave a coordinate a hair outside [0, edge): that is the site at 0
         self.positions = np.where((wrapped >= 0.0) & (wrapped < self.cell_edge), wrapped, 0.0)
-        # after a lexicographic sort, coincident atoms are neighbours
-        order = np.lexsort(self.positions.T)
-        same = np.flatnonzero((np.diff(self.positions[order], axis=0) == 0.0).all(axis=1))
-        if same.size:
-            i, j = sorted(order[same[0]:same[0] + 2].tolist())
+        # At least 1e-100 * cell_edge apart, within _SCALES, every r^2 of the real-space sum
+        # is a normal float and every erfc(a r) / r finite; closer, r^2 underflows and the
+        # pair's nearest term passes for a skipped r = 0.  hypot does not square r.
+        nearest = []
+        for i in range(self.num_atoms - 1):
+            d = self.positions[i + 1:] - self.positions[i]
+            r = np.hypot(np.hypot(d[:, 0], d[:, 1]), d[:, 2])
+            nearest.append((r.min(), i, i + 1 + int(r.argmin())))
+        r, i, j = min(nearest, default=(np.inf, 0, 0))
+        if r == 0.0:
             raise EwaldError(f"atoms {i} and {j} coincide after wrapping")
+        if r < 1e-100 * self.cell_edge:
+            raise EwaldError(f"atoms {i} and {j} are {r:.3g} apart, closer than "
+                             f"1e-100 * cell_edge")
 
     @property
     def num_atoms(self) -> int:
@@ -128,26 +137,13 @@ def load_system(path) -> EwaldSystem:
     cutoffs integers.
     """
     record = read_object(path, "system file", EwaldError)
-    unknown = set(record) - _SYSTEM_KEYS
+    unknown = set(record) - set(_SYSTEM_KEYS)
     if unknown:
         raise EwaldError(f"unknown system keys {sorted(unknown)}")
-    missing = _SYSTEM_KEYS - set(record)
+    missing = set(_SYSTEM_KEYS) - set(record)
     if missing:
         raise EwaldError(f"missing system keys {sorted(missing)}")
-    z, rows = record["Z"], record["positions"]
-    if not isinstance(z, list):
-        raise EwaldError(f"system key 'Z' must be a list, got {z!r}")
-    if not isinstance(rows, list) or any(not isinstance(r, list) or len(r) != 3 for r in rows):
-        raise EwaldError("system key 'positions' must be a list of [x, y, z] rows")
-    # Z and a have other names in EwaldSystem
-    return EwaldSystem(
-        atomic_numbers=z,
-        positions=rows,
-        cell_edge=record["cell_edge"],
-        splitting=number(record["a"], "system key 'a'", EwaldError),
-        real_cutoff=record["real_cutoff"],
-        recip_cutoff=record["recip_cutoff"],
-    )
+    return EwaldSystem(*(record[key] for key in _SYSTEM_KEYS))
 
 
 @dataclass

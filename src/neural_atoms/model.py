@@ -11,6 +11,7 @@ its own graph's nodes.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, is_dataclass
 
@@ -20,13 +21,13 @@ from .autodiff import Tensor, affine, gather_rows, pack, parameter, segment_mean
 from .gnn import GcnLayerParams, MlpParams, gcn_forward, gin_forward, mlp
 from .graphs import GraphBatch
 from .neural_atom import NeuralAtomLayerParams, NeuralAtomTrace, enhance_segments
-from .schedules import STRATEGIES, compute_k_schedule
 from .validate import choice, integer, number
 from .virtual_node import multi_virtual_node_layer
 
 BACKBONES = ("gcn", "gin")
 AUGMENTS = ("none", "neural-atoms", "virtual-node")
 TASKS = ("graph-classification", "graph-regression", "pair-contact")
+STRATEGIES = ("fixed", "decremental", "incremental")
 CHOICES = {"backbone": BACKBONES, "augment": AUGMENTS, "task": TASKS, "k_strategy": STRATEGIES}
 
 
@@ -84,6 +85,22 @@ class TrainConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+def compute_k_schedule(strategy: str, proportion: float, avg_nodes: float,
+                       n_layers: int) -> list[int]:
+    """Atom counts of ``n_layers`` blocks, each floored, then clamped to at least 1.
+
+    ``fixed`` gives every block floor(proportion * avg_nodes); ``decremental``
+    gives the first block that and each later one floor(proportion * the count
+    before); ``incremental`` reverses the decremental counts.  The inputs are
+    those :class:`TrainConfig` and :class:`GraphPropertyModel` checked.
+    """
+    counts = [max(1, math.floor(proportion * avg_nodes))]
+    while len(counts) < n_layers:
+        counts.append(counts[-1] if strategy == "fixed"
+                      else max(1, math.floor(proportion * counts[-1])))
+    return counts[::-1] if strategy == "incremental" else counts
+
+
 @dataclass
 class ModelOutput:
     """Everything one forward pass produces; ``traces`` holds one per atom layer."""
@@ -116,6 +133,8 @@ class GraphPropertyModel:
         self.feature_dim = integer(feature_dim, "feature_dim", ConfigError, minimum=1)
         self.out_dim = integer(out_dim, "out_dim", ConfigError, minimum=1)
         self.avg_nodes = number(avg_nodes, "avg_nodes", ConfigError)
+        if not self.avg_nodes >= 1.0:  # every graph has a node
+            raise ConfigError(f"avg_nodes must be at least 1, got {self.avg_nodes}")
         rng = np.random.default_rng([cfg.seed, 0])
 
         self.gnn_layers = []

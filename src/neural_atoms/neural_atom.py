@@ -73,8 +73,6 @@ class NeuralAtomLayerParams:
     @classmethod
     def init(cls, num_atoms: int, dim: int, heads: int,
              rng: np.random.Generator) -> "NeuralAtomLayerParams":
-        if num_atoms < 1:
-            raise ValueError("a block needs at least one neural atom")
         return cls(
             queries=parameter(rng, (num_atoms, dim), QUERY_INIT_STD),
             project=MultiHeadParams.init(heads, dim, rng),

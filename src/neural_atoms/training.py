@@ -19,8 +19,7 @@ from .autodiff import Tensor, backward, bce_with_logits, mse_loss, no_grad, soft
 from .files import read_object, replacing, write_table
 from .graphs import DatasetError, GraphBatch, MolecularGraph, batch_graphs, load_dataset
 from .model import ConfigError, GraphPropertyModel, ModelOutput, TrainConfig
-from .schedules import ScheduleError
-from .validate import integer, number
+from .validate import integer
 
 METRICS_HEADER = ["epoch", "split", "metric", "value"]
 
@@ -76,12 +75,16 @@ def dataset_dimensions(graphs: list[MolecularGraph], task: str
             raise DatasetError(f"pair-contact task needs pair labels on every graph; "
                                f"graph {empty[0]} has none")
         return feature_dim, 1, avg_nodes
-    if any(g.graph_label is None for g in graphs):
-        raise DatasetError(f"{task} needs a graph label on every graph")
+    unlabelled = [i for i, g in enumerate(graphs) if g.graph_label is None]
+    if unlabelled:
+        raise DatasetError(f"{task} needs a graph label on every graph; "
+                           f"graph {unlabelled[0]} has none")
     labels = [g.graph_label for g in graphs]
     if task == "graph-classification":
-        if not all(isinstance(lab, int) and lab >= 0 for lab in labels):
-            raise DatasetError("classification labels must be non-negative integers")
+        odd = [i for i, lab in enumerate(labels) if not (isinstance(lab, int) and lab >= 0)]
+        if odd:
+            raise DatasetError(f"classification labels must be non-negative integers; "
+                               f"graph {odd[0]} has {np.asarray(labels[odd[0]]).tolist()}")
         return feature_dim, max(labels) + 1, avg_nodes
     if any(isinstance(lab, int) for lab in labels):
         raise DatasetError("regression labels must be float vectors")
@@ -296,18 +299,12 @@ def load_checkpoint(path) -> tuple[GraphPropertyModel, dict]:
             raise TrainingError(f"checkpoint is missing {key!r}")
     if not isinstance(record["config"], dict):
         raise TrainingError(f"checkpoint 'config' must be an object, got {record['config']!r:.40}")
-    # the model checks these as well, but a file's defect is a TrainingError
-    feature_dim, out_dim = (integer(record[key], f"checkpoint {key!r}", TrainingError, minimum=1)
-                            for key in ("feature_dim", "out_dim"))
-    avg_nodes = number(record["avg_nodes"], "checkpoint 'avg_nodes'", TrainingError)
-    if not avg_nodes > 0:
-        raise TrainingError(f"checkpoint 'avg_nodes' must be positive, got {avg_nodes!r}")
     if not isinstance(record["params"], dict):
         raise TrainingError("checkpoint 'params' must be an object")
     try:
-        model = GraphPropertyModel(TrainConfig.from_dict(record["config"]), feature_dim, out_dim,
-                                   avg_nodes)
-    except (ConfigError, ScheduleError) as exc:
+        model = GraphPropertyModel(TrainConfig.from_dict(record["config"]), record["feature_dim"],
+                                   record["out_dim"], record["avg_nodes"])
+    except ConfigError as exc:
         raise TrainingError(f"checkpoint 'config' and dimensions build no model: {exc}") from None
     stored = record["params"]
     arrays = checkpoint_arrays(model)

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import (ShapeError, Tensor, add, gather_rows, segment_broadcast,
-                       segment_expand, segment_mean)
+from .autodiff import Tensor, add, gather_rows, segment_broadcast, segment_expand, segment_mean
 from .gnn import MlpParams, mlp
 
 
@@ -37,19 +36,9 @@ def multi_virtual_node_layer(h: Tensor, vstates: Tensor, params: MlpParams,
     (B * V, d).  Returns the enhanced node states and the updated
     (B * V, d) states.
     """
-    offsets = np.asarray(offsets)
-    width = h.shape[1]
-    if vstates.data.ndim != 2 or vstates.shape[1] != width:
-        raise ShapeError(f"virtual-node states must have width {width}, got {vstates.shape}")
-    if params.w1.shape[0] != width or params.w2.shape[1] != width:
-        raise ShapeError(f"virtual-node MLP maps {params.w1.shape[0]} to "
-                         f"{params.w2.shape[1]} features, nodes have {width}")
-    num_graphs = offsets.size - 1
-    if num_graphs < 1 or vstates.shape[0] < num_graphs or vstates.shape[0] % num_graphs:
-        raise ShapeError(f"need the same number (at least one) of virtual-node states "
-                         f"for each of {num_graphs} graphs, got {vstates.shape[0]}")
-    count = vstates.shape[0] // num_graphs
     pooled = segment_mean(h, offsets)                        # (B, d)
+    num_graphs = pooled.shape[0]
+    count = vstates.shape[0] // num_graphs
     if count > 1:
         # the graph's node mean once per state, plus its own state and the
         # mean of the graph's other states

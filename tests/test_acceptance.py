@@ -22,12 +22,11 @@ from neural_atoms.ewald import (
 )
 from neural_atoms.gnn import GcnLayerParams, gcn_forward
 from neural_atoms.graphs import MolecularGraph, batch_graphs, generate_lri_task, save_dataset
-from neural_atoms.model import TrainConfig
+from neural_atoms.model import TrainConfig, compute_k_schedule
 from neural_atoms.neural_atom import (
     NeuralAtomLayerParams,
     project_to_neural_atoms,
 )
-from neural_atoms.schedules import compute_k_schedule
 from neural_atoms.training import evaluate, load_checkpoint, train
 from helpers import (direct_total_energy, grad_check, interaction_energy, lattice_energy,
                      mean_reciprocal_rank, mul, neural_atom_block, param_leaves, permute_graph,

@@ -1,7 +1,9 @@
 """End-to-end tests of the command line interface."""
 
 import csv
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import neural_atoms
 from neural_atoms import cli
 from neural_atoms.cli import main
 from neural_atoms.graphs import MolecularGraph, load_dataset, save_dataset
@@ -289,6 +292,17 @@ def test_help_lists_subcommands(capsys):
     text = capsys.readouterr().out
     for name in ("train", "evaluate", "generate", "ewald", "export-alloc"):
         assert name in text
+
+
+def test_every_error_class_of_the_package_is_one_the_cli_handles():
+    # an error class outside _HANDLED_ERRORS would turn a bad input into a traceback
+    errors = {value for info in pkgutil.iter_modules(neural_atoms.__path__)
+              for value in vars(importlib.import_module(f"neural_atoms.{info.name}")).values()
+              if isinstance(value, type) and issubclass(value, Exception)
+              and value.__module__ == f"neural_atoms.{info.name}"}
+    assert {"ConfigError", "DatasetError", "EwaldError", "ShapeError",
+            "TrainingError"} <= {cls.__name__ for cls in errors}
+    assert [cls.__name__ for cls in errors if not issubclass(cls, cli._HANDLED_ERRORS)] == []
 
 
 LIMITED_CLI_SCRIPT = """

@@ -243,7 +243,7 @@ def test_system_validation_errors():
         EwaldSystem(atomic_numbers=np.array([1, -1]), splitting=0.4,
                     positions=good["positions"], cell_edge=1.0,
                     real_cutoff=0, recip_cutoff=2)
-    with pytest.raises(EwaldError, match="shape"):
+    with pytest.raises(EwaldError, match=r"'positions' must be \(2, 3\) rows, not \(2, 2\)"):
         EwaldSystem(atomic_numbers=np.array([1, -1]),
                     positions=np.zeros((2, 2)), cell_edge=1.0,
                     splitting=0.4, real_cutoff=2, recip_cutoff=2)
@@ -310,7 +310,7 @@ def test_system_json_round_trip(tmp_path):
 UNCOERCED_VALUES = [
     ("Z", [1.5, -1.2], "'Z' must hold integers"),
     ("Z", [True, -1], "'Z' must hold numbers"),
-    ("Z", 1, "'Z' must be a list"),
+    ("Z", 1, "'Z' must be a non-empty list of integers"),
     ("real_cutoff", 2.7, "'real_cutoff' must hold integers"),
     ("recip_cutoff", True, "'recip_cutoff' must hold numbers"),
     ("recip_cutoff", "4", "'recip_cutoff' must hold numbers"),
@@ -318,8 +318,8 @@ UNCOERCED_VALUES = [
     ("a", "0.4", "'a' must hold numbers"),
     ("positions", [[0.1, 0.1, "0.1"], [0.6, 0.6, 0.6]], "'positions' must hold numbers"),
     ("positions", [[0.1, 0.1, False], [0.6, 0.6, 0.6]], "'positions' must hold numbers"),
-    ("positions", [[0.1, 0.1], [0.6, 0.6, 0.6]], "'positions' must be a list of"),
-    ("positions", [0.1, 0.1, 0.1], "'positions' must be a list of"),
+    ("positions", [[0.1, 0.1], [0.6, 0.6, 0.6]], r"'positions' must be \(2, 3\) rows"),
+    ("positions", [0.1, 0.1, 0.1], r"'positions' must be \(2, 3\) rows"),
 ]
 
 
@@ -531,6 +531,41 @@ def test_scales_with_non_finite_terms_are_refused_from_a_file_and_directly(tmp_p
         EwaldSystem(atomic_numbers=record["Z"], positions=record["positions"],
                     cell_edge=record["cell_edge"], splitting=record["a"],
                     real_cutoff=record["real_cutoff"], recip_cutoff=record["recip_cutoff"])
+
+
+def close_pair(tmp_path, d):
+    """A unit dipole of separation ``d`` along x, read from a file and built directly."""
+    record = system_record(Z=[1, -1], positions=[[0.0, 0.0, 0.0], [d, 0.0, 0.0]], cell_edge=1.0,
+                           a=2.0, real_cutoff=2, recip_cutoff=2)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    yield lambda: load_system(path)
+    yield lambda: EwaldSystem(atomic_numbers=record["Z"], positions=record["positions"],
+                              cell_edge=1.0, splitting=2.0, real_cutoff=2, recip_cutoff=2)
+
+
+def test_pair_just_above_the_closeness_bound_keeps_its_nearest_term(tmp_path):
+    for build in close_pair(tmp_path, 1e-90):
+        short = ewald_sum_matrix(build()).short_range[0, 1]
+        assert short == pytest.approx(-math.erfc(2e-90) / 1e-90, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1e-160, 1e-170, 1e-200])
+def test_pair_closer_than_the_closeness_bound_is_refused(tmp_path, d):
+    # r^2 underflows here, so the pair's nearest real-space term would pass for r = 0
+    for build in close_pair(tmp_path, d):
+        with pytest.raises(EwaldError, match="atoms 0 and 1 are .* apart, closer than "
+                                             "1e-100 \\* cell_edge"):
+            build()
+
+
+def test_closest_pair_is_found_among_all_pairs():
+    # lexicographic order is 1, 0, 3, 2: the atoms of neither close pair are neighbours in it,
+    # and atom 0's partner is not the closest
+    positions = [[0.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 0.5, 1e-110], [0.0, 0.0, 1e-120]]
+    with pytest.raises(EwaldError, match="atoms 1 and 3 are 1e-120 apart"):
+        EwaldSystem(atomic_numbers=[1, -1, 1, -1], positions=positions, cell_edge=1.0,
+                    splitting=0.4, real_cutoff=2, recip_cutoff=2)
 
 
 @pytest.mark.parametrize("edge", [1e-50, 1e50])

@@ -211,6 +211,32 @@ class TestDatasetIO:
         with pytest.raises(DatasetError, match=f"line 2: {message}"):
             load_dataset(path)
 
+    # (a defect of one pair-labelled line, the words its error must hold)
+    LINE_DEFECTS = [
+        ("too few feature rows", lambda r: r.update(node_feats=[[0.5], [1]]),
+         r"node_features must be \(3, D\) with D >= 1, got \(2, 1\)"),
+        ("pair node out of range", lambda r: r.update(pair_labels=[[0, 7, 1]]),
+         r"pair label \(0, 7\) out of range"),
+        ("no edges", lambda r: r.pop("edges"), "missing required key 'edges'"),
+    ]
+
+    @pytest.mark.parametrize("case, edit, message", LINE_DEFECTS,
+                             ids=[case[0] for case in LINE_DEFECTS])
+    def test_line_defect_is_named_with_line(self, tmp_path, case, edit, message):
+        record = json.loads(json.dumps(self.PAIR_RECORD))
+        edit(record)
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(DatasetError, match=f"line 1: {message}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank lines"])
+    def test_file_without_graphs_is_refused(self, tmp_path, text):
+        path = tmp_path / "none.jsonl"
+        path.write_text(text)
+        with pytest.raises(DatasetError, match="dataset .*none.jsonl holds no graphs"):
+            load_dataset(path)
+
     def test_integral_numbers_load_as_ints(self, tmp_path):
         path = tmp_path / "ok.jsonl"
         record = dict(self.PAIR_RECORD, num_nodes=3.0, edges=[[0.0, 1], [1, 2]])

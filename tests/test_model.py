@@ -115,6 +115,13 @@ class TestModelConstruction:
         for (na, ta), (nb, tb) in zip(a.parameters(), b.parameters()):
             assert na == nb and np.array_equal(ta.data, tb.data)
 
+    @pytest.mark.parametrize("augment", ["none", "neural-atoms", "virtual-node"])
+    def test_avg_nodes_below_one_is_refused_for_every_augment(self, augment):
+        cfg = make_config(augment=augment)
+        with pytest.raises(ConfigError, match="avg_nodes must be at least 1, got 0.4"):
+            GraphPropertyModel(cfg, 5, 2, avg_nodes=0.4)
+        assert GraphPropertyModel(cfg, 5, 2, avg_nodes=1).avg_nodes == 1.0
+
     def test_parameter_names_are_unique(self):
         for augment in ("none", "neural-atoms", "virtual-node"):
             cfg = make_config(augment=augment, backbone="gin")

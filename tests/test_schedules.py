@@ -1,11 +1,14 @@
-"""K-schedule tests, including hypothesis sweeps over the input space."""
+"""K-schedule tests, including hypothesis sweeps over the input space.
+
+The schedule trusts its inputs: ``TrainConfig`` refuses a bad strategy,
+proportion or layer count, and ``GraphPropertyModel`` an ``avg_nodes`` below 1.
+"""
 
 import math
 
-import pytest
 from hypothesis import given, strategies as st
 
-from neural_atoms.schedules import STRATEGIES, ScheduleError, compute_k_schedule
+from neural_atoms.model import STRATEGIES, compute_k_schedule
 
 
 class TestFrozenValues:
@@ -27,25 +30,6 @@ class TestFrozenValues:
     def test_small_proportion_clamps_to_one(self):
         got = compute_k_schedule("decremental", 0.01, 10, 4)
         assert got == [1, 1, 1, 1]
-
-
-class TestValidation:
-    def test_unknown_strategy(self):
-        with pytest.raises(ScheduleError):
-            compute_k_schedule("other", 0.5, 10, 2)
-
-    @pytest.mark.parametrize("proportion", [0.0, -0.5, 1.5])
-    def test_bad_proportion(self, proportion):
-        with pytest.raises(ScheduleError):
-            compute_k_schedule("fixed", proportion, 10, 2)
-
-    def test_bad_layer_count(self):
-        with pytest.raises(ScheduleError):
-            compute_k_schedule("fixed", 0.5, 10, 0)
-
-    def test_bad_avg_nodes(self):
-        with pytest.raises(ScheduleError):
-            compute_k_schedule("fixed", 0.5, 0.4, 2)
 
 
 @given(

@@ -144,6 +144,31 @@ class TestDatasetDimensions:
         with pytest.raises(DatasetError, match="pair labels on every graph; graph 2 has none"):
             dataset_dimensions(graphs, "pair-contact")
 
+    def test_pair_labelled_dataset_is_refused_for_classification(self, tmp_path):
+        rng = np.random.default_rng(3)
+        data = tmp_path / "pairs.jsonl"
+        save_dataset([pair_graph(rng) for _ in range(4)], data)
+        cfg = TrainConfig(dataset=str(data), out=str(tmp_path / "run"), layers=1, hidden=4,
+                          heads=2, epochs=1)
+        with pytest.raises(DatasetError, match="graph-classification needs a graph label on "
+                                               "every graph; graph 0 has none"):
+            train(cfg)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("label, shown", [(-1, "-1"), (np.array([0.5]), r"\[0.5\]")],
+                             ids=["negative", "float vector"])
+    def test_bad_classification_label_names_the_graph(self, tmp_path, label, shown):
+        graphs = generate_lri_task(6, 5, 3, seed=0)
+        graphs[4].graph_label = label
+        data = tmp_path / "labels.jsonl"
+        save_dataset(graphs, data)
+        cfg = TrainConfig(dataset=str(data), out=str(tmp_path / "run"), layers=1, hidden=4,
+                          heads=2, epochs=1)
+        with pytest.raises(DatasetError, match="classification labels must be non-negative "
+                                               f"integers; graph 4 has {shown}$"):
+            train(cfg)
+        assert not (tmp_path / "run").exists()
+
     def test_task_label_mismatches(self):
         graphs = generate_lri_task(4, 5, 3, seed=0)
         with pytest.raises(DatasetError, match="float vectors"):
@@ -393,13 +418,16 @@ MALFORMED_CHECKPOINTS = [
     ("string feature_dim", lambda r: r.update(feature_dim="5"), "feature_dim.*positive integer"),
     ("zero out_dim", lambda r: r.update(out_dim=0), "out_dim.*positive integer"),
     ("infinite avg_nodes", lambda r: r.update(avg_nodes=float("inf")), "avg_nodes.*finite"),
-    ("negative avg_nodes", lambda r: r.update(avg_nodes=-6.0), "avg_nodes.*positive"),
+    ("negative avg_nodes", lambda r: r.update(avg_nodes=-6.0),
+     "checkpoint.*avg_nodes must be at least 1, got -6.0"),
     ("config not an object", lambda r: r.update(config=3), "'config' must be an object"),
     ("null config", lambda r: r.update(config=None), "'config' must be an object"),
     ("bool in data", lambda r: r["params"]["head.weight"]["data"].__setitem__(0, True),
      "head.weight.*bool"),
     ("bool in shape", lambda r: r["params"]["head.bias"].update(shape=[True, 2]),
      "head.bias.*bool"),
+    ("shape not a list", lambda r: r["params"]["head.bias"].update(shape=5),
+     "head.bias.*shape 5: shape is not a list"),
     ("zero layers", lambda r: r["config"].update(layers=0),
      "checkpoint 'config'.*layers must hold positive integers, got 0"),
     ("unknown config key", lambda r: r["config"].update(colour="red"),

@@ -172,14 +172,19 @@ def test_shape_errors():
         virtual_node_layer(h, Tensor(np.zeros((1, 3))), params)
     with pytest.raises(ShapeError):
         virtual_node_layer(h, Tensor(np.zeros((2, 4))), params)
-    with pytest.raises(ShapeError, match="width 4"):
+    # each bad operand meets the check of the first engine op it reaches
+    with pytest.raises(ShapeError, match="segment_broadcast: onto must be"):
         multi_virtual_node_layer(h, Tensor(np.zeros((2, 3))), params, [0, 5])
-    with pytest.raises(ShapeError, match="MLP"):
+    with pytest.raises(ShapeError, match="affine: inner dimensions differ"):
         multi_virtual_node_layer(h, Tensor(np.zeros((1, 4))), make_params(rng, 3), [0, 5])
-    with pytest.raises(ShapeError, match="each of 2 graphs"):
+    with pytest.raises(ShapeError, match="add: incompatible shapes"):
         multi_virtual_node_layer(h, Tensor(np.zeros((3, 4))), params, [0, 2, 5])
-    with pytest.raises(ShapeError, match="each of 2 graphs"):
+    with pytest.raises(ShapeError, match="add: incompatible shapes"):
         multi_virtual_node_layer(h, Tensor(np.zeros((0, 4))), params, [0, 2, 5])
+    with pytest.raises(ShapeError, match="segment_broadcast: 2 segments of 2 states"):
+        multi_virtual_node_layer(h, Tensor(np.zeros((5, 4))), params, [0, 2, 5])
+    with pytest.raises(ShapeError, match="segment_mean: offsets"):
+        multi_virtual_node_layer(h, Tensor(np.zeros((1, 4))), params, [])
 
 
 def test_gradients_flow_to_update_mlp():
