@@ -172,15 +172,8 @@ def backward(loss: Tensor, params: Sequence[Tensor] | None = None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Elementwise and structural operations
+# Products and structural operations
 # ---------------------------------------------------------------------------
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of same-shape tensors; :func:`affine` adds biases."""
-    if a.shape != b.shape:
-        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
-    return _result(a.data + b.data, "add", (a, b), lambda g: (g, g))
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) -> Tensor:
@@ -231,17 +224,15 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
-    """Rows of an (n, d) tensor by integer index (repeats allowed); gradient accumulates.
-
-    A (P, c) index gives (P, c * d): row i holds the c rows ``index[i]`` side by side.
+    """Rows of an (n, d) tensor by a (P, c) integer index (repeats allowed), as (P, c * d):
+    row i holds the c rows ``index[i]`` side by side.  The gradient accumulates.
     """
-    idx = np.asarray(index, dtype=np.intp)
-    if idx.ndim not in (1, 2) or a.data.ndim != 2:
-        raise ShapeError(f"gather_rows needs a 1-D or 2-D index into rows of an (n, d) "
-                         f"tensor, got index {idx.shape} and {a.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+    blocks = np.asarray(index, dtype=np.intp)
+    if blocks.ndim != 2 or a.data.ndim != 2:
+        raise ShapeError(f"gather_rows needs a 2-D index into rows of an (n, d) "
+                         f"tensor, got index {blocks.shape} and {a.shape}")
+    if blocks.size and (blocks.min() < 0 or blocks.max() >= a.shape[0]):
         raise ShapeError(f"gather_rows: index out of range for {a.shape[0]} rows")
-    blocks = idx[:, None] if idx.ndim == 1 else idx      # (P, c)
     p, c = blocks.shape
 
     def back(g: np.ndarray) -> tuple:
@@ -392,8 +383,10 @@ def slot_matmul(matrix: BlockMatrix | SlotMatrix, x: Tensor) -> Tensor:
 #
 # A batch stacks the node rows of B graphs; ``offsets`` holds B + 1 strictly
 # increasing row indices from 0 to the total, so segment b owns rows
-# offsets[b]:offsets[b + 1].  Per-segment results with K rows each are
-# stacked the same way, as (B * K, d) with segment b at rows b*K:(b+1)*K.
+# offsets[b]:offsets[b + 1].  Per-segment results with V >= 1 rows each are
+# stacked the same way, as (B * V, d) with segment b at rows b*V:(b+1)*V.
+# An op that makes such rows or node rows adds them onto an ``onto`` of
+# their shape in place, so the sum records no tape entry of its own.
 # The reductions over a segment's rows (``segment_attention``'s softmax,
 # ``segment_mean`` and ``segment_expand``) run on the rows themselves, with
 # ``reduceat`` or a product with a ones vector and ``np.repeat`` by segment
@@ -409,6 +402,13 @@ def _checked_offsets(offsets, n: int, op: str) -> np.ndarray:
             or (np.diff(off) < 1).any():
         raise ShapeError(f"{op}: offsets must rise strictly from 0 to {n}, got {off.tolist()}")
     return off
+
+
+def _rows_per_part(rows: int, parts: int, op: str, what: str, part: str) -> int:
+    """V, for ``rows`` that split into ``parts`` equal parts of V >= 1 rows each."""
+    if parts < 1 or rows < parts or rows % parts:
+        raise ShapeError(f"{op}: {rows} {what} rows do not split into {parts} {part} of 1+ rows")
+    return rows // parts
 
 
 def _segment_layout(offsets, n: int, op: str) -> tuple[int, int, np.ndarray | None]:
@@ -496,10 +496,9 @@ def segment_pool(weights: Tensor, values: Tensor, offsets, heads: int = 1) -> Te
     if weights.data.ndim != 2 or values.data.ndim != 2 \
             or weights.shape[1] != values.shape[0]:
         raise ShapeError(f"segment_pool: weights {weights.shape} vs values {values.shape}")
-    if heads < 1 or weights.shape[0] % heads:
-        raise ShapeError(f"segment_pool: {weights.shape[0]} rows do not split into {heads} heads")
+    k = _rows_per_part(weights.shape[0], heads, "segment_pool", "weight", "heads")
     layout = _segment_layout(offsets, values.shape[0], "segment_pool")
-    k, d = weights.shape[0] // heads, values.shape[1]
+    d = values.shape[1]
     w = _padded(weights.data.T, layout)                     # (B, max_n, H * K)
     v = _padded(values.data, layout)                        # (B, max_n, d)
     pooled = w.transpose(0, 2, 1) @ v                       # (B, H * K, d)
@@ -515,15 +514,21 @@ def segment_pool(weights: Tensor, values: Tensor, offsets, heads: int = 1) -> Te
                    "segment_pool", (weights, values), back)
 
 
-def segment_mean(values: Tensor, offsets) -> Tensor:
-    """(B, d) column means of each segment: its row sum times 1/N_b."""
+def segment_mean(values: Tensor, offsets, onto: Tensor) -> Tensor:
+    """``onto`` plus, on each row, its segment's column mean of ``values``: the
+    row sum times 1/N_b.  ``values`` is (N, d) in the B segments of ``offsets``
+    and ``onto`` (B * V, d), segment b's V rows at b*V:(b+1)*V."""
     off = _checked_offsets(offsets, values.shape[0], "segment_mean")
-    counts = np.diff(off)
+    segments, counts = off.size - 1, np.diff(off)
+    if values.data.ndim != 2 or onto.data.ndim != 2 or onto.shape[1] != values.shape[1]:
+        raise ShapeError(f"segment_mean: values {values.shape} vs onto {onto.shape}")
+    count = _rows_per_part(onto.shape[0], segments, "segment_mean", "onto", "segments")
     inv = (1.0 / counts)[:, None]
-    out = _segment_sums(values.data, off)
-    out *= inv
-    return _result(out, "segment_mean", (values,),
-                   lambda g: (np.repeat(g * inv, counts, axis=0),))
+    out = np.repeat(_segment_sums(values.data, off) * inv, count, axis=0)
+    out += onto.data
+    # the gradient sums over a segment's V rows, then repeats down its N_b rows
+    return _result(out, "segment_mean", (values, onto), lambda g: (
+        np.repeat(g.reshape(segments, count, -1).sum(axis=1) * inv, counts, axis=0), g))
 
 
 def segment_expand(states: Tensor, offsets, onto: Tensor) -> Tensor:
@@ -535,11 +540,9 @@ def segment_expand(states: Tensor, offsets, onto: Tensor) -> Tensor:
     """
     off = _checked_offsets(offsets, onto.shape[0], "segment_expand")
     segments, counts = off.size - 1, np.diff(off)
-    if states.data.ndim != 2 or onto.data.ndim != 2 or states.shape[1] != onto.shape[1] \
-            or states.shape[0] % segments:
-        raise ShapeError(f"segment_expand: {segments} segments of states {states.shape} "
-                         f"onto {onto.shape}")
-    count = states.shape[0] // segments
+    if states.data.ndim != 2 or onto.data.ndim != 2 or states.shape[1] != onto.shape[1]:
+        raise ShapeError(f"segment_expand: states {states.shape} vs onto {onto.shape}")
+    count = _rows_per_part(states.shape[0], segments, "segment_expand", "state", "segments")
     out = np.repeat(states.data.reshape(segments, count, -1).sum(axis=1), counts, axis=0)
     out += onto.data
 
@@ -560,11 +563,11 @@ def segment_broadcast(weights: Tensor, states: Tensor, offsets, onto: Tensor,
     (N, d) ``onto`` is added in place into the mix, so it needs no tape entry.
     No gradient is formed for ``weights`` when it needs none.
     """
-    if weights.data.ndim != 2 or states.data.ndim != 2 or heads < 1 or weights.shape[0] % heads:
-        raise ShapeError(f"segment_broadcast: weights {weights.shape} of {heads} heads "
-                         f"vs states {states.shape}")
+    if weights.data.ndim != 2 or states.data.ndim != 2:
+        raise ShapeError(f"segment_broadcast: weights {weights.shape} vs states {states.shape}")
+    k = _rows_per_part(weights.shape[0], heads, "segment_broadcast", "weight", "heads")
     layout = _segment_layout(offsets, weights.shape[1], "segment_broadcast")
-    segments, k, d = layout[0], weights.shape[0] // heads, states.shape[1]
+    segments, d = layout[0], states.shape[1]
     if states.shape[0] != segments * k:
         raise ShapeError(f"segment_broadcast: {segments} segments of {k} states "
                          f"need {segments * k} rows, got {states.shape}")
@@ -740,7 +743,7 @@ def mse_loss(pred: Tensor, targets: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def parameter(rng: np.random.Generator, shape: tuple[int, ...], std: float = 0.02) -> Tensor:
+def parameter(rng: np.random.Generator, shape: tuple[int, ...], std: float) -> Tensor:
     """A trainable tensor with i.i.d. normal(0, std) entries."""
     return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
 

@@ -212,6 +212,6 @@ class GraphPropertyModel:
             scores = mlp(feats, MlpParams(**self.head))
             return ModelOutput(node_states=h, pair_scores=scores, traces=traces)
 
-        pooled = segment_mean(h, batch.offsets)
+        pooled = segment_mean(h, batch.offsets, Tensor(np.zeros((len(batch), h.shape[1]))))
         logits = affine(pooled, self.head["weight"], self.head["bias"])
         return ModelOutput(node_states=h, graph_outputs=logits, traces=traces)

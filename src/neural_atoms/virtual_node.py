@@ -11,10 +11,10 @@ The round runs on a whole batch at once in the segment layout of
 :mod:`neural_atoms.autodiff`: the node rows of B graphs are consecutive
 segments delimited by ``offsets``, and graph b's V states are rows
 b*V:(b+1)*V of a (B * V, d) stack.  A state only ever sees its own graph.
-Three segment ops carry the round: ``segment_mean`` pools each graph's
-nodes, ``segment_broadcast`` mixes each state with the others of its graph
-when V > 1 (an ``add`` of the mean when V = 1), and ``segment_expand`` adds
-the sum of a graph's updated states onto each of its nodes.
+Segment ops alone carry the round: ``segment_mean`` adds the graph's node
+mean onto each state, ``segment_broadcast`` adds the mean of the graph's
+other states when V > 1, and ``segment_expand`` adds the sum of a graph's
+updated states onto each of its nodes.
 The update MLP is the GIN layer's :func:`neural_atoms.gnn.mlp`, mapping d to d.
 """
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, add, gather_rows, segment_broadcast, segment_expand, segment_mean
+from .autodiff import Tensor, segment_broadcast, segment_expand, segment_mean
 from .gnn import MlpParams, mlp
 
 
@@ -36,18 +36,13 @@ def multi_virtual_node_layer(h: Tensor, vstates: Tensor, params: MlpParams,
     (B * V, d).  Returns the enhanced node states and the updated
     (B * V, d) states.
     """
-    pooled = segment_mean(h, offsets)                        # (B, d)
-    num_graphs = pooled.shape[0]
+    incoming = segment_mean(h, offsets, vstates)
+    num_graphs = len(offsets) - 1
     count = vstates.shape[0] // num_graphs
     if count > 1:
-        # the graph's node mean once per state, plus its own state and the
-        # mean of the graph's other states
-        eye = np.eye(count)
-        mix = np.tile(eye + (1.0 - eye) / (count - 1), num_graphs)   # (V, B * V)
-        incoming = segment_broadcast(Tensor(mix), vstates,
-                                     np.arange(0, vstates.shape[0] + 1, count),
-                                     gather_rows(pooled, np.repeat(np.arange(num_graphs), count)))
-    else:
-        incoming = add(vstates, pooled)
+        # each group of V states is a segment; a state takes 1/(V - 1) of each other one
+        others = np.tile((1.0 - np.eye(count)) / (count - 1), num_graphs)   # (V, B * V)
+        incoming = segment_broadcast(Tensor(others), vstates,
+                                     np.arange(0, vstates.shape[0] + 1, count), incoming)
     new_states = mlp(incoming, params)
     return segment_expand(new_states, offsets, h), new_states

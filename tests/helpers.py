@@ -7,9 +7,9 @@ import numpy as np
 
 from neural_atoms.attention import MultiHeadParams
 from neural_atoms.autodiff import (ContractError, ShapeError, Tensor, _result, _segment_layout,
-                                   _unpadded, add, backward, gather_rows, layer_norm,
+                                   _unpadded, backward, gather_rows, layer_norm,
                                    segment_attention, segment_broadcast, segment_expand,
-                                   segment_pool, transpose, view)
+                                   segment_mean, segment_pool, transpose, view)
 from neural_atoms.ewald import (SQRT_PI, EwaldError, EwaldMatrix, EwaldSystem, _image_sums,
                                 _integer_shells)
 from neural_atoms.graphs import GraphBatch, GraphError, MolecularGraph
@@ -26,6 +26,14 @@ from neural_atoms.neural_atom import (LAYER_NORM_EPS, NeuralAtomLayerParams, Neu
 
 def neg(a: Tensor) -> Tensor:
     return _result(-a.data, "neg", (a,), lambda g: (-g,))
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of same-shape tensors: the op the virtual-node round
+    recorded before ``segment_mean`` added the node means onto the states."""
+    if a.shape != b.shape:
+        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+    return _result(a.data + b.data, "add", (a, b), lambda g: (g, g))
 
 
 def add_row(a: Tensor, b: Tensor) -> Tensor:
@@ -62,10 +70,7 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
 def side_by_side_gathers(a: Tensor, index: np.ndarray) -> Tensor:
     """``gather_rows`` of a (P, c) index as ``concat_cols`` of c one-column
     gathers: the pair head's form before one gather took the 2-D index."""
-    idx = np.asarray(index)
-    if idx.ndim == 1:
-        return gather_rows(a, idx)
-    return concat_cols([gather_rows(a, column) for column in idx.T])
+    return concat_cols([gather_rows(a, column[:, None]) for column in np.asarray(index).T])
 
 
 def broadcast_then_add(weights: Tensor, states: Tensor, offsets, onto: Tensor,
@@ -74,6 +79,16 @@ def broadcast_then_add(weights: Tensor, states: Tensor, offsets, onto: Tensor,
     tape entries the enhancement took before the op added ``onto`` itself."""
     mix = segment_broadcast(weights, states, offsets, Tensor(np.zeros(onto.shape)), heads=heads)
     return add(onto, mix)
+
+
+def mean_then_add(values: Tensor, offsets, onto: Tensor) -> Tensor:
+    """``segment_mean`` onto zeros, each mean repeated down its segment's V rows
+    by ``gather_rows``, then ``add`` of ``onto``: the three tape entries the
+    virtual-node round took before the op added the means onto its states."""
+    segments = len(offsets) - 1
+    means = segment_mean(values, offsets, Tensor(np.zeros((segments, values.shape[1]))))
+    repeat = np.repeat(np.arange(segments), onto.shape[0] // segments)
+    return add(onto, gather_rows(means, repeat[:, None]))
 
 
 def expand_then_add(states: Tensor, offsets, onto: Tensor) -> Tensor:
@@ -390,7 +405,7 @@ def looped_projection(h_nodes: Tensor, params: NeuralAtomLayerParams,
     pooled = segment_pool(weights, h_nodes, offsets, heads=attn.heads)
     mix = concat_rows([matmul(wv, view(attn.wo, np.s_[m * d:(m + 1) * d]))
                        for m, (_, _, wv) in enumerate(head_weights(attn))])
-    stacked = gather_rows(params.queries, np.tile(np.arange(k), len(offsets) - 1))
+    stacked = gather_rows(params.queries, np.tile(np.arange(k), len(offsets) - 1)[:, None])
     atoms = layer_norm(add(stacked, matmul(pooled, mix)),
                        params.project_norm.gain, params.project_norm.bias, LAYER_NORM_EPS)
     return atoms, weights

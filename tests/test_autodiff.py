@@ -25,7 +25,6 @@ from neural_atoms.autodiff import (
     ShapeError,
     SlotMatrix,
     Tensor,
-    add,
     affine,
     backward,
     bce_with_logits,
@@ -47,8 +46,8 @@ from neural_atoms.autodiff import (
     view,
 )
 import helpers
-from helpers import (add_row, concat_cols, concat_rows, contact_like_graph, grad_check, matmul,
-                     mul, relu, rescale_weights, rows, scale, sum_all)
+from helpers import (add, add_row, concat_cols, concat_rows, contact_like_graph, grad_check,
+                     matmul, mul, relu, rescale_weights, rows, scale, sum_all)
 
 
 def indexed_weighted_sum(x, out_index, in_index, weights, num_out_rows):
@@ -358,7 +357,7 @@ class TestGradCheck:
 
         def f():
             top = rows(x, 0, 3)
-            picked = gather_rows(x, np.array([5, 1, 1]))
+            picked = gather_rows(x, np.array([[5], [1], [1]]))
             wide = concat_cols([top, picked])
             tall = concat_rows([wide, wide])
             return sum_all(mul(tall, tall))
@@ -390,11 +389,12 @@ class TestGradCheck:
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got_grad, want_grad)
 
-    def test_gather_refuses_a_3d_or_out_of_range_index(self):
+    def test_gather_refuses_a_1d_3d_or_out_of_range_index(self):
         x = Tensor(np.ones((4, 2)))
-        with pytest.raises(ShapeError, match="2-D index"):
-            gather_rows(x, np.zeros((2, 2, 2), dtype=int))
-        for index in ([[0, 4]], [[-1, 0]], [4]):
+        for index in (np.zeros((2, 2, 2), dtype=int), np.array([0, 1]), np.array(2)):
+            with pytest.raises(ShapeError, match="2-D index"):
+                gather_rows(x, index)
+        for index in ([[0, 4]], [[-1, 0]], [[4]]):
             with pytest.raises(ShapeError, match="out of range"):
                 gather_rows(x, np.array(index))
         assert gather_rows(x, np.zeros((0, 2), dtype=int)).shape == (0, 4)
@@ -604,8 +604,8 @@ class TestSegmentOps:
 
     def test_segment_broadcast_heads_must_split_the_weight_rows(self):
         states = Tensor(np.ones((4, 2)))
-        for rows_, heads in ((5, 2), (4, 0)):
-            with pytest.raises(ShapeError, match="heads"):
+        for rows_, heads in ((5, 2), (4, 0), (0, 1)):
+            with pytest.raises(ShapeError, match="segment_broadcast: .* heads"):
                 segment_broadcast(Tensor(np.ones((rows_, 4))), states, [0, 2, 4],
                                   Tensor(np.ones((4, 2))), heads=heads)
 
@@ -672,8 +672,8 @@ class TestSegmentOps:
 
     def test_segment_pool_heads_must_split_the_weight_rows(self):
         v = Tensor(np.ones((4, 2)))
-        for rows_, heads in ((5, 2), (4, 0)):
-            with pytest.raises(ShapeError, match="heads"):
+        for rows_, heads in ((5, 2), (4, 0), (0, 1)):
+            with pytest.raises(ShapeError, match="segment_pool: .* heads"):
                 segment_pool(Tensor(np.ones((rows_, 4))), v, [0, 2, 4], heads=heads)
 
     @pytest.mark.parametrize("offsets", SEGMENT_LAYOUTS)
@@ -701,22 +701,51 @@ class TestSegmentOps:
             with pytest.raises(ShapeError, match="column blocks"):
                 block_attention(Tensor(np.ones((6, width))), 3, heads, 1.0)
 
+    @pytest.mark.parametrize("count", [1, 2, 3])
     @pytest.mark.parametrize("offsets", SEGMENT_LAYOUTS)
-    def test_segment_mean_is_per_segment_mean(self, offsets):
+    def test_segment_mean_adds_each_segments_mean_onto_its_rows(self, offsets, count):
         rng = np.random.default_rng(47)
         v = rng.normal(size=(offsets[-1], 3))
-        got = segment_mean(Tensor(v), offsets).data
-        want = [v[lo:hi].mean(axis=0) for lo, hi in zip(offsets[:-1], offsets[1:])]
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        onto = rng.normal(size=((len(offsets) - 1) * count, 3))
+        got = segment_mean(Tensor(v), offsets, Tensor(onto)).data
+        for b, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+            want = onto[b * count:(b + 1) * count] + v[lo:hi].mean(axis=0)
+            np.testing.assert_allclose(got[b * count:(b + 1) * count], want, rtol=0, atol=1e-14)
         with pytest.raises(ShapeError, match="offsets"):
-            segment_mean(Tensor(v), [0, offsets[-1] + 1])
+            segment_mean(Tensor(v), [0, offsets[-1] + 1], Tensor(onto[:count]))
 
+    @pytest.mark.parametrize("count", [1, 2, 3])
     @pytest.mark.parametrize("offsets", SEGMENT_LAYOUTS)
-    def test_segment_mean_grad_check(self, offsets):
+    def test_segment_mean_grad_check(self, offsets, count):
         rng = np.random.default_rng(53)
         v = Tensor(rng.normal(size=(offsets[-1], 3)), requires_grad=True)
-        probe = Tensor(rng.normal(size=(len(offsets) - 1, 3)))
-        assert grad_check(lambda: sum_all(mul(segment_mean(v, offsets), probe)), [v]) < 1e-7
+        onto = Tensor(rng.normal(size=((len(offsets) - 1) * count, 3)), requires_grad=True)
+        probe = Tensor(rng.normal(size=onto.shape))
+        f = lambda: sum_all(mul(segment_mean(v, offsets, onto), probe))
+        assert grad_check(f, [v, onto]) < 1e-7
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("offsets", SEGMENT_LAYOUTS)
+    def test_segment_mean_matches_the_gather_and_add_it_replaced(self, offsets, count):
+        rng = np.random.default_rng(58)
+        v = Tensor(rng.normal(size=(offsets[-1], 3)), requires_grad=True)
+        onto = Tensor(rng.normal(size=((len(offsets) - 1) * count, 3)), requires_grad=True)
+        probe = Tensor(rng.normal(size=onto.shape))
+        results = []
+        for mean in (segment_mean, helpers.mean_then_add):
+            out = mean(v, offsets, onto)
+            backward(sum_all(mul(out, probe)), [v, onto])
+            results.append((out.data, v.grad.copy(), onto.grad.copy()))
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_segment_mean_rejects_onto_that_does_not_split_into_segments(self):
+        values = Tensor(np.ones((4, 2)))
+        for onto in (np.ones((3, 2)), np.ones((0, 2)), np.ones((4, 3)), np.ones(4)):
+            with pytest.raises(ShapeError, match="segment_mean"):
+                segment_mean(values, [0, 2, 4], Tensor(onto))
+        with pytest.raises(ShapeError, match="segment_mean: offsets"):
+            segment_mean(values, [0, 2, 5], Tensor(np.ones((2, 2))))
 
     @pytest.mark.parametrize("count", [1, 2, 3])
     @pytest.mark.parametrize("offsets", SEGMENT_LAYOUTS)
@@ -741,7 +770,7 @@ class TestSegmentOps:
 
     def test_segment_expand_rejects_states_that_do_not_split_into_segments(self):
         onto = Tensor(np.ones((4, 2)))
-        for states in (np.ones((3, 2)), np.ones((4, 3)), np.ones(4)):
+        for states in (np.ones((3, 2)), np.ones((0, 2)), np.ones((4, 3)), np.ones(4)):
             with pytest.raises(ShapeError, match="segment_expand"):
                 segment_expand(Tensor(states), [0, 2, 4], onto)
         with pytest.raises(ShapeError, match="offsets"):
@@ -759,7 +788,9 @@ class TestSegmentOps:
         states = Tensor(rng.normal(size=(2 * b, d)), requires_grad=True)
         probes = [rng.normal(size=shape) for shape in ((b, d), (n, d), (6, n))]
         results = []
-        for mean, expand, attend in ((segment_mean, segment_expand, segment_attention),
+        zeros = Tensor(np.zeros((b, d)))
+        library_mean = lambda values, off: segment_mean(values, off, zeros)
+        for mean, expand, attend in ((library_mean, segment_expand, segment_attention),
                                      (helpers.padded_segment_mean, helpers.ones_broadcast,
                                       helpers.padded_segment_attention)):
             outs = [mean(nodes, offsets), expand(states, offsets, nodes),
@@ -801,9 +832,10 @@ class TestSegmentOps:
         for offsets in ([0, 4, 4], [1, 4], [0, 3], [0]):
             with pytest.raises(ShapeError, match="offsets"):
                 segment_attention(Tensor(np.ones((2, 2))), x, offsets, 1.0)
-        with pytest.raises(ShapeError, match="segments"):
-            segment_broadcast(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 2))), [0, 2, 4],
-                              Tensor(np.ones((4, 2))))
+        for states in (np.ones((3, 2)), np.ones((0, 2))):
+            with pytest.raises(ShapeError, match="segment_broadcast: .*segments"):
+                segment_broadcast(Tensor(np.ones((2, 4))), Tensor(states), [0, 2, 4],
+                                  Tensor(np.ones((4, 2))))
         for onto in (np.ones((4, 3)), np.ones((3, 2)), np.ones(8)):
             with pytest.raises(ShapeError, match="onto"):
                 segment_broadcast(Tensor(np.ones((2, 4))), Tensor(np.ones((4, 2))), [0, 2, 4],
@@ -1125,7 +1157,7 @@ def composed_affine(x, w, b=None, relu=False):
             out = add(out, b)
         else:
             k = b.shape[0]
-            out = add(gather_rows(b, np.tile(np.arange(k), out.shape[0] // k)), out)
+            out = add(gather_rows(b, np.tile(np.arange(k), out.shape[0] // k)[:, None]), out)
     return helpers.relu(out) if relu else out
 
 

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import importlib.util
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -21,8 +22,8 @@ from neural_atoms.gnn import gcn_forward
 from neural_atoms.graphs import MolecularGraph, batch_graphs, generate_lri_task
 from neural_atoms.model import ConfigError, GraphPropertyModel, TrainConfig
 from neural_atoms.training import Adam, _batch_loss, dataset_dimensions
-from helpers import (add_row, broadcast_then_add, concat_rows, expand_then_add, matmul, mul,
-                     neural_atom_block, rows, side_by_side_gathers, sum_all)
+from helpers import (add_row, broadcast_then_add, concat_rows, expand_then_add, matmul,
+                     mean_then_add, mul, neural_atom_block, rows, side_by_side_gathers, sum_all)
 from test_autodiff import composed_affine
 from test_virtual_node import looped_batch_round, mean_rows
 
@@ -354,7 +355,7 @@ def test_virtual_node_forward_matches_graph_by_graph_loop(count):
 # settings and the most tape entries per batch
 WORKLOAD_MODELS = {
     "contact-gin": (dict(backbone="gin", task="pair-contact"), 12),
-    "lri-vnode": (dict(augment="virtual-node"), 23),
+    "lri-vnode": (dict(augment="virtual-node"), 20),
     "lri-atoms": (dict(augment="neural-atoms"), 47),
     "lri-atoms-1-head": (dict(augment="neural-atoms", heads=1), 47),
     "lri-atoms-3-heads": (dict(augment="neural-atoms", heads=3), 47),
@@ -410,14 +411,26 @@ def test_every_engine_op_records_on_some_training_tape():
     assert recorded == engine_op_names()
 
 
+def test_readme_layout_states_the_engine_op_count_and_names_every_op():
+    """README's ``autodiff.py`` entry keeps up with the engine: its op count and
+    its list of op names are those of :func:`engine_op_names`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    entry = re.search(r"^  autodiff\.py +(.*?)\n  \S", readme, re.M | re.S).group(1)
+    count, listed = re.search(r"(\d+) ops, each recorded by some training tape: ([^;]*);",
+                              " ".join(entry.split())).groups()
+    assert int(count) == len(engine_op_names())
+    assert set(re.split(r", | and ", listed)) == engine_op_names()
+
+
 @pytest.mark.parametrize("overrides", [
     dict(), dict(backbone="gin"), dict(augment="virtual-node", virtual_nodes=2),
     dict(augment="neural-atoms"), dict(backbone="gin", task="pair-contact"),
 ], ids=["gcn", "gin", "virtual-node", "neural-atoms", "pair-contact"])
 def test_fused_affine_matches_composed_ops_on_the_whole_model(overrides, monkeypatch):
     """Loss and every gradient, bit for bit, as with matmul, add and relu recorded
-    apart, the pair head's two gathers joined by concat_cols, and each
-    enhancement an add after its segment_broadcast or segment_expand."""
+    apart, the pair head's two gathers joined by concat_cols, each enhancement
+    an add after its segment_broadcast or segment_expand, and the virtual-node
+    means gathered down the states and added."""
     task = overrides.get("task", "graph-classification")
     graphs = ragged_graphs(4)
     if task == "pair-contact":
@@ -445,11 +458,14 @@ def test_fused_affine_matches_composed_ops_on_the_whole_model(overrides, monkeyp
     for module in (neural_atom_module, virtual_node_module):
         monkeypatch.setattr(module, "segment_broadcast", broadcast_then_add)
     monkeypatch.setattr(virtual_node_module, "segment_expand", expand_then_add)
+    monkeypatch.setattr(virtual_node_module, "segment_mean", mean_then_add)
     composed, composed_ops = run()
     assert "relu" in composed_ops and "affine" in fused_ops and "affine" not in composed_ops
     if "virtual_nodes" in overrides:
-        # per layer, the input mix's add and the output's: both composed forms ran
-        assert fused_ops["segment_expand"] == 3 and composed_ops["add"] == 6
+        # per layer, the pooled mean's add, the state mix's and the output's: all
+        # three composed forms ran; the readout's segment_mean is the fourth
+        assert fused_ops["segment_mean"] == 4 and fused_ops["segment_expand"] == 3
+        assert composed_ops["add"] == 9 and composed_ops["gather_rows"] == 3
     assert "matmul" in composed_ops
     assert ("concat_cols" in composed_ops) == (task == "pair-contact")
     assert not {"matmul", "concat_cols", "add"} & fused_ops.keys()

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from neural_atoms import attention as attention_module
-from neural_atoms.autodiff import (GradTape, Tensor, add, backward, gather_rows, layer_norm,
+from neural_atoms.autodiff import (GradTape, Tensor, backward, gather_rows, layer_norm,
                                    segment_attention, segment_pool, softmax_cross_entropy,
                                    transpose)
 from neural_atoms.gnn import GcnLayerParams, gcn_forward
@@ -29,7 +29,7 @@ from neural_atoms.neural_atom import (
     enhance_segments,
     project_to_neural_atoms,
 )
-from helpers import (concat_cols, concat_rows, grad_check, head_weights, looped_projection,
+from helpers import (add, concat_cols, concat_rows, grad_check, head_weights, looped_projection,
                      matmul, mul, neural_atom_block, param_leaves, permute_graph,
                      rescale_weights, rows, scale, sum_all)
 from test_autodiff import composed_affine, softmax_rows
@@ -402,7 +402,8 @@ def per_head_projection(h_nodes, params, offsets):
         w = segment_attention(matmul(params.queries, wq), matmul(h_nodes, wk), offsets, inv_scale)
         outputs.append(segment_pool(w, matmul(h_nodes, wv), offsets))
         weights.append(w)
-    queries = gather_rows(params.queries, np.tile(np.arange(params.num_atoms), len(offsets) - 1))
+    tiled = np.tile(np.arange(params.num_atoms), len(offsets) - 1)
+    queries = gather_rows(params.queries, tiled[:, None])
     atoms = layer_norm(add(queries, matmul(concat_cols(outputs), attn.wo)),
                        params.project_norm.gain, params.project_norm.bias, LAYER_NORM_EPS)
     return atoms, weights

@@ -5,10 +5,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from neural_atoms.autodiff import ShapeError, Tensor, _result, add, backward
+from neural_atoms.autodiff import ShapeError, Tensor, _result, backward
 from neural_atoms.gnn import MlpParams
 from neural_atoms.virtual_node import multi_virtual_node_layer
-from helpers import add_row, concat_rows, grad_check, matmul, mul, neg, relu, rows, scale, sum_all
+from helpers import (add, add_row, concat_rows, grad_check, matmul, mul, neg, relu, rows, scale,
+                     sum_all)
 
 
 def mean_rows(a):
@@ -172,19 +173,17 @@ def test_shape_errors():
         virtual_node_layer(h, Tensor(np.zeros((1, 3))), params)
     with pytest.raises(ShapeError):
         virtual_node_layer(h, Tensor(np.zeros((2, 4))), params)
-    # each bad operand meets the check of the first engine op it reaches
-    with pytest.raises(ShapeError, match="segment_broadcast: onto must be"):
-        multi_virtual_node_layer(h, Tensor(np.zeros((2, 3))), params, [0, 5])
+    # each bad operand meets the check of the first engine op it reaches, which is
+    # segment_mean for every bad state stack and offsets list
+    for states, offsets, message in (((2, 3), [0, 5], "values .* vs onto"),
+                                     ((3, 4), [0, 2, 5], "3 onto rows do not split"),
+                                     ((0, 4), [0, 2, 5], "0 onto rows do not split"),
+                                     ((5, 4), [0, 2, 5], "5 onto rows do not split"),
+                                     ((1, 4), [], "offsets")):
+        with pytest.raises(ShapeError, match=f"segment_mean: {message}"):
+            multi_virtual_node_layer(h, Tensor(np.zeros(states)), params, offsets)
     with pytest.raises(ShapeError, match="affine: inner dimensions differ"):
         multi_virtual_node_layer(h, Tensor(np.zeros((1, 4))), make_params(rng, 3), [0, 5])
-    with pytest.raises(ShapeError, match="add: incompatible shapes"):
-        multi_virtual_node_layer(h, Tensor(np.zeros((3, 4))), params, [0, 2, 5])
-    with pytest.raises(ShapeError, match="add: incompatible shapes"):
-        multi_virtual_node_layer(h, Tensor(np.zeros((0, 4))), params, [0, 2, 5])
-    with pytest.raises(ShapeError, match="segment_broadcast: 2 segments of 2 states"):
-        multi_virtual_node_layer(h, Tensor(np.zeros((5, 4))), params, [0, 2, 5])
-    with pytest.raises(ShapeError, match="segment_mean: offsets"):
-        multi_virtual_node_layer(h, Tensor(np.zeros((1, 4))), params, [])
 
 
 def test_gradients_flow_to_update_mlp():
