@@ -7,13 +7,12 @@ queries, keys and values of every head, one ``block_attention`` attends
 within every block and head, and one ``affine`` mixes the heads and adds the
 input back as a residual.  The neural-atom projection reassociates its
 products instead and does not come through here: it views the (d, H * d)
-W_q, W_k and W_v blocks of ``qkv`` whole and forms every head's product of
-two weights with one ``segment_pool`` over head blocks.
+W_q and W_v blocks of ``qkv`` whole, and W_k's transposed, and forms every
+head's product of two weights with one ``segment_pool`` over head blocks.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +54,5 @@ def multi_head_attention(x: Tensor, params: MultiHeadParams, block: int) -> Tens
     every head of every block, and one ``affine`` with X as its same-shape
     bias mixes the heads and adds the residual.
     """
-    dim = params.qkv.shape[0]
-    mixed = block_attention(affine(x, params.qkv), block, params.heads, 1.0 / math.sqrt(dim))
+    mixed = block_attention(affine(x, params.qkv), block, params.heads)
     return affine(mixed, params.wo, x)

@@ -2,7 +2,8 @@
 
 Every differentiable computation in this package runs on the small engine in
 this module.  A :class:`Tensor` wraps a float64 numpy array, C-contiguous
-unless it is a leaf's :func:`view`.  Each operation that has to be
+(the bits of the products that read it depend on that) unless it is a
+leaf's :func:`view`, which may be transposed.  Each operation that has to be
 differentiated records a :class:`TapeEntry` holding its inputs and a
 backward closure; :func:`backward` collects the entries reachable from a
 scalar loss into a :class:`GradTape` and replays them exactly once in
@@ -33,6 +34,7 @@ class ContractError(ValueError):
 
 
 _OP_IDS = itertools.count()
+LAYER_NORM_EPS = 1e-5    # added to the variance in every layer_norm
 
 # Backward closures take the gradient flowing into the op's output and return
 # one gradient array per input (None for inputs that need no gradient).
@@ -217,20 +219,13 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) ->
     return _result(out, "affine", (x, w) if b is None else (x, w, b), back)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose needs a rank-2 tensor, got {a.shape}")
-    return _result(np.ascontiguousarray(a.data.T), "transpose", (a,), lambda g: (g.T,))
-
-
 def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
     """Rows of an (n, d) tensor by a (P, c) integer index (repeats allowed), as (P, c * d):
     row i holds the c rows ``index[i]`` side by side.  The gradient accumulates.
     """
-    blocks = np.asarray(index, dtype=np.intp)
-    if blocks.ndim != 2 or a.data.ndim != 2:
-        raise ShapeError(f"gather_rows needs a 2-D index into rows of an (n, d) "
-                         f"tensor, got index {blocks.shape} and {a.shape}")
+    if a.data.ndim != 2:
+        raise ShapeError(f"gather_rows needs rows of an (n, d) tensor, got {a.shape}")
+    blocks = _index(index, 2, "gather_rows", "index")
     if blocks.size and (blocks.min() < 0 or blocks.max() >= a.shape[0]):
         raise ShapeError(f"gather_rows: index out of range for {a.shape[0]} rows")
     p, c = blocks.shape
@@ -245,18 +240,27 @@ def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
     return _result(a.data[blocks].reshape(p, c * a.shape[1]), "gather_rows", (a,), back)
 
 
+def _index(values, ndim: int, op: str, what: str) -> np.ndarray:
+    """An index operand as intp: integers of rank ``ndim``, or empty, never cast or reshaped."""
+    a = np.asarray(values)
+    if a.ndim != ndim or (a.size and a.dtype.kind not in "iu"):
+        raise ShapeError(f"{op}: {what} must be a {ndim}-D integer array, got {a.dtype} {a.shape}")
+    return a.astype(np.intp, copy=False)
+
+
 def _checked_entries(edges: np.ndarray, offsets, scale: np.ndarray | None, op: str) -> tuple:
     """(row count n, (E, 2) edges, scale or None) of an (n, n) matrix; n is the last offset."""
-    off = np.asarray(offsets, dtype=np.intp)
-    n = int(off[-1]) if off.ndim == 1 and off.size else 0
+    off = _index(offsets, 1, op, "offsets")
+    n = int(off[-1]) if off.size else 0
     _checked_offsets(off, n, op)
-    pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    pairs = _index(edges, 2, op, "edges")
     if scale is not None:
         scale = np.asarray(scale, dtype=np.float64)
         if scale.shape != (n,):
             raise ShapeError(f"{op}: scale {scale.shape} and {n} rows do not fit together")
-    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
-        raise ShapeError(f"{op}: edge index out of range for {n} rows")
+    if pairs.shape[1] != 2 or pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+        raise ShapeError(f"{op}: edges must be (E, 2) with no index out of range "
+                         f"for {n} rows, got {pairs.shape}")
     return n, pairs, scale
 
 
@@ -325,7 +329,7 @@ class BlockMatrix:
     def __init__(self, edges: np.ndarray, offsets, scale: np.ndarray | None):
         n, pairs, scale = _checked_entries(edges, offsets, scale, "BlockMatrix")
         self.layout = segments, width, slot = _segment_layout(offsets, n, "BlockMatrix")
-        segment = np.repeat(np.arange(segments), np.diff(np.asarray(offsets, dtype=np.intp)))
+        segment = np.repeat(np.arange(segments), np.diff(offsets))
         u, v = pairs.T
         if (segment[u] != segment[v]).any():
             raise ShapeError("BlockMatrix: an edge joins rows of two segments")
@@ -397,9 +401,8 @@ def slot_matmul(matrix: BlockMatrix | SlotMatrix, x: Tensor) -> Tensor:
 
 def _checked_offsets(offsets, n: int, op: str) -> np.ndarray:
     """``offsets`` as an array, checked to rise strictly from 0 to ``n``."""
-    off = np.asarray(offsets, dtype=np.intp)
-    if off.ndim != 1 or off.size < 2 or off[0] != 0 or off[-1] != n \
-            or (np.diff(off) < 1).any():
+    off = _index(offsets, 1, op, "offsets")
+    if off.size < 2 or off[0] != 0 or off[-1] != n or (np.diff(off) < 1).any():
         raise ShapeError(f"{op}: offsets must rise strictly from 0 to {n}, got {off.tolist()}")
     return off
 
@@ -453,21 +456,19 @@ def _segment_sums(x: np.ndarray, off: np.ndarray) -> np.ndarray:
     return np.add.reduceat(x, off[:-1], axis=0)
 
 
-def segment_attention(queries: Tensor, keys: Tensor, offsets, inv_scale: float) -> Tensor:
+def segment_attention(queries: Tensor, keys: Tensor, offsets) -> Tensor:
     """Shared queries attending over every segment of ``keys`` separately.
 
-    Returns the (K, N) weights softmax(inv_scale * queries @ keys.T), with
-    the softmax taken over each segment's columns on its own: column block
-    b is exactly the attention of the K queries onto graph b, so every
-    block is row-stochastic.
+    Returns the (K, N) weights softmax(queries @ keys.T / sqrt(d)) for
+    d-wide queries and keys, with the softmax taken over each segment's
+    columns on its own: column block b is exactly the attention of the K
+    queries onto graph b, so every block is row-stochastic.
     """
-    if queries.data.ndim != 2 or keys.data.ndim != 2 \
-            or queries.shape[1] != keys.shape[1]:
-        raise ShapeError(
-            f"segment_attention: queries {queries.shape} vs keys {keys.shape}")
+    if queries.data.ndim != 2 or keys.data.ndim != 2 or queries.shape[1] != keys.shape[1]:
+        raise ShapeError(f"segment_attention: queries {queries.shape} vs keys {keys.shape}")
     off = _checked_offsets(offsets, keys.shape[0], "segment_attention")
     starts, counts = off[:-1], np.diff(off)
-    c = float(inv_scale)
+    c = queries.shape[1] ** -0.5     # not 1 / sqrt(d): at d = 32 the two differ in the last bit
     logits = c * (queries.data @ keys.data.T)                             # (K, N)
     # the shift may overflow to -inf for pathologically spread segments; exp
     # then gives the correct limit 0, so the overflow flag is noise
@@ -493,14 +494,14 @@ def segment_pool(weights: Tensor, values: Tensor, offsets, heads: int = 1) -> Te
     values; head m fills columns m*d:(m+1)*d of a (B * K, H * d) result.
     No gradient is formed for ``weights`` when it needs none.
     """
-    if weights.data.ndim != 2 or values.data.ndim != 2 \
-            or weights.shape[1] != values.shape[0]:
+    if weights.data.ndim != 2 or values.data.ndim != 2 or weights.shape[1] != values.shape[0]:
         raise ShapeError(f"segment_pool: weights {weights.shape} vs values {values.shape}")
     k = _rows_per_part(weights.shape[0], heads, "segment_pool", "weight", "heads")
     layout = _segment_layout(offsets, values.shape[0], "segment_pool")
     d = values.shape[1]
     w = _padded(weights.data.T, layout)                     # (B, max_n, H * K)
-    v = _padded(values.data, layout)                        # (B, max_n, d)
+    # in C order, as a transposed leaf view would change the product's bits
+    v = _padded(np.ascontiguousarray(values.data), layout)  # (B, max_n, d)
     pooled = w.transpose(0, 2, 1) @ v                       # (B, H * K, d)
     needs_dw = weights.requires_grad
 
@@ -518,10 +519,10 @@ def segment_mean(values: Tensor, offsets, onto: Tensor) -> Tensor:
     """``onto`` plus, on each row, its segment's column mean of ``values``: the
     row sum times 1/N_b.  ``values`` is (N, d) in the B segments of ``offsets``
     and ``onto`` (B * V, d), segment b's V rows at b*V:(b+1)*V."""
-    off = _checked_offsets(offsets, values.shape[0], "segment_mean")
-    segments, counts = off.size - 1, np.diff(off)
     if values.data.ndim != 2 or onto.data.ndim != 2 or onto.shape[1] != values.shape[1]:
         raise ShapeError(f"segment_mean: values {values.shape} vs onto {onto.shape}")
+    off = _checked_offsets(offsets, values.shape[0], "segment_mean")
+    segments, counts = off.size - 1, np.diff(off)
     count = _rows_per_part(onto.shape[0], segments, "segment_mean", "onto", "segments")
     inv = (1.0 / counts)[:, None]
     out = np.repeat(_segment_sums(values.data, off) * inv, count, axis=0)
@@ -538,10 +539,10 @@ def segment_expand(states: Tensor, offsets, onto: Tensor) -> Tensor:
     ``onto`` is (N, d) in the B segments of ``offsets``.  The backward gives
     every state its segment's row sum of the gradient.
     """
-    off = _checked_offsets(offsets, onto.shape[0], "segment_expand")
-    segments, counts = off.size - 1, np.diff(off)
     if states.data.ndim != 2 or onto.data.ndim != 2 or states.shape[1] != onto.shape[1]:
         raise ShapeError(f"segment_expand: states {states.shape} vs onto {onto.shape}")
+    off = _checked_offsets(offsets, onto.shape[0], "segment_expand")
+    segments, counts = off.size - 1, np.diff(off)
     count = _rows_per_part(states.shape[0], segments, "segment_expand", "state", "segments")
     out = np.repeat(states.data.reshape(segments, count, -1).sum(axis=1), counts, axis=0)
     out += onto.data
@@ -611,12 +612,12 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e.reshape(logits.shape)
 
 
-def block_attention(qkv: Tensor, block: int, heads: int, inv_scale: float) -> Tensor:
+def block_attention(qkv: Tensor, block: int, heads: int) -> Tensor:
     """Self-attention of every head within each consecutive block of ``block`` rows.
 
     ``qkv`` packs, for each of its (B * block) rows, the queries of heads 0
     to H-1, then their keys, then their values, d columns each.  Head m of
-    block b returns softmax(inv_scale * q_bm @ k_bm.T) @ v_bm, with no weight
+    block b returns softmax(q_bm @ k_bm.T / sqrt(d)) @ v_bm, with no weight
     between different blocks; the (B * block, H * d) result holds head m in
     columns m*d:(m+1)*d.
     """
@@ -626,7 +627,8 @@ def block_attention(qkv: Tensor, block: int, heads: int, inv_scale: float) -> Te
     n, width = qkv.shape
     if block < 1 or n % block:
         raise ShapeError(f"block_attention: {n} rows do not split into blocks of {block}")
-    c, d = float(inv_scale), width // (3 * heads)
+    d = width // (3 * heads)
+    c = 1.0 / np.sqrt(d)     # not d ** -0.5: at d = 32 the two differ in the last bit
     # strided (B, H, block, d) views of the packed columns; results are
     # written straight into their packed layout, so no large temporary is made
     q, k, v = qkv.data.reshape(-1, block, 3, heads, d).transpose(2, 0, 3, 1, 4)
@@ -648,14 +650,12 @@ def block_attention(qkv: Tensor, block: int, heads: int, inv_scale: float) -> Te
     return _result(out.reshape(n, heads * d), "block_attention", (qkv,), back)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Row-wise standardisation of an (n, d) matrix followed by gain and bias.
 
-    Each row is shifted to mean 0 and scaled by 1/sqrt(variance + eps); the
-    variance is the biased (divide by d) estimate.
+    Each row is shifted to mean 0 and scaled by 1/sqrt(variance + eps), with
+    eps = ``LAYER_NORM_EPS``; the variance is the biased (divide by d) estimate.
     """
-    if eps <= 0.0:
-        raise ContractError("layer_norm: eps must be positive")
     if x.data.ndim != 2 or x.shape[1] < 1:
         raise ShapeError(f"layer_norm needs an (n, d) tensor with d >= 1, got {x.shape}")
     if gain.shape != (x.shape[1],) or bias.shape != (x.shape[1],):
@@ -663,7 +663,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = x.data.mean(axis=1, keepdims=True)
     centred = x.data - mu
     var = (centred * centred).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centred * inv
     out = xhat * gain.data + bias.data
 
@@ -685,7 +685,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of integer ``labels`` under row softmax."""
-    lab = np.asarray(labels, dtype=np.intp)
+    lab = _index(labels, 1, "softmax_cross_entropy", "labels")
     if logits.data.ndim != 2 or lab.shape != (logits.shape[0],):
         raise ShapeError(f"softmax_cross_entropy: logits {logits.shape} vs labels {lab.shape}")
     if lab.size and (lab.min() < 0 or lab.max() >= logits.shape[1]):
@@ -748,13 +748,15 @@ def parameter(rng: np.random.Generator, shape: tuple[int, ...], std: float) -> T
     return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
 
 
-def view(owner: Tensor, index) -> Tensor:
-    """A leaf over ``owner.data[index]``, for basic slices only, with no copy and no
-    tape entry; its ``grad`` is ``owner.grad[index]``, so views sum into their owner."""
+def view(owner: Tensor, index, transposed: bool = False) -> Tensor:
+    """A leaf over ``owner.data[index]``, or its ``.T`` when ``transposed``, for basic
+    slices only, with no copy and no tape entry; its ``grad`` is the same view of
+    ``owner.grad``, so views sum into their owner."""
     if owner.grad is None:
         owner.grad = np.zeros_like(owner.data)
     leaf = Tensor(0.0, owner.requires_grad)
-    leaf.data, leaf.grad = owner.data[index], owner.grad[index]
+    data, grad = owner.data[index], owner.grad[index]
+    leaf.data, leaf.grad = (data.T, grad.T) if transposed else (data, grad)
     return leaf
 
 

@@ -5,8 +5,8 @@ routes them through a small set of learnable "neural atoms":
 
 1. cross-attention from the atom queries onto the nodes groups every node
    softly into atoms (an information bottleneck of K slots); the heads'
-   weight products run as one ``segment_pool`` over head blocks, so no step
-   loops over the heads,
+   weight products run as one ``segment_pool`` each over head blocks, W_k^T
+   as a transposed view of its weights, so no step loops over the heads,
 2. self-attention among the atoms exchanges information globally in one hop,
    and the atoms keep their own states through a residual,
 3. the mean of the heads' (K, N) allocation matrices carries the exchanged
@@ -39,9 +39,8 @@ import numpy as np
 
 from .attention import MultiHeadParams, multi_head_attention
 from .autodiff import (Tensor, affine, layer_norm, parameter, segment_attention,
-                       segment_broadcast, segment_pool, transpose, view)
+                       segment_broadcast, segment_pool, view)
 
-LAYER_NORM_EPS = 1e-5
 QUERY_INIT_STD = 0.02
 
 
@@ -139,20 +138,22 @@ def project_to_neural_atoms(h_nodes: Tensor, params: NeuralAtomLayerParams,
 
     Both per-head products are one ``segment_pool`` each, with the heads'
     d-wide blocks as its segments: segment m of (q W_q) times W_k^T is
-    q W_q,m W_k,m^T, and segment m of W_v times W_o is W_v,m W_o,m.  So the
-    tape holds the same four entries for these products at any head count.
+    q W_q,m W_k,m^T, and segment m of W_v times W_o is W_v,m W_o,m.  W_k^T
+    is a transposed view of ``qkv``, so it records nothing, and the tape
+    holds the same three entries for these products at any head count.
     """
     attn, d = params.project, params.queries.shape[1]
     width = attn.heads * d
-    w_q, w_k, w_v = (view(attn.qkv, np.s_[:, r * width:(r + 1) * width]) for r in range(3))
+    w_q, w_k_t, w_v = (view(attn.qkv, np.s_[:, r * width:(r + 1) * width], transposed=r == 1)
+                       for r in range(3))
     head_offsets = np.arange(0, width + 1, d)    # head m's d columns or rows are segment m
     # (H * K, d) effective queries; (B * K, H * d) pooled nodes; (H * d, d) mix
-    queries = segment_pool(affine(params.queries, w_q), transpose(w_k), head_offsets)
-    weights = segment_attention(queries, h_nodes, offsets, d ** -0.5)
+    queries = segment_pool(affine(params.queries, w_q), w_k_t, head_offsets)
+    weights = segment_attention(queries, h_nodes, offsets)
     pooled = segment_pool(weights, h_nodes, offsets, heads=attn.heads)
     mix = segment_pool(w_v, attn.wo, head_offsets)
     atoms = layer_norm(affine(pooled, mix, params.queries),
-                       params.project_norm.gain, params.project_norm.bias, LAYER_NORM_EPS)
+                       params.project_norm.gain, params.project_norm.bias)
     return atoms, weights
 
 
@@ -161,8 +162,7 @@ def exchange_neural_atoms(h_atoms: Tensor, params: NeuralAtomLayerParams) -> Ten
     its own graph in one hop, and keeps its own state through the residual
     that the attention adds."""
     attended = multi_head_attention(h_atoms, params.exchange, params.num_atoms)
-    return layer_norm(attended, params.exchange_norm.gain, params.exchange_norm.bias,
-                      LAYER_NORM_EPS)
+    return layer_norm(attended, params.exchange_norm.gain, params.exchange_norm.bias)
 
 
 def backproject_and_enhance(h_nodes: Tensor, exchanged: Tensor, weights: Tensor, heads: int,

@@ -9,13 +9,12 @@ from neural_atoms.attention import MultiHeadParams
 from neural_atoms.autodiff import (ContractError, ShapeError, Tensor, _result, _segment_layout,
                                    _unpadded, backward, gather_rows, layer_norm,
                                    segment_attention, segment_broadcast, segment_expand,
-                                   segment_mean, segment_pool, transpose, view)
+                                   segment_mean, segment_pool, view)
 from neural_atoms.ewald import (SQRT_PI, EwaldError, EwaldMatrix, EwaldSystem, _image_sums,
                                 _integer_shells)
 from neural_atoms.graphs import GraphBatch, GraphError, MolecularGraph
 from neural_atoms.model import named_leaves
-from neural_atoms.neural_atom import (LAYER_NORM_EPS, NeuralAtomLayerParams, NeuralAtomTrace,
-                                      enhance_segments)
+from neural_atoms.neural_atom import NeuralAtomLayerParams, NeuralAtomTrace, enhance_segments
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +33,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
     return _result(a.data + b.data, "add", (a, b), lambda g: (g, g))
+
+
+def transpose(a: Tensor) -> Tensor:
+    """A C-contiguous copy of a matrix's transpose: the op the atom projection
+    recorded for W_k^T before it took W_k^T as a transposed view of ``qkv``."""
+    if a.data.ndim != 2:
+        raise ShapeError(f"transpose needs a rank-2 tensor, got {a.shape}")
+    return _result(np.ascontiguousarray(a.data.T), "transpose", (a,), lambda g: (g.T,))
 
 
 def add_row(a: Tensor, b: Tensor) -> Tensor:
@@ -111,11 +118,11 @@ def ones_broadcast(states: Tensor, offsets, onto: Tensor) -> Tensor:
     return segment_broadcast(Tensor(np.ones((count, onto.shape[0]))), states, offsets, onto)
 
 
-def padded_segment_attention(queries: Tensor, keys: Tensor, offsets, inv_scale: float) -> Tensor:
+def padded_segment_attention(queries: Tensor, keys: Tensor, offsets) -> Tensor:
     """``segment_attention`` as it was before it worked on the (K, N) logits:
     the softmax of a (B, max_n, K) padded copy whose padding holds -inf."""
     layout = segments, width, slot = _segment_layout(offsets, keys.shape[0], "oracle")
-    c = float(inv_scale)
+    c = queries.shape[1] ** -0.5
 
     def padded(x, fill):
         if slot is None:
@@ -401,13 +408,13 @@ def looped_projection(h_nodes: Tensor, params: NeuralAtomLayerParams,
     attn, k, d = params.project, params.num_atoms, params.queries.shape[1]
     queries = concat_rows([matmul(matmul(params.queries, wq), transpose(wk))
                            for wq, wk, _ in head_weights(attn)])
-    weights = segment_attention(queries, h_nodes, offsets, d ** -0.5)
+    weights = segment_attention(queries, h_nodes, offsets)
     pooled = segment_pool(weights, h_nodes, offsets, heads=attn.heads)
     mix = concat_rows([matmul(wv, view(attn.wo, np.s_[m * d:(m + 1) * d]))
                        for m, (_, _, wv) in enumerate(head_weights(attn))])
     stacked = gather_rows(params.queries, np.tile(np.arange(k), len(offsets) - 1)[:, None])
     atoms = layer_norm(add(stacked, matmul(pooled, mix)),
-                       params.project_norm.gain, params.project_norm.bias, LAYER_NORM_EPS)
+                       params.project_norm.gain, params.project_norm.bias)
     return atoms, weights
 
 

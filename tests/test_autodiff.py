@@ -19,6 +19,7 @@ from neural_atoms.graphs import MolecularGraph, batch_graphs, generate_lri_task
 from test_gnn import dense_gcn_oracle, dense_gin_sum_oracle, random_graph
 from test_virtual_node import mean_rows
 from neural_atoms.autodiff import (
+    LAYER_NORM_EPS,
     BlockMatrix,
     ContractError,
     GradTape,
@@ -42,12 +43,11 @@ from neural_atoms.autodiff import (
     slot_matmul,
     softmax_cross_entropy,
     symmetric_matrix,
-    transpose,
     view,
 )
 import helpers
 from helpers import (add, add_row, concat_cols, concat_rows, contact_like_graph, grad_check,
-                     matmul, mul, relu, rescale_weights, rows, scale, sum_all)
+                     matmul, mul, relu, rescale_weights, rows, scale, sum_all, transpose)
 
 
 def indexed_weighted_sum(x, out_index, in_index, weights, num_out_rows):
@@ -176,17 +176,18 @@ class TestForwardValues:
         x = rng.normal(size=(6, 9))
         gain = rng.normal(size=9)
         bias = rng.normal(size=9)
-        got = layer_norm(Tensor(x), Tensor(gain), Tensor(bias), eps=1e-5).data
+        got = layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
         for i in range(6):
-            want = layer_norm_oracle(x[i].tolist(), gain.tolist(), bias.tolist(), 1e-5)
+            want = layer_norm_oracle(x[i].tolist(), gain.tolist(), bias.tolist(), LAYER_NORM_EPS)
             np.testing.assert_allclose(got[i], want, atol=1e-12)
 
     def test_layer_norm_standardises_rows(self):
         rng = np.random.default_rng(9)
-        x = rng.normal(size=(20, 16)) * 5.0 + 3.0
+        # a variance of about 2.5e7 leaves eps = 1e-5 below the tolerance
+        x = rng.normal(size=(20, 16)) * 5e3 + 3.0
         ones = Tensor(np.ones(16))
         zeros = Tensor(np.zeros(16))
-        y = layer_norm(Tensor(x), ones, zeros, eps=1e-10).data
+        y = layer_norm(Tensor(x), ones, zeros).data
         np.testing.assert_allclose(y.mean(axis=1), 0.0, atol=1e-12)
         np.testing.assert_allclose(y.var(axis=1), 1.0, atol=1e-8)
 
@@ -277,6 +278,23 @@ class TestLeafViews:
         np.testing.assert_array_equal(owner.grad[:, 5], 0.0)
         assert np.abs(owner.grad[:, 2]).min() > 0.0
 
+    def test_a_transposed_view_is_the_transpose_of_its_block_both_ways(self):
+        rng = np.random.default_rng(50)
+        owner = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        x = Tensor(rng.normal(size=(4, 2)))
+        probe = Tensor(rng.normal(size=(4, 3)))
+        leaf = view(owner, np.s_[:, 1:3], transposed=True)
+        assert leaf.shape == (2, 3) and leaf.entry is None and leaf.requires_grad
+        np.testing.assert_array_equal(leaf.data, owner.data[:, 1:3].T)
+        assert np.shares_memory(leaf.data, owner.data) and np.shares_memory(leaf.grad, owner.grad)
+        out = affine(x, leaf)
+        assert [e.name for e in GradTape.trace(sum_all(out)).entries] == ["affine", "sum_all"]
+        backward(sum_all(mul(out, probe)), [owner])
+        np.testing.assert_array_equal(owner.grad[:, 1:3], (x.data.T @ probe.data).T)
+        np.testing.assert_array_equal(np.delete(owner.grad, [1, 2], axis=1), 0.0)
+        f = lambda: sum_all(mul(affine(x, view(owner, np.s_[:, 1:3], transposed=True)), probe))
+        assert grad_check(f, [owner]) < 1e-8
+
     def test_add_hands_each_leaf_its_own_gradient_array(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         b = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -346,7 +364,7 @@ class TestGradCheck:
 
         def f():
             h = relu(matmul(x, w1))
-            h = layer_norm(matmul(h, w2), gain, bias, eps=1e-5)
+            h = layer_norm(matmul(h, w2), gain, bias)
             return sum_all(mul(softmax_rows(h), h))
 
         assert grad_check(f, [w1, w2, gain, bias], eps=1e-5) < 1e-6
@@ -391,9 +409,14 @@ class TestGradCheck:
 
     def test_gather_refuses_a_1d_3d_or_out_of_range_index(self):
         x = Tensor(np.ones((4, 2)))
-        for index in (np.zeros((2, 2, 2), dtype=int), np.array([0, 1]), np.array(2)):
-            with pytest.raises(ShapeError, match="2-D index"):
+        # a float or bool index is refused, not cast: [[0.9], [2.7]] is not [[0], [2]]
+        for index in (np.zeros((2, 2, 2), dtype=int), np.array([0, 1]), np.array(2),
+                      np.array([[0.9], [2.7]]), np.array([[True], [False]])):
+            with pytest.raises(ShapeError, match="gather_rows: index must be a 2-D integer"):
                 gather_rows(x, index)
+        for a in (np.ones(4), np.array(1.0)):
+            with pytest.raises(ShapeError, match=r"gather_rows needs rows of an \(n, d\)"):
+                gather_rows(Tensor(a), np.zeros((1, 1), dtype=int))
         for index in ([[0, 4]], [[-1, 0]], [[4]]):
             with pytest.raises(ShapeError, match="out of range"):
                 gather_rows(x, np.array(index))
@@ -454,6 +477,12 @@ class TestLossValues:
         want = (-math.log(0.5) - math.log(0.75)) / 2.0
         got = softmax_cross_entropy(logits, np.array([0, 0])).item()
         assert abs(got - want) < 1e-12
+
+    def test_cross_entropy_refuses_labels_that_are_not_integers(self):
+        logits = Tensor(np.zeros((2, 3)))
+        for labels in (np.array([0.0, 1.5]), np.array([[0], [1]]), np.array(1)):
+            with pytest.raises(ShapeError, match="softmax_cross_entropy: labels must be a 1-D"):
+                softmax_cross_entropy(logits, labels)
 
     @pytest.mark.parametrize("scale_", [1.0, 300.0])
     def test_cross_entropy_keeps_the_bits_of_its_two_pass_form(self, scale_):
@@ -519,22 +548,22 @@ class TestSegmentOps:
     @pytest.mark.parametrize("offsets", SEGMENT_LAYOUTS)
     def test_segment_attention_is_per_segment_softmax(self, offsets):
         rng = np.random.default_rng(40)
-        q, k = rng.normal(size=(3, 4)), rng.normal(size=(offsets[-1], 4))
-        got = segment_attention(Tensor(q), Tensor(k), offsets, 0.7).data
+        q, k = rng.normal(size=(3, 3)), rng.normal(size=(offsets[-1], 3))
+        got = segment_attention(Tensor(q), Tensor(k), offsets).data
         for lo, hi in zip(offsets[:-1], offsets[1:]):
-            want = softmax_block_oracle(0.7 * q @ k[lo:hi].T)
+            want = softmax_block_oracle(3 ** -0.5 * q @ k[lo:hi].T)
             np.testing.assert_allclose(got[:, lo:hi], want, rtol=0, atol=1e-14)
             np.testing.assert_allclose(got[:, lo:hi].sum(axis=1), 1.0, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("offsets", SEGMENT_LAYOUTS[1:])
     def test_segment_attention_survives_a_segment_of_huge_logits(self, offsets):
         rng = np.random.default_rng(48)
-        q = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        keys = rng.normal(size=(offsets[-1], 4))
+        q = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        keys = rng.normal(size=(offsets[-1], 3))
         short = int(np.argmin(np.diff(offsets)))
         keys[offsets[short]:offsets[short + 1]] *= 1e3
         k = Tensor(keys, requires_grad=True)
-        got = segment_attention(q, k, offsets, 0.7)
+        got = segment_attention(q, k, offsets)
         assert np.isfinite(got.data).all()
         for lo, hi in zip(offsets[:-1], offsets[1:]):
             np.testing.assert_allclose(got.data[:, lo:hi].sum(axis=1), 1.0, rtol=0, atol=1e-14)
@@ -593,7 +622,7 @@ class TestSegmentOps:
 
         results = []
         for mix in (lambda w: segment_broadcast(w, states, offsets, nodes, heads=heads), chain):
-            w = segment_attention(queries, nodes, offsets, 0.5)
+            w = segment_attention(queries, nodes, offsets)
             pooled = segment_pool(w, nodes, offsets, heads=heads)
             out = mix(w)
             leaves = [queries, nodes, states]
@@ -615,24 +644,24 @@ class TestSegmentOps:
         rng = np.random.default_rng(42)
         d = 4
         qkv = rng.normal(size=(12, 3 * heads * d))
-        got = block_attention(Tensor(qkv), block, heads, 0.5).data
+        got = block_attention(Tensor(qkv), block, heads).data
         assert got.shape == (12, heads * d)
         for lo in range(0, 12, block):
             rows_ = slice(lo, lo + block)
             for m in range(heads):
                 q, k, v = (qkv[rows_, (j * heads + m) * d:(j * heads + m + 1) * d]
                            for j in range(3))
-                want = softmax_block_oracle(0.5 * q @ k.T) @ v
+                want = softmax_block_oracle(q @ k.T / math.sqrt(d)) @ v
                 np.testing.assert_allclose(got[rows_, m * d:(m + 1) * d], want,
                                            rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("offsets", SEGMENT_LAYOUTS)
     def test_segment_attention_grad_check(self, offsets):
         rng = np.random.default_rng(43)
-        q = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        k = Tensor(rng.normal(size=(offsets[-1], 4)), requires_grad=True)
+        q = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        k = Tensor(rng.normal(size=(offsets[-1], 3)), requires_grad=True)
         probe = Tensor(rng.normal(size=(3, offsets[-1])))
-        f = lambda: sum_all(mul(segment_attention(q, k, offsets, 0.61), probe))
+        f = lambda: sum_all(mul(segment_attention(q, k, offsets), probe))
         assert grad_check(f, [q, k]) < 1e-7
 
     @pytest.mark.parametrize("offsets", SEGMENT_LAYOUTS)
@@ -670,6 +699,50 @@ class TestSegmentOps:
         f = lambda: sum_all(mul(segment_pool(w, v, offsets, heads=heads), probe))
         assert grad_check(f, [w, v]) < 1e-7
 
+    @pytest.mark.parametrize("heads", [1, 3])
+    @pytest.mark.parametrize("offsets, d", [(offsets, 3) for offsets in SEGMENT_LAYOUTS]
+                             + [(np.arange(0, 97, 32), 32)])
+    def test_segment_pool_gives_the_same_bits_for_every_memory_order_of_values(self, offsets,
+                                                                             d, heads):
+        """C-contiguous values, an F-contiguous transposed view of a whole leaf and
+        a strided transposed view of a column block: the same values and gradients,
+        bit for bit.  The last layout is the atom projection's W_k^T, three heads'
+        32 rows of width 32, where a product that read the strided view would
+        round differently."""
+        rng = np.random.default_rng(51)
+        n, k = offsets[-1], 4
+        weights = rng.normal(size=(heads * k, n))
+        values = rng.normal(size=(n, d))
+        probe = Tensor(rng.normal(size=((len(offsets) - 1) * k, heads * d)))
+        block = np.zeros((d, n + 2))
+        block[:, 1:n + 1] = values.T
+        leaves = [Tensor(values, requires_grad=True),
+                  view(Tensor(values.T, requires_grad=True), np.s_[:, :], transposed=True),
+                  view(Tensor(block, requires_grad=True), np.s_[:, 1:n + 1], transposed=True)]
+        assert [(v.data.flags.c_contiguous, v.data.flags.f_contiguous) for v in leaves] == [
+            (True, False), (False, True), (False, False)]
+        results = []
+        for v in leaves:
+            w = Tensor(weights, requires_grad=True)
+            out = segment_pool(w, v, offsets, heads=heads)
+            backward(sum_all(mul(out, probe)), [w, v])
+            results.append((out.data, w.grad, np.array(v.grad)))
+        for other in results[1:]:
+            for got, want in zip(other, results[0]):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("offsets", SEGMENT_LAYOUTS)
+    def test_segment_pool_grad_check_through_a_transposed_leaf_view(self, offsets):
+        rng = np.random.default_rng(52)
+        n, k = offsets[-1], 3
+        w = Tensor(rng.normal(size=(k, n)), requires_grad=True)
+        owner = Tensor(rng.normal(size=(2, n + 1)), requires_grad=True)
+        v = view(owner, np.s_[:, 1:], transposed=True)          # (n, 2), strided
+        probe = Tensor(rng.normal(size=((len(offsets) - 1) * k, 2)))
+        f = lambda: sum_all(mul(segment_pool(w, v, offsets), probe))
+        assert grad_check(f, [w, v]) < 1e-7
+        np.testing.assert_array_equal(owner.grad[:, 0], 0.0)
+
     def test_segment_pool_heads_must_split_the_weight_rows(self):
         v = Tensor(np.ones((4, 2)))
         for rows_, heads in ((5, 2), (4, 0), (0, 1)):
@@ -693,13 +766,13 @@ class TestSegmentOps:
         rng = np.random.default_rng(46)
         qkv = Tensor(rng.normal(size=(12, 3 * heads * 2)), requires_grad=True)
         probe = Tensor(rng.normal(size=(12, heads * 2)))
-        f = lambda: sum_all(mul(block_attention(qkv, block, heads, 0.5), probe))
+        f = lambda: sum_all(mul(block_attention(qkv, block, heads), probe))
         assert grad_check(f, [qkv]) < 1e-7
 
     def test_block_attention_rejects_widths_that_do_not_split_into_heads(self):
         for width, heads in ((10, 1), (12, 5), (12, 0)):
             with pytest.raises(ShapeError, match="column blocks"):
-                block_attention(Tensor(np.ones((6, width))), 3, heads, 1.0)
+                block_attention(Tensor(np.ones((6, width))), 3, heads)
 
     @pytest.mark.parametrize("count", [1, 2, 3])
     @pytest.mark.parametrize("offsets", SEGMENT_LAYOUTS)
@@ -741,11 +814,15 @@ class TestSegmentOps:
 
     def test_segment_mean_rejects_onto_that_does_not_split_into_segments(self):
         values = Tensor(np.ones((4, 2)))
-        for onto in (np.ones((3, 2)), np.ones((0, 2)), np.ones((4, 3)), np.ones(4)):
+        for onto in (np.ones((3, 2)), np.ones((0, 2)), np.ones((4, 3)), np.ones(4), np.ones(())):
             with pytest.raises(ShapeError, match="segment_mean"):
                 segment_mean(values, [0, 2, 4], Tensor(onto))
-        with pytest.raises(ShapeError, match="segment_mean: offsets"):
-            segment_mean(values, [0, 2, 5], Tensor(np.ones((2, 2))))
+        # a 0-d operand meets the rank check before any shape is read
+        with pytest.raises(ShapeError, match="segment_mean: values"):
+            segment_mean(Tensor(1.0), [0, 2, 4], Tensor(np.ones((2, 2))))
+        for offsets in ([0, 2, 5], [0.0, 2.0, 4.0], [[0, 2, 4]]):
+            with pytest.raises(ShapeError, match="segment_mean: offsets"):
+                segment_mean(values, offsets, Tensor(np.ones((2, 2))))
 
     @pytest.mark.parametrize("count", [1, 2, 3])
     @pytest.mark.parametrize("offsets", SEGMENT_LAYOUTS)
@@ -770,11 +847,16 @@ class TestSegmentOps:
 
     def test_segment_expand_rejects_states_that_do_not_split_into_segments(self):
         onto = Tensor(np.ones((4, 2)))
-        for states in (np.ones((3, 2)), np.ones((0, 2)), np.ones((4, 3)), np.ones(4)):
+        for states in (np.ones((3, 2)), np.ones((0, 2)), np.ones((4, 3)), np.ones(4),
+                       np.ones(())):
             with pytest.raises(ShapeError, match="segment_expand"):
                 segment_expand(Tensor(states), [0, 2, 4], onto)
-        with pytest.raises(ShapeError, match="offsets"):
-            segment_expand(Tensor(np.ones((2, 2))), [0, 2, 5], onto)
+        # a 0-d operand meets the rank check before any shape is read
+        with pytest.raises(ShapeError, match="segment_expand: states"):
+            segment_expand(Tensor(np.ones((2, 2))), [0, 2, 4], Tensor(1.0))
+        for offsets in ([0, 2, 5], [0.0, 2.0, 4.0], [[0, 2, 4]]):
+            with pytest.raises(ShapeError, match="segment_expand: offsets"):
+                segment_expand(Tensor(np.ones((2, 2))), offsets, onto)
 
     @pytest.mark.parametrize("offsets", SEGMENT_LAYOUTS)
     def test_row_ops_match_the_padded_forms_they_replaced(self, offsets):
@@ -794,7 +876,7 @@ class TestSegmentOps:
                                      (helpers.padded_segment_mean, helpers.ones_broadcast,
                                       helpers.padded_segment_attention)):
             outs = [mean(nodes, offsets), expand(states, offsets, nodes),
-                    attend(queries, nodes, offsets, 0.8)]
+                    attend(queries, nodes, offsets)]
             loss = sum_all(mul(outs[0], Tensor(probes[0])))
             for out, probe in zip(outs[1:], probes[1:]):
                 loss = add(loss, sum_all(mul(out, Tensor(probe))))
@@ -813,15 +895,19 @@ class TestSegmentOps:
         keys[:, 0] = np.linspace(-1.0, 1.0, n)
         keys[offsets[1]:offsets[2], 0] *= 2000.0           # spread > 1,500 in segment 1
         keys[offsets[2]:offsets[3], 1] = [1e154, -1e154, 1e154][:offsets[3] - offsets[2]]
-        queries = Tensor(np.array([[1.0, 1e154], [1.0, -1e154], [-3.0, 0.0]]), requires_grad=True)
-        keys = Tensor(keys, requires_grad=True)
+        # the columns are scaled against the op's 1/sqrt(2): the products stay
+        # finite, and the scaled logits keep the spread and reach 1e308
+        queries = np.array([[1.0, 1e154], [1.0, -1e154], [-3.0, 0.0]]) * [2.0, 1.5]
+        queries, keys = Tensor(queries, requires_grad=True), Tensor(keys, requires_grad=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = segment_attention(queries, keys, offsets, 1.0)
+            got = segment_attention(queries, keys, offsets)
             probe = Tensor(np.random.default_rng(57).normal(size=got.shape))
             backward(sum_all(mul(got, probe)), [queries, keys])
-        logits = queries.data @ keys.data.T
+        logits = 2 ** -0.5 * (queries.data @ keys.data.T)
         assert np.abs(logits).max() >= 1e308
+        segment = logits[:, offsets[1]:offsets[2]]
+        assert segment.shape[1] == 1 or np.ptp(segment, axis=1).max() > 1500
         assert np.isfinite(got.data).all()
         for lo, hi in zip(offsets[:-1], offsets[1:]):
             np.testing.assert_allclose(got.data[:, lo:hi].sum(axis=1), 1.0, rtol=0, atol=1e-12)
@@ -831,7 +917,15 @@ class TestSegmentOps:
         x = Tensor(np.ones((4, 2)))
         for offsets in ([0, 4, 4], [1, 4], [0, 3], [0]):
             with pytest.raises(ShapeError, match="offsets"):
-                segment_attention(Tensor(np.ones((2, 2))), x, offsets, 1.0)
+                segment_attention(Tensor(np.ones((2, 2))), x, offsets)
+        # offsets are refused, not cast: [0.0, 1.5, 4.0] is not [0, 1, 4]
+        for offsets in ([0.0, 1.5, 4.0], np.array([0, 1, 4], dtype=float), [[0, 4]], 4):
+            for op in (lambda: segment_attention(Tensor(np.ones((2, 2))), x, offsets),
+                       lambda: segment_pool(Tensor(np.ones((2, 4))), x, offsets),
+                       lambda: segment_broadcast(Tensor(np.ones((2, 4))), Tensor(np.ones((4, 2))),
+                                                 offsets, x)):
+                with pytest.raises(ShapeError, match="offsets must be a 1-D integer array"):
+                    op()
         for states in (np.ones((3, 2)), np.ones((0, 2))):
             with pytest.raises(ShapeError, match="segment_broadcast: .*segments"):
                 segment_broadcast(Tensor(np.ones((2, 4))), Tensor(states), [0, 2, 4],
@@ -841,7 +935,7 @@ class TestSegmentOps:
                 segment_broadcast(Tensor(np.ones((2, 4))), Tensor(np.ones((4, 2))), [0, 2, 4],
                                   Tensor(onto))
         with pytest.raises(ShapeError, match="blocks"):
-            block_attention(Tensor(np.ones((4, 3))), 3, 1, 1.0)
+            block_attention(Tensor(np.ones((4, 3))), 3, 1)
 
 
 def scatter_add_entries(n, edges, edge_weights, diagonal):
@@ -1076,6 +1170,20 @@ class TestBlockMatrix:
     def test_bad_input_is_rejected(self):
         with pytest.raises(ShapeError, match="out of range"):
             BlockMatrix(np.array([[0, 2]]), [0, 2], None)
+        for form in (BlockMatrix, SlotMatrix, symmetric_matrix):
+            # a (2, 3) array is refused, not read as the three edges 0-1, 2-1 and 2-0
+            for edges in (np.array([[0, 1, 2], [1, 2, 0]]), np.array([[0, 1, 2]]),
+                          np.zeros((0, 3), dtype=int)):
+                with pytest.raises(ShapeError, match=r"edges must be \(E, 2\)"):
+                    form(edges, [0, 3], None)
+            for edges in (np.array([0, 1]), np.array([[0.0, 1.0]]), np.array([[0.5, 1.0]])):
+                with pytest.raises(ShapeError, match="edges must be a 2-D integer array"):
+                    form(edges, [0, 3], None)
+            for offsets in ([0.0, 1.5, 3.0], [0.0, 3.0]):
+                with pytest.raises(ShapeError, match="offsets must be a 1-D integer array"):
+                    form(np.zeros((0, 2), dtype=int), offsets, None)
+            # an empty edge array holds no bad index, whatever its dtype
+            assert form(np.zeros((0, 2)), [0, 3], None).num_rows == 3
         with pytest.raises(ShapeError, match="fit together"):
             BlockMatrix(np.array([[0, 1]]), [0, 2], np.ones(3))
         with pytest.raises(ShapeError, match="two segments"):

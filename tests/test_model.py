@@ -356,27 +356,54 @@ def test_virtual_node_forward_matches_graph_by_graph_loop(count):
 WORKLOAD_MODELS = {
     "contact-gin": (dict(backbone="gin", task="pair-contact"), 12),
     "lri-vnode": (dict(augment="virtual-node"), 20),
-    "lri-atoms": (dict(augment="neural-atoms"), 47),
-    "lri-atoms-1-head": (dict(augment="neural-atoms", heads=1), 47),
-    "lri-atoms-3-heads": (dict(augment="neural-atoms", heads=3), 47),
-    "lri-atoms-4-heads": (dict(augment="neural-atoms", heads=4), 47),
+    "lri-atoms": (dict(augment="neural-atoms"), 44),
+    "lri-atoms-1-head": (dict(augment="neural-atoms", heads=1), 44),
+    "lri-atoms-3-heads": (dict(augment="neural-atoms", heads=3), 44),
+    "lri-atoms-4-heads": (dict(augment="neural-atoms", heads=4), 44),
 }
 
 
-@pytest.mark.parametrize("workload", sorted(WORKLOAD_MODELS))
-def test_training_tape_per_workload_batch_has_no_unfused_bias_or_relu(workload):
-    """One ``affine`` entry per weight product, with its bias and ReLU inside."""
-    overrides, most = WORKLOAD_MODELS[workload]
+def workload_batch_loss(overrides: dict) -> Tensor:
+    """The training loss of one 64-graph batch of 20-node paths at hidden 32 and
+    3 layers, 2 heads unless ``overrides`` says otherwise."""
     graphs = generate_lri_task(64, 20, 4, seed=1)
     if overrides.get("task") == "pair-contact":
         graphs = with_pairs(graphs)
     cfg = TrainConfig(dataset="unused", out="unused", layers=3, hidden=32,
                       **{"heads": 2, **overrides})
     model = GraphPropertyModel(cfg, *dataset_dimensions(graphs, cfg.task))
-    loss, _, _ = _batch_loss(model, batch_graphs(graphs))
-    names = [e.name for e in GradTape.trace(loss).entries]
+    return _batch_loss(model, batch_graphs(graphs))[0]
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_MODELS))
+def test_training_tape_per_workload_batch_has_no_unfused_bias_or_relu(workload):
+    """One ``affine`` entry per weight product, with its bias and ReLU inside."""
+    overrides, most = WORKLOAD_MODELS[workload]
+    names = [e.name for e in GradTape.trace(workload_batch_loss(overrides)).entries]
     assert len(names) <= most
     assert "affine" in names and not {"add_row", "relu"} & set(names)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(augment="neural-atoms", heads=1), dict(augment="neural-atoms", heads=2),
+    dict(augment="neural-atoms", heads=3), dict(augment="virtual-node", virtual_nodes=1),
+    dict(augment="virtual-node", virtual_nodes=2), dict(backbone="gin", task="pair-contact"),
+], ids=["lri-atoms-1-head", "lri-atoms-2-heads", "lri-atoms-3-heads", "lri-vnode-1",
+        "lri-vnode-2", "contact-gin"])
+def test_every_op_output_on_a_workload_tape_is_c_contiguous(overrides):
+    """The bits of a product depend on the memory order of its operands, so no
+    op hands a later one a strided array: only leaves are views.  The atom
+    projection's W_q, W_k^T and W_v, three per layer, are such leaves, and the
+    check sees them."""
+    loss = workload_batch_loss(overrides)
+    entries = GradTape.trace(loss).entries
+    outputs = {id(t): t for e in entries for t in e.inputs if t.entry is not None}
+    outputs[id(loss)] = loss
+    assert len(outputs) == len(entries)
+    assert all(t.data.flags.c_contiguous for t in outputs.values())
+    leaves = [t for e in entries for t in e.inputs if t.entry is None]
+    strided = [t for t in leaves if not t.data.flags.c_contiguous]
+    assert len(strided) == (9 if overrides.get("augment") == "neural-atoms" else 0)
 
 
 def engine_op_names() -> set[str]:
