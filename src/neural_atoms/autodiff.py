@@ -249,7 +249,7 @@ def _index(values, ndim: int, op: str, what: str) -> np.ndarray:
 
 
 def _checked_entries(edges: np.ndarray, offsets, scale: np.ndarray | None, op: str) -> tuple:
-    """(row count n, (E, 2) edges, scale or None) of an (n, n) matrix; n is the last offset."""
+    """(row count n = last offset, checked offsets, (E, 2) edges, scale or None)."""
     off = _index(offsets, 1, op, "offsets")
     n = int(off[-1]) if off.size else 0
     _checked_offsets(off, n, op)
@@ -261,7 +261,7 @@ def _checked_entries(edges: np.ndarray, offsets, scale: np.ndarray | None, op: s
     if pairs.shape[1] != 2 or pairs.size and (pairs.min() < 0 or pairs.max() >= n):
         raise ShapeError(f"{op}: edges must be (E, 2) with no index out of range "
                          f"for {n} rows, got {pairs.shape}")
-    return n, pairs, scale
+    return n, off, pairs, scale
 
 
 def _narrow(keys: np.ndarray) -> np.ndarray:
@@ -280,13 +280,13 @@ class SlotMatrix:
     exact without ``np.add.at`` and with no per-entry weight; there are as
     many slots as the largest row has edges.  The slots need no segments, so
     ``offsets`` only sets the row count.  Build it once per graph and reuse
-    it for every product.  Every slot costs a gather and a scatter, so
-    :func:`symmetric_matrix` keeps this form for graphs whose dense blocks
-    would be large and mostly empty.
+    it for every product.  Every slot costs a gather and a scatter, so a
+    batch keeps this form for graphs whose dense blocks would be large and
+    mostly empty.
     """
 
     def __init__(self, edges: np.ndarray, offsets, scale: np.ndarray | None):
-        n, pairs, scale = _checked_entries(edges, offsets, scale, "SlotMatrix")
+        n, _, pairs, scale = _checked_entries(edges, offsets, scale, "SlotMatrix")
         rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
         cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
         by_row = np.argsort(_narrow(rows), kind="stable")
@@ -327,9 +327,9 @@ class BlockMatrix:
     """
 
     def __init__(self, edges: np.ndarray, offsets, scale: np.ndarray | None):
-        n, pairs, scale = _checked_entries(edges, offsets, scale, "BlockMatrix")
-        self.layout = segments, width, slot = _segment_layout(offsets, n, "BlockMatrix")
-        segment = np.repeat(np.arange(segments), np.diff(offsets))
+        n, off, pairs, scale = _checked_entries(edges, offsets, scale, "BlockMatrix")
+        self.layout = segments, width, slot = _segment_layout(off)
+        segment = np.repeat(np.arange(segments), np.diff(off))
         u, v = pairs.T
         if (segment[u] != segment[v]).any():
             raise ShapeError("BlockMatrix: an edge joins rows of two segments")
@@ -349,26 +349,6 @@ class BlockMatrix:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The product ``S(A + I)S @ x`` for an (n, d) array ``x``."""
         return _unpadded(self.blocks @ _padded(x, self.layout), self.layout)
-
-
-# The dense blocks win while they hold at most this many entries per stored
-# nonzero (n + 2E): one batched matmul against a gather and a scatter per
-# slot.  Set from the measured crossover of the two products.
-BLOCK_CROSSOVER = 32
-
-
-def symmetric_matrix(edges: np.ndarray, offsets, scale: np.ndarray | None
-                     ) -> BlockMatrix | SlotMatrix:
-    """S(A + I)S of :class:`SlotMatrix` in the cheaper of its two forms.
-
-    Blocks when B * m**2 <= ``BLOCK_CROSSOVER`` * (n + 2E) for B segments
-    of at most m rows, n rows and E edges, else slots.
-    """
-    n, pairs, _ = _checked_entries(edges, offsets, scale, "symmetric_matrix")
-    segments, width, _ = _segment_layout(offsets, n, "symmetric_matrix")
-    if segments * width * width <= BLOCK_CROSSOVER * (n + 2 * len(pairs)):
-        return BlockMatrix(pairs, offsets, scale)
-    return SlotMatrix(pairs, offsets, scale)
 
 
 def slot_matmul(matrix: BlockMatrix | SlotMatrix, x: Tensor) -> Tensor:
@@ -414,21 +394,21 @@ def _rows_per_part(rows: int, parts: int, op: str, what: str, part: str) -> int:
     return rows // parts
 
 
-def _segment_layout(offsets, n: int, op: str) -> tuple[int, int, np.ndarray | None]:
-    """(segment count B, longest segment max_n, padded slot of each row) for ``n`` rows.
+def _segment_layout(off: np.ndarray) -> tuple[int, int, np.ndarray | None]:
+    """(segment count B, longest segment max_n, padded slot of each row) of checked offsets.
 
     The padded buffer holds B * max_n rows, viewed as (B, max_n, ·): row i
     of segment b sits at buffer row b * max_n + i, and the rest is padding.
-    ``slot`` maps each of the ``n`` rows to its buffer row.  It is None when
-    every segment has max_n rows, since the buffer is then the rows
+    ``slot`` maps each of the n = off[-1] rows to its buffer row.  It is None
+    when every segment has max_n rows, since the buffer is then the rows
     themselves, reshaped.
     """
-    off = _checked_offsets(offsets, n, op)
     counts = np.diff(off)
     segments, width = counts.size, int(counts.max())
     if counts.min() == width:
         return segments, width, None
-    return segments, width, np.arange(n) + np.repeat(np.arange(segments) * width - off[:-1], counts)
+    shift = np.arange(segments) * width - off[:-1]     # buffer row minus row, per segment
+    return segments, width, np.arange(off[-1]) + np.repeat(shift, counts)
 
 
 def _padded(x: np.ndarray, layout: tuple) -> np.ndarray:
@@ -497,7 +477,7 @@ def segment_pool(weights: Tensor, values: Tensor, offsets, heads: int = 1) -> Te
     if weights.data.ndim != 2 or values.data.ndim != 2 or weights.shape[1] != values.shape[0]:
         raise ShapeError(f"segment_pool: weights {weights.shape} vs values {values.shape}")
     k = _rows_per_part(weights.shape[0], heads, "segment_pool", "weight", "heads")
-    layout = _segment_layout(offsets, values.shape[0], "segment_pool")
+    layout = _segment_layout(_checked_offsets(offsets, values.shape[0], "segment_pool"))
     d = values.shape[1]
     w = _padded(weights.data.T, layout)                     # (B, max_n, H * K)
     # in C order, as a transposed leaf view would change the product's bits
@@ -567,7 +547,7 @@ def segment_broadcast(weights: Tensor, states: Tensor, offsets, onto: Tensor,
     if weights.data.ndim != 2 or states.data.ndim != 2:
         raise ShapeError(f"segment_broadcast: weights {weights.shape} vs states {states.shape}")
     k = _rows_per_part(weights.shape[0], heads, "segment_broadcast", "weight", "heads")
-    layout = _segment_layout(offsets, weights.shape[1], "segment_broadcast")
+    layout = _segment_layout(_checked_offsets(offsets, weights.shape[1], "segment_broadcast"))
     segments, d = layout[0], states.shape[1]
     if states.shape[0] != segments * k:
         raise ShapeError(f"segment_broadcast: {segments} segments of {k} states "

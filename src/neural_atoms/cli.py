@@ -72,7 +72,7 @@ def _cmd_ewald(args) -> int:
 
 def _cmd_export_alloc(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
-    if model.cfg.augment != "neural-atoms":
+    if not model.atom_layers:
         raise ConfigError("checkpoint was not trained with neural atoms; "
                           "there are no allocations to export")
     graphs = load_dataset(args.dataset)

@@ -3,9 +3,10 @@
 Both layers aggregate over the closed neighbourhood (neighbours plus the node
 itself, via an implicit self-loop) with :func:`slot_matmul` by S(A + I)S:
 S = D^-1/2 for the convolution and the identity for the sum.  The batch
-builds the matrix once and every layer and backward pass reuses it; since it
-is symmetric the backward pass is the same aggregation.  For a batch of
-small graphs, such as molecules of tens of atoms, the matrix is a
+builds the matrix once, in the form :meth:`GraphBatch.closed_neighborhood`
+picks by ``BLOCK_CROSSOVER``, and every layer and backward pass reuses it;
+since it is symmetric the backward pass is the same aggregation.  For a
+batch of small graphs, such as molecules of tens of atoms, the matrix is a
 :class:`BlockMatrix` of dense per-graph blocks and the aggregation is one
 batched matmul; for large sparse graphs it is a :class:`SlotMatrix`, which
 keeps only the edges' row and column indices, and the whole adjacency never

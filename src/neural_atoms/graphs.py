@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import BlockMatrix, SlotMatrix, symmetric_matrix
+from .autodiff import BlockMatrix, SlotMatrix
 from .files import replacing
 from .validate import integer, number
 
@@ -113,6 +113,12 @@ class MolecularGraph:
         return self._edge_index
 
 
+# The dense blocks win while they hold at most this many entries per stored
+# nonzero (n + 2E): one batched matmul against a gather and a scatter per
+# slot.  Set from the measured crossover of the two products.
+BLOCK_CROSSOVER = 32
+
+
 @dataclass
 class GraphBatch:
     """Several graphs packed into one disjoint union.
@@ -154,17 +160,21 @@ class GraphBatch:
         """S(A + I)S of the union with S = D^-1/2 when ``normalised``, else A + I; built once.
 
         D counts the self-loop, so every degree is at least 1.  The matrix is
-        block-diagonal over the graphs' segments, and :func:`symmetric_matrix`
-        stores it as dense per-graph blocks when they are small, as for
-        molecules of tens of atoms, and as slots otherwise.
+        block-diagonal over the graphs' segments.  For B graphs of at most m
+        nodes, n nodes in all and E edges, it is a :class:`BlockMatrix` of
+        dense per-graph blocks while B * m**2 <= ``BLOCK_CROSSOVER`` * (n + 2E),
+        as for molecules of tens of atoms, and a :class:`SlotMatrix` otherwise.
         """
         if normalised not in self._neighborhoods:
-            edges = self.merged_graph()
+            edges, n = self.merged_graph(), self.total_nodes
             inv_sqrt = None
             if normalised:
-                degrees = np.bincount(edges.ravel(), minlength=self.total_nodes)
+                degrees = np.bincount(edges.ravel(), minlength=n)
                 inv_sqrt = 1.0 / np.sqrt(degrees + 1.0)
-            self._neighborhoods[normalised] = symmetric_matrix(edges, self.offsets, inv_sqrt)
+            width = int(np.diff(self.offsets).max())
+            dense = len(self) * width * width <= BLOCK_CROSSOVER * (n + 2 * len(edges))
+            form = BlockMatrix if dense else SlotMatrix
+            self._neighborhoods[normalised] = form(edges, self.offsets, inv_sqrt)
         return self._neighborhoods[normalised]
 
     def pair_indices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -237,7 +247,8 @@ def load_dataset(path) -> list[MolecularGraph]:
                          and line.count('"') == 2 * len(record))
                 try:
                     graphs.append(_graph_from_record(record, plain))
-                except (DatasetError, GraphError, TypeError, ValueError) as err:
+                # an int beyond float range overflows the plain line's feature array
+                except (DatasetError, GraphError, TypeError, ValueError, OverflowError) as err:
                     raise DatasetError(f"line {lineno}: {err}") from err
     except UnicodeDecodeError as err:
         # text mode decodes a chunk ahead of the line being parsed, so the

@@ -145,6 +145,7 @@ class GraphPropertyModel:
             else:
                 self.gnn_layers.append(MlpParams.init(dim_in, cfg.hidden, cfg.hidden, rng))
 
+        self.k_counts: list[int] = []
         self.atom_layers: list[NeuralAtomLayerParams] = []
         self.vn_layers: list[MlpParams] = []
         if cfg.augment == "neural-atoms":
@@ -177,12 +178,6 @@ class GraphPropertyModel:
     def tensors(self) -> list[Tensor]:
         return [t for _, t in self.parameters()]
 
-    def _message_pass(self, h: Tensor, batch: GraphBatch, layer_index: int) -> Tensor:
-        params = self.gnn_layers[layer_index]
-        if self.cfg.backbone == "gcn":
-            return gcn_forward(h, batch, params)
-        return gin_forward(h, batch, params)
-
     def forward(self, batch: GraphBatch, collect_traces: bool = False) -> ModelOutput:
         if batch.graphs[0].feature_dim != self.feature_dim:
             raise ConfigError(
@@ -190,17 +185,17 @@ class GraphPropertyModel:
                 f"dataset has {batch.graphs[0].feature_dim}")
         h = Tensor(batch.node_features)
         traces: list[NeuralAtomTrace] = [] if collect_traces else None
-        vstates = None
-        if self.cfg.augment == "virtual-node":
+        message_pass = gcn_forward if self.cfg.backbone == "gcn" else gin_forward
+        if self.vn_layers:
             vstates = Tensor(np.zeros((len(batch) * self.cfg.virtual_nodes, self.cfg.hidden)))
 
-        for i in range(self.cfg.layers):
-            h = self._message_pass(h, batch, i)
-            if self.cfg.augment == "neural-atoms":
+        for i, params in enumerate(self.gnn_layers):
+            h = message_pass(h, batch, params)
+            if self.atom_layers:
                 h, trace = enhance_segments(h, batch.offsets, self.atom_layers[i])
                 if collect_traces:
                     traces.append(trace)
-            elif self.cfg.augment == "virtual-node":
+            elif self.vn_layers:
                 h, vstates = multi_virtual_node_layer(h, vstates, self.vn_layers[i],
                                                       batch.offsets)
 

@@ -121,7 +121,7 @@ def ones_broadcast(states: Tensor, offsets, onto: Tensor) -> Tensor:
 def padded_segment_attention(queries: Tensor, keys: Tensor, offsets) -> Tensor:
     """``segment_attention`` as it was before it worked on the (K, N) logits:
     the softmax of a (B, max_n, K) padded copy whose padding holds -inf."""
-    layout = segments, width, slot = _segment_layout(offsets, keys.shape[0], "oracle")
+    layout = segments, width, slot = _segment_layout(np.asarray(offsets))
     c = queries.shape[1] ** -0.5
 
     def padded(x, fill):

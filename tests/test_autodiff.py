@@ -15,7 +15,7 @@ import pytest
 
 from neural_atoms import autodiff as ad
 from neural_atoms.gnn import GcnLayerParams, MlpParams, gcn_forward, gin_forward
-from neural_atoms.graphs import MolecularGraph, batch_graphs, generate_lri_task
+from neural_atoms.graphs import MolecularGraph, batch_graphs
 from test_gnn import dense_gcn_oracle, dense_gin_sum_oracle, random_graph
 from test_virtual_node import mean_rows
 from neural_atoms.autodiff import (
@@ -42,7 +42,6 @@ from neural_atoms.autodiff import (
     segment_pool,
     slot_matmul,
     softmax_cross_entropy,
-    symmetric_matrix,
     view,
 )
 import helpers
@@ -893,7 +892,9 @@ class TestSegmentOps:
         n = offsets[-1]
         keys = np.zeros((n, 2))
         keys[:, 0] = np.linspace(-1.0, 1.0, n)
-        keys[offsets[1]:offsets[2], 0] *= 2000.0           # spread > 1,500 in segment 1
+        # the first of segments 0 and 1 with two rows or more: 1 in one layout, 0 in the other
+        lo, hi = next((lo, hi) for lo, hi in zip(offsets[:2], offsets[1:3]) if hi - lo > 1)
+        keys[lo:hi, 0] *= 2000.0                            # spread > 1,500 in that segment
         keys[offsets[2]:offsets[3], 1] = [1e154, -1e154, 1e154][:offsets[3] - offsets[2]]
         # the columns are scaled against the op's 1/sqrt(2): the products stay
         # finite, and the scaled logits keep the spread and reach 1e308
@@ -906,8 +907,7 @@ class TestSegmentOps:
             backward(sum_all(mul(got, probe)), [queries, keys])
         logits = 2 ** -0.5 * (queries.data @ keys.data.T)
         assert np.abs(logits).max() >= 1e308
-        segment = logits[:, offsets[1]:offsets[2]]
-        assert segment.shape[1] == 1 or np.ptp(segment, axis=1).max() > 1500
+        assert np.ptp(logits[:, lo:hi], axis=1).max() > 1500
         assert np.isfinite(got.data).all()
         for lo, hi in zip(offsets[:-1], offsets[1:]):
             np.testing.assert_allclose(got.data[:, lo:hi].sum(axis=1), 1.0, rtol=0, atol=1e-12)
@@ -1126,8 +1126,9 @@ def with_repeated_edge(graphs, dim=4):
 
 @pytest.fixture
 def form(request, monkeypatch):
-    """Make ``symmetric_matrix`` pick the named form for every graph."""
-    monkeypatch.setattr(ad, "BLOCK_CROSSOVER", math.inf if request.param == "blocks" else 0)
+    """Make every batch pick the named form for its matrix."""
+    monkeypatch.setattr("neural_atoms.graphs.BLOCK_CROSSOVER",
+                        math.inf if request.param == "blocks" else 0)
     return {"blocks": BlockMatrix, "slots": SlotMatrix}[request.param]
 
 
@@ -1170,7 +1171,7 @@ class TestBlockMatrix:
     def test_bad_input_is_rejected(self):
         with pytest.raises(ShapeError, match="out of range"):
             BlockMatrix(np.array([[0, 2]]), [0, 2], None)
-        for form in (BlockMatrix, SlotMatrix, symmetric_matrix):
+        for form in (BlockMatrix, SlotMatrix):
             # a (2, 3) array is refused, not read as the three edges 0-1, 2-1 and 2-0
             for edges in (np.array([[0, 1, 2], [1, 2, 0]]), np.array([[0, 1, 2]]),
                           np.zeros((0, 3), dtype=int)):
@@ -1189,29 +1190,16 @@ class TestBlockMatrix:
         with pytest.raises(ShapeError, match="two segments"):
             BlockMatrix(np.array([[0, 1], [1, 2]]), [0, 2, 3], None)
         for offsets in ([0, 3, 3, 3], [1, 3], [], [[0, 3]]):
-            for form in (BlockMatrix, SlotMatrix, symmetric_matrix):
+            for form in (BlockMatrix, SlotMatrix):
                 with pytest.raises(ShapeError, match="offsets"):
                     form(np.zeros((0, 2)), offsets, None)
-        for form in (BlockMatrix, symmetric_matrix):
+        for form in (BlockMatrix, SlotMatrix):
             # the offsets give 2 rows; a scale of 3 does not fit them
             with pytest.raises(ShapeError, match="fit together"):
                 form(np.zeros((0, 2)), [0, 2], np.ones(3))
         matrix = BlockMatrix(np.zeros((0, 2)), [0, 1, 3], None)
         with pytest.raises(ShapeError, match="slot_matmul"):
             slot_matmul(matrix, Tensor(np.ones((2, 1))))
-
-    def test_rule_picks_blocks_for_small_paths_and_slots_for_contact_like_graphs(self):
-        paths = generate_lri_task(64, 20, 4, seed=0)
-        assert isinstance(batch_graphs(paths).closed_neighborhood(normalised=True), BlockMatrix)
-        rng = np.random.default_rng(83)
-        contacts = [contact_like_graph(rng, int(n)) for n in rng.integers(40, 161, 64)]
-        assert isinstance(batch_graphs(contacts).closed_neighborhood(normalised=False),
-                          SlotMatrix)
-        # a batch of one graph is one segment under the same rule
-        assert isinstance(batch_graphs(paths[:1]).closed_neighborhood(normalised=False),
-                          BlockMatrix)
-        assert isinstance(batch_graphs([contact_like_graph(rng, 160)])
-                          .closed_neighborhood(normalised=False), SlotMatrix)
 
     @pytest.mark.parametrize("backbone", ["gcn", "gin"])
     def test_layers_match_slot_form_and_scatter_add_path(self, backbone, monkeypatch):
@@ -1222,7 +1210,7 @@ class TestBlockMatrix:
         probe = rng.normal(size=(sum(g.num_nodes for g in graphs), 5))
         results = []
         for form, crossover in ((BlockMatrix, math.inf), (SlotMatrix, 0), (None, 0)):
-            monkeypatch.setattr(ad, "BLOCK_CROSSOVER", crossover)
+            monkeypatch.setattr("neural_atoms.graphs.BLOCK_CROSSOVER", crossover)
             batch = batch_graphs(graphs)
             x = Tensor(batch.node_features, requires_grad=True)
             if form is None:

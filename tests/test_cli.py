@@ -95,6 +95,18 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error: line 1: graph_label must be")
         assert not (tmp_path / "run").exists()
 
+    def test_feature_beyond_float_range_is_exit_one_naming_the_line(self, tmp_path, capsys):
+        path = tmp_path / "huge.jsonl"
+        path.write_text(json.dumps({"num_nodes": 2, "edges": [[0, 1]],
+                                    "node_feats": [[1.0], [int("9" * 400)]],
+                                    "graph_label": 0}) + "\n")
+        code = run_cli("train", "--dataset", str(path), "--out", str(tmp_path / "run"),
+                       "--epochs", "1")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: line 1: ") and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("field, bad", [("lr", True), ("lr", "0.1"), ("proportion", None)])
     def test_non_number_float_field_in_config_is_a_clean_failure(
             self, tmp_path, tiny_dataset, capsys, field, bad):

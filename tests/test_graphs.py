@@ -1,10 +1,13 @@
 """Graph container, dataset IO, and synthetic-task tests."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from neural_atoms import autodiff
+from neural_atoms.autodiff import BlockMatrix, SlotMatrix
 from neural_atoms.graphs import (
     DatasetError,
     GraphError,
@@ -14,7 +17,7 @@ from neural_atoms.graphs import (
     load_dataset,
     save_dataset,
 )
-from helpers import permute_graph
+from helpers import contact_like_graph, permute_graph
 
 
 def make_graph(n=4, dim=3, seed=0, label=1):
@@ -114,6 +117,77 @@ class TestBatching:
         batch = batch_graphs([a, b])
         np.testing.assert_array_equal(batch.node_features[:2], a.node_features)
         np.testing.assert_array_equal(batch.node_features[2:], b.node_features)
+
+
+class TestNeighbourhoodForm:
+    """A batch stores S(A + I)S as dense blocks while
+    B * m**2 <= BLOCK_CROSSOVER * (n + 2E), and as slots otherwise."""
+
+    def test_rule_picks_blocks_for_small_paths_and_slots_for_wide_or_sparse_batches(self):
+        paths = generate_lri_task(64, 20, 4, seed=0)
+        assert isinstance(batch_graphs(paths).closed_neighborhood(normalised=True), BlockMatrix)
+        # one long path makes every graph's block 2,000 rows wide
+        lopsided = [make_graph(n=10, seed=s) for s in range(63)] + [make_graph(n=2000)]
+        assert isinstance(batch_graphs(lopsided).closed_neighborhood(normalised=True),
+                          SlotMatrix)
+        rng = np.random.default_rng(83)
+        contacts = [contact_like_graph(rng, int(n)) for n in rng.integers(40, 161, 64)]
+        assert isinstance(batch_graphs(contacts).closed_neighborhood(normalised=False),
+                          SlotMatrix)
+        # a batch of one graph is one segment under the same rule
+        assert isinstance(batch_graphs(paths[:1]).closed_neighborhood(normalised=False),
+                          BlockMatrix)
+        assert isinstance(batch_graphs([contact_like_graph(rng, 160)])
+                          .closed_neighborhood(normalised=False), SlotMatrix)
+
+    @pytest.mark.parametrize("crossover, form", [(1.0, BlockMatrix), (0.99, SlotMatrix)])
+    def test_rule_keeps_blocks_at_the_crossover(self, monkeypatch, crossover, form):
+        # one 2-node path: B * m**2 = 4 = 1 * (n + 2E)
+        monkeypatch.setattr("neural_atoms.graphs.BLOCK_CROSSOVER", crossover)
+        assert isinstance(batch_graphs([make_graph(n=2)]).closed_neighborhood(True), form)
+
+    @pytest.mark.parametrize("normalised", [True, False])
+    def test_both_forms_give_the_same_product(self, monkeypatch, normalised):
+        rng = np.random.default_rng(84)
+        graphs = [contact_like_graph(rng, int(n), dim=3) for n in rng.integers(8, 40, 16)]
+        graphs.append(make_graph(n=1))
+        x = rng.normal(size=(sum(g.num_nodes for g in graphs), 5))
+        products = []
+        for crossover, form in ((math.inf, BlockMatrix), (0, SlotMatrix)):
+            monkeypatch.setattr("neural_atoms.graphs.BLOCK_CROSSOVER", crossover)
+            matrix = batch_graphs(graphs).closed_neighborhood(normalised)
+            assert isinstance(matrix, form)
+            products.append(matrix.apply(x))
+        np.testing.assert_allclose(products[0], products[1], rtol=0, atol=1e-12)
+
+    # per 64-graph batch: the form, and how often each check of the entries runs
+    CHECK_COUNTS = {
+        "lri": (BlockMatrix, {"_checked_entries": 1, "_checked_offsets": 1,
+                              "_segment_layout": 1}),
+        "contact-like": (SlotMatrix, {"_checked_entries": 1, "_checked_offsets": 1,
+                                      "_segment_layout": 0}),
+    }
+
+    @pytest.mark.parametrize("workload", sorted(CHECK_COUNTS))
+    def test_one_build_checks_the_batch_once(self, monkeypatch, workload):
+        form, want = self.CHECK_COUNTS[workload]
+        calls = dict.fromkeys(want, 0)
+
+        def counted(name, check):
+            def run(*args):
+                calls[name] += 1
+                return check(*args)
+            return run
+
+        for name in want:
+            monkeypatch.setattr(autodiff, name, counted(name, getattr(autodiff, name)))
+        if workload == "lri":
+            graphs = generate_lri_task(64, 20, 4, seed=1)
+        else:
+            rng = np.random.default_rng(85)
+            graphs = [contact_like_graph(rng, int(n)) for n in rng.integers(40, 161, 64)]
+        assert isinstance(batch_graphs(graphs).closed_neighborhood(workload == "lri"), form)
+        assert calls == want
 
 
 class TestDatasetIO:
@@ -228,6 +302,25 @@ class TestDatasetIO:
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(DatasetError, match=f"line 1: {message}"):
+            load_dataset(path)
+
+    HUGE = int("9" * 400)   # beyond float range
+
+    @pytest.mark.parametrize("key, value", [
+        ("node_feats", [[0.5], [HUGE], [2.0]]),
+        ("num_nodes", HUGE),
+        ("edges", [[0, HUGE]]),
+        ("pair_labels", [[0, HUGE, 1]]),
+        ("pair_labels", [[0, 2, HUGE]]),
+        ("graph_label", [1.0, HUGE]),
+    ], ids=["feature", "num-nodes", "edge", "pair-node", "pair-flag", "regression-label"])
+    def test_integer_beyond_float_range_is_refused_with_line(self, tmp_path, key, value):
+        record = dict(self.PAIR_RECORD, **{key: value})
+        if key == "graph_label":
+            del record["pair_labels"]
+        path = tmp_path / "huge.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(DatasetError, match="line 1: "):
             load_dataset(path)
 
     @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank lines"])

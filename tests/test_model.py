@@ -18,7 +18,7 @@ from neural_atoms import gnn as gnn_module
 from neural_atoms import model as model_module
 from neural_atoms import neural_atom as neural_atom_module
 from neural_atoms import virtual_node as virtual_node_module
-from neural_atoms.gnn import gcn_forward
+from neural_atoms.gnn import gcn_forward, gin_forward
 from neural_atoms.graphs import MolecularGraph, batch_graphs, generate_lri_task
 from neural_atoms.model import ConfigError, GraphPropertyModel, TrainConfig
 from neural_atoms.training import Adam, _batch_loss, dataset_dimensions
@@ -135,6 +135,7 @@ class TestModelConstruction:
         names = [n for n, _ in model.parameters()]
         assert names == ["layer0.gcn.weight", "layer1.gcn.weight",
                          "head.bias", "head.weight"]
+        assert model.k_counts == [] and not model.atom_layers and not model.vn_layers
 
     def test_atom_count_is_set_by_schedule_not_graph_sizes(self):
         cfg = make_config(augment="neural-atoms", proportion=0.5)
@@ -320,8 +321,9 @@ def looped_virtual_node_forward(model, batch):
     """Oracle: the model's forward with the graph-by-graph virtual-node loop."""
     h = Tensor(batch.node_features)
     vstates = Tensor(np.zeros((len(batch) * model.cfg.virtual_nodes, model.cfg.hidden)))
+    message_pass = gcn_forward if model.cfg.backbone == "gcn" else gin_forward
     for i in range(model.cfg.layers):
-        h = model._message_pass(h, batch, i)
+        h = message_pass(h, batch, model.gnn_layers[i])
         h, vstates = looped_batch_round(h, vstates, model.vn_layers[i], batch.offsets)
     pooled = concat_rows([mean_rows(rows(h, lo, hi))
                           for lo, hi in zip(batch.offsets[:-1], batch.offsets[1:])])
