@@ -26,11 +26,7 @@ import numpy as np
 
 
 class ShapeError(ValueError):
-    """Operand shapes are incompatible for the requested operation."""
-
-
-class ContractError(ValueError):
-    """An operation was called outside its documented contract."""
+    """The engine's one refusal: an operand whose shape, type or range the op cannot take."""
 
 
 _OP_IDS = itertools.count()
@@ -74,7 +70,7 @@ class Tensor:
 
     def item(self) -> float:
         if self.data.size != 1:
-            raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
+            raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
     def __repr__(self) -> str:
@@ -147,7 +143,7 @@ def backward(loss: Tensor, params: Sequence[Tensor] | None = None) -> None:
     so no ``grad`` is a closure's output and views of one array sum into it.
     """
     if loss.data.size != 1:
-        raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
+        raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     for p in params or ():
         if p.grad is None:
             p.grad = np.zeros_like(p.data)
@@ -248,11 +244,8 @@ def _index(values, ndim: int, op: str, what: str) -> np.ndarray:
     return a.astype(np.intp, copy=False)
 
 
-def _checked_entries(edges: np.ndarray, offsets, scale: np.ndarray | None, op: str) -> tuple:
-    """(row count n = last offset, checked offsets, (E, 2) edges, scale or None)."""
-    off = _index(offsets, 1, op, "offsets")
-    n = int(off[-1]) if off.size else 0
-    _checked_offsets(off, n, op)
+def _checked_entries(edges: np.ndarray, n: int, scale: np.ndarray | None, op: str) -> tuple:
+    """((E, 2) edges, scale or None), checked to fit ``n`` rows."""
     pairs = _index(edges, 2, op, "edges")
     if scale is not None:
         scale = np.asarray(scale, dtype=np.float64)
@@ -261,7 +254,7 @@ def _checked_entries(edges: np.ndarray, offsets, scale: np.ndarray | None, op: s
     if pairs.shape[1] != 2 or pairs.size and (pairs.min() < 0 or pairs.max() >= n):
         raise ShapeError(f"{op}: edges must be (E, 2) with no index out of range "
                          f"for {n} rows, got {pairs.shape}")
-    return n, off, pairs, scale
+    return pairs, scale
 
 
 def _narrow(keys: np.ndarray) -> np.ndarray:
@@ -278,15 +271,17 @@ class SlotMatrix:
     neighbour goes to slot k.  No row repeats within a slot, so
     ``(A + I) @ x`` is ``x`` plus ``out[rows] += x[cols]`` once per slot,
     exact without ``np.add.at`` and with no per-entry weight; there are as
-    many slots as the largest row has edges.  The slots need no segments, so
-    ``offsets`` only sets the row count.  Build it once per graph and reuse
-    it for every product.  Every slot costs a gather and a scatter, so a
+    many slots as the largest row has edges.  The slots need no segments,
+    only the row count ``n``.  Build it once per graph and reuse it for
+    every product.  Every slot costs a gather and a scatter, so a
     batch keeps this form for graphs whose dense blocks would be large and
     mostly empty.
     """
 
-    def __init__(self, edges: np.ndarray, offsets, scale: np.ndarray | None):
-        n, _, pairs, scale = _checked_entries(edges, offsets, scale, "SlotMatrix")
+    def __init__(self, edges: np.ndarray, n: int, scale: np.ndarray | None):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise ShapeError(f"SlotMatrix: the row count must be a non-negative integer, got {n!r}")
+        pairs, scale = _checked_entries(edges, n, scale, "SlotMatrix")
         rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
         cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
         by_row = np.argsort(_narrow(rows), kind="stable")
@@ -327,9 +322,10 @@ class BlockMatrix:
     """
 
     def __init__(self, edges: np.ndarray, offsets, scale: np.ndarray | None):
-        n, off, pairs, scale = _checked_entries(edges, offsets, scale, "BlockMatrix")
-        self.layout = segments, width, slot = _segment_layout(off)
-        segment = np.repeat(np.arange(segments), np.diff(off))
+        self.layout = starts, counts, width, slot = _segments(offsets, None, "BlockMatrix")
+        n = int(starts[-1] + counts[-1])
+        pairs, scale = _checked_entries(edges, n, scale, "BlockMatrix")
+        segment = np.repeat(np.arange(counts.size), counts)
         u, v = pairs.T
         if (segment[u] != segment[v]).any():
             raise ShapeError("BlockMatrix: an edge joins rows of two segments")
@@ -343,8 +339,8 @@ class BlockMatrix:
                                padded[u] * width + local[v], padded[v] * width + local[u]])
         self.num_rows = n
         self.blocks = np.bincount(flat, np.concatenate([diag, w, w]),
-                                  minlength=segments * width * width
-                                  ).reshape(segments, width, width)
+                                  minlength=counts.size * width * width
+                                  ).reshape(counts.size, width, width)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The product ``S(A + I)S @ x`` for an (n, d) array ``x``."""
@@ -371,20 +367,36 @@ def slot_matmul(matrix: BlockMatrix | SlotMatrix, x: Tensor) -> Tensor:
 # stacked the same way, as (B * V, d) with segment b at rows b*V:(b+1)*V.
 # An op that makes such rows or node rows adds them onto an ``onto`` of
 # their shape in place, so the sum records no tape entry of its own.
-# The reductions over a segment's rows (``segment_attention``'s softmax,
-# ``segment_mean`` and ``segment_expand``) run on the rows themselves, with
-# ``reduceat`` or a product with a ones vector and ``np.repeat`` by segment
-# length.  The ops that multiply a segment's rows by per-row weights
-# (``segment_pool``, ``segment_broadcast``) pad the rows into a
-# (B, max_n, ·) view and run one batched matmul for all segments.
+# Every op reads the offsets once, through ``_segments``, and takes each
+# segment's first row, its length, the longest length and the padded slots
+# from that one description.  The reductions over a segment's rows
+# (``segment_attention``'s softmax, ``segment_mean`` and ``segment_expand``)
+# run on the rows themselves, with ``reduceat`` or a product with a ones
+# vector and ``np.repeat`` by segment length.  The ops that multiply a
+# segment's rows by per-row weights (``segment_pool``, ``segment_broadcast``)
+# pad the rows into a (B, max_n, ·) view and run one batched matmul for all
+# segments.
 
 
-def _checked_offsets(offsets, n: int, op: str) -> np.ndarray:
-    """``offsets`` as an array, checked to rise strictly from 0 to ``n``."""
+def _segments(offsets, n: int | None, op: str) -> tuple:
+    """(first row, length of each segment, longest length max_n, padded slot of each row)
+    of ``offsets``, checked to rise strictly from 0 to ``n`` (to any end when None).
+
+    The padded buffer holds B * max_n rows, viewed as (B, max_n, ·): row i
+    of segment b sits at buffer row b * max_n + i, and the rest is padding.
+    The slot maps each row to its buffer row.  It is None when every segment
+    has max_n rows, since the buffer is then the rows themselves, reshaped.
+    """
     off = _index(offsets, 1, op, "offsets")
-    if off.size < 2 or off[0] != 0 or off[-1] != n or (np.diff(off) < 1).any():
-        raise ShapeError(f"{op}: offsets must rise strictly from 0 to {n}, got {off.tolist()}")
-    return off
+    counts = np.diff(off)
+    if off.size < 2 or off[0] != 0 or (counts < 1).any() or n is not None and off[-1] != n:
+        raise ShapeError(f"{op}: offsets must rise strictly from 0"
+                         f"{'' if n is None else f' to {n}'}, got {off.tolist()}")
+    starts, width = off[:-1], int(counts.max())
+    if counts.min() == width:
+        return starts, counts, width, None
+    shift = np.arange(counts.size) * width - starts     # buffer row minus row, per segment
+    return starts, counts, width, np.arange(off[-1]) + np.repeat(shift, counts)
 
 
 def _rows_per_part(rows: int, parts: int, op: str, what: str, part: str) -> int:
@@ -394,46 +406,29 @@ def _rows_per_part(rows: int, parts: int, op: str, what: str, part: str) -> int:
     return rows // parts
 
 
-def _segment_layout(off: np.ndarray) -> tuple[int, int, np.ndarray | None]:
-    """(segment count B, longest segment max_n, padded slot of each row) of checked offsets.
-
-    The padded buffer holds B * max_n rows, viewed as (B, max_n, ·): row i
-    of segment b sits at buffer row b * max_n + i, and the rest is padding.
-    ``slot`` maps each of the n = off[-1] rows to its buffer row.  It is None
-    when every segment has max_n rows, since the buffer is then the rows
-    themselves, reshaped.
-    """
-    counts = np.diff(off)
-    segments, width = counts.size, int(counts.max())
-    if counts.min() == width:
-        return segments, width, None
-    shift = np.arange(segments) * width - off[:-1]     # buffer row minus row, per segment
-    return segments, width, np.arange(off[-1]) + np.repeat(shift, counts)
-
-
 def _padded(x: np.ndarray, layout: tuple) -> np.ndarray:
-    """(n, c) rows in the (B, max_n, c) padded view of ``layout``, zero-padded."""
-    segments, width, slot = layout
+    """(n, c) rows in the (B, max_n, c) padded view of a :func:`_segments` layout, zero-padded."""
+    _, counts, width, slot = layout
     if slot is None:
-        return x.reshape(segments, width, x.shape[1])
+        return x.reshape(counts.size, width, x.shape[1])
     # keep the memory order, so a transposed (K, N) matrix stays K-major
-    buf = np.zeros((segments * width, x.shape[1]), order="F" if x.flags.f_contiguous else "C")
+    buf = np.zeros((counts.size * width, x.shape[1]), order="F" if x.flags.f_contiguous else "C")
     buf[slot] = x
-    return buf.reshape(segments, width, x.shape[1])
+    return buf.reshape(counts.size, width, x.shape[1])
 
 
 def _unpadded(padded: np.ndarray, layout: tuple) -> np.ndarray:
     """The (n, c) rows of a (B, max_n, c) padded array, inverse of :func:`_padded`."""
     flat = padded.reshape(-1, padded.shape[2])
-    return flat if layout[2] is None else flat[layout[2]]
+    return flat if layout[3] is None else flat[layout[3]]
 
 
-def _segment_sums(x: np.ndarray, off: np.ndarray) -> np.ndarray:
+def _segment_sums(x: np.ndarray, layout: tuple) -> np.ndarray:
     """(B, d) sums of each segment's rows of the (n, d) array ``x``."""
-    counts = np.diff(off)
-    if counts.min() == counts.max():    # a ones product beats reduceat on equal segments
-        return np.ones(counts[0]) @ x.reshape(counts.size, counts[0], x.shape[1])
-    return np.add.reduceat(x, off[:-1], axis=0)
+    starts, counts, width, slot = layout
+    if slot is None:    # a ones product beats reduceat on equal segments
+        return np.ones(width) @ x.reshape(counts.size, width, x.shape[1])
+    return np.add.reduceat(x, starts, axis=0)
 
 
 def segment_attention(queries: Tensor, keys: Tensor, offsets) -> Tensor:
@@ -446,8 +441,7 @@ def segment_attention(queries: Tensor, keys: Tensor, offsets) -> Tensor:
     """
     if queries.data.ndim != 2 or keys.data.ndim != 2 or queries.shape[1] != keys.shape[1]:
         raise ShapeError(f"segment_attention: queries {queries.shape} vs keys {keys.shape}")
-    off = _checked_offsets(offsets, keys.shape[0], "segment_attention")
-    starts, counts = off[:-1], np.diff(off)
+    starts, counts, _, _ = _segments(offsets, keys.shape[0], "segment_attention")
     c = queries.shape[1] ** -0.5     # not 1 / sqrt(d): at d = 32 the two differ in the last bit
     logits = c * (queries.data @ keys.data.T)                             # (K, N)
     # the shift may overflow to -inf for pathologically spread segments; exp
@@ -472,23 +466,20 @@ def segment_pool(weights: Tensor, values: Tensor, offsets, heads: int = 1) -> Te
     weights[:, seg b] @ values[seg b], stacked into a (B * K, d) result.
     With ``heads`` = H, ``weights`` is H row blocks of (K, N) over shared
     values; head m fills columns m*d:(m+1)*d of a (B * K, H * d) result.
-    No gradient is formed for ``weights`` when it needs none.
     """
     if weights.data.ndim != 2 or values.data.ndim != 2 or weights.shape[1] != values.shape[0]:
         raise ShapeError(f"segment_pool: weights {weights.shape} vs values {values.shape}")
     k = _rows_per_part(weights.shape[0], heads, "segment_pool", "weight", "heads")
-    layout = _segment_layout(_checked_offsets(offsets, values.shape[0], "segment_pool"))
+    layout = _segments(offsets, values.shape[0], "segment_pool")
     d = values.shape[1]
     w = _padded(weights.data.T, layout)                     # (B, max_n, H * K)
     # in C order, as a transposed leaf view would change the product's bits
     v = _padded(np.ascontiguousarray(values.data), layout)  # (B, max_n, d)
     pooled = w.transpose(0, 2, 1) @ v                       # (B, H * K, d)
-    needs_dw = weights.requires_grad
 
     def back(g: np.ndarray) -> tuple:
         g3 = g.reshape(-1, k, heads, d).swapaxes(1, 2).reshape(pooled.shape)
-        return (_unpadded(v @ g3.transpose(0, 2, 1), layout).T if needs_dw else None,
-                _unpadded(w @ g3, layout))
+        return _unpadded(v @ g3.transpose(0, 2, 1), layout).T, _unpadded(w @ g3, layout)
 
     # (B, H, K, d) -> (B, K, H, d), a view for one head
     return _result(pooled.reshape(-1, heads, k, d).swapaxes(1, 2).reshape(-1, heads * d),
@@ -501,15 +492,14 @@ def segment_mean(values: Tensor, offsets, onto: Tensor) -> Tensor:
     and ``onto`` (B * V, d), segment b's V rows at b*V:(b+1)*V."""
     if values.data.ndim != 2 or onto.data.ndim != 2 or onto.shape[1] != values.shape[1]:
         raise ShapeError(f"segment_mean: values {values.shape} vs onto {onto.shape}")
-    off = _checked_offsets(offsets, values.shape[0], "segment_mean")
-    segments, counts = off.size - 1, np.diff(off)
-    count = _rows_per_part(onto.shape[0], segments, "segment_mean", "onto", "segments")
+    layout = _, counts, _, _ = _segments(offsets, values.shape[0], "segment_mean")
+    count = _rows_per_part(onto.shape[0], counts.size, "segment_mean", "onto", "segments")
     inv = (1.0 / counts)[:, None]
-    out = np.repeat(_segment_sums(values.data, off) * inv, count, axis=0)
+    out = np.repeat(_segment_sums(values.data, layout) * inv, count, axis=0)
     out += onto.data
     # the gradient sums over a segment's V rows, then repeats down its N_b rows
     return _result(out, "segment_mean", (values, onto), lambda g: (
-        np.repeat(g.reshape(segments, count, -1).sum(axis=1) * inv, counts, axis=0), g))
+        np.repeat(g.reshape(counts.size, count, -1).sum(axis=1) * inv, counts, axis=0), g))
 
 
 def segment_expand(states: Tensor, offsets, onto: Tensor) -> Tensor:
@@ -521,14 +511,13 @@ def segment_expand(states: Tensor, offsets, onto: Tensor) -> Tensor:
     """
     if states.data.ndim != 2 or onto.data.ndim != 2 or states.shape[1] != onto.shape[1]:
         raise ShapeError(f"segment_expand: states {states.shape} vs onto {onto.shape}")
-    off = _checked_offsets(offsets, onto.shape[0], "segment_expand")
-    segments, counts = off.size - 1, np.diff(off)
-    count = _rows_per_part(states.shape[0], segments, "segment_expand", "state", "segments")
-    out = np.repeat(states.data.reshape(segments, count, -1).sum(axis=1), counts, axis=0)
+    layout = _, counts, _, _ = _segments(offsets, onto.shape[0], "segment_expand")
+    count = _rows_per_part(states.shape[0], counts.size, "segment_expand", "state", "segments")
+    out = np.repeat(states.data.reshape(counts.size, count, -1).sum(axis=1), counts, axis=0)
     out += onto.data
 
     def back(g: np.ndarray) -> tuple:
-        return np.repeat(_segment_sums(g, off), count, axis=0), g
+        return np.repeat(_segment_sums(g, layout), count, axis=0), g
 
     return _result(out, "segment_expand", (states, onto), back)
 
@@ -547,8 +536,8 @@ def segment_broadcast(weights: Tensor, states: Tensor, offsets, onto: Tensor,
     if weights.data.ndim != 2 or states.data.ndim != 2:
         raise ShapeError(f"segment_broadcast: weights {weights.shape} vs states {states.shape}")
     k = _rows_per_part(weights.shape[0], heads, "segment_broadcast", "weight", "heads")
-    layout = _segment_layout(_checked_offsets(offsets, weights.shape[1], "segment_broadcast"))
-    segments, d = layout[0], states.shape[1]
+    layout = _segments(offsets, weights.shape[1], "segment_broadcast")
+    segments, d = layout[1].size, states.shape[1]
     if states.shape[0] != segments * k:
         raise ShapeError(f"segment_broadcast: {segments} segments of {k} states "
                          f"need {segments * k} rows, got {states.shape}")
@@ -669,7 +658,7 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     if logits.data.ndim != 2 or lab.shape != (logits.shape[0],):
         raise ShapeError(f"softmax_cross_entropy: logits {logits.shape} vs labels {lab.shape}")
     if lab.size and (lab.min() < 0 or lab.max() >= logits.shape[1]):
-        raise ContractError("softmax_cross_entropy: label outside class range")
+        raise ShapeError("softmax_cross_entropy: label outside class range")
     z = logits.data
     zmax = z.max(axis=1, keepdims=True)
     e = np.exp(z - zmax)

@@ -11,6 +11,7 @@ belongs, or a bool or a string among the features, is an error.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass, field
 
@@ -60,43 +61,51 @@ class MolecularGraph:
         if feats.ndim != 2 or feats.shape[0] != self.num_nodes or feats.shape[1] < 1:
             raise GraphError(
                 f"node_features must be ({self.num_nodes}, D) with D >= 1, got {feats.shape}")
-        if not np.isfinite(feats).all():
-            raise GraphError("node_features contain non-finite values")
+        if not np.isfinite(feats).all():    # refused by the one rule, naming the first
+            number(float(feats[~np.isfinite(feats)][0]), "node_feats", GraphError)
         self.node_features = feats
-        checked = []
-        for u, v in self.edges:
-            # an edge read from JSON holds plain ints; only others need the full check
-            if type(u) is not int or type(v) is not int:
-                u, v = (integer(u, "edge endpoint", GraphError),
-                        integer(v, "edge endpoint", GraphError))
-            if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
-                raise GraphError(f"edge ({u}, {v}) out of range for {self.num_nodes} nodes")
-            if u == v:
-                raise GraphError(f"self-loop on node {u} is not allowed")
-            checked.append((u, v))
-        self.edges = checked
-        if self.pair_labels is not None:
-            pairs = []
-            for u, v, hit in self.pair_labels:
-                # as for edges, plain ints need no further check
-                if type(u) is not int or type(v) is not int or type(hit) is not int:
-                    u, v, hit = (integer(u, "pair label node", GraphError),
-                                 integer(v, "pair label node", GraphError),
-                                 integer(hit, "pair label flag", GraphError))
+        # a row that does not unpack, or a ragged label, is refused naming its field
+        field_name = "edges"
+        try:
+            checked = []
+            for u, v in self.edges:
+                # an edge read from JSON holds plain ints; only others need the full check
+                if type(u) is not int or type(v) is not int:
+                    u, v = (integer(u, "edge endpoint", GraphError),
+                            integer(v, "edge endpoint", GraphError))
                 if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
-                    raise GraphError(f"pair label ({u}, {v}) out of range")
-                if hit not in (0, 1):
-                    raise GraphError(f"pair label flag must be 0 or 1, got {hit}")
-                pairs.append((u, v, hit))
-            self.pair_labels = pairs
-        if isinstance(self.graph_label, (int, np.integer)):  # a class, and True is refused
-            self.graph_label = integer(self.graph_label, "graph_label", GraphError)
-        elif self.graph_label is not None:
-            if np.ndim(self.graph_label) != 1 or np.size(self.graph_label) == 0:
-                raise GraphError("graph_label must be an int or a finite, non-empty 1-D "
-                                 "float array")
-            self.graph_label = np.array([number(v, "graph_label", GraphError)
-                                         for v in self.graph_label])
+                    raise GraphError(f"edge ({u}, {v}) out of range for {self.num_nodes} nodes")
+                if u == v:
+                    raise GraphError(f"self-loop on node {u} is not allowed")
+                checked.append((u, v))
+            self.edges = checked
+            if self.pair_labels is not None:
+                field_name, pairs = "pair_labels", []
+                for u, v, hit in self.pair_labels:
+                    # as for edges, plain ints need no further check
+                    if type(u) is not int or type(v) is not int or type(hit) is not int:
+                        u, v, hit = (integer(u, "pair label node", GraphError),
+                                     integer(v, "pair label node", GraphError),
+                                     integer(hit, "pair label flag", GraphError))
+                    if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
+                        raise GraphError(f"pair label ({u}, {v}) out of range")
+                    if hit not in (0, 1):
+                        raise GraphError(f"pair label flag must be 0 or 1, got {hit}")
+                    pairs.append((u, v, hit))
+                self.pair_labels = pairs
+            field_name = "graph_label"
+            if isinstance(self.graph_label, (int, np.integer)):  # a class, and True is refused
+                self.graph_label = integer(self.graph_label, "graph_label", GraphError)
+            elif self.graph_label is not None:
+                if np.ndim(self.graph_label) != 1 or np.size(self.graph_label) == 0:
+                    raise GraphError("graph_label must be an int or a finite, non-empty 1-D "
+                                     "float array")
+                self.graph_label = np.array([number(v, "graph_label", GraphError)
+                                             for v in self.graph_label])
+        except GraphError:
+            raise
+        except (TypeError, ValueError) as err:
+            raise GraphError(f"{field_name} is malformed: {err}") from None
 
     @property
     def feature_dim(self) -> int:
@@ -173,8 +182,8 @@ class GraphBatch:
                 inv_sqrt = 1.0 / np.sqrt(degrees + 1.0)
             width = int(np.diff(self.offsets).max())
             dense = len(self) * width * width <= BLOCK_CROSSOVER * (n + 2 * len(edges))
-            form = BlockMatrix if dense else SlotMatrix
-            self._neighborhoods[normalised] = form(edges, self.offsets, inv_sqrt)
+            form, rows = (BlockMatrix, self.offsets) if dense else (SlotMatrix, n)
+            self._neighborhoods[normalised] = form(edges, rows, inv_sqrt)
         return self._neighborhoods[normalised]
 
     def pair_indices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -208,7 +217,7 @@ def batch_graphs(graphs: list[MolecularGraph]) -> GraphBatch:
 
 
 def _graph_from_record(record: dict, plain: bool) -> MolecularGraph:
-    """The graph of one decoded line; ``plain`` vouches it holds no string or bool value."""
+    """The graph of one decoded line; ``plain`` vouches it holds no bool value."""
     unknown = set(record) - _LINE_KEYS
     if unknown:
         raise DatasetError(f"unknown keys {sorted(unknown)}")
@@ -220,9 +229,11 @@ def _graph_from_record(record: dict, plain: bool) -> MolecularGraph:
     if has_graph == has_pairs:
         raise DatasetError("need exactly one of 'graph_label' or 'pair_labels'")
     feats = record["node_feats"]
+    # numpy's inference keeps a null or a huge int non-numeric; ragged rows stay a list
+    with contextlib.suppress(ValueError):
+        feats = np.asarray(feats) if plain else feats
     # the graph checks and stores each edge and pair as a tuple itself
-    return MolecularGraph(record["num_nodes"], record["edges"],
-                          np.asarray(feats, dtype=np.float64) if plain else feats,
+    return MolecularGraph(record["num_nodes"], record["edges"], feats,
                           record.get("graph_label"), record.get("pair_labels"))
 
 
@@ -240,15 +251,12 @@ def load_dataset(path) -> list[MolecularGraph]:
                     raise DatasetError(f"line {lineno}: invalid JSON ({err.msg})") from err
                 if not isinstance(record, dict):
                     raise DatasetError(f"line {lineno}: expected a JSON object")
-                # a line with no string value quotes only its keys, and one with
-                # no bool spells neither true nor false; reading that off the text
-                # costs far less than a scan of every feature
-                plain = ("true" not in line and "false" not in line
-                         and line.count('"') == 2 * len(record))
+                # a line with no bool spells neither true nor false; reading that
+                # off the text costs far less than a scan of every feature
+                plain = "true" not in line and "false" not in line
                 try:
                     graphs.append(_graph_from_record(record, plain))
-                # an int beyond float range overflows the plain line's feature array
-                except (DatasetError, GraphError, TypeError, ValueError, OverflowError) as err:
+                except (DatasetError, GraphError, TypeError, ValueError) as err:
                     raise DatasetError(f"line {lineno}: {err}") from err
     except UnicodeDecodeError as err:
         # text mode decodes a chunk ahead of the line being parsed, so the
@@ -272,6 +280,8 @@ def save_dataset(graphs: list[MolecularGraph], path) -> None:
                 "node_feats": g.node_features.tolist(),
             }
             if g.pair_labels is not None:
+                if g.graph_label is not None:   # a line holds one kind of label
+                    raise DatasetError("cannot save a graph with both graph_label and pair_labels")
                 record["pair_labels"] = [[u, v, hit] for u, v, hit in g.pair_labels]
             else:
                 label = g.graph_label

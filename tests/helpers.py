@@ -6,7 +6,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from neural_atoms.attention import MultiHeadParams
-from neural_atoms.autodiff import (ContractError, ShapeError, Tensor, _result, _segment_layout,
+from neural_atoms.autodiff import (ShapeError, Tensor, _result, _segments,
                                    _unpadded, backward, gather_rows, layer_norm,
                                    segment_attention, segment_broadcast, segment_expand,
                                    segment_mean, segment_pool, view)
@@ -64,7 +64,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     """Tensors of one row count side by side, as a tape op of its own."""
     if not parts:
-        raise ContractError("concat_cols needs at least one tensor")
+        raise ShapeError("concat_cols needs at least one tensor")
     counts = [p.shape[1] for p in parts]
     splits = np.cumsum(counts)[:-1]
 
@@ -121,16 +121,16 @@ def ones_broadcast(states: Tensor, offsets, onto: Tensor) -> Tensor:
 def padded_segment_attention(queries: Tensor, keys: Tensor, offsets) -> Tensor:
     """``segment_attention`` as it was before it worked on the (K, N) logits:
     the softmax of a (B, max_n, K) padded copy whose padding holds -inf."""
-    layout = segments, width, slot = _segment_layout(np.asarray(offsets))
+    layout = _, counts, width, slot = _segments(offsets, keys.shape[0], "padded_segment_attention")
     c = queries.shape[1] ** -0.5
 
     def padded(x, fill):
         if slot is None:
-            return x.reshape(segments, width, x.shape[1])
-        buf = np.full((segments * width, x.shape[1]), fill,
+            return x.reshape(counts.size, width, x.shape[1])
+        buf = np.full((counts.size * width, x.shape[1]), fill,
                       order="F" if x.flags.f_contiguous else "C")
         buf[slot] = x
-        return buf.reshape(segments, width, x.shape[1])
+        return buf.reshape(counts.size, width, x.shape[1])
 
     logits = padded((c * (queries.data @ keys.data.T)).T, -np.inf)
     with np.errstate(over="ignore"):
@@ -181,7 +181,7 @@ def rows(a: Tensor, start: int, stop: int) -> Tensor:
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     if not parts:
-        raise ContractError("concat_rows needs at least one tensor")
+        raise ShapeError("concat_rows needs at least one tensor")
     counts = [p.shape[0] for p in parts]
     splits = np.cumsum(counts)[:-1]
 
@@ -206,7 +206,7 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], eps: float = 1
     rather than through a copy.
     """
     if not (1e-7 <= eps <= 1e-3):
-        raise ContractError(f"grad_check: eps {eps} outside [1e-7, 1e-3]")
+        raise ShapeError(f"grad_check: eps {eps} outside [1e-7, 1e-3]")
     loss = f()
     backward(loss, params=params)
     analytic = [p.grad.copy() for p in params]

@@ -75,6 +75,15 @@ def test_unlabeled_graph_keeps_previous_dataset(tmp_path):
     assert [p.name for p in path.parent.iterdir()] == ["file.txt"]
 
 
+def test_graph_with_both_label_kinds_keeps_previous_dataset(tmp_path):
+    path = previous_file(tmp_path)
+    both = MolecularGraph(2, [(0, 1)], np.ones((2, 1)), graph_label=1, pair_labels=[(0, 1, 1)])
+    with pytest.raises(DatasetError, match="both graph_label and pair_labels"):
+        graphs.save_dataset(generate_lri_task(3, 4, 2, seed=1) + [both], path)
+    assert path.read_text() == "previous\n"
+    assert [p.name for p in path.parent.iterdir()] == ["file.txt"]
+
+
 def test_replacing_creates_the_directory_and_round_trips(tmp_path):
     path = tmp_path / "a" / "b" / "data.jsonl"
     graphs.save_dataset(generate_lri_task(4, 5, 3, seed=2), path)

@@ -162,10 +162,8 @@ class TestNeighbourhoodForm:
 
     # per 64-graph batch: the form, and how often each check of the entries runs
     CHECK_COUNTS = {
-        "lri": (BlockMatrix, {"_checked_entries": 1, "_checked_offsets": 1,
-                              "_segment_layout": 1}),
-        "contact-like": (SlotMatrix, {"_checked_entries": 1, "_checked_offsets": 1,
-                                      "_segment_layout": 0}),
+        "lri": (BlockMatrix, {"_checked_entries": 1, "_segments": 1}),
+        "contact-like": (SlotMatrix, {"_checked_entries": 1, "_segments": 0}),
     }
 
     @pytest.mark.parametrize("workload", sorted(CHECK_COUNTS))
@@ -339,6 +337,50 @@ class TestDatasetIO:
         assert graph.edges == [(0, 1), (1, 2)] and type(graph.edges[0][0]) is int
         assert graph.pair_labels == [(0, 2, 1), (0, 1, 0)]
         np.testing.assert_array_equal(graph.node_features, [[0.5], [1.0], [2.0]])
+
+    # node_feats as a line spells them, and the words both ways must hold
+    PLAIN_FEATURES = [
+        ("[[1.0], [null]]", "got None"), ("[[1.0], [NaN]]", "got nan"),
+        ("[[1.0], [Infinity]]", "got inf"), ("[[1.0], [-Infinity]]", "got -inf"),
+        ("[[1.0], [1e400]]", "got inf"), ("[[1.0], [2.0, 3.0]]", r"got \[1.0\]"),
+        ("[[1.0], [[2.0]]]", r"got \[2.0\]"), (f"[[1.0], [{HUGE}]]", f"got {HUGE}"),
+    ]
+
+    @pytest.mark.parametrize("feats, words", PLAIN_FEATURES,
+                             ids=["null", "nan", "inf", "minus-inf", "1e400", "ragged",
+                                  "nested", "huge-int"])
+    def test_plain_line_features_meet_the_rule_of_a_direct_build(self, tmp_path, feats, words):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"num_nodes": 2, "edges": [[0, 1]], "node_feats": %s, '
+                        '"graph_label": 0}\n' % feats)
+        with pytest.raises(DatasetError) as loaded:
+            load_dataset(path)
+        with pytest.raises(GraphError, match=f"node_feats must hold numbers that are finite, "
+                                             f"{words}$") as built:
+            MolecularGraph(2, [(0, 1)], json.loads(feats), graph_label=0)
+        assert str(loaded.value) == f"line 1: {built.value}"
+
+    # (field, a value whose rows do not unpack or whose label is ragged)
+    MALFORMED_ROWS = [("edges", [[0, 1, 2]]), ("edges", 5), ("edges", [5]),
+                      ("pair_labels", [[0, 1]]), ("pair_labels", 7),
+                      ("graph_label", [[1.0], [2.0, 3.0]]), ("graph_label", [1.0, [2.0]])]
+
+    @pytest.mark.parametrize("key, value", MALFORMED_ROWS,
+                             ids=["edge-triple", "edges-int", "edge-int", "pair-couple",
+                                  "pairs-int", "ragged-label", "nested-label"])
+    def test_malformed_rows_are_refused_naming_their_field(self, tmp_path, key, value):
+        fields = {"num_nodes": 3, "edges": [[0, 1]], "node_feats": [[1.0], [2.0], [3.0]],
+                  key: value}
+        if key != "pair_labels":
+            fields.setdefault("graph_label", 0)
+        with pytest.raises(GraphError, match=f"^{key} is malformed: ") as built:
+            MolecularGraph(fields["num_nodes"], fields["edges"], fields["node_feats"],
+                           fields.get("graph_label"), fields.get("pair_labels"))
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(fields) + "\n")
+        with pytest.raises(DatasetError) as loaded:
+            load_dataset(path)
+        assert str(loaded.value) == f"line 1: {built.value}"
 
     def test_numpy_integers_are_valid_indices(self):
         graph = MolecularGraph(np.int64(3), [(np.int64(0), np.int32(1))], np.zeros((3, 1)),

@@ -386,6 +386,25 @@ def test_training_tape_per_workload_batch_has_no_unfused_bias_or_relu(workload):
     assert "affine" in names and not {"add_row", "relu"} & set(names)
 
 
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_MODELS))
+def test_a_batch_reads_its_offsets_once_per_segment_op_and_block_build(workload, monkeypatch):
+    """``_segments`` runs once for each segment-op tape entry and once for the
+    batch's ``BlockMatrix`` (20-node paths get blocks), and for nothing else."""
+    ops = []
+    segments = autodiff_module._segments
+
+    def counted(offsets, n, op):
+        ops.append(op)
+        return segments(offsets, n, op)
+
+    monkeypatch.setattr(autodiff_module, "_segments", counted)
+    loss = workload_batch_loss(WORKLOAD_MODELS[workload][0])
+    names = [e.name for e in GradTape.trace(loss).entries]
+    want = ["BlockMatrix"] + [name for name in names if name.startswith("segment_")]
+    assert Counter(ops) == Counter(want)
+    assert len(want) > 1 or workload == "contact-gin"
+
+
 @pytest.mark.parametrize("overrides", [
     dict(augment="neural-atoms", heads=1), dict(augment="neural-atoms", heads=2),
     dict(augment="neural-atoms", heads=3), dict(augment="virtual-node", virtual_nodes=1),
